@@ -41,8 +41,9 @@ from .model import (
     Model,
     apply_activation,
     cosine,
+    count_matrix,
     embed,
-    embed_gradient,
+    embed_matrix,
     preactivation,
     verify_binding,
 )
@@ -61,7 +62,6 @@ from .train import (
     epoch_permutation,
     finite_diff_audit,
     init_model,
-    pair_loss,
     select_negatives,
     train,
 )
@@ -103,8 +103,9 @@ __all__ = [
     "build_vocab",
     "build_working_vocab",
     "cosine",
+    "count_matrix",
     "embed",
-    "embed_gradient",
+    "embed_matrix",
     "encode",
     "epoch_permutation",
     "eval_sts",
@@ -125,7 +126,6 @@ __all__ = [
     "ngram_neighbors",
     "normalize",
     "oov_count",
-    "pair_loss",
     "pearson",
     "preactivation",
     "save_curve",

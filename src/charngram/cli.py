@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,7 @@ from .io import (
     save_vocab,
     unescape_ngram,
 )
-from .model import cosine, embed
+from .model import count_matrix, embed_matrix, row_cosines
 from .neighbors import build_working_vocab, nearest_neighbors, ngram_neighbors
 from .train import TrainConfig, finite_diff_audit, train
 from .vocab import MinCount, TopKPerOrder, build_vocab, encode, normalize
@@ -103,34 +104,10 @@ def _cmd_build_vocab(args) -> int:
     return 0
 
 
-# train flags that override the same-named RunConfig fields when given
-_TRAIN_OVERRIDES = (
-    "pairs",
-    "vocab",
-    "out",
-    "eval_pairs",
-    "curve",
-    "dim",
-    "activation",
-    "margin",
-    "reg_lambda",
-    "lr",
-    "batch",
-    "sampling",
-    "epochs",
-    "seed",
-    "curriculum",
-    "eval_every",
-    "case",
-    "pool",
-    "orders",
-    "policy",
-)
-
-
 def _cmd_train(args) -> int:
     cfg = load_run_config(args.config) if args.config else RunConfig()
-    for name in _TRAIN_OVERRIDES:
+    # every RunConfig field has a same-named train flag that overrides it when given
+    for name in (f.name for f in fields(RunConfig)):
         value = getattr(args, name)
         if value is not None:
             setattr(cfg, name, value)
@@ -156,17 +133,11 @@ def _cmd_train(args) -> int:
     hook = None
     if cfg.eval_pairs is not None:
         dev = load_pairs(cfg.eval_pairs)
-        dev_cvs = [
-            (encode(normalize(a, cfg.case), vocab), encode(normalize(b, cfg.case), vocab))
-            for a, b in dev.pairs
-        ]
+        dev_cvs = [encode(normalize(t, cfg.case), vocab) for pair in dev.pairs for t in pair]
 
         def hook(model, examples_seen):
-            values = [
-                cosine(embed(c1, model).values, embed(c2, model).values)
-                for c1, c2 in dev_cvs
-            ]
-            return {"dev_mean_cosine": float(np.mean(values))}
+            values = embed_matrix(count_matrix(dev_cvs, model), model)
+            return {"dev_mean_cosine": float(np.mean(row_cosines(values[0::2], values[1::2])))}
 
     try:
         tcfg = cfg.to_train_config()
@@ -232,9 +203,9 @@ def _cmd_embed(args) -> int:
         texts = args.text
     else:
         raise UsageError("embed requires TEXT arguments or --stdin")
-    for text in texts:
-        emb = embed(encode(normalize(text, args.case), vocab), model)
-        print("\t".join(f"{x:.9g}" for x in emb.values))
+    counts = count_matrix([encode(normalize(text, args.case), vocab) for text in texts], model)
+    for row in embed_matrix(counts, model):
+        print("\t".join(f"{x:.9g}" for x in row))
     return 0
 
 

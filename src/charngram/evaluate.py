@@ -15,7 +15,7 @@ import numpy as np
 from scipy import stats
 
 from .errors import DataError
-from .model import Model, cosine, embed
+from .model import Model, count_matrix, embed_matrix, row_cosines
 from .vocab import NGramVocab, check_case_mode, encode, normalize
 
 # Item: (text1, text2, gold score).
@@ -107,14 +107,11 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
 
 def _pair_scores(
     model: Model, vocab: NGramVocab, items: Sequence[SimItem], case_mode: str
-) -> list[float]:
+) -> np.ndarray:
     case_mode = check_case_mode(case_mode)
-    scores = []
-    for t1, t2, _ in items:
-        e1 = embed(encode(normalize(t1, case_mode), vocab), model)
-        e2 = embed(encode(normalize(t2, case_mode), vocab), model)
-        scores.append(cosine(e1.values, e2.values))
-    return scores
+    cvs = [encode(normalize(t, case_mode), vocab) for item in items for t in item[:2]]
+    values = embed_matrix(count_matrix(cvs, model), model)
+    return row_cosines(values[0::2], values[1::2])
 
 
 def eval_word_sim(

@@ -28,7 +28,7 @@ FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sIIB3xQQ")  # magic, version, d, activation, fingerprint, |V|
 _RECORD_HEAD = struct.Struct("<BH")  # order, utf-8 byte length
 
-_ACTIVATION_CODES = {"linear": 0, "tanh": 1, "relu": 2}
+_ACTIVATION_CODES = {"linear": 0, "tanh": 1}
 _ACTIVATION_NAMES = {v: k for k, v in _ACTIVATION_CODES.items()}
 
 
@@ -139,11 +139,12 @@ def save_model(model: Model, vocab: NGramVocab, path) -> None:
         ),
         model.bias.astype("<f4").tobytes(),
     ]
+    rows = model.weights.astype("<f4")
     for pos, (ngram, order, _) in enumerate(vocab.entries):
         raw = ngram.encode("utf-8")
         chunks.append(_RECORD_HEAD.pack(order, len(raw)))
         chunks.append(raw)
-        chunks.append(model.weights[pos].astype("<f4").tobytes())
+        chunks.append(rows[pos].tobytes())
     _atomic_write_bytes(path, b"".join(chunks))
 
 
@@ -179,20 +180,27 @@ def load_model(path) -> tuple[Model, NGramVocab]:
         raise ModelFormatError(f"{path}: unsupported version {version}")
     if act_code not in _ACTIVATION_NAMES:
         raise ModelFormatError(f"{path}: corrupt model file (unknown activation code {act_code})")
+    # every record holds at least its head and a row; checked before allocating
+    least = _HEADER.size + 4 * dim + vocab_size * (_RECORD_HEAD.size + 4 * dim)
+    if least > len(data):
+        raise ModelFormatError(f"{path}: corrupt model file (expected at least {least} bytes)")
 
     bias = np.frombuffer(take(4 * dim), dtype="<f4").astype(np.float64)
     entries = []
-    rows = np.empty((vocab_size, dim), dtype=np.float64)
+    rows = []
     for pos in range(vocab_size):
         order, byte_len = _RECORD_HEAD.unpack(take(_RECORD_HEAD.size))
         try:
             ngram = take(byte_len).decode("utf-8")
         except UnicodeDecodeError as err:
             raise ModelFormatError(f"{path}: corrupt model file (bad n-gram bytes)") from err
-        rows[pos] = np.frombuffer(take(4 * dim), dtype="<f4")
+        rows.append(take(4 * dim))
         entries.append((ngram, order, 0))
     if offset != len(data):
         raise ModelFormatError(f"{path}: corrupt model file (trailing data)")
+    del data  # so that at most one float32 and one float64 copy of the rows coexist
+    rows = b"".join(rows)
+    rows = np.frombuffer(rows, dtype="<f4").reshape(vocab_size, dim).astype(np.float64)
 
     try:
         vocab = NGramVocab(entries)

@@ -2,20 +2,24 @@
 
 A sequence embedding is the count-weighted sum of the n-gram vectors for the
 n-grams present in the sequence, plus a bias, passed through an elementwise
-activation. Parameters are kept in float64 in memory; file persistence
-quantizes to float32 (see charngram.io).
+activation. A batch of sequences is a sparse count matrix X with one row per
+sequence, and its embeddings are h(X @ W + b). Parameters are kept in float64
+in memory; file persistence quantizes to float32 (see charngram.io).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from typing import Sequence
 
 import numpy as np
+from scipy import sparse
 
 from .errors import DataError
 from .vocab import CountVector, NGramVocab
 
-ACTIVATIONS = ("linear", "tanh", "relu")
+ACTIVATIONS = ("linear", "tanh")
 
 # Norms below this are treated as zero when computing cosine similarity.
 COSINE_NORM_FLOOR = 1e-12
@@ -32,23 +36,15 @@ def apply_activation(activation: str, pre: np.ndarray) -> np.ndarray:
         return pre.copy()
     if activation == "tanh":
         return np.tanh(pre)
-    if activation == "relu":
-        return np.maximum(pre, 0.0)
     raise ValueError(f"unknown activation {activation!r}")
 
 
 def activation_grad(activation: str, values: np.ndarray) -> np.ndarray:
-    """Elementwise derivative of the activation, computed from its output.
-
-    tanh' = 1 - tanh^2; relu' is 1 where the output is positive and 0 at or
-    below the kink (the subgradient 0 is chosen at exactly 0).
-    """
+    """Elementwise derivative of the activation, computed from its output: tanh' = 1 - tanh^2."""
     if activation == "linear":
         return np.ones_like(values)
     if activation == "tanh":
         return 1.0 - values * values
-    if activation == "relu":
-        return (values > 0.0).astype(values.dtype)
     raise ValueError(f"unknown activation {activation!r}")
 
 
@@ -96,16 +92,51 @@ class Embedding:
     oov_fallback: bool  # True when no n-gram matched; values = h(bias)
 
 
+def _check_rows(rows: np.ndarray, model: Model) -> None:
+    if rows.size and (rows.min() < 0 or rows.max() >= model.vocab_size):
+        raise DataError("vocab/model mismatch")
+
+
 def preactivation(cv: CountVector, model: Model) -> np.ndarray:
     """bias + sum over cv of count * weights[row], before the nonlinearity."""
     pre = model.bias.copy()
     if cv:
         rows = np.fromiter(cv.keys(), dtype=np.intp, count=len(cv))
-        if rows.min() < 0 or rows.max() >= model.vocab_size:
-            raise DataError("vocab/model mismatch")
+        _check_rows(rows, model)
         counts = np.fromiter(cv.values(), dtype=np.float64, count=len(cv))
         pre += counts @ model.weights[rows]
     return pre
+
+
+def count_matrix(cvs: Sequence[CountVector], model: Model) -> sparse.csr_matrix:
+    """Stack count vectors as the rows of a CSR (len(cvs), |V|) matrix."""
+    indptr = np.zeros(len(cvs) + 1, dtype=np.intp)
+    np.cumsum([len(cv) for cv in cvs], out=indptr[1:])
+    nnz = int(indptr[-1])
+    rows = np.fromiter(chain.from_iterable(cvs), dtype=np.intp, count=nnz)
+    _check_rows(rows, model)
+    counts = np.fromiter(
+        chain.from_iterable(cv.values() for cv in cvs), dtype=np.float64, count=nnz
+    )
+    return sparse.csr_matrix((counts, rows, indptr), shape=(len(cvs), model.vocab_size))
+
+
+def embed_matrix(counts: sparse.csr_matrix, model: Model) -> np.ndarray:
+    """Embed every row of a count matrix: h(X @ W + b); empty rows give h(bias)."""
+    return apply_activation(model.activation, counts @ model.weights + model.bias)
+
+
+def embed_matrix_grad(
+    counts: sparse.csr_matrix, values: np.ndarray, upstream: np.ndarray, model: Model
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Backpropagate `upstream` (d loss / d values) through values = embed_matrix(counts).
+
+    Returns (d loss / d bias, touched rows, d loss / d weights[touched rows]),
+    where the touched rows are the sorted columns present in `counts`.
+    """
+    d_pre = upstream * activation_grad(model.activation, values)
+    touched = np.unique(counts.indices)
+    return d_pre.sum(axis=0), touched, counts[:, touched].T @ d_pre
 
 
 def embed(cv: CountVector, model: Model) -> Embedding:
@@ -121,26 +152,17 @@ def cosine(u, v) -> float:
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape or u.ndim != 1:
         raise DataError("cosine requires two vectors of equal dimension")
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu < COSINE_NORM_FLOOR or nv < COSINE_NORM_FLOOR:
-        return 0.0
-    return float(np.dot(u, v) / (nu * nv))
+    return float(row_cosines(u[None, :], v[None, :])[0])
 
 
-def embed_gradient(
-    cv: CountVector, model: Model, upstream: np.ndarray
-) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-    """Backpropagate `upstream` (d loss / d embedding) through the model.
+def unit_rows(values: np.ndarray) -> np.ndarray:
+    """Rows scaled to unit norm; (near-)zero rows become zero, so cos(u, 0) = 0."""
+    norms = np.linalg.norm(values, axis=1, keepdims=True)
+    units = values / np.where(norms < COSINE_NORM_FLOOR, 1.0, norms)
+    units[norms[:, 0] < COSINE_NORM_FLOOR] = 0.0
+    return units
 
-    Returns (d loss / d bias, {row: d loss / d weights[row]}) touching exactly
-    the rows present in `cv`. The pre-activation is recomputed here; the
-    training loop uses its own cached version of the same arithmetic.
-    """
-    upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != (model.dim,):
-        raise DataError("upstream gradient has wrong dimension")
-    values = apply_activation(model.activation, preactivation(cv, model))
-    d_pre = upstream * activation_grad(model.activation, values)
-    d_rows = {row: count * d_pre for row, count in cv.items()}
-    return d_pre, d_rows
+
+def row_cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cosine of every row of `a` with the same row of `b`, guarded like `cosine`."""
+    return np.einsum("ij,ij->i", unit_rows(a), unit_rows(b))

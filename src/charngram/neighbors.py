@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .model import COSINE_NORM_FLOOR, Model, embed
+from .model import COSINE_NORM_FLOOR, Model, count_matrix, embed, embed_matrix
 from .vocab import NGramVocab, check_case_mode, encode, normalize
 
 
@@ -27,15 +27,15 @@ class WorkingVocab:
 
 
 def _guarded_cosines(matrix: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """Cosine of `query` against every row; zero-norm vectors score 0."""
+    """Cosine of `query` against every row; zero-norm vectors score 0.
+
+    The rows are scaled after the product, so no normalized copy of `matrix`
+    (the whole weight table, for n-gram queries) is made.
+    """
     qn = np.linalg.norm(query)
-    if qn < COSINE_NORM_FLOOR:
-        return np.zeros(matrix.shape[0])
     norms = np.linalg.norm(matrix, axis=1)
-    safe = np.where(norms < COSINE_NORM_FLOOR, 1.0, norms)
-    out = (matrix @ query) / (safe * qn)
-    out[norms < COSINE_NORM_FLOOR] = 0.0
-    return out
+    live = (norms >= COSINE_NORM_FLOOR) & (qn >= COSINE_NORM_FLOOR)
+    return np.divide(matrix @ query, norms * qn, out=np.zeros(len(norms)), where=live)
 
 
 def build_working_vocab(
@@ -45,23 +45,22 @@ def build_working_vocab(
     case_mode = check_case_mode(case_mode)
     if not words:
         raise DataError("empty word list")
-    seen = set()
-    kept: list[str] = []
-    rows: list[np.ndarray] = []
-    for word in words:
-        padded = normalize(word, case_mode)
-        inner = padded[1:-1]
-        if inner in seen:
-            continue
-        seen.add(inner)
-        kept.append(inner)
-        rows.append(embed(encode(padded, vocab), model).values)
-    return WorkingVocab(words=kept, embeddings=np.stack(rows), case_mode=case_mode)
+    padded = list(dict.fromkeys(normalize(word, case_mode) for word in words))
+    counts = count_matrix([encode(seq, vocab) for seq in padded], model)
+    return WorkingVocab(
+        words=[seq[1:-1] for seq in padded],
+        embeddings=embed_matrix(counts, model),
+        case_mode=case_mode,
+    )
 
 
 def _rank(words: list[str], cosines: np.ndarray, exclude: set[str], k: int):
+    # only entries scoring at least the (k + |exclude|)-th best cosine can be
+    # in the top k, so only those are sorted (by cosine, then word)
+    top = min(k + len(exclude), len(words))
+    floor = -np.partition(-cosines, top - 1)[top - 1]
     order = sorted(
-        (i for i in range(len(words)) if words[i] not in exclude),
+        (i for i in np.flatnonzero(cosines >= floor) if words[i] not in exclude),
         key=lambda i: (-cosines[i], words[i]),
     )
     return [(words[i], float(cosines[i])) for i in order[:k]]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evaluate import SimDataset
-from .model import Model, cosine, embed
+from .model import Model, count_matrix, embed_matrix, unit_rows
 from .neighbors import build_working_vocab, nearest_neighbors
 from .train import PairDataset, TrainConfig, TrainingCurve, train
 from .vocab import NGramVocab, TopKPerOrder, build_vocab, encode, normalize
@@ -181,17 +181,13 @@ def cosine_gap(model: Model, vocab: NGramVocab, task: SyntheticTask) -> float:
     words rather than a sample, so the statistic is deterministic.
     """
     words = [w for ws in task.heldout_words for w in ws]
-    root = task.root_of()
-    embs = [embed(encode(normalize(w), vocab), model).values for w in words]
-    same, cross = [], []
-    for i in range(len(words)):
-        for j in range(i + 1, len(words)):
-            value = cosine(embs[i], embs[j])
-            if root[words[i]] == root[words[j]]:
-                same.append(value)
-            else:
-                cross.append(value)
-    return float(np.mean(same) - np.mean(cross))
+    roots = np.repeat(np.arange(len(task.heldout_words)), [len(ws) for ws in task.heldout_words])
+    counts = count_matrix([encode(normalize(w), vocab) for w in words], model)
+    units = unit_rows(embed_matrix(counts, model))
+    i, j = np.triu_indices(len(words), k=1)
+    cosines = np.einsum("ij,ij->i", units[i], units[j])
+    same = roots[i] == roots[j]
+    return float(np.mean(cosines[same]) - np.mean(cosines[~same]))
 
 
 def top1_same_root_accuracy(model: Model, vocab: NGramVocab, task: SyntheticTask) -> float:

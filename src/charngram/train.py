@@ -6,26 +6,31 @@ examples are picked from the current mini-batch, either the most cosine-similar
 candidate (MAX) or, per a fair coin, a uniformly random one (MIX). Updates are
 sparse Adam steps touching only the n-gram rows present in the batch, with L2
 decay applied lazily to the same touched set.
+
+A batch of n pairs is one count matrix stacking the side-1 texts over the
+side-2 texts, so each step runs one forward pass h(X @ W + b) over 2n rows,
+and its backward pass is X^T times the gradient at the pre-activations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
+from scipy import sparse
 
 from .errors import DataError, NumericalError
 from .model import (
-    Embedding,
+    COSINE_NORM_FLOOR,
     Model,
-    activation_grad,
-    apply_activation,
     check_activation,
-    cosine,
-    preactivation,
+    count_matrix,
+    embed_matrix,
+    embed_matrix_grad,
+    unit_rows,
 )
-from .vocab import CountVector, NGramVocab, check_case_mode, encode, normalize
+from .vocab import NGramVocab, check_case_mode, encode, normalize
 
 SAMPLING_MODES = ("max", "mix")
 NEGATIVE_POOLS = ("same-side", "both-sides")
@@ -85,8 +90,6 @@ class TrainConfig:
 
     def validate(self) -> None:
         check_activation(self.activation)
-        if self.activation == "relu":
-            raise ValueError("relu is not allowed for similarity training; use linear or tanh")
         check_case_mode(self.case_mode)
         if self.dim < 1:
             raise ValueError("dim must be positive")
@@ -114,13 +117,13 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """Sparse Adam moments; entries exist only for parameters touched so far."""
+    """Adam moments, allocated zero at the first step; rows no step touched stay zero."""
 
     step: int = 0
     m_bias: np.ndarray | None = None
     v_bias: np.ndarray | None = None
-    m_rows: dict[int, np.ndarray] = field(default_factory=dict)
-    v_rows: dict[int, np.ndarray] = field(default_factory=dict)
+    m_weights: np.ndarray | None = None
+    v_weights: np.ndarray | None = None
 
 
 @dataclass
@@ -135,24 +138,9 @@ class TrainingCurve:
         self.points.append((examples_seen, metric, float(value)))
 
 
-def _embedding_values(item) -> np.ndarray:
-    if isinstance(item, Embedding):
-        return item.values
-    return np.asarray(item, dtype=np.float64)
-
-
-def _unit_rows(values: np.ndarray) -> np.ndarray:
-    # Rows with (near-)zero norm become zero vectors, matching the cosine
-    # convention cos(u, 0) = 0.
-    norms = np.linalg.norm(values, axis=1, keepdims=True)
-    safe = np.where(norms < 1e-12, 1.0, norms)
-    units = values / safe
-    units[norms[:, 0] < 1e-12] = 0.0
-    return units
-
-
 def select_negatives(
-    batch: Sequence[tuple],
+    side1: np.ndarray,
+    side2: np.ndarray,
     mode: str,
     rng: np.random.Generator,
     texts: Sequence[tuple[str, str]] | None = None,
@@ -160,12 +148,12 @@ def select_negatives(
 ) -> list[tuple[PhraseRef, PhraseRef]]:
     """Pick one negative example per side for every pair in the batch.
 
-    `batch` holds (cv1, cv2, emb1, emb2) tuples; embeddings may be Embedding
-    objects or plain vectors. Returns, per pair, ((j1, s1), (j2, s2)) where the
-    side-1 negative is phrase s1 of pair j1 and likewise for side 2. Under the
-    default pool the side-1 negative competes among side-1 phrases of other
-    pairs (s1 = 0) and the side-2 negative among side-2 phrases (s2 = 1);
-    pool="both-sides" widens both competitions to all phrases of other pairs.
+    `side1` and `side2` are the (n, d) embeddings of the pairs' two sides.
+    Returns, per pair, ((j1, s1), (j2, s2)) where the side-1 negative is
+    phrase s1 of pair j1 and likewise for side 2. Under the default pool the
+    side-1 negative competes among side-1 phrases of other pairs (s1 = 0) and
+    the side-2 negative among side-2 phrases (s2 = 1); pool="both-sides"
+    widens both competitions to all phrases of other pairs.
 
     MAX picks the candidate most cosine-similar to the phrase being matched,
     ties broken by candidate enumeration order (pair index ascending, side-1
@@ -179,7 +167,7 @@ def select_negatives(
     string-equal to either phrase of the current pair are excluded, falling
     back to all other-pair candidates if that empties the pool.
     """
-    n = len(batch)
+    n = len(side1)
     if n < 2:
         raise DataError("cannot sample negatives")
     mode = mode.lower()
@@ -188,147 +176,100 @@ def select_negatives(
     if pool not in NEGATIVE_POOLS:
         raise ValueError(f"negative_pool must be one of {NEGATIVE_POOLS}")
 
-    values = (
-        np.stack([_embedding_values(item[2]) for item in batch]),
-        np.stack([_embedding_values(item[3]) for item in batch]),
-    )
-    units = (_unit_rows(values[0]), _unit_rows(values[1]))
+    units = unit_rows(np.concatenate([side1, side2]))
+    # candidates in enumeration order: pair ascending, then side
+    cand_pair, cand_side = np.divmod(np.arange(2 * n), 2)
+    candidates = units[cand_side * n + cand_pair]
+    other_pair = cand_pair[None, :] != np.arange(n)[:, None]
+    if texts is not None:
+        ids: dict[str, int] = {}
+        text_ids = np.array([[ids.setdefault(t, len(ids)) for t in pair] for pair in texts])
+        cand_ids = text_ids[cand_pair, cand_side]
+        fresh = (cand_ids != text_ids[:, :1]) & (cand_ids != text_ids[:, 1:])
+    pools = []  # per side: the (n, 2n) mask of allowed candidates, MAX's picks
+    for side in (0, 1):
+        allowed = other_pair & (cand_side == side) if pool == "same-side" else other_pair
+        if texts is not None:
+            kept = allowed & fresh
+            allowed = np.where(kept.any(axis=1, keepdims=True), kept, allowed)
+        sims = units[side * n : (side + 1) * n] @ candidates.T
+        pools.append((allowed, np.where(allowed, sims, -np.inf).argmax(axis=1)))
 
-    def candidate_refs(target_side: int) -> list[PhraseRef]:
-        if pool == "same-side":
-            return [(j, target_side) for j in range(n)]
-        return [(j, s) for j in range(n) for s in (0, 1)]
-
-    ref_pools = (candidate_refs(0), candidate_refs(1))
-    cand_units = tuple(
-        np.stack([units[s][j] for j, s in refs]) for refs in ref_pools
-    )
-
-    def allowed_positions(i: int, target_side: int) -> list[int]:
-        refs = ref_pools[target_side]
-        own = texts[i] if texts is not None else None
-        keep = []
-        for pos, (j, s) in enumerate(refs):
-            if j == i:
-                continue
-            if own is not None and texts[j][s] in own:
-                continue
-            keep.append(pos)
-        if not keep:
-            keep = [pos for pos, (j, _) in enumerate(refs) if j != i]
-        return keep
-
-    out: list[tuple[PhraseRef, PhraseRef]] = []
-    for i in range(n):
-        chosen: list[PhraseRef] = []
-        for side in (0, 1):
-            refs = ref_pools[side]
-            positions = allowed_positions(i, side)
-            use_max = True
-            if mode == "mix":
-                use_max = rng.random() < 0.5
-            if use_max:
-                sims = cand_units[side][positions] @ units[side][i]
-                pick = positions[int(np.argmax(sims))]
-            else:
-                pick = positions[int(rng.integers(len(positions)))]
-            chosen.append(refs[pick])
-        out.append((chosen[0], chosen[1]))
-    return out
+    if mode == "mix":
+        for i in range(n):
+            for allowed, picks in pools:
+                if rng.random() >= 0.5:
+                    positions = np.flatnonzero(allowed[i])
+                    picks[i] = positions[int(rng.integers(len(positions)))]
+    refs = list(zip(cand_pair.tolist(), cand_side.tolist()))
+    return [(refs[a], refs[b]) for a, b in zip(pools[0][1], pools[1][1])]
 
 
-def pair_loss(emb_x1, emb_x2, emb_t1, emb_t2, margin: float) -> float:
-    """Two hinge terms: the pair cosine must beat each negative cosine by margin."""
-    u = _embedding_values(emb_x1)
-    w = _embedding_values(emb_x2)
-    c_pos = cosine(u, w)
-    h1 = margin - c_pos + cosine(u, _embedding_values(emb_t1))
-    h2 = margin - c_pos + cosine(w, _embedding_values(emb_t2))
-    return max(0.0, h1) + max(0.0, h2)
+def _hinge(
+    values: np.ndarray, negatives: Sequence[tuple[PhraseRef, PhraseRef]], margin: float
+) -> tuple[float, np.ndarray]:
+    """Mean hinge loss of a stacked batch and its gradient with respect to `values`.
 
+    `values` holds the side-1 embeddings over the side-2 embeddings, (2n, d).
+    Pair i contributes max(0, margin - cos(x1, x2) + cos(x1, t1)) plus the
+    same term for side 2, where t1 and t2 are its frozen negatives; cosines
+    and their gradients are 0 at (near-)zero-norm vectors, as in `cosine`.
+    """
+    n = len(values) // 2
+    norms = np.linalg.norm(values, axis=1)
+    # a huge but finite embedding has an infinite norm and a zero unit vector
+    if not np.all(np.isfinite(norms)):
+        raise NumericalError("non-finite embedding")
+    inv_norms = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms >= COSINE_NORM_FLOOR)
+    units = values * inv_norms[:, None]
 
-def _cos_grad(u: np.ndarray, v: np.ndarray, nu: float, nv: float, c: float) -> np.ndarray:
-    # d cos(u, v) / d u; zero when either vector has zero norm (cos is the
-    # constant 0 there by convention).
-    if nu < 1e-12 or nv < 1e-12:
-        return np.zeros_like(u)
-    return (v / nv - c * u / nu) / nu
+    refs = np.asarray(negatives).reshape(n, 2, 2)  # pair, side, (j, s)
+    anchor = np.arange(2 * n).reshape(2, n).T  # rows of x1 and x2
+    negative = refs[..., 1] * n + refs[..., 0]
+    c_pos = np.einsum("ij,ij->i", units[:n], units[n:])
+    c_neg = np.einsum("ikj,ikj->ik", units[anchor], units[negative])
+    hinge = margin - c_pos[:, None] + c_neg
+    active = (hinge > 0).astype(np.float64)
+
+    # each cosine c(a, b), weighted by d loss / dc, passes weight * dc/da to
+    # row a and weight * dc/db to row b, with dc/da = (unit_b - c * unit_a) / |a|
+    a = np.concatenate([anchor[:, 0], anchor.ravel()])
+    b = np.concatenate([anchor[:, 1], negative.ravel()])
+    cos = np.concatenate([c_pos, c_neg.ravel()])[:, None]
+    weight = np.concatenate([-active.sum(axis=1), active.ravel()])[:, None]
+    upstream = np.zeros_like(values)
+    for rows, others in ((a, b), (b, a)):
+        grad = (units[others] - cos * units[rows]) * (weight * inv_norms[rows, None])
+        np.add.at(upstream, rows, grad)
+    return float(np.maximum(hinge, 0.0).sum()) / n, upstream / n
 
 
 def _batch_gradients(
-    cv_sides: tuple[list[CountVector], list[CountVector]],
+    texts: Sequence[tuple[str, str]],
+    counts: sparse.csr_matrix,
     model: Model,
     config: TrainConfig,
-    negatives: Sequence[tuple[PhraseRef, PhraseRef]],
-) -> tuple[float, np.ndarray, dict[int, np.ndarray]]:
-    """Mean hinge loss and its analytic gradient, with the frozen negatives.
+    rng: np.random.Generator,
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, list[tuple[PhraseRef, PhraseRef]]]:
+    """One forward pass, negative selection, and the analytic gradient of the batch.
 
-    Hinge gradients carry the 1/batch factor; the L2 term adds 2*lambda*theta
-    (unscaled) for the bias and every weight row present in the batch's count
-    vectors. Returns (loss, d bias, {row: d row}); the loss excludes the
-    regularizer.
+    `counts` stacks the side-1 rows over the side-2 rows. The L2 term adds
+    2*lambda*theta (unscaled) for the bias and every weight row present in
+    `counts`. Returns (loss, d bias, touched rows, d weights[touched rows],
+    negatives); the loss excludes the regularizer.
     """
-    n = len(cv_sides[0])
-    pre = tuple(
-        np.stack([preactivation(cv, model) for cv in cvs]) for cvs in cv_sides
+    n = len(texts)
+    values = embed_matrix(counts, model)
+    negatives = select_negatives(
+        values[:n], values[n:], config.sampling, rng, texts=texts, pool=config.negative_pool
     )
-    values = tuple(apply_activation(model.activation, p) for p in pre)
-    norms = tuple(np.linalg.norm(v, axis=1) for v in values)
-
-    upstream = (np.zeros_like(values[0]), np.zeros_like(values[1]))
-    loss_sum = 0.0
-    for i in range(n):
-        u, w = values[0][i], values[1][i]
-        nu, nw = norms[0][i], norms[1][i]
-        (j1, s1), (j2, s2) = negatives[i]
-        t1, nt1 = values[s1][j1], norms[s1][j1]
-        t2, nt2 = values[s2][j2], norms[s2][j2]
-
-        c_pos = 0.0 if nu < 1e-12 or nw < 1e-12 else float(np.dot(u, w) / (nu * nw))
-        c1 = 0.0 if nu < 1e-12 or nt1 < 1e-12 else float(np.dot(u, t1) / (nu * nt1))
-        c2 = 0.0 if nw < 1e-12 or nt2 < 1e-12 else float(np.dot(w, t2) / (nw * nt2))
-
-        h1 = config.margin - c_pos + c1
-        h2 = config.margin - c_pos + c2
-        # max(0.0, nan) is 0.0, so a NaN cosine would otherwise vanish silently
-        if not (np.isfinite(h1) and np.isfinite(h2)):
-            raise NumericalError("non-finite pair loss")
-        a1 = 1.0 if h1 > 0 else 0.0
-        a2 = 1.0 if h2 > 0 else 0.0
-        loss_sum += max(0.0, h1) + max(0.0, h2)
-        if a1 == 0.0 and a2 == 0.0:
-            continue
-
-        d_cpos = -(a1 + a2)
-        upstream[0][i] += d_cpos * _cos_grad(u, w, nu, nw, c_pos)
-        upstream[1][i] += d_cpos * _cos_grad(w, u, nw, nu, c_pos)
-        if a1:
-            upstream[0][i] += _cos_grad(u, t1, nu, nt1, c1)
-            upstream[s1][j1] += _cos_grad(t1, u, nt1, nu, c1)
-        if a2:
-            upstream[1][i] += _cos_grad(w, t2, nw, nt2, c2)
-            upstream[s2][j2] += _cos_grad(t2, w, nt2, nw, c2)
-
-    grad_bias = np.zeros(model.dim)
-    grad_rows: dict[int, np.ndarray] = {}
-    for side in (0, 1):
-        d_pre = upstream[side] * activation_grad(model.activation, values[side]) / n
-        grad_bias += d_pre.sum(axis=0)
-        for i, cv in enumerate(cv_sides[side]):
-            for row, count in cv.items():
-                g = grad_rows.get(row)
-                if g is None:
-                    grad_rows[row] = count * d_pre[i].copy()
-                else:
-                    g += count * d_pre[i]
-
+    loss, d_values = _hinge(values, negatives, config.margin)
+    grad_bias, touched, grad_rows = embed_matrix_grad(counts, values, d_values, model)
     lam = config.reg_lambda
     if lam > 0:
         grad_bias += 2.0 * lam * model.bias
-        for row in grad_rows:
-            grad_rows[row] += 2.0 * lam * model.weights[row]
-
-    return loss_sum / n, grad_bias, grad_rows
+        grad_rows += 2.0 * lam * model.weights[touched]
+    return loss, grad_bias, touched, grad_rows, negatives
 
 
 def _adam_apply(
@@ -336,75 +277,61 @@ def _adam_apply(
     adam: AdamState,
     config: TrainConfig,
     grad_bias: np.ndarray,
-    grad_rows: dict[int, np.ndarray],
+    touched: np.ndarray,
+    grad_rows: np.ndarray,
 ) -> None:
-    """One bias-corrected Adam step over the bias and the touched rows only."""
+    """One bias-corrected Adam step over the bias and the touched rows only, in place."""
     adam.step += 1
+    if adam.m_weights is None:
+        # np.zeros leaves untouched pages unallocated until first written
+        adam.m_bias, adam.v_bias = np.zeros(model.dim), np.zeros(model.dim)
+        shape = model.weights.shape
+        adam.m_weights, adam.v_weights = np.zeros(shape), np.zeros(shape)
     b1, b2 = config.adam_beta1, config.adam_beta2
-    corr1 = 1.0 - b1**adam.step
-    corr2 = 1.0 - b2**adam.step
-    lr, eps = config.learning_rate, config.adam_epsilon
-
-    if adam.m_bias is None:
-        adam.m_bias = np.zeros(model.dim)
-        adam.v_bias = np.zeros(model.dim)
-    adam.m_bias = b1 * adam.m_bias + (1 - b1) * grad_bias
-    adam.v_bias = b2 * adam.v_bias + (1 - b2) * grad_bias * grad_bias
-    model.bias -= lr * (adam.m_bias / corr1) / (np.sqrt(adam.v_bias / corr2) + eps)
+    for param, m, v, idx, grad in (
+        (model.bias, adam.m_bias, adam.v_bias, slice(None), grad_bias),
+        (model.weights, adam.m_weights, adam.v_weights, touched, grad_rows),
+    ):
+        m_new = b1 * m[idx]
+        m_new += (1 - b1) * grad
+        m[idx] = m_new
+        v_new = b2 * v[idx]
+        v_new += (1 - b2) * grad * grad
+        v[idx] = v_new
+        # lr * (m / corr1) / (sqrt(v / corr2) + eps), computed in the moment copies
+        v_new /= 1.0 - b2**adam.step
+        np.sqrt(v_new, out=v_new)
+        v_new += config.adam_epsilon
+        m_new /= 1.0 - b1**adam.step
+        m_new *= config.learning_rate
+        m_new /= v_new
+        param[idx] -= m_new
     if not np.all(np.isfinite(model.bias)):
         raise NumericalError("non-finite bias after update")
-
-    for row in sorted(grad_rows):
-        g = grad_rows[row]
-        m = adam.m_rows.get(row)
-        if m is None:
-            m = np.zeros(model.dim)
-            v = np.zeros(model.dim)
-        else:
-            v = adam.v_rows[row]
-        m = b1 * m + (1 - b1) * g
-        v = b2 * v + (1 - b2) * g * g
-        adam.m_rows[row] = m
-        adam.v_rows[row] = v
-        model.weights[row] -= lr * (m / corr1) / (np.sqrt(v / corr2) + eps)
-        if not np.all(np.isfinite(model.weights[row])):
-            raise NumericalError(f"non-finite weight row {row} after update")
+    bad = touched[~np.isfinite(model.weights[touched]).all(axis=1)]
+    if bad.size:
+        raise NumericalError(f"non-finite weight row {bad[0]} after update")
 
 
-def _encode_batch(
-    batch: Sequence[tuple[str, str]], vocab: NGramVocab, case_mode: str
-) -> tuple[list[tuple[str, str]], tuple[list[CountVector], list[CountVector]]]:
-    texts = [(normalize(a, case_mode), normalize(b, case_mode)) for a, b in batch]
-    cv1 = [encode(t1, vocab) for t1, _ in texts]
-    cv2 = [encode(t2, vocab) for _, t2 in texts]
-    return texts, (cv1, cv2)
+def _encode_pairs(
+    pairs: Sequence[tuple[str, str]], vocab: NGramVocab, model: Model, case_mode: str
+) -> tuple[list[tuple[str, str]], sparse.csr_matrix]:
+    """Normalized texts, and the count matrix of all side-1 texts over all side-2 texts."""
+    texts = [(normalize(a, case_mode), normalize(b, case_mode)) for a, b in pairs]
+    cvs = [encode(t, vocab) for t, _ in texts] + [encode(t, vocab) for _, t in texts]
+    return texts, count_matrix(cvs, model)
 
 
-def _step_encoded(
+def _step(
     texts: Sequence[tuple[str, str]],
-    cv_sides: tuple[list[CountVector], list[CountVector]],
+    counts: sparse.csr_matrix,
     model: Model,
     config: TrainConfig,
     adam: AdamState,
     rng: np.random.Generator,
 ) -> float:
-    values = tuple(
-        apply_activation(
-            model.activation, np.stack([preactivation(cv, model) for cv in cvs])
-        )
-        for cvs in cv_sides
-    )
-    items = [
-        (cv_sides[0][i], cv_sides[1][i], values[0][i], values[1][i])
-        for i in range(len(texts))
-    ]
-    negatives = select_negatives(
-        items, config.sampling, rng, texts=texts, pool=config.negative_pool
-    )
-    loss, grad_bias, grad_rows = _batch_gradients(cv_sides, model, config, negatives)
-    if not np.isfinite(loss):
-        raise NumericalError("non-finite batch loss")
-    _adam_apply(model, adam, config, grad_bias, grad_rows)
+    loss, grad_bias, touched, grad_rows, _ = _batch_gradients(texts, counts, model, config, rng)
+    _adam_apply(model, adam, config, grad_bias, touched, grad_rows)
     return loss
 
 
@@ -421,12 +348,13 @@ def batch_step(
     Encodes and embeds all phrases, selects negatives, accumulates the sparse
     gradient of the mean pair loss plus lazy L2, and applies one Adam update
     to the touched parameters. Returns the mean hinge loss (regularizer
-    excluded). Raises NumericalError if any parameter goes non-finite.
+    excluded). Raises NumericalError if any embedding or parameter goes
+    non-finite.
     """
     if len(batch) < 2:
         raise DataError("cannot sample negatives")
-    texts, cv_sides = _encode_batch(batch, vocab, config.case_mode)
-    return _step_encoded(texts, cv_sides, model, config, adam, rng)
+    texts, counts = _encode_pairs(batch, vocab, model, config.case_mode)
+    return _step(texts, counts, model, config, adam, rng)
 
 
 def epoch_permutation(seed: int, epoch: int, n: int, curriculum: bool) -> np.ndarray:
@@ -485,11 +413,7 @@ def train(
     adam = AdamState()
     curve = TrainingCurve()
 
-    norm_pairs = [
-        (normalize(a, config.case_mode), normalize(b, config.case_mode))
-        for a, b in dataset.pairs
-    ]
-    encoded = [(encode(t1, vocab), encode(t2, vocab)) for t1, t2 in norm_pairs]
+    texts, counts = _encode_pairs(dataset.pairs, vocab, model, config.case_mode)
 
     n = len(dataset)
     examples_seen = 0
@@ -510,10 +434,9 @@ def train(
         interval_loss = 0.0
         interval_batches = 0
         for bi, idxs in enumerate(batch_slices):
-            texts = [norm_pairs[i] for i in idxs]
-            cv_sides = ([encoded[i][0] for i in idxs], [encoded[i][1] for i in idxs])
+            batch = counts[np.concatenate([idxs, idxs + n])]
             try:
-                loss = _step_encoded(texts, cv_sides, model, config, adam, sample_rng)
+                loss = _step([texts[i] for i in idxs], batch, model, config, adam, sample_rng)
             except NumericalError as err:
                 raise NumericalError(f"epoch {epoch + 1}, batch {bi + 1}: {err}") from err
             examples_seen += len(idxs)
@@ -553,52 +476,17 @@ def finite_diff_audit(
     """
     if len(sample_batch) < 2:
         raise DataError("cannot sample negatives")
-    texts, cv_sides = _encode_batch(sample_batch, vocab, config.case_mode)
-    values = tuple(
-        apply_activation(
-            model.activation, np.stack([preactivation(cv, model) for cv in cvs])
-        )
-        for cvs in cv_sides
+    texts, counts = _encode_pairs(sample_batch, vocab, model, config.case_mode)
+    _, grad_bias, touched, grad_rows, negatives = _batch_gradients(
+        texts, counts, model, config, _rng(config.seed, _DOMAIN_AUDIT)
     )
-    items = [
-        (cv_sides[0][i], cv_sides[1][i], values[0][i], values[1][i])
-        for i in range(len(texts))
-    ]
-    negatives = select_negatives(
-        items,
-        config.sampling,
-        _rng(config.seed, _DOMAIN_AUDIT),
-        texts=texts,
-        pool=config.negative_pool,
-    )
-
-    _, grad_bias, grad_rows = _batch_gradients(cv_sides, model, config, negatives)
-    touched = sorted(grad_rows)
-    lam = config.reg_lambda
 
     def objective() -> float:
-        n = len(texts)
-        vals = tuple(
-            apply_activation(
-                model.activation, np.stack([preactivation(cv, model) for cv in cvs])
-            )
-            for cvs in cv_sides
+        loss, _ = _hinge(embed_matrix(counts, model), negatives, config.margin)
+        rows = model.weights[touched]
+        return loss + config.reg_lambda * (
+            float(np.dot(model.bias, model.bias)) + float(np.sum(rows * rows))
         )
-        total = 0.0
-        for i in range(n):
-            total += pair_loss(
-                vals[0][i],
-                vals[1][i],
-                vals[negatives[i][0][1]][negatives[i][0][0]],
-                vals[negatives[i][1][1]][negatives[i][1][0]],
-                config.margin,
-            )
-        reg = 0.0
-        if lam > 0:
-            reg = float(np.dot(model.bias, model.bias))
-            for row in touched:
-                reg += float(np.dot(model.weights[row], model.weights[row]))
-        return total / n + lam * reg
 
     def central_diff(array: np.ndarray, idx) -> float:
         saved = array[idx]
@@ -609,18 +497,16 @@ def finite_diff_audit(
         array[idx] = saved
         return (f_plus - f_minus) / (2.0 * step)
 
+    coords = [(model.bias, c, grad_bias[c]) for c in range(model.dim)]
+    coords += [
+        (model.weights, (row, c), grad_rows[r, c])
+        for r, row in enumerate(touched)
+        for c in range(model.dim)
+    ]
     worst = 0.0
-    for c in range(model.dim):
-        numeric = central_diff(model.bias, c)
-        analytic = grad_bias[c]
+    for array, idx, analytic in coords:
+        numeric = central_diff(array, idx)
         worst = max(
             worst, abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-3)
         )
-    for row in touched:
-        for c in range(model.dim):
-            numeric = central_diff(model.weights, (row, c))
-            analytic = grad_rows[row][c]
-            worst = max(
-                worst, abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-3)
-            )
     return worst

@@ -213,13 +213,13 @@ def encode(seq: CharSeq, vocab: NGramVocab) -> CountVector:
     """Map a normalized sequence to sparse {index: count} over `vocab`.
 
     N-grams absent from the vocabulary are dropped; the result may be empty.
+    Keys appear in the order `extract_ngrams` first meets their n-grams.
     """
-    if not vocab.orders:
-        return {}
     cv: CountVector = {}
     index = vocab.index
-    for ngram, count in extract_ngrams(seq, vocab.orders).items():
-        pos = index.get(ngram)
-        if pos is not None:
-            cv[pos] = count
+    for n in sorted(vocab.orders):
+        for i in range(len(seq) - n + 1):
+            pos = index.get(seq[i : i + n])
+            if pos is not None:
+                cv[pos] = cv.get(pos, 0) + 1
     return cv

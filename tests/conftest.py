@@ -83,6 +83,4 @@ def dense_embed_ref(cv, model: Model) -> np.ndarray:
     pre = model.bias + x @ model.weights
     if model.activation == "linear":
         return pre
-    if model.activation == "tanh":
-        return np.tanh(pre)
-    return np.maximum(pre, 0.0)
+    return np.tanh(pre)

@@ -299,6 +299,13 @@ def test_corrupt_model_exits_2(ws, tmp_path, capsys):
     assert rc == 2
     assert "not a model file" in err
 
+    # a header declaring 2**40 rows fails cleanly instead of allocating them
+    bad.write_bytes(struct.pack("<4sIIB3xQQ", b"CHRG", 1, 2, 1, 0, 2**40) + b"\x00" * 8)
+    rc = main(["embed", "--model", str(bad), "some text"])
+    _, err = capsys.readouterr()
+    assert rc == 2
+    assert "corrupt model file (expected at least" in err
+
 
 def test_numerical_failure_exits_3(ws, tmp_path, capsys):
     with np.errstate(all="ignore"):

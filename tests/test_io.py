@@ -174,13 +174,24 @@ def test_truncated_file(tmp_path, model_bytes):
     )
 
 
+def _oversized_header() -> bytes:
+    """40 bytes: a tanh header declaring |V| = 2**40 rows of dimension 2, then a bias."""
+    return struct.pack("<4sIIB3xQQ", b"CHRG", 1, 2, 1, 0, 2**40) + b"\x00" * 8
+
+
+def test_oversized_header(tmp_path):
+    # sizes are checked against the file length before any array is allocated
+    _expect_corrupt(tmp_path, _oversized_header(), r"corrupt model file \(expected at least")
+
+
 def test_trailing_garbage(tmp_path, model_bytes):
     _expect_corrupt(tmp_path, model_bytes + b"\x00", r"\(trailing data\)")
 
 
 def test_unknown_activation_code(tmp_path, model_bytes):
-    tampered = model_bytes[:12] + bytes([7]) + model_bytes[13:]
-    _expect_corrupt(tmp_path, tampered, r"unknown activation code 7")
+    for code in (2, 7):  # 2 was relu, which no model can use any more
+        tampered = model_bytes[:12] + bytes([code]) + model_bytes[13:]
+        _expect_corrupt(tmp_path, tampered, rf"unknown activation code {code}")
 
 
 def test_fingerprint_mismatch(tmp_path, model_bytes):

@@ -7,14 +7,15 @@ from charngram import (
     Model,
     NGramVocab,
     cosine,
+    count_matrix,
     embed,
-    embed_gradient,
+    embed_matrix,
     encode,
     normalize,
     preactivation,
     verify_binding,
 )
-from charngram.model import activation_grad, apply_activation
+from charngram.model import activation_grad, apply_activation, check_activation, embed_matrix_grad
 
 from conftest import dense_embed_ref, random_model
 
@@ -49,14 +50,18 @@ def test_embed_out_of_range_row():
         embed({5: 1}, m)
     with pytest.raises(DataError, match="vocab/model mismatch"):
         preactivation({-1: 1}, m)
+    for bad in ({5: 1}, {-1: 1}):
+        with pytest.raises(DataError, match="vocab/model mismatch"):
+            count_matrix([{0: 1}, bad], m)
 
 
 def test_activation_ranges():
     rng = np.random.default_rng(0)
     pre = rng.normal(0, 3, size=50)
     assert np.all(np.abs(apply_activation("tanh", pre)) <= 1.0)
-    assert np.all(apply_activation("relu", pre) >= 0.0)
     assert np.array_equal(apply_activation("linear", pre), pre)
+    with pytest.raises(ValueError, match="activation must be one of"):
+        check_activation("relu")
 
 
 def test_activation_grad_matches_numeric():
@@ -67,22 +72,23 @@ def test_activation_grad_matches_numeric():
         values = apply_activation(act, pre)
         numeric = (apply_activation(act, pre + h) - apply_activation(act, pre - h)) / (2 * h)
         assert np.allclose(activation_grad(act, values), numeric, atol=1e-8)
-    # relu: away from the kink only
-    pre = pre[np.abs(pre) > 1e-3]
-    values = apply_activation("relu", pre)
-    numeric = (apply_activation("relu", pre + h) - apply_activation("relu", pre - h)) / (2 * h)
-    assert np.allclose(activation_grad("relu", values), numeric)
 
 
 def test_embed_matches_dense_reference(small_vocab):
     rng = np.random.default_rng(7)
-    for act in ("linear", "tanh", "relu"):
+    texts = ("the cat sat", "dogs bark", "swim deep fish", "zzz", "a black cat")
+    cvs = [encode(normalize(text), small_vocab) for text in texts]
+    assert cvs[3] == {}  # "zzz" has no n-gram in the vocabulary: h(bias)
+    for act in ("linear", "tanh"):
         model = random_model(rng, small_vocab, dim=5, activation=act)
-        for text in ("the cat sat", "dogs bark", "swim deep fish", "zzz"):
-            cv = encode(normalize(text), small_vocab)
-            assert np.allclose(
-                embed(cv, model).values, dense_embed_ref(cv, model), atol=1e-12
-            )
+        batch = embed_matrix(count_matrix(cvs, model), model)
+        assert batch.shape == (len(texts), 5)
+        for cv, row in zip(cvs, batch):
+            single = embed(cv, model).values
+            assert np.allclose(single, dense_embed_ref(cv, model), rtol=0, atol=1e-12)
+            # the CSR product and the per-text gemv sum rows in different orders
+            assert np.allclose(row, single, rtol=0, atol=1e-12)
+        assert np.array_equal(batch[3], apply_activation(act, model.bias))
 
 
 def test_embed_depends_only_on_count_vector():
@@ -119,25 +125,38 @@ def test_cosine_symmetry_and_scale_invariance(v, alpha):
     assert -1.0 - 1e-12 <= cosine(u, w) <= 1.0 + 1e-12
 
 
+def _embed_gradient(cvs, model, upstream):
+    counts = count_matrix(cvs, model)
+    values = embed_matrix(counts, model)
+    return embed_matrix_grad(counts, values, np.atleast_2d(upstream), model)
+
+
 def test_embed_gradient_worked_examples():
     m = _bare_model(np.zeros((1, 2)), np.zeros(2), "linear")
-    db, drows = embed_gradient({0: 1}, m, [1.0, 0.0])
+    db, touched, drows = _embed_gradient([{0: 1}], m, [1.0, 0.0])
     assert np.allclose(db, [1, 0]) and np.allclose(drows[0], [1, 0])
 
     m = _bare_model(np.zeros((1, 2)), np.zeros(2), "tanh")  # pre-activation 0
-    db, drows = embed_gradient({0: 2}, m, [1.0, 1.0])
+    db, touched, drows = _embed_gradient([{0: 2}], m, [1.0, 1.0])
     assert np.allclose(db, [1, 1]) and np.allclose(drows[0], [2, 2])
 
-    db, drows = embed_gradient({0: 2}, m, [0.0, 0.0])
+    db, touched, drows = _embed_gradient([{0: 2}], m, [0.0, 0.0])
     assert not db.any() and not drows[0].any()
+
+    # two rows sharing n-gram 0: its gradient sums count * upstream over rows
+    m = _bare_model(np.zeros((3, 2)), np.zeros(2), "linear")
+    db, touched, drows = _embed_gradient([{0: 1, 2: 3}, {0: 2}, {}], m, [[1, 0], [0, 1], [5, 5]])
+    assert touched.tolist() == [0, 2]
+    assert np.allclose(db, [6, 6]) and np.allclose(drows, [[1, 2], [3, 0]])
 
 
 def test_embed_gradient_touches_only_cv_rows(small_vocab):
     rng = np.random.default_rng(5)
     model = random_model(rng, small_vocab, dim=4)
-    cv = encode(normalize("the cat"), small_vocab)
-    _, drows = embed_gradient(cv, model, rng.normal(size=4))
-    assert set(drows) == set(cv)
+    cvs = [encode(normalize(t), small_vocab) for t in ("the cat", "dogs")]
+    _, touched, drows = _embed_gradient(cvs, model, rng.normal(size=(2, 4)))
+    assert touched.tolist() == sorted(set(cvs[0]) | set(cvs[1]))
+    assert drows.shape == (len(touched), 4)
 
 
 def test_embed_gradient_matches_finite_differences(small_vocab):
@@ -152,9 +171,8 @@ def test_embed_gradient_matches_finite_differences(small_vocab):
         def loss():
             return float(np.dot(embed(cv, model).values, a))
 
-        values = embed(cv, model).values
-        upstream = a
-        db, drows = embed_gradient(cv, model, upstream)
+        db, touched, grads = _embed_gradient([cv], model, a)
+        drows = dict(zip(touched.tolist(), grads))
 
         for c in range(4):
             saved = model.bias[c]

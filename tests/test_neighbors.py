@@ -16,6 +16,7 @@ from charngram import (
 )
 from charngram import TrainConfig
 from charngram.model import Model
+from charngram.neighbors import _rank
 
 from conftest import random_model
 
@@ -95,6 +96,25 @@ def test_tie_breaks_lexicographically(wide_vocab, wide_model):
     out = nearest_neighbors("cats", wv, wide_model, wide_vocab, k=3)
     tied = [w for w, _ in out if w in ("cat", "dog")]
     assert tied == ["cat", "dog"]  # equal cosines, alphabetical order
+
+
+def test_partial_ranking_equals_full_sort():
+    # the reference sorts every entry; _rank sorts only those that can make the top k
+    def full_sort(words, cosines, exclude, k):
+        order = sorted(
+            (i for i in range(len(words)) if words[i] not in exclude),
+            key=lambda i: (-cosines[i], words[i]),
+        )
+        return [(words[i], float(cosines[i])) for i in order[:k]]
+
+    rng = np.random.default_rng(8)
+    for _ in range(2000):
+        words = sorted({"".join(rng.choice(list("abcd"), size=3)) for _ in range(20)})
+        rng.shuffle(words)
+        cosines = rng.integers(-2, 3, size=len(words)) / 2.0  # many exact ties
+        exclude = {words[0], "absent"} if rng.random() < 0.5 else set()
+        k = int(rng.integers(1, len(words) + 3))
+        assert _rank(words, cosines, exclude, k) == full_sort(words, cosines, exclude, k)
 
 
 def test_duplicate_direction_scores_one(wide_vocab, wide_model):

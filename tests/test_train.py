@@ -19,12 +19,11 @@ from charngram import (
     finite_diff_audit,
     init_model,
     normalize,
-    pair_loss,
     select_negatives,
     train,
 )
-from charngram.model import Model
-from charngram.train import _batch_gradients, _encode_batch, _rng
+from charngram.model import Model, check_activation
+from charngram.train import _batch_gradients, _encode_pairs, _hinge, _rng
 
 from conftest import random_model
 
@@ -33,42 +32,81 @@ def _vec(angle):
     return np.array([math.cos(angle), math.sin(angle)])
 
 
-# --- pair_loss ---------------------------------------------------------------
+# --- pair loss ---------------------------------------------------------------
+
+
+def _two_pair_loss(x1, x2, t1, t2, margin):
+    """Mean hinge loss of the batch [(x1, x2), (t1, t2)], each pair the other's negatives."""
+    values = np.array([x1, t1, x2, t2], dtype=np.float64)  # [side 1; side 2]
+    loss, _ = _hinge(values, [((1, 0), (1, 1)), ((0, 0), (0, 1))], margin)
+    return loss
 
 
 def test_pair_loss_margins_satisfied():
     x = np.array([1.0, 0.0])
     t = np.array([0.0, 1.0])
-    assert pair_loss(x, x, t, t, 0.4) == 0.0
+    values = np.array([x, t, x, t])
+    loss, grad = _hinge(values, [((1, 0), (1, 1)), ((0, 0), (0, 1))], 0.4)
+    assert loss == 0.0 and not grad.any()
 
 
 def test_pair_loss_both_hinges_at_margin():
     x1 = np.array([1.0, 0.0])
     x2 = np.array([0.0, 1.0])
-    # both negatives orthogonal to their anchor
-    assert pair_loss(x1, x2, x2, x1, 0.4) == pytest.approx(0.8)
+    # every negative is orthogonal to its anchor, in both pairs: 4 x 0.4 / 2
+    assert _two_pair_loss(x1, x2, x2, x1, 0.4) == pytest.approx(0.8)
 
 
 def test_pair_loss_mixed_hinges():
     x1 = _vec(0.0)
     x2 = _vec(math.pi / 3)  # cos(x1, x2) = 0.5
     t1 = _vec(math.pi / 3)  # cos(x1, t1) = 0.5
-    t2 = -x2  # cos(x2, t2) = -1
-    assert pair_loss(x1, x2, t1, t2, 0.4) == pytest.approx(0.4)
+    t2 = -x2  # cos(x2, t2) = -1, cos(t1, t2) = -1
+    # pair 0: 0.4 - 0.5 + 0.5 and an inactive 0.4 - 0.5 - 1;
+    # pair 1: 0.4 + 1 + cos(t1, x1) = 1.9 and 0.4 + 1 + cos(t2, x2) = 0.4
+    assert _two_pair_loss(x1, x2, t1, t2, 0.4) == pytest.approx((0.4 + 1.9 + 0.4) / 2)
+
+
+def test_pair_loss_gradient_matches_finite_differences():
+    rng = np.random.default_rng(17)
+    values = rng.normal(size=(8, 3))
+    values[5] = 0.0  # a zero-norm embedding has cosine 0 and no gradient
+    negatives = [((1, 0), (2, 1)), ((3, 0), (0, 1)), ((0, 1), (1, 1)), ((2, 0), (3, 1))]
+    _, grad = _hinge(values, negatives, 1.5)
+    assert not grad[5].any()
+    step = 1e-6
+    for idx in np.ndindex(values.shape):
+        if idx[0] == 5:
+            continue
+        plus, minus = values.copy(), values.copy()
+        plus[idx] += step
+        minus[idx] -= step
+        numeric = (_hinge(plus, negatives, 1.5)[0] - _hinge(minus, negatives, 1.5)[0]) / (2 * step)
+        assert grad[idx] == pytest.approx(numeric, abs=1e-7)
+
+
+def test_pair_loss_rejects_non_finite_embeddings():
+    values = np.ones((4, 2))
+    negatives = [((1, 0), (1, 1)), ((0, 0), (0, 1))]
+    for bad in (np.nan, np.inf, 1e300):  # 1e300 is finite, but its norm is not
+        values[2] = [bad, bad]
+        with pytest.raises(NumericalError, match="non-finite embedding"):
+            with np.errstate(over="ignore"):
+                _hinge(values, negatives, 0.4)
 
 
 # --- select_negatives --------------------------------------------------------
 
 
 def _batch_from_vectors(side1, side2):
-    return [({}, {}, np.asarray(a), np.asarray(b)) for a, b in zip(side1, side2)]
+    return np.array(side1, dtype=np.float64), np.array(side2, dtype=np.float64)
 
 
 def test_two_pairs_unique_candidate():
     batch = _batch_from_vectors([_vec(0), _vec(1)], [_vec(2), _vec(3)])
     for mode in ("max", "mix"):
         rng = _rng(0, 99)
-        assert select_negatives(batch, mode, rng) == [((1, 0), (1, 1)), ((0, 0), (0, 1))]
+        assert select_negatives(*batch, mode, rng) == [((1, 0), (1, 1)), ((0, 0), (0, 1))]
 
 
 def test_max_prefers_most_similar():
@@ -76,26 +114,26 @@ def test_max_prefers_most_similar():
     side1 = [_vec(0), _vec(math.acos(0.9)), _vec(math.acos(0.1))]
     side2 = [_vec(1), _vec(2), _vec(3)]
     batch = _batch_from_vectors(side1, side2)
-    out = select_negatives(batch, "max", _rng(0, 1))
+    out = select_negatives(*batch, "max", _rng(0, 1))
     assert out[0][0] == (1, 0)
 
 
 def test_max_tie_breaks_by_lowest_index():
     dup = _vec(0.5)
     batch = _batch_from_vectors([_vec(0), dup, dup.copy()], [_vec(1), _vec(2), _vec(3)])
-    out = select_negatives(batch, "max", _rng(0, 2))
+    out = select_negatives(*batch, "max", _rng(0, 2))
     assert out[0][0] == (1, 0)  # pairs 1 and 2 tie exactly; lowest index wins
 
 
 def test_batch_of_one_rejected():
     with pytest.raises(DataError, match="cannot sample negatives"):
-        select_negatives(_batch_from_vectors([_vec(0)], [_vec(1)]), "max", _rng(0, 3))
+        select_negatives(*_batch_from_vectors([_vec(0)], [_vec(1)]), "max", _rng(0, 3))
 
 
 def test_max_never_consumes_rng():
     batch = _batch_from_vectors([_vec(i) for i in range(4)], [_vec(i + 9) for i in range(4)])
     rng = _rng(7, 4)
-    select_negatives(batch, "max", rng)
+    select_negatives(*batch, "max", rng)
     untouched = _rng(7, 4)
     assert rng.random() == untouched.random()
 
@@ -107,7 +145,7 @@ def test_mix_matches_manual_replay():
     side2 = [rng_data.normal(size=3) for _ in range(n)]
     batch = _batch_from_vectors(side1, side2)
 
-    got = select_negatives(batch, "mix", _rng(5, 6))
+    got = select_negatives(*batch, "mix", _rng(5, 6))
 
     # replay: one coin per pair per side in order, uniform draw only on tails
     replay = _rng(5, 6)
@@ -128,14 +166,14 @@ def test_string_equal_candidates_excluded():
     # make pair 1's side-1 the most similar, so exclusion must actively skip it
     side1 = [_vec(0), _vec(0.01), _vec(1.0)]
     side2 = [_vec(2), _vec(3), _vec(4)]
-    out = select_negatives(_batch_from_vectors(side1, side2), "max", _rng(0, 7), texts=texts)
+    out = select_negatives(*_batch_from_vectors(side1, side2), "max", _rng(0, 7), texts=texts)
     assert out[0][0] == (2, 0)
 
 
 def test_exclusion_fallback_when_pool_empties():
     texts = [(" a ", " b "), (" a ", " b ")]
     batch = _batch_from_vectors([_vec(0), _vec(0.2)], [_vec(1), _vec(1.2)])
-    out = select_negatives(batch, "max", _rng(0, 8), texts=texts)
+    out = select_negatives(*batch, "max", _rng(0, 8), texts=texts)
     assert out[0][0] == (1, 0)  # only candidate, readmitted by the fallback
 
 
@@ -143,7 +181,7 @@ def test_both_sides_pool_reaches_other_side():
     side1 = [_vec(0), _vec(math.pi / 2)]
     side2 = [_vec(2), _vec(0.05)]  # pair 1 side 2 is closest to pair 0 side 1
     batch = _batch_from_vectors(side1, side2)
-    out = select_negatives(batch, "max", _rng(0, 9), pool="both-sides")
+    out = select_negatives(*batch, "max", _rng(0, 9), pool="both-sides")
     assert out[0][0] == (1, 1)
 
 
@@ -153,7 +191,7 @@ def test_max_matches_exhaustive_scan():
         n = int(rng.integers(2, 12))
         side1 = [rng.normal(size=4) for _ in range(n)]
         side2 = [rng.normal(size=4) for _ in range(n)]
-        got = select_negatives(_batch_from_vectors(side1, side2), "max", _rng(1, 10))
+        got = select_negatives(*_batch_from_vectors(side1, side2), "max", _rng(1, 10))
         for i in range(n):
             for side, embs in ((0, side1), (1, side2)):
                 best, best_c = None, -2.0
@@ -197,13 +235,15 @@ def test_inactive_hinges_give_pure_regularizer_gradient():
     vocab, model = _orthogonal_setup()
     lam = 1e-2
     config = TrainConfig(dim=2, activation="linear", batch_size=2, reg_lambda=lam)
-    texts, cv_sides = _encode_batch([("aa", "aa"), ("bb", "bb")], vocab, "lower")
-    negatives = [((1, 0), (1, 1)), ((0, 0), (0, 1))]
-    loss, grad_bias, grad_rows = _batch_gradients(cv_sides, model, config, negatives)
+    texts, counts = _encode_pairs([("aa", "aa"), ("bb", "bb")], vocab, model, "lower")
+    loss, grad_bias, touched, grad_rows, negatives = _batch_gradients(
+        texts, counts, model, config, _rng(0, 12)
+    )
+    assert negatives == [((1, 0), (1, 1)), ((0, 0), (0, 1))]
     assert loss == 0.0
+    assert touched.tolist() == list(range(len(vocab)))
     assert np.array_equal(grad_bias, 2 * lam * model.bias)
-    for row, g in grad_rows.items():
-        assert np.array_equal(g, 2 * lam * model.weights[row])
+    assert np.array_equal(grad_rows, 2 * lam * model.weights[touched])
 
 
 def test_decay_only_step_shrinks_touched_rows():
@@ -215,34 +255,27 @@ def test_decay_only_step_shrinks_touched_rows():
     assert np.all(moved[np.abs(before) > 0.1] < 0)  # big coordinates move toward zero
 
 
-def test_first_adam_step_is_signed_learning_rate():
-    vocab, model = _orthogonal_setup()
-    config = TrainConfig(dim=2, activation="linear", batch_size=2, learning_rate=0.001)
-    texts, cv_sides = _encode_batch([("aa", "bb"), ("bb", "aa")], vocab, "lower")
-    negatives = select_negatives(
-        [(cv_sides[0][i], cv_sides[1][i],
-          model.weights.T @ _indicator(cv_sides[0][i], len(vocab)),
-          model.weights.T @ _indicator(cv_sides[1][i], len(vocab)))
-         for i in range(2)],
-        "max", _rng(0, 13), texts=texts)
-    _, grad_bias, grad_rows = _batch_gradients(cv_sides, model, config, negatives)
+def test_first_adam_step_is_signed_learning_rate(small_vocab):
+    # the symmetric two-cluster batch has an all-zero gradient, so use random weights
+    model = random_model(np.random.default_rng(13), small_vocab, dim=3)
+    config = TrainConfig(dim=3, batch_size=3, learning_rate=0.001)
+    batch = [("the cat", "black cat"), ("dogs bark", "bark loud"), ("fish swim", "deep fish")]
+    texts, counts = _encode_pairs(batch, small_vocab, model, "lower")
+    _, grad_bias, touched, grad_rows, _ = _batch_gradients(
+        texts, counts, model, config, _rng(0, 13)
+    )
+    assert np.any(np.abs(grad_rows) > 1e-4)
 
     before_w = model.weights.copy()
     before_b = model.bias.copy()
-    batch_step([("aa", "bb"), ("bb", "aa")], model, vocab, config, AdamState(), _rng(0, 13))
+    batch_step(batch, model, small_vocab, config, AdamState(), _rng(0, 13))
 
-    for grad, delta in [(grad_bias, model.bias - before_b)] + [
-        (grad_rows[r], model.weights[r] - before_w[r]) for r in grad_rows
+    for grad, delta in [
+        (grad_bias, model.bias - before_b),
+        (grad_rows, model.weights[touched] - before_w[touched]),
     ]:
         big = np.abs(grad) > 1e-4
         assert np.allclose(delta[big], -config.learning_rate * np.sign(grad[big]), atol=1e-6)
-
-
-def _indicator(cv, size):
-    x = np.zeros(size)
-    for row, count in cv.items():
-        x[row] = count
-    return x
 
 
 def test_untouched_rows_bit_unchanged(small_vocab):
@@ -257,10 +290,13 @@ def test_untouched_rows_bit_unchanged(small_vocab):
     for a, b in batch:
         touched |= set(encode(normalize(a), small_vocab))
         touched |= set(encode(normalize(b), small_vocab))
-    for row in range(len(small_vocab)):
-        if row not in touched:
-            assert np.array_equal(model.weights[row], before[row])
-    assert set(adam.m_rows) <= touched
+    untouched = [row for row in range(len(small_vocab)) if row not in touched]
+    assert untouched and touched
+    assert np.array_equal(model.weights[untouched], before[untouched])
+    for moment in (adam.m_weights, adam.v_weights):
+        assert moment.shape == model.weights.shape
+        assert not moment[untouched].any()  # exactly zero
+        assert moment[sorted(touched)].any()
     assert adam.step == 1
 
 
@@ -275,8 +311,9 @@ def test_batch_step_rejects_singleton():
 
 
 def test_config_rejects_relu():
-    with pytest.raises(ValueError, match="relu"):
-        TrainConfig(activation="relu").validate()
+    for reject in (check_activation, lambda act: TrainConfig(activation=act).validate()):
+        with pytest.raises(ValueError, match=r"activation must be one of \('linear', 'tanh'\)"):
+            reject("relu")
 
 
 @pytest.mark.parametrize(
