@@ -135,8 +135,13 @@ def embed_matrix_grad(
     where the touched rows are the sorted columns present in `counts`.
     """
     d_pre = upstream * activation_grad(model.activation, values)
-    touched = np.unique(counts.indices)
-    return d_pre.sum(axis=0), touched, counts[:, touched].T @ d_pre
+    # X_touched^T built directly: the CSR arrays of X, with each column index
+    # renumbered to its touched position, are the CSC arrays of X_touched^T
+    touched, position = np.unique(counts.indices, return_inverse=True)
+    xt = sparse.csc_matrix(
+        (counts.data, position, counts.indptr), shape=(len(touched), counts.shape[0])
+    )
+    return d_pre.sum(axis=0), touched, xt.tocsr() @ d_pre
 
 
 def embed(cv: CountVector, model: Model) -> Embedding:

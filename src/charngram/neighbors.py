@@ -26,6 +26,26 @@ class WorkingVocab:
     case_mode: str = "lower"
 
 
+# Entries per block of the row-norm pass, so the squares it sums stay in cache.
+_NORM_BLOCK_ENTRIES = 65536
+
+
+def _row_norms(matrix: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(matrix, axis=1), a block of rows at a time.
+
+    Each row's norm is its own reduction, so the blocked result is
+    bit-identical, without a (|V|, d) temporary of squares.
+    """
+    per_block = max(1, _NORM_BLOCK_ENTRIES // matrix.shape[1])
+    if len(matrix) <= per_block:
+        return np.linalg.norm(matrix, axis=1)
+    norms = np.empty(len(matrix))
+    for start in range(0, len(matrix), per_block):
+        block = slice(start, start + per_block)
+        norms[block] = np.linalg.norm(matrix[block], axis=1)
+    return norms
+
+
 def _guarded_cosines(matrix: np.ndarray, query: np.ndarray) -> np.ndarray:
     """Cosine of `query` against every row; zero-norm vectors score 0.
 
@@ -33,7 +53,7 @@ def _guarded_cosines(matrix: np.ndarray, query: np.ndarray) -> np.ndarray:
     (the whole weight table, for n-gram queries) is made.
     """
     qn = np.linalg.norm(query)
-    norms = np.linalg.norm(matrix, axis=1)
+    norms = _row_norms(matrix)
     live = (norms >= COSINE_NORM_FLOOR) & (qn >= COSINE_NORM_FLOOR)
     return np.divide(matrix @ query, norms * qn, out=np.zeros(len(norms)), where=live)
 

@@ -47,6 +47,10 @@ _DOMAIN_SHUFFLE = 1
 _DOMAIN_SAMPLING = 2
 _DOMAIN_AUDIT = 3
 
+# Weights per block of the Adam update: a block's gathered m, v, W and
+# gradient rows (4 x 128 KiB of float64) stay in a typical per-core L2 cache.
+_ADAM_BLOCK_ENTRIES = 16384
+
 
 def _rng(seed: int, *domain: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed & _SEED_MASK, *domain]))
@@ -280,7 +284,14 @@ def _adam_apply(
     touched: np.ndarray,
     grad_rows: np.ndarray,
 ) -> None:
-    """One bias-corrected Adam step over the bias and the touched rows only, in place."""
+    """One bias-corrected Adam step over the bias and the touched rows only, in place.
+
+    The touched rows are updated in ascending blocks of about
+    _ADAM_BLOCK_ENTRIES weights, so each block's gathered copies of m, v and W
+    stay in cache through the whole update; the bias runs first as a block of
+    its own. Finiteness is checked on each block as it is written, so the
+    error names the bias before any row, and otherwise the lowest bad row.
+    """
     adam.step += 1
     if adam.m_weights is None:
         # np.zeros leaves untouched pages unallocated until first written
@@ -288,10 +299,9 @@ def _adam_apply(
         shape = model.weights.shape
         adam.m_weights, adam.v_weights = np.zeros(shape), np.zeros(shape)
     b1, b2 = config.adam_beta1, config.adam_beta2
-    for param, m, v, idx, grad in (
-        (model.bias, adam.m_bias, adam.v_bias, slice(None), grad_bias),
-        (model.weights, adam.m_weights, adam.v_weights, touched, grad_rows),
-    ):
+    corr1, corr2 = 1.0 - b1**adam.step, 1.0 - b2**adam.step
+
+    def update(param, m, v, idx, grad) -> np.ndarray:
         m_new = b1 * m[idx]
         m_new += (1 - b1) * grad
         m[idx] = m_new
@@ -299,18 +309,29 @@ def _adam_apply(
         v_new += (1 - b2) * grad * grad
         v[idx] = v_new
         # lr * (m / corr1) / (sqrt(v / corr2) + eps), computed in the moment copies
-        v_new /= 1.0 - b2**adam.step
+        v_new /= corr2
         np.sqrt(v_new, out=v_new)
         v_new += config.adam_epsilon
-        m_new /= 1.0 - b1**adam.step
+        m_new /= corr1
         m_new *= config.learning_rate
         m_new /= v_new
-        param[idx] -= m_new
-    if not np.all(np.isfinite(model.bias)):
+        # param[idx] -= m_new, keeping the written rows for the finiteness check
+        rows = param[idx]
+        rows -= m_new
+        param[idx] = rows
+        return rows
+
+    if not np.isfinite(update(model.bias, adam.m_bias, adam.v_bias, slice(None), grad_bias)).all():
         raise NumericalError("non-finite bias after update")
-    bad = touched[~np.isfinite(model.weights[touched]).all(axis=1)]
-    if bad.size:
-        raise NumericalError(f"non-finite weight row {bad[0]} after update")
+    m, v = adam.m_weights, adam.v_weights
+    per_block = max(1, _ADAM_BLOCK_ENTRIES // model.dim)
+    for start in range(0, len(touched), per_block):
+        block = slice(start, start + per_block)
+        rows = update(model.weights, m, v, touched[block], grad_rows[block])
+        finite = np.isfinite(rows)
+        if not finite.all():
+            bad = touched[block][~finite.all(axis=1)]
+            raise NumericalError(f"non-finite weight row {bad[0]} after update")
 
 
 def _encode_pairs(
@@ -401,7 +422,8 @@ def train(
     curve point ("train_loss") every `eval_every` fraction of an epoch, and
     whatever metrics `eval_hook(model, examples_seen)` returns at those same
     points. Fully deterministic given config.seed. `order_log`, when passed,
-    receives (epoch, consumed index order) tuples.
+    receives (epoch, consumed index order) tuples. With zero epochs the
+    pairs are not encoded, and the model returned is `init_model`'s.
     """
     config.validate()
     if len(dataset) == 0:
@@ -413,7 +435,8 @@ def train(
     adam = AdamState()
     curve = TrainingCurve()
 
-    texts, counts = _encode_pairs(dataset.pairs, vocab, model, config.case_mode)
+    if config.epochs:
+        texts, counts = _encode_pairs(dataset.pairs, vocab, model, config.case_mode)
 
     n = len(dataset)
     examples_seen = 0

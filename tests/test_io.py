@@ -2,7 +2,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from charngram import (
     DataError,
@@ -216,6 +216,58 @@ def test_corrupt_messages_are_distinct(tmp_path, model_bytes):
             load_model(path)
         messages[name] = str(err.value).split(": ", 1)[1]
     assert len(set(messages.values())) == 3
+
+
+def _checked_offsets(payload: bytes) -> set[int]:
+    """Offsets of the bytes a loader can always validate.
+
+    That is the header except its padding and its activation code (which has
+    two valid values), and each record's head and n-gram bytes. The rest are
+    float32 parameters, which may hold any bits.
+    """
+    dim = struct.unpack_from("<I", payload, 8)[0]
+    vocab_size = struct.unpack_from("<Q", payload, 24)[0]
+    offsets = {*range(0, 12), *range(16, 32)}
+    pos = 32 + 4 * dim
+    for _ in range(vocab_size):
+        byte_len = struct.unpack_from("<H", payload, pos + 1)[0]
+        offsets.update(range(pos, pos + 3 + byte_len))
+        pos += 3 + byte_len + 4 * dim
+    assert pos == len(payload)
+    return offsets
+
+
+# (offset, struct format) of the header's version, d, activation code, fingerprint and |V|
+_HEADER_FIELDS = [(4, "<I"), (8, "<I"), (12, "<B"), (16, "<Q"), (24, "<Q")]
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_model_files_fail_only_with_model_format_error(tmp_path, model_bytes, data):
+    payload = bytearray(model_bytes)
+    kind = data.draw(st.sampled_from(["truncate", "header", "flip"]))
+    if kind == "truncate":
+        del payload[data.draw(st.integers(0, len(payload) - 1)):]
+        must_fail = True
+    elif kind == "header":
+        offset, fmt = data.draw(st.sampled_from(_HEADER_FIELDS))
+        old = struct.unpack_from(fmt, payload, offset)[0]
+        top = 2 ** (8 * struct.calcsize(fmt)) - 1
+        value = data.draw(st.integers(0, top).filter(lambda v: v != old))
+        struct.pack_into(fmt, payload, offset, value)
+        must_fail = fmt != "<B" or value not in (0, 1)  # 0 and 1 are linear and tanh
+    else:
+        pos = data.draw(st.integers(0, len(payload) - 1))
+        payload[pos] ^= data.draw(st.integers(1, 255))
+        must_fail = pos in _checked_offsets(model_bytes)
+    path = tmp_path / "fuzzed.bin"
+    path.write_bytes(bytes(payload))
+    try:
+        load_model(path)
+    except ModelFormatError:
+        return
+    assert not must_fail, f"{kind} mutation loaded without an error"
 
 
 def test_model_missing_file(tmp_path):

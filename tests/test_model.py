@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy import sparse
 
 from charngram import (
     DataError,
@@ -148,6 +149,24 @@ def test_embed_gradient_worked_examples():
     db, touched, drows = _embed_gradient([{0: 1, 2: 3}, {0: 2}, {}], m, [[1, 0], [0, 1], [5, 5]])
     assert touched.tolist() == [0, 2]
     assert np.allclose(db, [6, 6]) and np.allclose(drows, [[1, 2], [3, 0]])
+
+
+def test_embed_gradient_matches_dense_transpose_product():
+    # columns shared between rows and unsorted within rows; row 3 is empty
+    indptr = np.array([0, 3, 5, 8, 8, 10])
+    indices = np.array([7, 2, 11, 11, 0, 2, 9, 7, 4, 11])
+    data = np.arange(1.0, 11.0)
+    counts = sparse.csr_matrix((data, indices, indptr), shape=(5, 12))
+    rng = np.random.default_rng(12)
+    model = _bare_model(rng.normal(size=(12, 6)), rng.normal(size=6), "tanh")
+    values = embed_matrix(counts, model)
+    upstream = rng.normal(size=values.shape)
+    db, touched, drows = embed_matrix_grad(counts, values, upstream, model)
+    d_pre = upstream * (1.0 - values * values)
+    assert touched.tolist() == [0, 2, 4, 7, 9, 11]
+    assert np.allclose(drows, (counts.toarray().T @ d_pre)[touched], rtol=1e-13, atol=0)
+    assert np.array_equal(drows, counts[:, touched].T @ d_pre)  # scipy's column slice
+    assert np.allclose(db, d_pre.sum(axis=0), rtol=1e-13, atol=0)
 
 
 def test_embed_gradient_touches_only_cv_rows(small_vocab):

@@ -15,8 +15,8 @@ from charngram import (
     normalize,
 )
 from charngram import TrainConfig
-from charngram.model import Model
-from charngram.neighbors import _rank
+from charngram.model import COSINE_NORM_FLOOR, Model
+from charngram.neighbors import _NORM_BLOCK_ENTRIES, _guarded_cosines, _rank
 
 from conftest import random_model
 
@@ -164,3 +164,16 @@ def test_zero_query_embedding_scores_all_zero(wide_vocab):
     wv = build_working_vocab(["cat", "dog"], model, wide_vocab)
     out = nearest_neighbors("fish", wv, model, wide_vocab, k=2)
     assert [c for _, c in out] == [0.0, 0.0]
+
+
+def test_blocked_cosines_equal_one_pass_formula():
+    rng = np.random.default_rng(41)
+    dim = 37
+    matrix = rng.normal(size=(3 * _NORM_BLOCK_ENTRIES // dim + 5, dim))  # four blocks
+    matrix[[0, 1800, len(matrix) - 1]] = 0.0  # zero rows score 0
+    for query in (matrix[9], np.zeros(dim)):
+        qn = np.linalg.norm(query)
+        norms = np.linalg.norm(matrix, axis=1)
+        live = (norms >= COSINE_NORM_FLOOR) & (qn >= COSINE_NORM_FLOOR)
+        expected = np.divide(matrix @ query, norms * qn, out=np.zeros(len(norms)), where=live)
+        assert np.array_equal(_guarded_cosines(matrix, query), expected)

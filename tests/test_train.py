@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -23,7 +24,14 @@ from charngram import (
     train,
 )
 from charngram.model import Model, check_activation
-from charngram.train import _batch_gradients, _encode_pairs, _hinge, _rng
+from charngram.train import (
+    _ADAM_BLOCK_ENTRIES,
+    _adam_apply,
+    _batch_gradients,
+    _encode_pairs,
+    _hinge,
+    _rng,
+)
 
 from conftest import random_model
 
@@ -300,6 +308,88 @@ def test_untouched_rows_bit_unchanged(small_vocab):
     assert adam.step == 1
 
 
+def _adam_reference(model, adam, config, grad_bias, touched, grad_rows):
+    """The unblocked Adam step: one pass over the bias, then one over all touched rows."""
+    adam.step += 1
+    b1, b2 = config.adam_beta1, config.adam_beta2
+    for param, m, v, idx, grad in (
+        (model.bias, adam.m_bias, adam.v_bias, slice(None), grad_bias),
+        (model.weights, adam.m_weights, adam.v_weights, touched, grad_rows),
+    ):
+        m_new = b1 * m[idx]
+        m_new += (1 - b1) * grad
+        m[idx] = m_new
+        v_new = b2 * v[idx]
+        v_new += (1 - b2) * grad * grad
+        v[idx] = v_new
+        v_new /= 1.0 - b2**adam.step
+        np.sqrt(v_new, out=v_new)
+        v_new += config.adam_epsilon
+        m_new /= 1.0 - b1**adam.step
+        m_new *= config.learning_rate
+        m_new /= v_new
+        param[idx] -= m_new
+
+
+PHRASES = [
+    "the quick brown fox", "jumps over lazy dogs", "a black cat naps", "fish swim deep",
+    "birds sing at dawn", "loud dogs bark", "rivers run cold", "green hills roll",
+    "silver moons rise", "old trees whisper", "bright stars fall", "warm winds blow",
+]
+
+
+def test_blocked_adam_is_bit_equal_to_unblocked_reference():
+    vocab = build_vocab(PHRASES, (2, 3, 4), MinCount(1))
+    config = TrainConfig(dim=300, batch_size=4, reg_lambda=1e-3, seed=5)
+    blocked = init_model(vocab, config)
+    reference = init_model(vocab, config)
+    adam_blocked = AdamState()
+    adam_reference = AdamState(
+        m_bias=np.zeros(config.dim), v_bias=np.zeros(config.dim),
+        m_weights=np.zeros(reference.weights.shape), v_weights=np.zeros(reference.weights.shape),
+    )
+    per_block = _ADAM_BLOCK_ENTRIES // config.dim
+    batches = [list(zip(PHRASES[i::3], PHRASES[i + 1 :: 3])) for i in range(3)] * 2
+    for step, batch in enumerate(batches):
+        texts, counts = _encode_pairs(batch, vocab, blocked, "lower")
+        grads = _batch_gradients(texts, counts, blocked, config, _rng(5, step))[1:4]
+        assert len(grads[1]) > 2 * per_block  # at least three blocks
+        _adam_apply(blocked, adam_blocked, config, *grads)
+        texts, counts = _encode_pairs(batch, vocab, reference, "lower")
+        grads = _batch_gradients(texts, counts, reference, config, _rng(5, step))[1:4]
+        _adam_reference(reference, adam_reference, config, *grads)
+    assert adam_blocked.step == adam_reference.step == len(batches)
+    assert np.array_equal(blocked.weights, reference.weights)
+    assert np.array_equal(blocked.bias, reference.bias)
+    for name in ("m_bias", "v_bias", "m_weights", "v_weights"):
+        assert np.array_equal(getattr(adam_blocked, name), getattr(adam_reference, name))
+
+
+def test_blocked_adam_names_lowest_bad_row_and_bias_first():
+    dim = 300
+    per_block = _ADAM_BLOCK_ENTRIES // dim
+    rng = np.random.default_rng(6)
+    touched = 2 * np.arange(4 * per_block)  # four blocks of rows 0, 2, 4, ...
+    config = TrainConfig(dim=dim)
+
+    def apply(bad_positions, bad_bias=False):
+        model = Model(weights=rng.normal(size=(2 * len(touched), dim)), bias=np.zeros(dim),
+                      activation="tanh", vocab_fingerprint=0)
+        grad_rows = rng.normal(size=(len(touched), dim))
+        grad_rows[bad_positions, 3] = np.nan
+        grad_bias = rng.normal(size=dim)
+        if bad_bias:
+            grad_bias[0] = np.inf
+        with np.errstate(invalid="ignore"):
+            _adam_apply(model, AdamState(), config, grad_bias, touched, grad_rows)
+
+    late, later = 2 * per_block + 5, 3 * per_block + 1
+    with pytest.raises(NumericalError, match=rf"non-finite weight row {touched[late]} "):
+        apply([later, late])
+    with pytest.raises(NumericalError, match="non-finite bias"):
+        apply([later, late], bad_bias=True)
+
+
 def test_batch_step_rejects_singleton():
     vocab, model = _orthogonal_setup()
     config = TrainConfig(dim=2, activation="linear", batch_size=2)
@@ -374,7 +464,12 @@ def test_train_deterministic(pair_vocab):
     assert c1.points == c2.points
 
 
-def test_train_zero_epochs_returns_init(pair_vocab):
+def test_train_zero_epochs_returns_init(pair_vocab, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("zero epochs must not encode the dataset")
+
+    # `charngram.train` is the function; the module is reached through sys.modules
+    monkeypatch.setattr(sys.modules["charngram.train"], "_encode_pairs", refuse)
     config = TrainConfig(dim=5, batch_size=3, epochs=0, seed=8)
     model, adam, curve = train(PAIRS, pair_vocab, config)
     fresh = init_model(pair_vocab, config)
