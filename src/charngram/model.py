@@ -136,10 +136,16 @@ def embed_matrix_grad(
     """
     d_pre = upstream * activation_grad(model.activation, values)
     # X_touched^T built directly: the CSR arrays of X, with each column index
-    # renumbered to its touched position, are the CSC arrays of X_touched^T
-    touched, position = np.unique(counts.indices, return_inverse=True)
+    # renumbered to its touched position, are the CSC arrays of X_touched^T;
+    # a presence mask finds the touched columns without sorting the indices
+    present = np.zeros(counts.shape[1], dtype=bool)
+    present[counts.indices] = True
+    touched = np.flatnonzero(present)
+    position = np.empty(counts.shape[1], dtype=np.intp)
+    position[touched] = np.arange(len(touched))
     xt = sparse.csc_matrix(
-        (counts.data, position, counts.indptr), shape=(len(touched), counts.shape[0])
+        (counts.data, position[counts.indices], counts.indptr),
+        shape=(len(touched), counts.shape[0]),
     )
     return d_pre.sum(axis=0), touched, xt.tocsr() @ d_pre
 

@@ -9,6 +9,7 @@ a few hundred dimensions) a scan takes well under a second.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -74,16 +75,17 @@ def build_working_vocab(
     )
 
 
-def _rank(words: list[str], cosines: np.ndarray, exclude: set[str], k: int):
+def _rank(name: Callable[[int], str], cosines: np.ndarray, exclude: set[str], k: int):
     # only entries scoring at least the (k + |exclude|)-th best cosine can be
-    # in the top k, so only those are sorted (by cosine, then word)
-    top = min(k + len(exclude), len(words))
+    # in the top k, so only those are named and sorted (by cosine, then name)
+    top = min(k + len(exclude), len(cosines))
     floor = -np.partition(-cosines, top - 1)[top - 1]
+    named = [(name(i), i) for i in np.flatnonzero(cosines >= floor).tolist()]
     order = sorted(
-        (i for i in np.flatnonzero(cosines >= floor) if words[i] not in exclude),
-        key=lambda i: (-cosines[i], words[i]),
+        ((word, i) for word, i in named if word not in exclude),
+        key=lambda entry: (-cosines[entry[1]], entry[0]),
     )
-    return [(words[i], float(cosines[i])) for i in order[:k]]
+    return [(word, float(cosines[i])) for word, i in order[:k]]
 
 
 def nearest_neighbors(
@@ -101,7 +103,7 @@ def nearest_neighbors(
     padded = normalize(query, wv.case_mode)
     q = embed(encode(padded, vocab), model).values
     cosines = _guarded_cosines(wv.embeddings, q)
-    return _rank(wv.words, cosines, {padded[1:-1]}, k)
+    return _rank(wv.words.__getitem__, cosines, {padded[1:-1]}, k)
 
 
 def ngram_neighbors(
@@ -114,5 +116,4 @@ def ngram_neighbors(
     if pos is None:
         raise DataError("n-gram not in model")
     cosines = _guarded_cosines(model.weights, model.weights[pos])
-    ngrams = [entry[0] for entry in vocab.entries]
-    return _rank(ngrams, cosines, {query_ngram}, k)
+    return _rank(lambda i: vocab.entries[i][0], cosines, {query_ngram}, k)

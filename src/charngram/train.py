@@ -14,6 +14,7 @@ and its backward pass is X^T times the gradient at the pre-activations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -239,13 +240,17 @@ def _hinge(
     # row a and weight * dc/db to row b, with dc/da = (unit_b - c * unit_a) / |a|
     a = np.concatenate([anchor[:, 0], anchor.ravel()])
     b = np.concatenate([anchor[:, 1], negative.ravel()])
-    cos = np.concatenate([c_pos, c_neg.ravel()])[:, None]
-    weight = np.concatenate([-active.sum(axis=1), active.ravel()])[:, None]
-    upstream = np.zeros_like(values)
-    for rows, others in ((a, b), (b, a)):
-        grad = (units[others] - cos * units[rows]) * (weight * inv_norms[rows, None])
-        np.add.at(upstream, rows, grad)
-    return float(np.maximum(hinge, 0.0).sum()) / n, upstream / n
+    rows, others = np.concatenate([a, b]), np.concatenate([b, a])
+    cos = np.tile(np.concatenate([c_pos, c_neg.ravel()]), 2)[:, None]
+    weight = np.tile(np.concatenate([-active.sum(axis=1), active.ravel()]), 2)[:, None]
+    grad = (units[others] - cos * units[rows]) * (weight * inv_norms[rows, None])
+    # upstream[r] sums the terms of row r in term order, starting from zero,
+    # as one product with a 0/1 matrix whose row r lists those terms
+    terms = np.argsort(rows, kind="stable")
+    indptr = np.zeros(2 * n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=2 * n), out=indptr[1:])
+    gather = sparse.csr_matrix((np.ones(len(terms)), terms, indptr), shape=(2 * n, len(terms)))
+    return float(np.maximum(hinge, 0.0).sum()) / n, (gather @ grad) / n
 
 
 def _batch_gradients(
@@ -286,6 +291,12 @@ def _adam_apply(
 ) -> None:
     """One bias-corrected Adam step over the bias and the touched rows only, in place.
 
+    The step uses the efficient form of Kingma & Ba (2015, section 2): the
+    bias corrections fold into a step size alpha_t = lr * sqrt(1 - b2^t) /
+    (1 - b1^t) and an epsilon eps_t = eps * sqrt(1 - b2^t), and each weight
+    moves by alpha_t * m / (sqrt(v) + eps_t), the same update as
+    lr * m_hat / (sqrt(v_hat) + eps) up to rounding.
+
     The touched rows are updated in ascending blocks of about
     _ADAM_BLOCK_ENTRIES weights, so each block's gathered copies of m, v and W
     stay in cache through the whole update; the bias runs first as a block of
@@ -299,32 +310,42 @@ def _adam_apply(
         shape = model.weights.shape
         adam.m_weights, adam.v_weights = np.zeros(shape), np.zeros(shape)
     b1, b2 = config.adam_beta1, config.adam_beta2
-    corr1, corr2 = 1.0 - b1**adam.step, 1.0 - b2**adam.step
+    root_corr2 = math.sqrt(1.0 - b2**adam.step)
+    alpha = config.learning_rate * root_corr2 / (1.0 - b1**adam.step)
+    eps = config.adam_epsilon * root_corr2
+    per_block = max(1, _ADAM_BLOCK_ENTRIES // model.dim)
+    scratch = np.empty((per_block, model.dim))
 
     def update(param, m, v, idx, grad) -> np.ndarray:
-        m_new = b1 * m[idx]
-        m_new += (1 - b1) * grad
-        m[idx] = m_new
-        v_new = b2 * v[idx]
-        v_new += (1 - b2) * grad * grad
-        v[idx] = v_new
-        # lr * (m / corr1) / (sqrt(v / corr2) + eps), computed in the moment copies
-        v_new /= corr2
-        np.sqrt(v_new, out=v_new)
-        v_new += config.adam_epsilon
-        m_new /= corr1
-        m_new *= config.learning_rate
-        m_new /= v_new
-        # param[idx] -= m_new, keeping the written rows for the finiteness check
+        # idx is an index array, so m[idx], v[idx] and param[idx] are copies
+        # the arithmetic below may overwrite
+        term = scratch[: len(idx)]
+        m_rows = m[idx]
+        m_rows *= b1
+        m_rows += np.multiply(grad, 1 - b1, out=term)
+        m[idx] = m_rows
+        v_rows = v[idx]
+        v_rows *= b2
+        np.multiply(grad, 1 - b2, out=term)
+        v_rows += np.multiply(term, grad, out=term)
+        v[idx] = v_rows
+        # param[idx] -= alpha * m / (sqrt(v) + eps), in the moment copies,
+        # keeping the written rows for the finiteness check
+        np.sqrt(v_rows, out=v_rows)
+        v_rows += eps
+        m_rows *= alpha
+        m_rows /= v_rows
         rows = param[idx]
-        rows -= m_new
+        rows -= m_rows
         param[idx] = rows
         return rows
 
-    if not np.isfinite(update(model.bias, adam.m_bias, adam.v_bias, slice(None), grad_bias)).all():
+    # the bias runs as a one-row block, so its moments too are gathered as copies
+    one_row = np.zeros(1, dtype=np.intp)
+    rows = update(model.bias[None], adam.m_bias[None], adam.v_bias[None], one_row, grad_bias[None])
+    if not np.isfinite(rows).all():
         raise NumericalError("non-finite bias after update")
     m, v = adam.m_weights, adam.v_weights
-    per_block = max(1, _ADAM_BLOCK_ENTRIES // model.dim)
     for start in range(0, len(touched), per_block):
         block = slice(start, start + per_block)
         rows = update(model.weights, m, v, touched[block], grad_rows[block])

@@ -114,7 +114,8 @@ def test_partial_ranking_equals_full_sort():
         cosines = rng.integers(-2, 3, size=len(words)) / 2.0  # many exact ties
         exclude = {words[0], "absent"} if rng.random() < 0.5 else set()
         k = int(rng.integers(1, len(words) + 3))
-        assert _rank(words, cosines, exclude, k) == full_sort(words, cosines, exclude, k)
+        ranked = _rank(words.__getitem__, cosines, exclude, k)
+        assert ranked == full_sort(words, cosines, exclude, k)
 
 
 def test_duplicate_direction_scores_one(wide_vocab, wide_model):

@@ -1,0 +1,15 @@
+"""The README's Python API example runs as written."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_api_example_runs(capsys):
+    section = README.read_text(encoding="utf-8").split("## Python API", 1)[1]
+    example = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    exec(compile(example, str(README), "exec"), {})
+    cosine_line, shape_line = capsys.readouterr().out.splitlines()
+    assert -1.0 <= float(cosine_line) <= 1.0
+    assert shape_line == "(2, 50)"

@@ -23,7 +23,7 @@ from charngram import (
     select_negatives,
     train,
 )
-from charngram.model import Model, check_activation
+from charngram.model import COSINE_NORM_FLOOR, Model, check_activation
 from charngram.train import (
     _ADAM_BLOCK_ENTRIES,
     _adam_apply,
@@ -309,26 +309,19 @@ def test_untouched_rows_bit_unchanged(small_vocab):
 
 
 def _adam_reference(model, adam, config, grad_bias, touched, grad_rows):
-    """The unblocked Adam step: one pass over the bias, then one over all touched rows."""
+    """The unblocked Adam step in Kingma & Ba's step-size form: the bias, then all touched rows."""
     adam.step += 1
     b1, b2 = config.adam_beta1, config.adam_beta2
+    root_corr2 = math.sqrt(1.0 - b2**adam.step)
+    alpha = config.learning_rate * root_corr2 / (1.0 - b1**adam.step)
+    eps = config.adam_epsilon * root_corr2
     for param, m, v, idx, grad in (
         (model.bias, adam.m_bias, adam.v_bias, slice(None), grad_bias),
         (model.weights, adam.m_weights, adam.v_weights, touched, grad_rows),
     ):
-        m_new = b1 * m[idx]
-        m_new += (1 - b1) * grad
-        m[idx] = m_new
-        v_new = b2 * v[idx]
-        v_new += (1 - b2) * grad * grad
-        v[idx] = v_new
-        v_new /= 1.0 - b2**adam.step
-        np.sqrt(v_new, out=v_new)
-        v_new += config.adam_epsilon
-        m_new /= 1.0 - b1**adam.step
-        m_new *= config.learning_rate
-        m_new /= v_new
-        param[idx] -= m_new
+        m[idx] = b1 * m[idx] + (1 - b1) * grad
+        v[idx] = b2 * v[idx] + (1 - b2) * grad * grad
+        param[idx] -= alpha * m[idx] / (np.sqrt(v[idx]) + eps)
 
 
 PHRASES = [
@@ -388,6 +381,99 @@ def test_blocked_adam_names_lowest_bad_row_and_bias_first():
         apply([later, late])
     with pytest.raises(NumericalError, match="non-finite bias"):
         apply([later, late], bad_bias=True)
+
+
+def test_adam_steps_match_textbook_bias_correction():
+    # lr * m_hat / (sqrt(v_hat) + eps) with m_hat = m / (1 - b1^t), v_hat = v / (1 - b2^t)
+    dim, n_rows = 300, 400
+    config = TrainConfig(dim=dim, learning_rate=0.01)
+    b1, b2, lr, eps = 0.9, 0.999, config.learning_rate, config.adam_epsilon
+    rng = np.random.default_rng(21)
+    start = rng.normal(size=(n_rows, dim))
+    model = Model(weights=start.copy(), bias=np.zeros(dim), activation="tanh",
+                  vocab_fingerprint=0)
+    adam = AdamState()
+    weights, bias = start.copy(), np.zeros(dim)
+    m_w, v_w, m_b, v_b = np.zeros_like(start), np.zeros_like(start), np.zeros(dim), np.zeros(dim)
+    # a fixed sign per weight keeps every displacement away from zero, and
+    # magnitudes down to 1e-10 make epsilon matter
+    sign_w, sign_b = rng.choice([-1.0, 1.0], size=start.shape), rng.choice([-1.0, 1.0], size=dim)
+    for t in range(1, 7):
+        touched = np.sort(rng.choice(n_rows, size=150, replace=False))  # three blocks
+        grad_rows = sign_w[touched] * 10.0 ** rng.uniform(-10, 0, size=(150, dim))
+        grad_bias = sign_b * 10.0 ** rng.uniform(-10, 0, size=dim)
+        _adam_apply(model, adam, config, grad_bias, touched, grad_rows)
+        for param, m, v, idx, g in (
+            (bias, m_b, v_b, slice(None), grad_bias),
+            (weights, m_w, v_w, touched, grad_rows),
+        ):
+            m[idx] = b1 * m[idx] + (1 - b1) * g
+            v[idx] = b2 * v[idx] + (1 - b2) * g**2
+            m_hat, v_hat = m[idx] / (1 - b1**t), v[idx] / (1 - b2**t)
+            param[idx] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    assert adam.step == 6
+    np.testing.assert_allclose(model.weights - start, weights - start, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(model.bias, bias, rtol=1e-12, atol=0)
+    for actual, expected in ((adam.m_weights, m_w), (adam.v_weights, v_w),
+                             (adam.m_bias, m_b), (adam.v_bias, v_b)):
+        np.testing.assert_allclose(actual, expected, rtol=1e-12, atol=0)
+
+
+def test_first_adam_step_leaves_exact_moments():
+    # the update's in-place arithmetic must run on copies, never on the moments
+    dim = 300
+    config = TrainConfig(dim=dim)
+    b1, b2 = config.adam_beta1, config.adam_beta2
+    rng = np.random.default_rng(22)
+    model = Model(weights=rng.normal(size=(200, dim)), bias=rng.normal(size=dim),
+                  activation="tanh", vocab_fingerprint=0)
+    touched = np.arange(0, 200, 2)
+    grad_rows, grad_bias = rng.normal(size=(len(touched), dim)), rng.normal(size=dim)
+    adam = AdamState()
+    _adam_apply(model, adam, config, grad_bias, touched, grad_rows)
+    assert np.array_equal(adam.m_bias, (1 - b1) * grad_bias)
+    assert np.array_equal(adam.v_bias, (1 - b2) * grad_bias * grad_bias)
+    assert np.array_equal(adam.m_weights[touched], (1 - b1) * grad_rows)
+    assert np.array_equal(adam.v_weights[touched], (1 - b2) * grad_rows * grad_rows)
+
+
+def _hinge_grad_reference(values, negatives, margin):
+    """The hinge gradient scattered term by term with np.add.at: (a, b) terms, then (b, a)."""
+    n = len(values) // 2
+    norms = np.linalg.norm(values, axis=1)
+    inv_norms = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms >= COSINE_NORM_FLOOR)
+    units = values * inv_norms[:, None]
+    anchor = np.arange(2 * n).reshape(2, n).T
+    negative = np.array([[s * n + j for j, s in pair] for pair in negatives])
+    c_pos = np.einsum("ij,ij->i", units[:n], units[n:])
+    c_neg = np.einsum("ikj,ikj->ik", units[anchor], units[negative])
+    active = (margin - c_pos[:, None] + c_neg > 0).astype(np.float64)
+    a = np.concatenate([anchor[:, 0], anchor.ravel()])
+    b = np.concatenate([anchor[:, 1], negative.ravel()])
+    cos = np.concatenate([c_pos, c_neg.ravel()])[:, None]
+    weight = np.concatenate([-active.sum(axis=1), active.ravel()])[:, None]
+    upstream = np.zeros_like(values)
+    for rows, others in ((a, b), (b, a)):
+        grad = (units[others] - cos * units[rows]) * (weight * inv_norms[rows, None])
+        np.add.at(upstream, rows, grad)
+    return upstream / n
+
+
+@pytest.mark.parametrize("n", [2, 3, 7])
+def test_hinge_gradient_bit_equal_to_scatter_reference(n):
+    rng = np.random.default_rng(23 + n)
+    for trial in range(20):
+        values = rng.normal(size=(2 * n, 5))
+        if trial % 4 == 0:
+            values[rng.integers(2 * n)] = 0.0  # a zero-norm embedding
+        # most negatives are one shared phrase, so several terms hit one row
+        negatives = []
+        for i in range(n):
+            crowd = 0 if i else 1
+            picks = [(crowd, 0), (crowd, 1), (int(rng.integers(n)), int(rng.integers(2)))]
+            negatives.append((picks[int(rng.integers(3))], picks[int(rng.integers(3))]))
+        _, grad = _hinge(values, negatives, 1.5)
+        assert np.array_equal(grad, _hinge_grad_reference(values, negatives, 1.5))
 
 
 def test_batch_step_rejects_singleton():
