@@ -1,14 +1,17 @@
 """Brute-force nearest-neighbor search over a word list and over n-gram rows.
 
-A working vocabulary precomputes embeddings for a list of words; queries are
-then ranked against it by cosine. The n-gram variant compares raw weight rows
-directly. Linear scans only: at the scales this tool targets (~100k words,
-a few hundred dimensions) a scan takes well under a second.
+A working vocabulary is a prepared index: it holds the embeddings of a list
+of words, read-only, and their row norms, computed once when it is built. A
+query is then ranked against it by cosine with one matrix-vector product.
+The n-gram variant compares raw weight rows directly; a model's weights are
+updated in place by training, so their norms are computed per query. Linear
+scans only: at the scales this tool targets (~100k words, a few hundred
+dimensions) a scan takes well under a second.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -20,11 +23,26 @@ from .vocab import NGramVocab, check_case_mode, encode, normalize
 
 @dataclass
 class WorkingVocab:
-    """Unique normalized words with embeddings computed under one model+vocab."""
+    """Unique normalized words with embeddings computed under one model+vocab.
+
+    `embeddings` is coerced to float64 and marked read-only in place (not
+    copied); `norms`, its row norms, is computed once, here, for every query.
+    """
 
     words: list[str]  # normalized, without the boundary padding
-    embeddings: np.ndarray  # (len(words), d)
+    embeddings: np.ndarray  # (len(words), d), read-only
     case_mode: str = "lower"
+    norms: np.ndarray = field(init=False, repr=False)  # (len(words),)
+
+    def __post_init__(self):
+        self.embeddings = np.asarray(self.embeddings, dtype=np.float64)
+        if self.embeddings.ndim != 2 or len(self.embeddings) != len(self.words):
+            raise DataError(
+                f"working vocabulary needs one embedding row per word: {len(self.words)} "
+                f"words, embeddings of shape {self.embeddings.shape}"
+            )
+        self.embeddings.flags.writeable = False
+        self.norms = _row_norms(self.embeddings)
 
 
 # Entries per block of the row-norm pass, so the squares it sums stay in cache.
@@ -47,14 +65,14 @@ def _row_norms(matrix: np.ndarray) -> np.ndarray:
     return norms
 
 
-def _guarded_cosines(matrix: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """Cosine of `query` against every row; zero-norm vectors score 0.
+def _guarded_cosines(matrix: np.ndarray, query: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Cosine of `query` against every row of `matrix`; zero-norm vectors score 0.
 
+    `norms` holds the row norms of `matrix`, as `_row_norms` computes them.
     The rows are scaled after the product, so no normalized copy of `matrix`
     (the whole weight table, for n-gram queries) is made.
     """
     qn = np.linalg.norm(query)
-    norms = _row_norms(matrix)
     live = (norms >= COSINE_NORM_FLOOR) & (qn >= COSINE_NORM_FLOOR)
     return np.divide(matrix @ query, norms * qn, out=np.zeros(len(norms)), where=live)
 
@@ -100,9 +118,12 @@ def nearest_neighbors(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    wv_dim = wv.embeddings.shape[1]
+    if wv_dim != model.dim:
+        raise DataError(f"working vocabulary has d={wv_dim}, the model d={model.dim}")
     padded = normalize(query, wv.case_mode)
     q = embed(encode(padded, vocab), model).values
-    cosines = _guarded_cosines(wv.embeddings, q)
+    cosines = _guarded_cosines(wv.embeddings, q, wv.norms)
     return _rank(wv.words.__getitem__, cosines, {padded[1:-1]}, k)
 
 
@@ -115,5 +136,7 @@ def ngram_neighbors(
     pos = vocab.index.get(query_ngram)
     if pos is None:
         raise DataError("n-gram not in model")
-    cosines = _guarded_cosines(model.weights, model.weights[pos])
+    # training and the audit update W in place, so its norms are not cached
+    weights = model.weights
+    cosines = _guarded_cosines(weights, weights[pos], _row_norms(weights))
     return _rank(lambda i: vocab.entries[i][0], cosines, {query_ngram}, k)

@@ -27,6 +27,11 @@ CASE_MODES = ("lower", "preserve")
 
 MAX_ORDER = 255  # order is persisted as a single byte
 
+# The fingerprint's per-entry length prefixes and order bytes, encoded once
+# (an n-gram of order k is at most 4k bytes of UTF-8).
+_LENGTH_BYTES = [n.to_bytes(2, "little") for n in range(4 * MAX_ORDER + 1)]
+_ORDER_BYTES = [bytes((order,)) for order in range(MAX_ORDER + 1)]
+
 
 def check_case_mode(case_mode: str) -> str:
     if case_mode == "lowercase":  # accepted alias
@@ -157,13 +162,12 @@ class NGramVocab:
         model file (which does not persist counts) fingerprints identically.
         """
         if self._fingerprint is None:
-            h = hashlib.blake2b(digest_size=8)
+            parts = []
             for ngram, order, _ in self.entries:
                 raw = ngram.encode("utf-8")
-                h.update(len(raw).to_bytes(2, "little"))
-                h.update(raw)
-                h.update(bytes([order]))
-            self._fingerprint = int.from_bytes(h.digest(), "little")
+                parts += (_LENGTH_BYTES[len(raw)], raw, _ORDER_BYTES[order])
+            digest = hashlib.blake2b(b"".join(parts), digest_size=8).digest()
+            self._fingerprint = int.from_bytes(digest, "little")
         return self._fingerprint
 
 

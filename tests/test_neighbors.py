@@ -14,9 +14,10 @@ from charngram import (
     ngram_neighbors,
     normalize,
 )
-from charngram import TrainConfig
+from charngram import TrainConfig, WorkingVocab
+from charngram import neighbors
 from charngram.model import COSINE_NORM_FLOOR, Model
-from charngram.neighbors import _NORM_BLOCK_ENTRIES, _guarded_cosines, _rank
+from charngram.neighbors import _NORM_BLOCK_ENTRIES, _guarded_cosines, _rank, _row_norms
 
 from conftest import random_model
 
@@ -92,7 +93,9 @@ def test_tie_breaks_lexicographically(wide_vocab, wide_model):
     # duplicate embedding rows by construction: identical words embed identically,
     # so stage distinct words with forced-equal embeddings instead
     wv = build_working_vocab(["cat", "dog", "bark"], wide_model, wide_vocab)
-    wv.embeddings[1] = wv.embeddings[0] * 2.0  # same direction, exact cosine tie
+    rows = wv.embeddings.copy()
+    rows[1] = rows[0] * 2.0  # same direction, exact cosine tie
+    wv = WorkingVocab(wv.words, rows)
     out = nearest_neighbors("cats", wv, wide_model, wide_vocab, k=3)
     tied = [w for w, _ in out if w in ("cat", "dog")]
     assert tied == ["cat", "dog"]  # equal cosines, alphabetical order
@@ -120,7 +123,9 @@ def test_partial_ranking_equals_full_sort():
 
 def test_duplicate_direction_scores_one(wide_vocab, wide_model):
     wv = build_working_vocab(["cat", "dog"], wide_model, wide_vocab)
-    wv.embeddings[1] = wv.embeddings[0]
+    rows = wv.embeddings.copy()
+    rows[1] = rows[0]
+    wv = WorkingVocab(wv.words, rows)
     out = nearest_neighbors("cat", wv, wide_model, wide_vocab, k=2)
     assert out[0][0] == "dog"
     assert out[0][1] == pytest.approx(1.0, abs=1e-12)
@@ -177,4 +182,61 @@ def test_blocked_cosines_equal_one_pass_formula():
         norms = np.linalg.norm(matrix, axis=1)
         live = (norms >= COSINE_NORM_FLOOR) & (qn >= COSINE_NORM_FLOOR)
         expected = np.divide(matrix @ query, norms * qn, out=np.zeros(len(norms)), where=live)
-        assert np.array_equal(_guarded_cosines(matrix, query), expected)
+        assert np.array_equal(_guarded_cosines(matrix, query, _row_norms(matrix)), expected)
+
+
+def _per_query_reference(query, wv, model, vocab, k):
+    # the neighbour query with the word-row norms recomputed on every call
+    padded = normalize(query, wv.case_mode)
+    q = embed(encode(padded, vocab), model).values
+    cosines = _guarded_cosines(wv.embeddings, q, _row_norms(wv.embeddings))
+    return _rank(wv.words.__getitem__, cosines, {padded[1:-1]}, k)
+
+
+def test_prepared_norms_equal_per_query_norms_bit_for_bit(wide_vocab, wide_model):
+    rng = np.random.default_rng(42)
+    dim = wide_model.dim
+    rows = rng.normal(size=(2 * _NORM_BLOCK_ENTRIES // dim + 7, dim))  # three norm blocks
+    rows[[0, 5000, len(rows) - 1]] = 0.0  # zero rows score 0
+    words = ["cat", "dogz"] + [f"w{i:05d}" for i in range(len(rows) - 2)]
+    wv = WorkingVocab(words, rows)
+    zero_model = Model(weights=np.zeros_like(wide_model.weights), bias=np.zeros(dim),
+                       activation="tanh", vocab_fingerprint=wide_vocab.fingerprint)
+    for model in (wide_model, zero_model):  # the zero model embeds every query as 0
+        for query in ("cat", "dogz", "fish", "qqq"):
+            got = nearest_neighbors(query, wv, model, wide_vocab, k=25)
+            assert got == _per_query_reference(query, wv, model, wide_vocab, 25)
+    assert [c for _, c in nearest_neighbors("cat", wv, zero_model, wide_vocab, k=3)] == [0.0] * 3
+
+
+def test_query_does_not_recompute_word_norms(working, wide_model, wide_vocab, monkeypatch):
+    expected = nearest_neighbors("cat", working, wide_model, wide_vocab, k=4)
+
+    def recomputed(matrix):
+        raise AssertionError("word-row norms recomputed for a query")
+
+    monkeypatch.setattr(neighbors, "_row_norms", recomputed)
+    assert nearest_neighbors("cat", working, wide_model, wide_vocab, k=4) == expected
+
+
+def test_working_embeddings_are_read_only(working):
+    with pytest.raises(ValueError):
+        working.embeddings[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        working.embeddings[:] = 0.0
+
+
+@pytest.mark.parametrize(
+    "n_words, shape",
+    [(2, (3, 8)), (3, (2, 8)), (2, (2,)), (1, (1, 1, 8))],
+    ids=["more-rows", "fewer-rows", "one-d", "three-d"],
+)
+def test_malformed_working_vocab_is_rejected(n_words, shape):
+    with pytest.raises(DataError, match="one embedding row per word"):
+        WorkingVocab(WORDS[:n_words], np.zeros(shape))
+
+
+def test_working_vocab_of_other_dimension_is_rejected(wide_vocab, wide_model):
+    wv = WorkingVocab(["cat", "dog"], np.ones((2, wide_model.dim + 1)))
+    with pytest.raises(DataError, match="d=9, the model d=8"):
+        nearest_neighbors("cat", wv, wide_model, wide_vocab, k=1)
