@@ -1,9 +1,9 @@
 """Command-line surface.
 
-Exit codes: 0 success, 1 usage error, 2 data error (bad files or datasets),
-3 numerical failure during training. Results go to stdout; progress, timing,
-and the effective configuration go to stderr, so stdout is reproducible for
-a fixed seed.
+Exit codes: 0 success, 1 usage error (a bad flag or setting, or running out
+of memory), 2 data error (bad files or datasets), 3 numerical failure during
+training. Results go to stdout; progress, timing, and the effective
+configuration go to stderr, so stdout is reproducible for a fixed seed.
 """
 
 from __future__ import annotations
@@ -99,6 +99,9 @@ def _cmd_build_vocab(args) -> int:
     pairs = load_pairs(args.input)
     corpus = [text for pair in pairs.pairs for text in pair]
     vocab = build_vocab(corpus, args.orders, args.policy, case_mode=args.case)
+    if len(vocab) == 0:
+        # load_vocab rejects an empty file, so none is written
+        raise DataError(f"{args.policy} keeps no n-gram of {args.input}; nothing written")
     save_vocab(vocab, args.out)
     print(f"vocabulary: {len(vocab)} n-grams -> {args.out}", file=sys.stderr)
     return 0
@@ -114,6 +117,8 @@ def _cmd_train(args) -> int:
     for required in ("pairs", "out"):
         if getattr(cfg, required) is None:
             raise DataError(f"missing required setting: {required}")
+    tcfg = cfg.to_train_config()
+    tcfg.validate()  # a bad setting is a usage error, reported before any data is read
     cfg.validate_paths()
     for line in cfg.to_lines():
         print(line, file=sys.stderr)
@@ -139,14 +144,8 @@ def _cmd_train(args) -> int:
             values = embed_matrix(count_matrix(dev_cvs, model), model)
             return {"dev_mean_cosine": float(np.mean(row_cosines(values[0::2], values[1::2])))}
 
-    try:
-        tcfg = cfg.to_train_config()
-        started = time.perf_counter()
-        model, _, curve = train(dataset, vocab, tcfg, eval_hook=hook)
-    except ValueError as err:
-        if isinstance(err, DataError):
-            raise
-        raise DataError(str(err)) from err
+    started = time.perf_counter()
+    model, _, curve = train(dataset, vocab, tcfg, eval_hook=hook)
     print(f"trained in {time.perf_counter() - started:.1f}s", file=sys.stderr)
 
     save_model(model, vocab, cfg.out)
@@ -247,6 +246,7 @@ def _cmd_audit_grad(args) -> int:
         case_mode=args.case,
         batch_size=len(batch),
     )
+    config.validate()
     worst = finite_diff_audit(model, vocab, batch, config, step=args.step)
     print(f"max_relative_error\t{worst:.6e}")
     return 0
@@ -384,6 +384,10 @@ def main(argv=None) -> int:
         return 2
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 1
+    except MemoryError as err:
+        # e.g. a --dim too large to allocate; numpy's message names the shape
+        print(f"error: out of memory: {err or 'allocation failed'}", file=sys.stderr)
         return 1
 
 

@@ -9,7 +9,7 @@ in memory; file persistence quantizes to float32 (see charngram.io).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import Sequence
 
@@ -23,6 +23,9 @@ ACTIVATIONS = ("linear", "tanh")
 
 # Norms below this are treated as zero when computing cosine similarity.
 COSINE_NORM_FLOOR = 1e-12
+
+# Entries per block of the row-norm pass, so the squares it sums stay in cache.
+_NORM_BLOCK_ENTRIES = 65536
 
 
 def check_activation(activation: str) -> str:
@@ -48,14 +51,41 @@ def activation_grad(activation: str, values: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown activation {activation!r}")
 
 
+def _row_norms(matrix: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(matrix, axis=1), a block of rows at a time.
+
+    Each row's norm is its own reduction, so the blocked result is
+    bit-identical, without a (|V|, d) temporary of squares.
+    """
+    per_block = max(1, _NORM_BLOCK_ENTRIES // matrix.shape[1])
+    if len(matrix) <= per_block:
+        return np.linalg.norm(matrix, axis=1)
+    norms = np.empty(len(matrix))
+    for start in range(0, len(matrix), per_block):
+        block = slice(start, start + per_block)
+        norms[block] = np.linalg.norm(matrix[block], axis=1)
+    return norms
+
+
 @dataclass
 class Model:
-    """Learned parameters: weights has one row per vocabulary n-gram."""
+    """Learned parameters: weights has one row per vocabulary n-gram.
+
+    `row_norms()` caches the norms of the weight rows. While they are cached,
+    `weights` is read-only, so an in-place write raises ValueError instead of
+    leaving the norms stale; writers call `drop_row_norms()` first. Writes
+    through another array sharing the memory of `weights` are not caught.
+    """
 
     weights: np.ndarray  # (|V|, d) float64
     bias: np.ndarray  # (d,) float64
     activation: str
     vocab_fingerprint: int
+    # (the weights array the norms belong to, its norms, its writeable flag
+    # before they were cached); not copied by dataclasses.replace
+    _norm_cache: tuple[np.ndarray, np.ndarray, bool] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
@@ -73,6 +103,31 @@ class Model:
     @property
     def vocab_size(self) -> int:
         return self.weights.shape[0]
+
+    def row_norms(self) -> np.ndarray:
+        """Norms of the weight rows, computed once and kept until `weights` changes.
+
+        The cache belongs to the array object bound to `weights`: rebinding it
+        gives fresh norms. A cached array that is writeable again (a pickled
+        or deep-copied model) is not trusted either.
+        """
+        cache = self._norm_cache
+        if cache is None or cache[0] is not self.weights or cache[0].flags.writeable:
+            self.drop_row_norms()
+            writeable = self.weights.flags.writeable
+            self.weights.flags.writeable = False
+            self._norm_cache = (self.weights, _row_norms(self.weights), writeable)
+        return self._norm_cache[1]
+
+    def drop_row_norms(self) -> None:
+        """Forget the cached row norms; the array they belong to gets back its writeable flag.
+
+        Call before writing into `weights` in place.
+        """
+        if self._norm_cache is not None:
+            array, _, writeable = self._norm_cache
+            self._norm_cache = None
+            array.flags.writeable = writeable
 
 
 def verify_binding(model: Model, vocab: NGramVocab) -> None:

@@ -3,10 +3,13 @@
 A working vocabulary is a prepared index: it holds the embeddings of a list
 of words, read-only, and their row norms, computed once when it is built. A
 query is then ranked against it by cosine with one matrix-vector product.
-The n-gram variant compares raw weight rows directly; a model's weights are
-updated in place by training, so their norms are computed per query. Linear
-scans only: at the scales this tool targets (~100k words, a few hundred
-dimensions) a scan takes well under a second.
+The n-gram variant compares raw weight rows directly, against the row norms
+the model caches at its first query (`Model.row_norms`). The weights are
+read-only while those norms are cached, and training and the gradient audit
+drop them before they write; writes through another array sharing the
+weights' memory are not caught. Linear scans only: at the scales this tool
+targets (~100k words, a few hundred dimensions) a scan takes well under a
+second.
 """
 
 from __future__ import annotations
@@ -17,7 +20,15 @@ from typing import Callable
 import numpy as np
 
 from .errors import DataError
-from .model import COSINE_NORM_FLOOR, Model, count_matrix, embed, embed_matrix
+from .model import (  # noqa: F401 (_NORM_BLOCK_ENTRIES is re-exported beside _row_norms)
+    _NORM_BLOCK_ENTRIES,
+    COSINE_NORM_FLOOR,
+    Model,
+    _row_norms,
+    count_matrix,
+    embed,
+    embed_matrix,
+)
 from .vocab import NGramVocab, check_case_mode, encode, normalize
 
 
@@ -43,26 +54,6 @@ class WorkingVocab:
             )
         self.embeddings.flags.writeable = False
         self.norms = _row_norms(self.embeddings)
-
-
-# Entries per block of the row-norm pass, so the squares it sums stay in cache.
-_NORM_BLOCK_ENTRIES = 65536
-
-
-def _row_norms(matrix: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(matrix, axis=1), a block of rows at a time.
-
-    Each row's norm is its own reduction, so the blocked result is
-    bit-identical, without a (|V|, d) temporary of squares.
-    """
-    per_block = max(1, _NORM_BLOCK_ENTRIES // matrix.shape[1])
-    if len(matrix) <= per_block:
-        return np.linalg.norm(matrix, axis=1)
-    norms = np.empty(len(matrix))
-    for start in range(0, len(matrix), per_block):
-        block = slice(start, start + per_block)
-        norms[block] = np.linalg.norm(matrix[block], axis=1)
-    return norms
 
 
 def _guarded_cosines(matrix: np.ndarray, query: np.ndarray, norms: np.ndarray) -> np.ndarray:
@@ -136,7 +127,7 @@ def ngram_neighbors(
     pos = vocab.index.get(query_ngram)
     if pos is None:
         raise DataError("n-gram not in model")
-    # training and the audit update W in place, so its norms are not cached
+    # the norms are cached on the model; W is read-only until a writer drops them
     weights = model.weights
-    cosines = _guarded_cosines(weights, weights[pos], _row_norms(weights))
+    cosines = _guarded_cosines(weights, weights[pos], model.row_norms())
     return _rank(lambda i: vocab.entries[i][0], cosines, {query_ngram}, k)

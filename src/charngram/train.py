@@ -94,6 +94,11 @@ class TrainConfig:
     negative_pool: str = "same-side"
 
     def validate(self) -> None:
+        # every comparison with NaN is false, so the range checks below let it
+        # through, and most of them let inf through
+        for name in ("margin", "reg_lambda", "learning_rate", "adam_epsilon", "eval_every"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         check_activation(self.activation)
         check_case_mode(self.case_mode)
         if self.dim < 1:
@@ -303,6 +308,7 @@ def _adam_apply(
     its own. Finiteness is checked on each block as it is written, so the
     error names the bias before any row, and otherwise the lowest bad row.
     """
+    model.drop_row_norms()
     adam.step += 1
     if adam.m_weights is None:
         # np.zeros leaves untouched pages unallocated until first written
@@ -520,6 +526,9 @@ def finite_diff_audit(
     """
     if len(sample_batch) < 2:
         raise DataError("cannot sample negatives")
+    if not 0 < step < math.inf:
+        raise ValueError(f"step must be finite and > 0, got {step}")
+    model.drop_row_norms()  # central differences write into the weights
     texts, counts = _encode_pairs(sample_batch, vocab, model, config.case_mode)
     _, grad_bias, touched, grad_rows, negatives = _batch_gradients(
         texts, counts, model, config, _rng(config.seed, _DOMAIN_AUDIT)

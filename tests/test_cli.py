@@ -1,9 +1,14 @@
 import io
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import charngram
 from charngram import load_model, load_vocab
 from charngram.cli import main
 
@@ -358,3 +363,93 @@ def test_bad_scale_flag_exits_1(ws, capsys):
         "--dataset", str(ws / "word.tsv"), "--scale", "high",
     ])
     assert rc == 1
+
+
+@pytest.mark.parametrize(
+    "flag, value, name",
+    [
+        ("--margin", "nan", "margin"),
+        ("--margin", "inf", "margin"),
+        ("--lambda", "nan", "reg_lambda"),
+        ("--lr", "nan", "learning_rate"),
+        ("--eval-every", "nan", "eval_every"),
+    ],
+)
+def test_non_finite_setting_exits_1_up_front(ws, tmp_path, capsys, flag, value, name):
+    out = tmp_path / "m.bin"
+    rc = main([
+        "train", "--pairs", str(ws / "pairs.tsv"), "--vocab", str(ws / "vocab.tsv"),
+        "--out", str(out), "--dim", "4", "--batch", "4", flag, value,
+    ])
+    stdout, err = capsys.readouterr()
+    assert rc == 1
+    assert f"error: {name} must be finite" in err
+    assert "Traceback" not in err
+    assert stdout == "" and not out.exists()
+
+
+def test_non_finite_setting_in_config_file_exits_1(ws, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"pairs={ws / 'pairs.tsv'}\nout={tmp_path / 'm.bin'}\nlr=inf\n")
+    assert main(["train", "--config", str(cfg)]) == 1
+    assert "error: learning_rate must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--margin", "nan", "margin must be finite"),
+        ("--lambda", "inf", "reg_lambda must be finite"),
+        ("--step", "0", "step must be finite and > 0"),
+        ("--step", "nan", "step must be finite and > 0"),
+    ],
+)
+def test_audit_grad_validates_its_settings(ws, capsys, flag, value, message):
+    rc = main([
+        "audit-grad", "--model", str(ws / "model.bin"), "--pairs", str(ws / "pairs.tsv"),
+        flag, value,
+    ])
+    stdout, err = capsys.readouterr()
+    assert rc == 1
+    assert f"error: {message}" in err
+    assert "Traceback" not in err and stdout == ""
+
+
+def test_memory_error_exits_1_without_traceback(ws, tmp_path, capsys, monkeypatch):
+    def too_big(vocab, config):
+        raise MemoryError("Unable to allocate 2.18 PiB for an array")
+
+    # the package rebinds the name `charngram.train` to the function
+    monkeypatch.setattr(sys.modules["charngram.train"], "init_model", too_big)
+    rc = main([
+        "train", "--pairs", str(ws / "pairs.tsv"), "--vocab", str(ws / "vocab.tsv"),
+        "--out", str(tmp_path / "m.bin"), "--dim", "4", "--batch", "4",
+    ])
+    _, err = capsys.readouterr()
+    assert rc == 1
+    assert err.splitlines()[-1] == "error: out of memory: Unable to allocate 2.18 PiB for an array"
+    assert "Traceback" not in err
+
+
+def test_build_vocab_keeping_nothing_exits_2_and_writes_nothing(ws, tmp_path, capsys):
+    out = tmp_path / "vocab.tsv"
+    with pytest.warns(UserWarning, match="removed every n-gram"):
+        rc = main([
+            "build-vocab", "--input", str(ws / "pairs.tsv"), "--policy", "mincount:1000000",
+            "--out", str(out),
+        ])
+    _, err = capsys.readouterr()
+    assert rc == 2
+    assert "keeps no n-gram" in err
+    assert not out.exists() and list(tmp_path.iterdir()) == []
+
+
+def test_python_dash_m_runs_the_command_line():
+    src = str(Path(charngram.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "charngram", "--help"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "build-vocab" in proc.stdout

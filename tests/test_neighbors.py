@@ -14,8 +14,9 @@ from charngram import (
     ngram_neighbors,
     normalize,
 )
-from charngram import TrainConfig, WorkingVocab
-from charngram import neighbors
+from charngram import AdamState, NGramVocab, TrainConfig, WorkingVocab, batch_step
+from charngram import finite_diff_audit, neighbors
+from charngram import model as model_module
 from charngram.model import COSINE_NORM_FLOOR, Model
 from charngram.neighbors import _NORM_BLOCK_ENTRIES, _guarded_cosines, _rank, _row_norms
 
@@ -240,3 +241,69 @@ def test_working_vocab_of_other_dimension_is_rejected(wide_vocab, wide_model):
     wv = WorkingVocab(["cat", "dog"], np.ones((2, wide_model.dim + 1)))
     with pytest.raises(DataError, match="d=9, the model d=8"):
         nearest_neighbors("cat", wv, wide_model, wide_vocab, k=1)
+
+
+def _ngram_reference(query, model, vocab, k):
+    # the n-gram query with the weight-row norms recomputed on every call
+    weights = model.weights
+    cosines = _guarded_cosines(weights, weights[vocab.index[query]], _row_norms(weights))
+    return _rank(lambda i: vocab.entries[i][0], cosines, {query}, k)
+
+
+def _bits(ranked):
+    return [(word, cos.hex()) for word, cos in ranked]
+
+
+def test_cached_ngram_norms_equal_per_query_norms_bit_for_bit():
+    rng = np.random.default_rng(43)
+    dim = 37
+    n = 2 * _NORM_BLOCK_ENTRIES // dim + 7  # three norm blocks
+    letters = np.array(list("abcdefghijklmnopqrstuvwxyz"))
+    grams = ["".join(g) for g in letters[rng.choice(26, size=(4 * n, 4))]]
+    vocab = NGramVocab([(g, 4, 1) for g in dict.fromkeys(grams)][:n])
+    weights = rng.normal(size=(n, dim))
+    weights[[0, 1800, n - 1]] = 0.0  # zero rows score 0
+    model = Model(weights=weights, bias=np.zeros(dim), activation="tanh",
+                  vocab_fingerprint=vocab.fingerprint)
+    queries = [vocab.entries[i][0] for i in (0, 1, 1800, 2500, n - 1, 5, 1)]  # zero rows too
+    for query in queries:
+        expected = _ngram_reference(query, model, vocab, 25)
+        assert _bits(ngram_neighbors(query, model, vocab, k=25)) == _bits(expected)
+    assert [c for _, c in ngram_neighbors(vocab.entries[0][0], model, vocab, k=3)] == [0.0] * 3
+
+
+def test_second_ngram_query_does_not_recompute_norms(wide_vocab, monkeypatch):
+    model = random_model(np.random.default_rng(44), wide_vocab, dim=8)
+    first = ngram_neighbors("at ", model, wide_vocab, k=4)
+
+    def recomputed(matrix):
+        raise AssertionError("weight-row norms recomputed for a query")
+
+    for module in (model_module, neighbors):  # both hold the name
+        monkeypatch.setattr(module, "_row_norms", recomputed)
+    assert ngram_neighbors("at ", model, wide_vocab, k=4) == first
+    assert ngram_neighbors("ca", model, wide_vocab, k=4)
+
+
+def test_ngram_query_after_a_training_step_sees_the_new_weights(wide_vocab):
+    config = TrainConfig(dim=8, batch_size=2, seed=3, learning_rate=0.05)
+    model = init_model(wide_vocab, config)
+    before = ngram_neighbors("at ", model, wide_vocab, k=6)
+    pairs = [("cat", "cats"), ("dog", "dogs"), ("fish", "deep")]
+    batch_step(pairs, model, wide_vocab, config, AdamState(), np.random.default_rng(0))
+    after = ngram_neighbors("at ", model, wide_vocab, k=6)
+    assert _bits(after) == _bits(_ngram_reference("at ", model, wide_vocab, 6))
+    assert after != before
+
+
+def test_ngram_query_after_the_gradient_audit_sees_the_weights(wide_vocab):
+    config = TrainConfig(dim=4, batch_size=3, seed=5, reg_lambda=1e-4)
+    model = init_model(wide_vocab, config)
+    ngram_neighbors("at ", model, wide_vocab, k=6)
+    weights = model.weights.copy()
+    pairs = [("cat", "cats"), ("dog", "dogs"), ("fish", "deep")]
+    assert finite_diff_audit(model, wide_vocab, pairs, config) < 1e-4
+    assert np.array_equal(model.weights, weights)
+    assert model.weights.flags.writeable  # the audit dropped the cached norms
+    got = ngram_neighbors("at ", model, wide_vocab, k=6)
+    assert _bits(got) == _bits(_ngram_reference("at ", model, wide_vocab, 6))

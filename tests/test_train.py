@@ -504,6 +504,16 @@ def test_config_rejects_relu():
         {"adam_beta1": 1.0},
         {"eval_every": -0.5},
         {"negative_pool": "everything"},
+        {"margin": math.nan},
+        {"margin": math.inf},
+        {"reg_lambda": math.nan},
+        {"reg_lambda": math.inf},
+        {"learning_rate": math.nan},
+        {"learning_rate": math.inf},
+        {"adam_epsilon": math.nan},
+        {"adam_epsilon": math.inf},
+        {"eval_every": math.nan},
+        {"eval_every": math.inf},
     ],
 )
 def test_config_validation_errors(kwargs):
