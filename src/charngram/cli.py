@@ -37,7 +37,7 @@ from .io import (
 from .model import count_matrix, embed_matrix, row_cosines
 from .neighbors import build_working_vocab, nearest_neighbors, ngram_neighbors
 from .train import TrainConfig, finite_diff_audit, train
-from .vocab import MinCount, TopKPerOrder, build_vocab, encode, normalize
+from .vocab import MinCount, TopKPerOrder, build_vocab, check_orders, encode, normalize
 
 
 class UsageError(Exception):
@@ -60,7 +60,7 @@ def parse_orders(text: str) -> tuple[int, ...]:
         raise ValueError(f"bad orders {text!r}; expected comma-separated integers") from err
     if not orders:
         raise ValueError(f"bad orders {text!r}; expected comma-separated integers")
-    return orders
+    return check_orders(orders)
 
 
 def parse_policy(text: str):
@@ -118,7 +118,9 @@ def _cmd_train(args) -> int:
         if getattr(cfg, required) is None:
             raise DataError(f"missing required setting: {required}")
     tcfg = cfg.to_train_config()
-    tcfg.validate()  # a bad setting is a usage error, reported before any data is read
+    # a bad setting is a usage error, reported before any data is read
+    tcfg.validate()
+    orders, policy = parse_orders(cfg.orders), parse_policy(cfg.policy)
     cfg.validate_paths()
     for line in cfg.to_lines():
         print(line, file=sys.stderr)
@@ -128,12 +130,7 @@ def _cmd_train(args) -> int:
         vocab = load_vocab(cfg.vocab)
     else:
         corpus = [text for pair in dataset.pairs for text in pair]
-        try:
-            vocab = build_vocab(
-                corpus, parse_orders(cfg.orders), parse_policy(cfg.policy), case_mode=cfg.case
-            )
-        except ValueError as err:
-            raise DataError(str(err)) from err
+        vocab = build_vocab(corpus, orders, policy, case_mode=cfg.case)
 
     hook = None
     if cfg.eval_pairs is not None:
@@ -164,27 +161,44 @@ def _load_dataset_dir(directory, scale) -> list:
     return [load_simset(p, scale=scale) for p in paths]
 
 
-def _cmd_eval(args) -> int:
+def _load_model(args):
+    """The model named by --model, and the case mode to normalize its input text with.
+
+    That is the mode the model records; --case, when given, must agree with
+    it. A model that records none (a version-1 file) takes --case, default lower.
+    """
     model, vocab = load_model(args.model)
+    if model.case_mode is None:
+        return model, vocab, args.case or "lower"
+    if args.case is not None and args.case != model.case_mode:
+        raise UsageError(
+            f"--case {args.case} disagrees with the case mode {model.case_mode!r} "
+            f"recorded in {args.model}"
+        )
+    return model, vocab, model.case_mode
+
+
+def _cmd_eval(args) -> int:
+    model, vocab, case = _load_model(args)
     if args.task == "word":
         dataset = load_simset(args.dataset, scale=args.scale)
-        rho = eval_word_sim(model, vocab, dataset, case_mode=args.case)
+        rho = eval_word_sim(model, vocab, dataset, case_mode=case)
         print(f"{dataset.name}\tspearman\t{rho:.6f}")
         return 0
     datasets = _load_dataset_dir(args.datasets, args.scale)
     if args.task == "sts":
         grouping = load_groups(args.groups) if args.groups else None
-        report = eval_sts(model, vocab, datasets, grouping=grouping, case_mode=args.case)
+        report = eval_sts(model, vocab, datasets, grouping=grouping, case_mode=case)
         for line in report.to_tsv_lines():
             print(line)
         return 0
     # bins
     if args.by == "length":
-        results = binned_eval(model, vocab, datasets, by="length", case_mode=args.case)
+        results = binned_eval(model, vocab, datasets, by="length", case_mode=case)
     elif args.by.startswith("oov:"):
         reference = load_reference_vocab(args.by[len("oov:") :])
         results = binned_eval(
-            model, vocab, datasets, by="oov", reference=reference, case_mode=args.case
+            model, vocab, datasets, by="oov", reference=reference, case_mode=case
         )
     else:
         raise UsageError(f"bad --by value {args.by!r}; expected oov:VOCABFILE or length")
@@ -195,22 +209,22 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_embed(args) -> int:
-    model, vocab = load_model(args.model)
+    model, vocab, case = _load_model(args)
     if args.stdin:
         texts = [line.rstrip("\n") for line in sys.stdin]
     elif args.text:
         texts = args.text
     else:
         raise UsageError("embed requires TEXT arguments or --stdin")
-    counts = count_matrix([encode(normalize(text, args.case), vocab) for text in texts], model)
+    counts = count_matrix([encode(normalize(text, case), vocab) for text in texts], model)
     for row in embed_matrix(counts, model):
         print("\t".join(f"{x:.9g}" for x in row))
     return 0
 
 
 def _cmd_nn(args) -> int:
-    model, vocab = load_model(args.model)
-    working = build_working_vocab(load_wordlist(args.wordlist), model, vocab, case_mode=args.case)
+    model, vocab, case = _load_model(args)
+    working = build_working_vocab(load_wordlist(args.wordlist), model, vocab, case_mode=case)
     for query in args.query:
         for rank, (word, cos) in enumerate(
             nearest_neighbors(query, working, model, vocab, args.k), start=1
@@ -231,7 +245,7 @@ def _cmd_nn_ngram(args) -> int:
 
 
 def _cmd_audit_grad(args) -> int:
-    model, vocab = load_model(args.model)
+    model, vocab, case = _load_model(args)
     pairs = load_pairs(args.pairs)
     batch = pairs.pairs[: args.batch]
     if len(batch) < 2:
@@ -243,7 +257,7 @@ def _cmd_audit_grad(args) -> int:
         reg_lambda=args.reg_lambda,
         sampling=args.sampling,
         seed=args.seed,
-        case_mode=args.case,
+        case_mode=case,
         batch_size=len(batch),
     )
     config.validate()
@@ -253,9 +267,10 @@ def _cmd_audit_grad(args) -> int:
 
 
 def _add_case(parser) -> None:
+    """--case for a command that reads a model: the model's recorded mode is the default."""
     parser.add_argument(
-        "--case", choices=("lower", "preserve"), default="lower",
-        help="text case handling (default: lower)",
+        "--case", choices=("lower", "preserve"), default=None,
+        help="text case handling (default: the mode the model records, else lower)",
     )
 
 
@@ -269,7 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated n-gram orders (default: 2,3,4)")
     p.add_argument("--policy", type=_arg_type(parse_policy), default=MinCount(1),
                    help="mincount:C or topk:K (default: mincount:1)")
-    _add_case(p)
+    p.add_argument("--case", choices=("lower", "preserve"), default="lower",
+                   help="text case handling (default: lower)")
     p.add_argument("--out", required=True, help="output vocabulary TSV")
     p.set_defaults(func=_cmd_build_vocab)
 
@@ -393,3 +409,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     raise SystemExit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    entry()

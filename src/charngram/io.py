@@ -1,18 +1,25 @@
 """File formats: binary model persistence, dataset loaders, run configuration.
 
-The model file is a little-endian stream: a fixed 32-byte header, the bias,
-then one variable-length record per vocabulary n-gram. Parameters are stored
-at float32; in-memory training uses float64. Writes go through a temp file
-plus atomic rename so readers never observe a partial file.
+A model file (format version 2) is little-endian: a 48-byte header, the
+n-gram table in the byte layout the vocabulary fingerprint hashes (see
+`charngram.vocab`), zero padding to a multiple of 64 bytes, then the float32
+bias and the float32 (|V|, d) matrix. Saving and loading stream the bias and
+matrix through one fixed-size float32 buffer, so neither holds a copy of the
+whole file. Version-1 files (a 32-byte header, the bias, then one record per
+n-gram) still load. Parameters are stored at float32; in-memory training uses
+float64. Writes go through a temp file plus atomic rename so readers never
+observe a partial file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
 import tempfile
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import BinaryIO, Callable
 
 import numpy as np
 
@@ -23,13 +30,20 @@ from .train import PairDataset, TrainConfig, TrainingCurve
 from .vocab import NGramVocab
 
 MAGIC = b"CHRG"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2  # what save_model writes; load_model also reads version 1
 
 _HEADER = struct.Struct("<4sIIB3xQQ")  # magic, version, d, activation, fingerprint, |V|
-_RECORD_HEAD = struct.Struct("<BH")  # order, utf-8 byte length
+_RECORD_HEAD = struct.Struct("<BH")  # version 1: order, utf-8 byte length
+# version 2: the version-1 header, then case mode, 7 reserved bytes, table byte length
+_HEADER_V2 = struct.Struct("<4sIIB3xQQB7sQ")
+_V2_PREFIX = MAGIC + FORMAT_VERSION.to_bytes(4, "little")
+_ALIGN = 64  # a version-2 bias starts at a multiple of this
+_BLOCK_VALUES = 1 << 16  # float32 values in the block buffer the matrix streams through
 
 _ACTIVATION_CODES = {"linear": 0, "tanh": 1}
 _ACTIVATION_NAMES = {v: k for k, v in _ACTIVATION_CODES.items()}
+_CASE_CODES = {None: 0, "lower": 1, "preserve": 2}  # None: not recorded
+_CASE_NAMES = {v: k for k, v in _CASE_CODES.items()}
 
 
 def escape_ngram(ngram: str) -> str:
@@ -68,7 +82,8 @@ def _read_text(path) -> str:
         raise DataError(f"{path}: not valid UTF-8 ({err})") from err
 
 
-def _atomic_write_bytes(path, payload: bytes) -> None:
+def _atomic_write(path, write: Callable[[BinaryIO], object]) -> None:
+    """Call `write` on a temp file beside `path`, sync it, then rename it over `path`."""
     target = Path(path)
     try:
         fd, tmp_name = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.")
@@ -76,16 +91,20 @@ def _atomic_write_bytes(path, payload: bytes) -> None:
         raise DataError(f"{path}: {err.strerror or err}") from err
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(payload)
+            write(handle)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_name, target)
-    except OSError as err:
-        try:
+    except BaseException as err:
+        with contextlib.suppress(OSError):
             os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise DataError(f"{path}: {err.strerror or err}") from err
+        if isinstance(err, OSError):
+            raise DataError(f"{path}: {err.strerror or err}") from err
+        raise
+
+
+def _atomic_write_bytes(path, payload: bytes) -> None:
+    _atomic_write(path, lambda handle: handle.write(payload))
 
 
 def save_vocab(vocab: NGramVocab, path) -> None:
@@ -121,40 +140,129 @@ def load_vocab(path) -> NGramVocab:
 
 
 def save_model(model: Model, vocab: NGramVocab, path) -> None:
-    """Serialize (model, vocab) to the binary format, atomically.
+    """Serialize (model, vocab) to the binary format (version 2), atomically.
 
     The same (model, vocab) always produces identical bytes: entries are
-    written in vocabulary order and parameters are quantized to float32.
+    written in vocabulary order and parameters are quantized to float32. The
+    matrix is converted and written a block at a time.
     """
     verify_binding(model, vocab)
-    code = _ACTIVATION_CODES[model.activation]
-    chunks = [
-        _HEADER.pack(
-            MAGIC,
-            FORMAT_VERSION,
-            model.dim,
-            code,
-            model.vocab_fingerprint,
-            len(vocab),
-        ),
-        model.bias.astype("<f4").tobytes(),
-    ]
-    rows = model.weights.astype("<f4")
-    for pos, (ngram, order, _) in enumerate(vocab.entries):
-        raw = ngram.encode("utf-8")
-        chunks.append(_RECORD_HEAD.pack(order, len(raw)))
-        chunks.append(raw)
-        chunks.append(rows[pos].tobytes())
-    _atomic_write_bytes(path, b"".join(chunks))
+    table = vocab.table
+    head = _HEADER_V2.pack(
+        MAGIC,
+        FORMAT_VERSION,
+        model.dim,
+        _ACTIVATION_CODES[model.activation],
+        model.vocab_fingerprint,
+        len(vocab),
+        _CASE_CODES[model.case_mode],
+        bytes(7),
+        len(table),
+    )
+    padding = bytes(_data_offset(len(table)) - _HEADER_V2.size - len(table))
+
+    def write(handle) -> None:
+        handle.write(head)
+        handle.write(table)
+        handle.write(padding)
+        for rows, chunk in _blocks(model.bias, model.weights):
+            np.copyto(chunk, rows, casting="same_kind")
+            handle.write(chunk)
+
+    _atomic_write(path, write)
 
 
 def load_model(path) -> tuple[Model, NGramVocab]:
-    """Parse a model file back into (Model, NGramVocab).
+    """Parse a model file (version 2 or 1) back into (Model, NGramVocab).
 
     The reconstructed vocabulary keeps the stored entry order; corpus counts
     are not persisted and come back as zero. Parameters are promoted to
-    float64.
+    float64, into arrays the caller may write.
     """
+    try:
+        with open(path, "rb") as handle:
+            head = handle.read(_HEADER_V2.size)
+            if head[:8] == _V2_PREFIX:
+                return _load_v2(handle, head, path)
+    except OSError as err:
+        raise DataError(f"{path}: {err.strerror or err}") from err
+    return _load_v1(path)
+
+
+def _load_v2(handle, head: bytes, path) -> tuple[Model, NGramVocab]:
+    if len(head) < _HEADER_V2.size:
+        raise ModelFormatError(f"{path}: corrupt model file (expected {_HEADER_V2.size} bytes)")
+    _, _, dim, act_code, fingerprint, vocab_size, case_code, reserved, table_len = (
+        _HEADER_V2.unpack(head)
+    )
+    if act_code not in _ACTIVATION_NAMES:
+        raise ModelFormatError(f"{path}: corrupt model file (unknown activation code {act_code})")
+    if case_code not in _CASE_NAMES:
+        raise ModelFormatError(f"{path}: corrupt model file (unknown case mode code {case_code})")
+    if any(reserved):
+        raise ModelFormatError(f"{path}: corrupt model file (non-zero reserved bytes)")
+    # the size follows from the header alone; checked before allocating
+    data_offset = _data_offset(table_len)
+    size = data_offset + 4 * dim * (vocab_size + 1)
+    found = os.fstat(handle.fileno()).st_size
+    if found < size:
+        raise ModelFormatError(f"{path}: corrupt model file (expected {size} bytes)")
+    if found > size:
+        raise ModelFormatError(f"{path}: corrupt model file (trailing data)")
+
+    table = _read(handle, table_len, path)
+    if any(_read(handle, data_offset - _HEADER_V2.size - table_len, path)):
+        raise ModelFormatError(f"{path}: corrupt model file (non-zero padding)")
+    try:
+        vocab = NGramVocab.from_table(table, vocab_size, fingerprint)
+    except DataError as err:
+        raise ModelFormatError(f"{path}: corrupt model file ({err})") from err
+
+    bias = np.empty(dim)
+    weights = np.empty((vocab_size, dim))
+    for rows, chunk in _blocks(bias, weights):
+        if handle.readinto(chunk) != chunk.nbytes:
+            raise ModelFormatError(f"{path}: corrupt model file (short read)")
+        rows[...] = chunk
+    model = Model(
+        weights=weights,
+        bias=bias,
+        activation=_ACTIVATION_NAMES[act_code],
+        vocab_fingerprint=fingerprint,
+        case_mode=_CASE_NAMES[case_code],
+    )
+    return model, vocab
+
+
+def _read(handle, count: int, path) -> bytes:
+    data = handle.read(count)
+    if len(data) != count:
+        raise ModelFormatError(f"{path}: corrupt model file (short read)")
+    return data
+
+
+def _data_offset(table_len: int) -> int:
+    """Where a version-2 file's bias starts: after the header and table, 64-byte aligned."""
+    return -(-(_HEADER_V2.size + table_len) // _ALIGN) * _ALIGN
+
+
+def _blocks(bias: np.ndarray, weights: np.ndarray):
+    """(rows, chunk) pairs that cover a version-2 file's bias and matrix, in file order.
+
+    `rows` is the bias as one row, then blocks of weight rows; `chunk` is a
+    view of the same shape into the one float32 buffer they all stream through.
+    """
+    dim = len(bias)
+    per_block = max(1, _BLOCK_VALUES // max(dim, 1))
+    buffer = np.empty(per_block * dim, dtype="<f4")
+    yield bias[None, :], buffer[:dim].reshape(1, dim)
+    for start in range(0, len(weights), per_block):
+        rows = weights[start : start + per_block]
+        yield rows, buffer[: rows.size].reshape(rows.shape)
+
+
+def _load_v1(path) -> tuple[Model, NGramVocab]:
+    """Parse a version-1 file: a header, the bias, then one record per n-gram."""
     try:
         data = Path(path).read_bytes()
     except OSError as err:
@@ -176,7 +284,7 @@ def load_model(path) -> tuple[Model, NGramVocab]:
     magic, version, dim, act_code, fingerprint, vocab_size = _HEADER.unpack(header)
     if magic != MAGIC:
         raise ModelFormatError(f"{path}: not a model file")
-    if version != FORMAT_VERSION:
+    if version != 1:
         raise ModelFormatError(f"{path}: unsupported version {version}")
     if act_code not in _ACTIVATION_NAMES:
         raise ModelFormatError(f"{path}: corrupt model file (unknown activation code {act_code})")

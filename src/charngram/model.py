@@ -17,7 +17,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import DataError
-from .vocab import CountVector, NGramVocab
+from .vocab import CountVector, NGramVocab, check_case_mode
 
 ACTIVATIONS = ("linear", "tanh")
 
@@ -81,6 +81,7 @@ class Model:
     bias: np.ndarray  # (d,) float64
     activation: str
     vocab_fingerprint: int
+    case_mode: str | None = None  # the text case handling trained with; None = not recorded
     # (the weights array the norms belong to, its norms, its writeable flag
     # before they were cached); not copied by dataclasses.replace
     _norm_cache: tuple[np.ndarray, np.ndarray, bool] | None = field(
@@ -95,6 +96,8 @@ class Model:
         if self.weights.shape[1] != self.bias.shape[0]:
             raise ValueError("weights and bias dimensionality disagree")
         check_activation(self.activation)
+        if self.case_mode is not None:
+            self.case_mode = check_case_mode(self.case_mode)
 
     @property
     def dim(self) -> int:

@@ -430,6 +430,7 @@ def init_model(vocab: NGramVocab, config: TrainConfig) -> Model:
         bias=np.zeros(d),
         activation=config.activation,
         vocab_fingerprint=vocab.fingerprint,
+        case_mode=config.case_mode,
     )
 
 

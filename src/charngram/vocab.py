@@ -27,8 +27,10 @@ CASE_MODES = ("lower", "preserve")
 
 MAX_ORDER = 255  # order is persisted as a single byte
 
-# The fingerprint's per-entry length prefixes and order bytes, encoded once
-# (an n-gram of order k is at most 4k bytes of UTF-8).
+# The n-gram table is the byte layout the fingerprint hashes and model files
+# store: per entry, in entry order, a 2-byte little-endian UTF-8 length, the
+# UTF-8 bytes and the order byte. Length prefixes and order bytes are encoded
+# once (an n-gram of order k is at most 4k bytes of UTF-8).
 _LENGTH_BYTES = [n.to_bytes(2, "little") for n in range(4 * MAX_ORDER + 1)]
 _ORDER_BYTES = [bytes((order,)) for order in range(MAX_ORDER + 1)]
 
@@ -56,7 +58,7 @@ def normalize(text: str, case_mode: str = "lower") -> CharSeq:
     return f" {collapsed} "
 
 
-def _check_orders(orders: Iterable[int]) -> tuple[int, ...]:
+def check_orders(orders: Iterable[int]) -> tuple[int, ...]:
     out = tuple(sorted(set(orders)))
     if not out:
         raise ValueError("orders must be non-empty")
@@ -66,17 +68,21 @@ def _check_orders(orders: Iterable[int]) -> tuple[int, ...]:
     return out
 
 
+def _windows(seq: CharSeq, orders: tuple[int, ...]) -> list[str]:
+    """Every contiguous window of `seq` of each length in `orders`, order by order."""
+    out: list[str] = []
+    for n in orders:
+        out += [seq[i : i + n] for i in range(len(seq) - n + 1)]
+    return out
+
+
 def extract_ngrams(seq: CharSeq, orders: Iterable[int]) -> Counter:
     """Count every contiguous substring of `seq` whose length is in `orders`.
 
     Substrings spanning word boundaries (containing internal spaces) are
     included. For a single order n the counts sum to max(0, len(seq) - n + 1).
     """
-    counts: Counter = Counter()
-    for n in _check_orders(orders):
-        for i in range(len(seq) - n + 1):
-            counts[seq[i : i + n]] += 1
-    return counts
+    return Counter(_windows(seq, check_orders(orders)))
 
 
 @dataclass(frozen=True)
@@ -104,6 +110,39 @@ class TopKPerOrder:
 VocabPolicy = Union[MinCount, TopKPerOrder]
 
 
+def ngram_table(entries: Iterable[tuple[str, int, int]]) -> bytes:
+    """The n-gram table of `entries`; corpus counts are not part of it."""
+    parts = []
+    for ngram, order, _ in entries:
+        raw = ngram.encode("utf-8")
+        parts += (_LENGTH_BYTES[len(raw)], raw, _ORDER_BYTES[order])
+    return b"".join(parts)
+
+
+def table_fingerprint(table: bytes) -> int:
+    """64-bit blake2b digest of an n-gram table, read little-endian."""
+    return int.from_bytes(hashlib.blake2b(table, digest_size=8).digest(), "little")
+
+
+def _parse_table(table: bytes, count: int) -> list[tuple[str, int, int]]:
+    """The `count` entries of an n-gram table, with zero counts; DataError if malformed."""
+    entries = []
+    pos = 0
+    try:
+        for _ in range(count):
+            start = pos + 2
+            stop = start + (table[pos] | table[pos + 1] << 8)
+            entries.append((table[start:stop].decode("utf-8"), table[stop], 0))
+            pos = stop + 1
+    except IndexError as err:
+        raise DataError("n-gram table ends inside an entry") from err
+    except UnicodeDecodeError as err:
+        raise DataError("bad n-gram bytes") from err
+    if pos != len(table):
+        raise DataError("trailing bytes in the n-gram table")
+    return entries
+
+
 class NGramVocab:
     """Ordered n-gram -> index map with per-entry order and corpus count.
 
@@ -113,7 +152,7 @@ class NGramVocab:
     asc); vocabularies reconstructed from files keep their stored order.
     """
 
-    __slots__ = ("entries", "index", "orders", "_fingerprint")
+    __slots__ = ("entries", "index", "orders", "_table", "_fingerprint")
 
     def __init__(self, entries: list[tuple[str, int, int]], orders: Iterable[int] | None = None):
         self.entries = list(entries)
@@ -132,10 +171,26 @@ class NGramVocab:
         if orders is None:
             self.orders = frozenset(entry_orders)
         else:
-            self.orders = frozenset(_check_orders(orders))
+            self.orders = frozenset(check_orders(orders))
             if not entry_orders <= self.orders:
                 raise DataError("vocabulary contains entries outside the declared orders")
+        self._table: bytes | None = None
         self._fingerprint: int | None = None
+
+    @classmethod
+    def from_table(cls, table: bytes, count: int, fingerprint: int) -> NGramVocab:
+        """The vocabulary of `count` entries stored in an n-gram table, counts zero.
+
+        The table's digest must be `fingerprint`; it is checked before any
+        entry is parsed, and kept. Raises DataError otherwise or when the
+        table is malformed.
+        """
+        if table_fingerprint(table) != fingerprint:
+            raise DataError("vocabulary fingerprint mismatch")
+        vocab = cls(_parse_table(table, count))
+        vocab._table = table
+        vocab._fingerprint = fingerprint
+        return vocab
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -155,19 +210,21 @@ class NGramVocab:
         return max(self.orders)
 
     @property
+    def table(self) -> bytes:
+        """The n-gram table of the entries, built once."""
+        if self._table is None:
+            self._table = ngram_table(self.entries)
+        return self._table
+
+    @property
     def fingerprint(self) -> int:
-        """64-bit checksum over (ngram, order) pairs in entry order.
+        """64-bit checksum over (ngram, order) pairs in entry order: the table's digest.
 
         Corpus counts are excluded so that a vocabulary reconstructed from a
         model file (which does not persist counts) fingerprints identically.
         """
         if self._fingerprint is None:
-            parts = []
-            for ngram, order, _ in self.entries:
-                raw = ngram.encode("utf-8")
-                parts += (_LENGTH_BYTES[len(raw)], raw, _ORDER_BYTES[order])
-            digest = hashlib.blake2b(b"".join(parts), digest_size=8).digest()
-            self._fingerprint = int.from_bytes(digest, "little")
+            self._fingerprint = table_fingerprint(self.table)
         return self._fingerprint
 
 
@@ -186,13 +243,13 @@ def build_vocab(
     deterministic. An empty corpus is an error; a policy that filters out
     every n-gram yields an empty vocabulary with a warning.
     """
-    orders = _check_orders(orders)
+    orders = check_orders(orders)
     case_mode = check_case_mode(case_mode)
     counts: Counter = Counter()
     saw_text = False
     for text in corpus:
         saw_text = True
-        counts.update(extract_ngrams(normalize(text, case_mode), orders))
+        counts.update(_windows(normalize(text, case_mode), orders))
     if not saw_text:
         raise DataError("empty corpus")
 

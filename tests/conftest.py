@@ -1,4 +1,5 @@
-"""Shared fixtures plus hand-rolled reference implementations used as oracles.
+"""Shared fixtures, the version-1 model writer, and hand-rolled reference
+implementations used as oracles.
 
 The reference correlation code deliberately avoids scipy: explicit sort-based
 average ranking and the textbook product-moment formula, so the library's
@@ -6,11 +7,14 @@ results can be checked against an independent route.
 """
 
 import math
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from charngram import MinCount, Model, NGramVocab, TrainConfig, build_vocab, init_model
+from charngram.model import verify_binding
 
 # Filled by the acceptance suite; echoed after the run so the per-criterion
 # verdict lines are visible even when pytest captures test output.
@@ -43,6 +47,38 @@ def random_model(rng: np.random.Generator, vocab: NGramVocab, dim: int,
         activation=activation,
         vocab_fingerprint=vocab.fingerprint,
     )
+
+
+V1_HEADER = struct.Struct("<4sIIB3xQQ")  # magic, version, d, activation, fingerprint, |V|
+V1_RECORD_HEAD = struct.Struct("<BH")  # order, utf-8 byte length
+
+
+def save_v1(model: Model, vocab: NGramVocab, path) -> None:
+    """The version-1 writer, with a plain write for the atomic one.
+
+    A header, the float32 bias, then per n-gram its order, UTF-8 length,
+    UTF-8 bytes and float32 row.
+    """
+    verify_binding(model, vocab)
+    code = {"linear": 0, "tanh": 1}[model.activation]
+    chunks = [
+        V1_HEADER.pack(
+            b"CHRG",
+            1,
+            model.dim,
+            code,
+            model.vocab_fingerprint,
+            len(vocab),
+        ),
+        model.bias.astype("<f4").tobytes(),
+    ]
+    rows = model.weights.astype("<f4")
+    for pos, (ngram, order, _) in enumerate(vocab.entries):
+        raw = ngram.encode("utf-8")
+        chunks.append(V1_RECORD_HEAD.pack(order, len(raw)))
+        chunks.append(raw)
+        chunks.append(rows[pos].tobytes())
+    Path(path).write_bytes(b"".join(chunks))
 
 
 def average_ranks(values) -> list:

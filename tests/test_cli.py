@@ -12,6 +12,8 @@ import charngram
 from charngram import load_model, load_vocab
 from charngram.cli import main
 
+from conftest import save_v1
+
 PAIRS = """\
 the cat sat\ta cat sat down
 dogs run fast\tthe dog runs
@@ -444,12 +446,103 @@ def test_build_vocab_keeping_nothing_exits_2_and_writes_nothing(ws, tmp_path, ca
     assert not out.exists() and list(tmp_path.iterdir()) == []
 
 
-def test_python_dash_m_runs_the_command_line():
+def _help_of_module(module: str) -> subprocess.CompletedProcess:
+    """`python -m MODULE --help` in a subprocess that imports this package."""
     src = str(Path(charngram.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "charngram", "--help"],
+    return subprocess.run(
+        [sys.executable, "-m", module, "--help"],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def test_python_dash_m_runs_the_command_line():
+    proc = _help_of_module("charngram")
     assert proc.returncode == 0, proc.stderr
     assert "build-vocab" in proc.stdout
+
+
+def test_python_dash_m_charngram_cli_runs_the_command_line():
+    proc = _help_of_module("charngram.cli")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: charngram")
+    assert "build-vocab" in proc.stdout
+
+
+@pytest.mark.parametrize("key, value", [("orders", "x"), ("orders", "0"), ("policy", "bogus")])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_bad_orders_or_policy_exits_1_before_reading_pairs(
+    ws, tmp_path, capsys, key, value, source
+):
+    # a pairs file that would be a data error (exit 2) if it were read
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("no tab here\n")
+    out = tmp_path / "m.bin"
+    args = ["train", "--pairs", str(pairs), "--out", str(out), "--dim", "4"]
+    if source == "flag":
+        args += [f"--{key}", value]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}={value}\n")
+        args += ["--config", str(cfg)]
+    rc = main(args)
+    stdout, err = capsys.readouterr()
+    assert rc == 1, err
+    assert err.splitlines()[-1].startswith("error: ")
+    assert "Traceback" not in err and stdout == "" and not out.exists()
+
+
+@pytest.fixture(scope="module")
+def preserve_model(ws):
+    """A model trained with --case preserve, which it records."""
+    path = ws / "preserve.bin"
+    assert main([
+        "train", "--pairs", str(ws / "pairs.tsv"), "--out", str(path), "--orders", "2,3",
+        "--dim", "6", "--batch", "4", "--epochs", "1", "--seed", "2", "--case", "preserve",
+    ]) == 0
+    return path
+
+
+def _embed(capsys, model, *flags, texts=("The CAT sat", "a Dog")):
+    rc = main(["embed", "--model", str(model), *flags, *texts])
+    out, err = capsys.readouterr()
+    assert rc == 0, err
+    return out
+
+
+def test_commands_use_the_recorded_case_mode(preserve_model, capsys):
+    assert load_model(preserve_model)[0].case_mode == "preserve"
+    capsys.readouterr()
+    recorded = _embed(capsys, preserve_model)
+    assert recorded == _embed(capsys, preserve_model, "--case", "preserve")
+    # what --case lower would compute: the same texts lowercased by hand, preserved
+    lowered = _embed(capsys, preserve_model, "--case", "preserve", texts=("the cat sat", "a dog"))
+    assert recorded != lowered
+
+
+@pytest.mark.parametrize("command", [
+    ["embed", "text"],
+    ["eval", "word", "--dataset", "word.tsv"],
+    ["nn", "--wordlist", "words.txt", "cat"],
+    ["audit-grad", "--pairs", "pairs.tsv"],
+])
+def test_case_flag_disagreeing_with_the_model_exits_1(ws, preserve_model, capsys, command):
+    args = [str(ws / a) if a.endswith((".tsv", ".txt")) else a for a in command]
+    rc = main([*args, "--model", str(preserve_model), "--case", "lower"])
+    stdout, err = capsys.readouterr()
+    assert rc == 1
+    assert err.splitlines()[-1] == (
+        f"error: --case lower disagrees with the case mode 'preserve' recorded in {preserve_model}"
+    )
+    assert stdout == ""
+
+
+def test_version_1_model_takes_the_case_flag(ws, preserve_model, tmp_path, capsys):
+    old = tmp_path / "v1.bin"
+    model, vocab = load_model(preserve_model)
+    save_v1(model, vocab, old)
+    assert load_model(old)[0].case_mode is None
+    capsys.readouterr()
+    assert _embed(capsys, old, "--case", "preserve") == _embed(capsys, preserve_model)
+    assert _embed(capsys, old) == _embed(capsys, old, "--case", "lower")
+    assert _embed(capsys, old) != _embed(capsys, old, "--case", "preserve")

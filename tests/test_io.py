@@ -1,3 +1,4 @@
+import os
 import struct
 
 import numpy as np
@@ -25,9 +26,10 @@ from charngram import (
     save_model,
     save_vocab,
 )
+from charngram import io as charngram_io
 from charngram.io import escape_ngram, unescape_ngram
 
-from conftest import random_model
+from conftest import random_model, save_v1
 
 
 # --- n-gram field escaping ---------------------------------------------------
@@ -145,11 +147,15 @@ def test_save_rejects_unbound_model(tmp_path, vocab):
 
 
 @pytest.fixture
-def model_bytes(tmp_path, vocab):
+def model_files(tmp_path, vocab) -> dict[int, bytes]:
+    """The bytes of one model as written in each format version."""
     model = random_model(np.random.default_rng(3), vocab, dim=4)
-    path = tmp_path / "good.bin"
-    save_model(model, vocab, path)
-    return path.read_bytes()
+    out = {}
+    for version, write in ((1, save_v1), (2, save_model)):
+        path = tmp_path / f"good{version}.bin"
+        write(model, vocab, path)
+        out[version] = path.read_bytes()
+    return out
 
 
 def _expect_corrupt(tmp_path, payload, match):
@@ -159,75 +165,102 @@ def _expect_corrupt(tmp_path, payload, match):
         load_model(path)
 
 
-def test_wrong_magic(tmp_path, model_bytes):
-    _expect_corrupt(tmp_path, b"XXXX" + model_bytes[4:], "not a model file")
+def _data_offset(payload: bytes) -> int:
+    """Where a version-2 file's bias starts."""
+    table_len = struct.unpack_from("<Q", payload, 40)[0]
+    return -(-(48 + table_len) // 64) * 64
 
 
-def test_unsupported_version(tmp_path, model_bytes):
-    tampered = model_bytes[:4] + struct.pack("<I", 9) + model_bytes[8:]
-    _expect_corrupt(tmp_path, tampered, "unsupported version 9")
+def test_wrong_magic(tmp_path, model_files):
+    for model_bytes in model_files.values():
+        _expect_corrupt(tmp_path, b"XXXX" + model_bytes[4:], "not a model file")
 
 
-def test_truncated_file(tmp_path, model_bytes):
-    _expect_corrupt(
-        tmp_path, model_bytes[: len(model_bytes) // 2], r"corrupt model file \(expected"
-    )
+def test_unsupported_version(tmp_path, model_files):
+    for model_bytes in model_files.values():
+        tampered = model_bytes[:4] + struct.pack("<I", 9) + model_bytes[8:]
+        _expect_corrupt(tmp_path, tampered, "unsupported version 9")
 
 
-def _oversized_header() -> bytes:
-    """40 bytes: a tanh header declaring |V| = 2**40 rows of dimension 2, then a bias."""
-    return struct.pack("<4sIIB3xQQ", b"CHRG", 1, 2, 1, 0, 2**40) + b"\x00" * 8
+def test_truncated_file(tmp_path, model_files):
+    for model_bytes in model_files.values():
+        _expect_corrupt(
+            tmp_path, model_bytes[: len(model_bytes) // 2], r"corrupt model file \(expected"
+        )
+
+
+def _oversized_header(version: int) -> bytes:
+    """A tanh header declaring |V| = 2**40 rows of dimension 2, then a bias."""
+    head = struct.pack("<4sIIB3xQQ", b"CHRG", version, 2, 1, 0, 2**40)
+    if version == 2:  # case mode lower, reserved bytes, an empty table, padding
+        head += struct.pack("<B7xQ", 1, 0) + b"\x00" * 16
+    return head + b"\x00" * 8
 
 
 def test_oversized_header(tmp_path):
     # sizes are checked against the file length before any array is allocated
-    _expect_corrupt(tmp_path, _oversized_header(), r"corrupt model file \(expected at least")
-
-
-def test_trailing_garbage(tmp_path, model_bytes):
-    _expect_corrupt(tmp_path, model_bytes + b"\x00", r"\(trailing data\)")
-
-
-def test_unknown_activation_code(tmp_path, model_bytes):
-    for code in (2, 7):  # 2 was relu, which no model can use any more
-        tampered = model_bytes[:12] + bytes([code]) + model_bytes[13:]
-        _expect_corrupt(tmp_path, tampered, rf"unknown activation code {code}")
-
-
-def test_fingerprint_mismatch(tmp_path, model_bytes):
-    stored = struct.unpack_from("<Q", model_bytes, 16)[0]
-    tampered = (
-        model_bytes[:16] + struct.pack("<Q", stored ^ 0xDEADBEEF) + model_bytes[24:]
+    _expect_corrupt(tmp_path, _oversized_header(1), r"corrupt model file \(expected at least")
+    size = 64 + 4 * 2 * (2**40 + 1)
+    _expect_corrupt(
+        tmp_path, _oversized_header(2), rf"corrupt model file \(expected {size} bytes\)"
     )
-    _expect_corrupt(tmp_path, tampered, "vocabulary fingerprint mismatch")
 
 
-def test_corrupt_messages_are_distinct(tmp_path, model_bytes):
-    payloads = {
-        "magic": b"ZZZZ" + model_bytes[4:],
-        "version": model_bytes[:4] + struct.pack("<I", 3) + model_bytes[8:],
-        "short": model_bytes[:40],
-    }
-    messages = {}
-    for name, payload in payloads.items():
-        path = tmp_path / f"{name}.bin"
-        path.write_bytes(payload)
-        with pytest.raises(ModelFormatError) as err:
-            load_model(path)
-        messages[name] = str(err.value).split(": ", 1)[1]
-    assert len(set(messages.values())) == 3
+def test_trailing_garbage(tmp_path, model_files):
+    for model_bytes in model_files.values():
+        _expect_corrupt(tmp_path, model_bytes + b"\x00", r"\(trailing data\)")
+
+
+def test_unknown_activation_code(tmp_path, model_files):
+    for model_bytes in model_files.values():
+        for code in (2, 7):  # 2 was relu, which no model can use any more
+            tampered = model_bytes[:12] + bytes([code]) + model_bytes[13:]
+            _expect_corrupt(tmp_path, tampered, rf"unknown activation code {code}")
+
+
+def test_fingerprint_mismatch(tmp_path, model_files):
+    for model_bytes in model_files.values():
+        stored = struct.unpack_from("<Q", model_bytes, 16)[0]
+        tampered = (
+            model_bytes[:16] + struct.pack("<Q", stored ^ 0xDEADBEEF) + model_bytes[24:]
+        )
+        _expect_corrupt(tmp_path, tampered, "vocabulary fingerprint mismatch")
+
+
+def test_corrupt_messages_are_distinct(tmp_path, model_files):
+    for model_bytes in model_files.values():
+        payloads = {
+            "magic": b"ZZZZ" + model_bytes[4:],
+            "version": model_bytes[:4] + struct.pack("<I", 3) + model_bytes[8:],
+            "short": model_bytes[:40],
+        }
+        messages = {}
+        for name, payload in payloads.items():
+            path = tmp_path / f"{name}.bin"
+            path.write_bytes(payload)
+            with pytest.raises(ModelFormatError) as err:
+                load_model(path)
+            messages[name] = str(err.value).split(": ", 1)[1]
+        assert len(set(messages.values())) == 3
 
 
 def _checked_offsets(payload: bytes) -> set[int]:
     """Offsets of the bytes a loader can always validate.
 
-    That is the header except its padding and its activation code (which has
-    two valid values), and each record's head and n-gram bytes. The rest are
-    float32 parameters, which may hold any bits.
+    That is the header except its padding and the codes with more than one
+    valid value: the activation code, and in version 2 the case mode. In
+    version 1 it is then each record's head and n-gram bytes; in version 2
+    the n-gram table, hashed into the fingerprint, and the zero padding after
+    it. The rest are float32 parameters, which may hold any bits.
     """
+    version = struct.unpack_from("<I", payload, 4)[0]
     dim = struct.unpack_from("<I", payload, 8)[0]
     vocab_size = struct.unpack_from("<Q", payload, 24)[0]
     offsets = {*range(0, 12), *range(16, 32)}
+    if version == 2:
+        offsets.update(range(33, _data_offset(payload)))
+        assert _data_offset(payload) + 4 * dim * (vocab_size + 1) == len(payload)
+        return offsets
     pos = 32 + 4 * dim
     for _ in range(vocab_size):
         byte_len = struct.unpack_from("<H", payload, pos + 1)[0]
@@ -237,26 +270,33 @@ def _checked_offsets(payload: bytes) -> set[int]:
     return offsets
 
 
-# (offset, struct format) of the header's version, d, activation code, fingerprint and |V|
-_HEADER_FIELDS = [(4, "<I"), (8, "<I"), (12, "<B"), (16, "<Q"), (24, "<Q")]
+# (offset, struct format, the other values that still load) of the header's
+# version, d, activation code, fingerprint and |V|; version 2 adds its case
+# mode and table length
+_HEADER_FIELDS = {
+    1: [(4, "<I", ()), (8, "<I", ()), (12, "<B", (0, 1)), (16, "<Q", ()), (24, "<Q", ())],
+}
+_HEADER_FIELDS[2] = _HEADER_FIELDS[1] + [(32, "<B", (0, 1, 2)), (40, "<Q", ())]
 
 
-@settings(max_examples=300, deadline=None,
+@settings(max_examples=600, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
-def test_mutated_model_files_fail_only_with_model_format_error(tmp_path, model_bytes, data):
+def test_mutated_model_files_fail_only_with_model_format_error(tmp_path, model_files, data):
+    version = data.draw(st.sampled_from(sorted(model_files)))
+    model_bytes = model_files[version]
     payload = bytearray(model_bytes)
     kind = data.draw(st.sampled_from(["truncate", "header", "flip"]))
     if kind == "truncate":
         del payload[data.draw(st.integers(0, len(payload) - 1)):]
         must_fail = True
     elif kind == "header":
-        offset, fmt = data.draw(st.sampled_from(_HEADER_FIELDS))
+        offset, fmt, loadable = data.draw(st.sampled_from(_HEADER_FIELDS[version]))
         old = struct.unpack_from(fmt, payload, offset)[0]
         top = 2 ** (8 * struct.calcsize(fmt)) - 1
         value = data.draw(st.integers(0, top).filter(lambda v: v != old))
         struct.pack_into(fmt, payload, offset, value)
-        must_fail = fmt != "<B" or value not in (0, 1)  # 0 and 1 are linear and tanh
+        must_fail = value not in loadable
     else:
         pos = data.draw(st.integers(0, len(payload) - 1))
         payload[pos] ^= data.draw(st.integers(1, 255))
@@ -267,7 +307,115 @@ def test_mutated_model_files_fail_only_with_model_format_error(tmp_path, model_b
         load_model(path)
     except ModelFormatError:
         return
-    assert not must_fail, f"{kind} mutation loaded without an error"
+    assert not must_fail, f"{kind} mutation of a version-{version} file loaded without an error"
+
+
+# --- format version 2 --------------------------------------------------------
+
+
+def _assert_same_load(got, want):
+    (model, vocab), (want_model, want_vocab) = got, want
+    assert model.weights.tobytes() == want_model.weights.tobytes()
+    assert model.bias.tobytes() == want_model.bias.tobytes()
+    assert model.weights.shape == want_model.weights.shape
+    assert model.activation == want_model.activation
+    assert model.vocab_fingerprint == want_model.vocab_fingerprint
+    assert vocab.entries == want_vocab.entries
+    assert vocab.fingerprint == want_vocab.fingerprint
+
+
+@pytest.mark.parametrize("block_values", [17, 10, 5])
+def test_v2_round_trip_across_blocks(tmp_path, vocab, monkeypatch, block_values):
+    # d = 5: blocks of 3 rows (17 values), 2 rows or 1 row, so the matrix
+    # spans many blocks and, with 3-row blocks, ends in a partial one
+    model = random_model(np.random.default_rng(4), vocab, dim=5)
+    whole = tmp_path / "whole.bin"
+    save_model(model, vocab, whole)
+    monkeypatch.setattr(charngram_io, "_BLOCK_VALUES", block_values)
+    blocked = tmp_path / "blocked.bin"
+    save_model(model, vocab, blocked)
+    assert blocked.read_bytes() == whole.read_bytes()
+    assert len(vocab) % 3 != 0 and len(vocab) > 10
+    loaded, loaded_vocab = load_model(blocked)
+    np.testing.assert_array_equal(loaded.weights, model.weights.astype("<f4").astype(np.float64))
+    np.testing.assert_array_equal(loaded.bias, model.bias.astype("<f4").astype(np.float64))
+    monkeypatch.undo()
+    _assert_same_load((loaded, loaded_vocab), load_model(whole))
+
+
+@pytest.mark.parametrize("case_mode, code", [(None, 0), ("lower", 1), ("preserve", 2)])
+def test_v2_records_the_case_mode(tmp_path, vocab, case_mode, code):
+    model = random_model(np.random.default_rng(5), vocab, dim=3)
+    model.case_mode = case_mode
+    path = tmp_path / "m.bin"
+    save_model(model, vocab, path)
+    assert path.read_bytes()[32] == code
+    assert load_model(path)[0].case_mode == case_mode
+
+
+def test_v2_rejects_unknown_codes_and_non_zero_spare_bytes(tmp_path, model_files):
+    model_bytes = model_files[2]
+    _expect_corrupt(
+        tmp_path, model_bytes[:32] + b"\x03" + model_bytes[33:], "unknown case mode code 3"
+    )
+    for pos in range(33, 40):
+        tampered = bytearray(model_bytes)
+        tampered[pos] = 1
+        _expect_corrupt(tmp_path, bytes(tampered), r"\(non-zero reserved bytes\)")
+    table_end = 48 + struct.unpack_from("<Q", model_bytes, 40)[0]
+    assert _data_offset(model_bytes) > table_end  # this vocabulary leaves padding
+    for pos in range(table_end, _data_offset(model_bytes)):
+        tampered = bytearray(model_bytes)
+        tampered[pos] = 0x80
+        _expect_corrupt(tmp_path, bytes(tampered), r"\(non-zero padding\)")
+
+
+def test_v2_file_that_shrinks_while_loading_is_a_short_read(tmp_path, model_files, monkeypatch):
+    model_bytes = model_files[2]
+    real_fstat = os.fstat
+    for cut in (60, _data_offset(model_bytes) + 8, len(model_bytes) - 1):
+        path = tmp_path / "shrinking.bin"
+        path.write_bytes(model_bytes[:cut])
+        # the size check sees the full file; the reads that follow do not
+        monkeypatch.setattr(
+            charngram_io.os, "fstat",
+            lambda fd: os.stat_result((0,) * 6 + (len(model_bytes),) + (0,) * 3),
+        )
+        with pytest.raises(ModelFormatError, match=r"\(short read\)"):
+            load_model(path)
+        monkeypatch.setattr(charngram_io.os, "fstat", real_fstat)
+
+
+def test_v2_loaded_arrays_are_writeable(tmp_path, vocab):
+    path = tmp_path / "m.bin"
+    save_model(random_model(np.random.default_rng(6), vocab, dim=4), vocab, path)
+    model, _ = load_model(path)
+    assert model.weights.flags.writeable and model.bias.flags.writeable
+    model.weights[0, 0] = 1.5
+    model.bias[:] = 0.0
+    assert model.weights[0, 0] == 1.5
+
+
+def test_v1_file_resaved_as_v2_loads_bit_equal(tmp_path, vocab):
+    model = random_model(np.random.default_rng(7), vocab, dim=6, activation="linear")
+    old = tmp_path / "old.bin"
+    save_v1(model, vocab, old)
+    from_v1 = load_model(old)
+    assert from_v1[0].case_mode is None
+    new = tmp_path / "new.bin"
+    save_model(*from_v1, new)
+    assert struct.unpack_from("<I", new.read_bytes(), 4)[0] == 2
+    from_v2 = load_model(new)
+    _assert_same_load(from_v2, from_v1)
+    assert from_v2[0].case_mode is None
+
+
+def test_v2_loaded_fingerprint_is_the_entries_fingerprint(tmp_path, vocab):
+    path = tmp_path / "m.bin"
+    save_model(random_model(np.random.default_rng(8), vocab, dim=2), vocab, path)
+    _, loaded_vocab = load_model(path)
+    assert loaded_vocab.fingerprint == NGramVocab(loaded_vocab.entries).fingerprint
+    assert loaded_vocab.fingerprint == vocab.fingerprint
 
 
 def test_model_missing_file(tmp_path):

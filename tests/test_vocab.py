@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 from collections import Counter
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from charngram import DataError, MinCount, NGramVocab, TopKPerOrder, build_vocab, encode
-from charngram.vocab import extract_ngrams, normalize
+from charngram.vocab import extract_ngrams, ngram_table, normalize, table_fingerprint
 
 texts = st.text(
     alphabet=st.characters(codec="utf-8", exclude_categories=("Cs",)), max_size=40
@@ -71,6 +72,42 @@ def test_extract_count_sum(text, n):
     seq = normalize(text)
     total = sum(extract_ngrams(seq, {n}).values())
     assert total == max(0, len(seq) - n + 1)
+
+
+def _extract_ref(seq, orders):
+    """One increment per window, order by order: the per-character reference."""
+    counts = Counter()
+    for n in sorted(set(orders)):
+        for i in range(len(seq) - n + 1):
+            counts[seq[i : i + n]] += 1
+    return counts
+
+
+@given(texts, st.sets(st.integers(min_value=1, max_value=6), min_size=1))
+def test_extract_equals_the_per_window_reference(text, orders):
+    seq = normalize(text, "preserve")
+    got = extract_ngrams(seq, orders)
+    want = _extract_ref(seq, orders)
+    assert got == want
+    assert list(got) == list(want)  # first-seen order too
+
+
+@given(
+    st.lists(texts, min_size=1, max_size=8),
+    st.sampled_from([MinCount(1), MinCount(2), TopKPerOrder(3)]),
+)
+def test_build_vocab_equals_merging_per_text_counts(corpus, policy):
+    orders = (1, 2, 3)
+    counts = Counter()
+    for text in corpus:
+        counts.update(_extract_ref(normalize(text), orders))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a policy may keep nothing
+        vocab = build_vocab(corpus, orders, policy)
+    assert all(counts[ngram] == count for ngram, _, count in vocab.entries)
+    if isinstance(policy, MinCount):
+        kept = {ngram for ngram, count in counts.items() if count >= policy.min_count}
+        assert {e[0] for e in vocab.entries} == kept
 
 
 def test_build_vocab_mincount():
@@ -150,6 +187,46 @@ def test_fingerprint_sensitive_to_order_and_content():
     changed = NGramVocab([("ab", 2, 1), ("ce", 2, 1)])
     assert base.fingerprint != swapped.fingerprint
     assert base.fingerprint != changed.fingerprint
+
+
+def test_fingerprint_is_the_blake2b_digest_of_the_table():
+    vocab = NGramVocab([("ab", 2, 5), (" é", 2, 1), ("x", 1, 0)])
+    table = b"\x02\x00ab\x02" + b"\x03\x00 \xc3\xa9\x02" + b"\x01\x00x\x01"
+    assert vocab.table == ngram_table(vocab.entries) == table
+    digest = hashlib.blake2b(table, digest_size=8).digest()
+    assert vocab.fingerprint == int.from_bytes(digest, "little")
+
+
+def test_from_table_round_trip_keeps_the_digest(small_vocab):
+    table = small_vocab.table
+    vocab = NGramVocab.from_table(table, len(small_vocab), small_vocab.fingerprint)
+    assert [e[:2] for e in vocab.entries] == [e[:2] for e in small_vocab.entries]
+    assert all(count == 0 for _, _, count in vocab.entries)
+    assert vocab.table is table
+    assert vocab.fingerprint == NGramVocab(vocab.entries).fingerprint
+
+
+@pytest.mark.parametrize(
+    "table, count, match",
+    [
+        (b"\x02\x00ab\x02", 2, "ends inside an entry"),
+        (b"\x02\x00ab", 1, "ends inside an entry"),
+        (b"\x05\x00ab\x02", 1, "ends inside an entry"),
+        (b"\x02", 1, "ends inside an entry"),
+        (b"\x02\x00ab\x02\x00", 1, "trailing bytes"),
+        (b"\x02\x00\xff\xfe\x02", 1, "bad n-gram bytes"),
+        (b"\x02\x00ab\x03", 1, "does not match order"),
+        (b"\x02\x00ab\x02\x02\x00ab\x02", 2, "duplicate"),
+    ],
+)
+def test_from_table_rejects_malformed_tables(table, count, match):
+    with pytest.raises(DataError, match=match):
+        NGramVocab.from_table(table, count, table_fingerprint(table))
+
+
+def test_from_table_checks_the_digest_first():
+    with pytest.raises(DataError, match="fingerprint mismatch"):
+        NGramVocab.from_table(b"\x02", 1, 0)
 
 
 def test_encode_examples():
