@@ -58,7 +58,6 @@ from .train import (
     PairDataset,
     TrainConfig,
     TrainingCurve,
-    batch_step,
     epoch_permutation,
     finite_diff_audit,
     init_model,
@@ -98,7 +97,6 @@ __all__ = [
     "TrainingCurve",
     "WorkingVocab",
     "apply_activation",
-    "batch_step",
     "binned_eval",
     "build_vocab",
     "build_working_vocab",

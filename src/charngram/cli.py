@@ -20,6 +20,7 @@ from .errors import DataError, NumericalError
 from .evaluate import binned_eval, eval_sts, eval_word_sim
 from .io import (
     RunConfig,
+    config_key,
     escape_ngram,
     load_groups,
     load_model,
@@ -37,7 +38,11 @@ from .io import (
 from .model import count_matrix, embed_matrix, row_cosines
 from .neighbors import build_working_vocab, nearest_neighbors, ngram_neighbors
 from .train import TrainConfig, finite_diff_audit, train
-from .vocab import MinCount, TopKPerOrder, build_vocab, check_orders, encode, normalize
+from .vocab import CASE_MODES, MinCount, TopKPerOrder, build_vocab, check_orders, encode, normalize
+
+
+# the training settings, by RunConfig field name
+_KNOBS = {f.name: f for f in fields(RunConfig)}
 
 
 class UsageError(Exception):
@@ -110,7 +115,7 @@ def _cmd_build_vocab(args) -> int:
 def _cmd_train(args) -> int:
     cfg = load_run_config(args.config) if args.config else RunConfig()
     # every RunConfig field has a same-named train flag that overrides it when given
-    for name in (f.name for f in fields(RunConfig)):
+    for name in _KNOBS:
         value = getattr(args, name)
         if value is not None:
             setattr(cfg, name, value)
@@ -245,6 +250,8 @@ def _cmd_nn_ngram(args) -> int:
 
 
 def _cmd_audit_grad(args) -> int:
+    if args.batch < 2:
+        raise UsageError(f"--batch must be at least 2, got {args.batch}")
     model, vocab, case = _load_model(args)
     pairs = load_pairs(args.pairs)
     batch = pairs.pairs[: args.batch]
@@ -266,54 +273,47 @@ def _cmd_audit_grad(args) -> int:
     return 0
 
 
+def _add_knob(parser, knob, **overrides) -> None:
+    """Add the flag a RunConfig field declares; `train` reads its default None as not given."""
+    meta = knob.metadata
+    kwargs = {"dest": knob.name, "default": None, "help": meta["help"], **overrides}
+    if isinstance(knob.default, bool):
+        kwargs["action"] = argparse.BooleanOptionalAction
+    else:
+        kwargs.update(type=meta["parse"], choices=meta["choices"])
+    parser.add_argument("--" + config_key(knob).replace("_", "-"), **kwargs)
+
+
 def _add_case(parser) -> None:
     """--case for a command that reads a model: the model's recorded mode is the default."""
     parser.add_argument(
-        "--case", choices=("lower", "preserve"), default=None,
+        "--case", choices=CASE_MODES, default=None,
         help="text case handling (default: the mode the model records, else lower)",
     )
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="charngram", description=__doc__)
+    defaults = RunConfig()
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     p = sub.add_parser("build-vocab", help="count n-grams over pair text and write a vocabulary")
     p.add_argument("--input", required=True, help="training pairs file (both sides are counted)")
-    p.add_argument("--orders", type=_arg_type(parse_orders), default=(2, 3, 4),
-                   help="comma-separated n-gram orders (default: 2,3,4)")
-    p.add_argument("--policy", type=_arg_type(parse_policy), default=MinCount(1),
-                   help="mincount:C or topk:K (default: mincount:1)")
-    p.add_argument("--case", choices=("lower", "preserve"), default="lower",
-                   help="text case handling (default: lower)")
+    # argparse parses a string default as if it were given
+    p.add_argument("--orders", type=_arg_type(parse_orders), default=defaults.orders,
+                   help=f"comma-separated n-gram orders (default: {defaults.orders})")
+    p.add_argument("--policy", type=_arg_type(parse_policy), default=defaults.policy,
+                   help=f"mincount:C or topk:K (default: {defaults.policy})")
+    p.add_argument("--case", choices=CASE_MODES, default=defaults.case,
+                   help=f"text case handling (default: {defaults.case})")
     p.add_argument("--out", required=True, help="output vocabulary TSV")
     p.set_defaults(func=_cmd_build_vocab)
 
     p = sub.add_parser("train", help="train a model on paraphrase pairs")
     p.add_argument("--config", help="key=value file; explicit flags override it")
-    p.add_argument("--pairs")
-    p.add_argument("--vocab", help="vocabulary TSV; omitted = build from the pairs")
-    p.add_argument("--out", help="output model file")
-    p.add_argument("--eval-pairs", dest="eval_pairs", help="dev pairs scored during training")
-    p.add_argument("--curve", help="write the training curve TSV here")
-    p.add_argument("--dim", type=int)
-    p.add_argument("--activation", choices=("linear", "tanh"))
-    p.add_argument("--margin", type=float)
-    p.add_argument("--lambda", dest="reg_lambda", type=float, help="L2 coefficient")
-    p.add_argument("--lr", type=float, help="Adam learning rate")
-    p.add_argument("--batch", type=int)
-    p.add_argument("--sampling", choices=("max", "mix"))
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--curriculum", action=argparse.BooleanOptionalAction, default=None,
-                   help="keep file order (descending confidence) for epoch 1")
-    p.add_argument("--eval-every", dest="eval_every", type=float,
-                   help="curve point interval as a fraction of an epoch")
-    p.add_argument("--pool", choices=("same-side", "both-sides"),
-                   help="negative candidate pool")
-    p.add_argument("--orders", help="used only when --vocab is omitted")
-    p.add_argument("--policy", help="used only when --vocab is omitted")
-    p.add_argument("--case", choices=("lower", "preserve"), default=None)
+    # --case comes last, as in every other command
+    for knob in sorted(_KNOBS.values(), key=lambda f: f.name == "case"):
+        _add_knob(p, knob)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="score a model on similarity datasets")
@@ -370,10 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--pairs", required=True)
     p.add_argument("--batch", type=int, default=5, help="pairs taken from the top of the file")
-    p.add_argument("--margin", type=float, default=0.4)
-    p.add_argument("--lambda", dest="reg_lambda", type=float, default=0.0)
-    p.add_argument("--sampling", choices=("max", "mix"), default="max")
-    p.add_argument("--seed", type=int, default=0)
+    for name in ("margin", "reg_lambda", "sampling", "seed"):
+        _add_knob(p, _KNOBS[name], default=getattr(defaults, name), help=None)
     p.add_argument("--step", type=float, default=1e-5)
     _add_case(p)
     p.set_defaults(func=_cmd_audit_grad)

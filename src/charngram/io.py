@@ -17,7 +17,7 @@ import contextlib
 import os
 import struct
 import tempfile
-from dataclasses import dataclass, fields
+from dataclasses import Field, dataclass, field, fields
 from pathlib import Path
 from typing import BinaryIO, Callable
 
@@ -25,9 +25,9 @@ import numpy as np
 
 from .errors import DataError, ModelFormatError
 from .evaluate import ReferenceVocab, SimDataset
-from .model import Model, verify_binding
-from .train import PairDataset, TrainConfig, TrainingCurve
-from .vocab import NGramVocab
+from .model import ACTIVATIONS, Model, verify_binding
+from .train import NEGATIVE_POOLS, SAMPLING_MODES, PairDataset, TrainConfig, TrainingCurve
+from .vocab import CASE_MODES, NGramVocab
 
 MAGIC = b"CHRG"
 FORMAT_VERSION = 2  # what save_model writes; load_model also reads version 1
@@ -394,53 +394,76 @@ def save_curve(curve: TrainingCurve, path) -> None:
     _atomic_write_bytes(path, payload)
 
 
+def _parse_bool(text: str) -> bool:
+    lowered = text.strip().lower()
+    if lowered in ("true", "1", "yes"):
+        return True
+    if lowered in ("false", "0", "no"):
+        return False
+    raise ValueError(f"bad boolean {text!r}")
+
+
+_TRAIN_DEFAULTS = {f.name: f.default for f in fields(TrainConfig)}
+
+
+def _knob(feeds=None, parse=str, *, default=None, key=None, choices=None, help=None):
+    """Declare a RunConfig field: the one place a training setting is written down.
+
+    `feeds` names the TrainConfig field it sets, whose default it takes; a
+    setting that feeds none gives its own `default`. The config key is the
+    field name unless `key` says otherwise, and the `train` flag is the key
+    with dashes for underscores. `parse` reads a config value or a flag,
+    and `choices` and `help` describe the flag.
+    """
+    if feeds is not None:
+        default = _TRAIN_DEFAULTS[feeds]
+    return field(default=default, metadata={
+        "feeds": feeds, "parse": parse, "key": key, "choices": choices, "help": help,
+    })
+
+
 @dataclass
 class RunConfig:
     """Everything a training run needs, loadable from flat `key=value` text.
 
     CLI flags override file values; the effective configuration is echoed to
-    stderr before work begins.
+    stderr before work begins. Each field's metadata (see `_knob`) is what
+    the config file, the echo, `to_train_config` and the `train` flags read.
     """
 
-    pairs: str | None = None
-    vocab: str | None = None
-    out: str | None = None
-    eval_pairs: str | None = None
-    curve: str | None = None
-    dim: int = 300
-    activation: str = "tanh"
-    margin: float = 0.4
-    reg_lambda: float = 0.0
-    lr: float = 0.001
-    batch: int = 100
-    sampling: str = "max"
-    epochs: int = 1
-    seed: int = 0
-    curriculum: bool = False
-    eval_every: float = 0.25
-    case: str = "lower"
-    pool: str = "same-side"
+    pairs: str | None = _knob()
+    vocab: str | None = _knob(help="vocabulary TSV; omitted = build from the pairs")
+    out: str | None = _knob(help="output model file")
+    eval_pairs: str | None = _knob(help="dev pairs scored during training")
+    curve: str | None = _knob(help="write the training curve TSV here")
+    dim: int = _knob("dim", int)
+    activation: str = _knob("activation", choices=ACTIVATIONS)
+    margin: float = _knob("margin", float)
+    reg_lambda: float = _knob("reg_lambda", float, key="lambda", help="L2 coefficient")
+    lr: float = _knob("learning_rate", float, help="Adam learning rate")
+    batch: int = _knob("batch_size", int)
+    sampling: str = _knob("sampling", choices=SAMPLING_MODES)
+    epochs: int = _knob("epochs", int)
+    seed: int = _knob("seed", int)
+    curriculum: bool = _knob(
+        "curriculum", _parse_bool, help="keep file order (descending confidence) for epoch 1"
+    )
+    eval_every: float = _knob(
+        "eval_every", float, help="curve point interval as a fraction of an epoch"
+    )
+    case: str = _knob("case_mode", choices=CASE_MODES)
+    pool: str = _knob("negative_pool", choices=NEGATIVE_POOLS, help="negative candidate pool")
     # Used only when no vocabulary file is given: the vocabulary is then
     # built from the training pairs themselves.
-    orders: str = "2,3,4"
-    policy: str = "mincount:1"
+    orders: str = _knob(default="2,3,4", help="used only when --vocab is omitted")
+    policy: str = _knob(default="mincount:1", help="used only when --vocab is omitted")
 
     def to_train_config(self) -> TrainConfig:
-        return TrainConfig(
-            dim=self.dim,
-            activation=self.activation,
-            margin=self.margin,
-            reg_lambda=self.reg_lambda,
-            learning_rate=self.lr,
-            batch_size=self.batch,
-            sampling=self.sampling,
-            epochs=self.epochs,
-            seed=self.seed,
-            curriculum=self.curriculum,
-            case_mode=self.case,
-            eval_every=self.eval_every,
-            negative_pool=self.pool,
-        )
+        return TrainConfig(**{
+            f.metadata["feeds"]: getattr(self, f.name)
+            for f in fields(self)
+            if f.metadata["feeds"] is not None
+        })
 
     def to_lines(self) -> list[str]:
         out = []
@@ -448,10 +471,9 @@ class RunConfig:
             value = getattr(self, f.name)
             if value is None:
                 continue
-            key = "lambda" if f.name == "reg_lambda" else f.name
             if isinstance(value, bool):
                 value = "true" if value else "false"
-            out.append(f"{key}={value}")
+            out.append(f"{config_key(f)}={value}")
         return out
 
     def validate_paths(self) -> None:
@@ -466,44 +488,15 @@ class RunConfig:
                 raise DataError(f"output directory does not exist for {key}: {value}")
 
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("true", "1", "yes"):
-        return True
-    if lowered in ("false", "0", "no"):
-        return False
-    raise ValueError(f"bad boolean {text!r}")
-
-
-_CONFIG_PARSERS = {
-    "pairs": str,
-    "vocab": str,
-    "out": str,
-    "eval_pairs": str,
-    "curve": str,
-    "dim": int,
-    "activation": str,
-    "margin": float,
-    "lambda": float,
-    "lr": float,
-    "batch": int,
-    "sampling": str,
-    "epochs": int,
-    "seed": int,
-    "curriculum": _parse_bool,
-    "eval_every": float,
-    "case": str,
-    "pool": str,
-    "orders": str,
-    "policy": str,
-}
-
-_CONFIG_ATTRS = {key: ("reg_lambda" if key == "lambda" else key) for key in _CONFIG_PARSERS}
+def config_key(knob: Field) -> str:
+    """The config-file key of a RunConfig field; its `train` flag is this with dashes."""
+    return knob.metadata["key"] or knob.name
 
 
 def load_run_config(path) -> RunConfig:
     """Parse `key=value` lines; blank lines and #-comments are skipped; unknown keys are rejected."""
     cfg = RunConfig()
+    knobs = {config_key(f): f for f in fields(RunConfig)}
     for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -512,11 +505,11 @@ def load_run_config(path) -> RunConfig:
             raise DataError(f"{path}:{lineno}: expected key=value")
         key, _, raw = stripped.partition("=")
         key = key.strip()
-        if key not in _CONFIG_PARSERS:
+        if key not in knobs:
             raise DataError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
-            value = _CONFIG_PARSERS[key](raw.strip())
+            value = knobs[key].metadata["parse"](raw.strip())
         except ValueError as err:
             raise DataError(f"{path}:{lineno}: bad value for {key}: {err}") from err
-        setattr(cfg, _CONFIG_ATTRS[key], value)
+        setattr(cfg, knobs[key].name, value)
     return cfg

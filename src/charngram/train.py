@@ -383,28 +383,6 @@ def _step(
     return loss
 
 
-def batch_step(
-    batch: Sequence[tuple[str, str]],
-    model: Model,
-    vocab: NGramVocab,
-    config: TrainConfig,
-    adam: AdamState,
-    rng: np.random.Generator,
-) -> float:
-    """Run one optimization step on a batch of raw phrase pairs.
-
-    Encodes and embeds all phrases, selects negatives, accumulates the sparse
-    gradient of the mean pair loss plus lazy L2, and applies one Adam update
-    to the touched parameters. Returns the mean hinge loss (regularizer
-    excluded). Raises NumericalError if any embedding or parameter goes
-    non-finite.
-    """
-    if len(batch) < 2:
-        raise DataError("cannot sample negatives")
-    texts, counts = _encode_pairs(batch, vocab, model, config.case_mode)
-    return _step(texts, counts, model, config, adam, rng)
-
-
 def epoch_permutation(seed: int, epoch: int, n: int, curriculum: bool) -> np.ndarray:
     """Deterministic example order for one epoch, a pure function of (seed, epoch).
 

@@ -1,16 +1,22 @@
+import contextlib
 import io
 import os
+import re
 import struct
 import subprocess
 import sys
+import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import charngram
-from charngram import load_model, load_vocab
+from charngram import RunConfig, load_model, load_vocab
 from charngram.cli import main
+from charngram.io import config_key
 
 from conftest import save_v1
 
@@ -417,6 +423,27 @@ def test_audit_grad_validates_its_settings(ws, capsys, flag, value, message):
     assert "Traceback" not in err and stdout == ""
 
 
+@pytest.mark.parametrize("batch", ["-1", "0", "1"])
+def test_audit_grad_batch_below_2_exits_1_before_reading_pairs(ws, tmp_path, capsys, batch):
+    # a pairs file that would be a data error (exit 2) if it were read
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("no tab here\n")
+    rc = main(["audit-grad", "--model", str(ws / "model.bin"), "--pairs", str(pairs),
+               "--batch", batch])
+    stdout, err = capsys.readouterr()
+    assert rc == 1
+    assert err.splitlines()[-1] == f"error: --batch must be at least 2, got {batch}"
+    assert stdout == ""
+
+
+def test_audit_grad_on_a_single_pair_exits_2(ws, tmp_path, capsys):
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("the cat\ta cat\n")
+    rc = main(["audit-grad", "--model", str(ws / "model.bin"), "--pairs", str(pairs)])
+    assert rc == 2
+    assert "need at least 2 pairs to audit" in capsys.readouterr().err
+
+
 def test_memory_error_exits_1_without_traceback(ws, tmp_path, capsys, monkeypatch):
     def too_big(vocab, config):
         raise MemoryError("Unable to allocate 2.18 PiB for an array")
@@ -546,3 +573,123 @@ def test_version_1_model_takes_the_case_flag(ws, preserve_model, tmp_path, capsy
     assert _embed(capsys, old, "--case", "preserve") == _embed(capsys, preserve_model)
     assert _embed(capsys, old) == _embed(capsys, old, "--case", "lower")
     assert _embed(capsys, old) != _embed(capsys, old, "--case", "preserve")
+
+
+def test_train_help_lists_one_flag_per_config_key(capsys):
+    assert main(["train", "--help"]) == 0
+    options = capsys.readouterr().out.split("options:", 1)[1]
+    listed = re.findall(r"^  (-[\w-]+)", options, re.MULTILINE)
+    keys = [config_key(f) for f in fields(RunConfig)]
+    assert sorted(listed) == sorted(["-h", "--config", *("--" + k.replace("_", "-") for k in keys)])
+
+
+# --- fuzzing the command line -------------------------------------------------
+
+# Values that fail validation, parsing or allocation at once. A huge --epochs
+# would run that long instead, so --epochs never takes 2**63.
+HOSTILE = ("0", "-1", "nan", "inf", str(2**63))
+_NUMERIC = {"--dim", "--batch", "--epochs", "--seed", "--margin", "--lambda", "--lr",
+            "--eval-every", "--k", "--step", "--orders", "--policy", "--scale"}
+_WORDS = st.sampled_from(["cat", "cats", "the dog", "fish swim", "a bird"])
+_FIELD = st.one_of(
+    st.sampled_from(["cat", "the dog", " ", "", "4", "-1", "nan", "\\s"]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
+)
+_COMMANDS = ["train", "build-vocab", "eval word", "eval sts", "eval bins", "embed", "nn",
+             "nn-ngram", "audit-grad"]
+
+
+def _ints(low, high):
+    return st.integers(low, high).map(str)
+
+
+def _floats(low, high):
+    return st.floats(low, high).map(repr)
+
+
+@st.composite
+def _file(draw, *fields):
+    """The bytes of a file of 1 to 8 lines of tab-separated `fields`, often mutated."""
+    lines = draw(st.lists(st.tuples(*fields).map("\t".join), min_size=1, max_size=8))
+    how = draw(st.sampled_from(["as is", "as is", "noisy line", "truncated", "binary"]))
+    if how == "noisy line":
+        noise = "\t".join(draw(st.lists(_FIELD, max_size=4)))
+        lines[draw(st.integers(0, len(lines) - 1))] = noise
+    text = "".join(f"{line}\n" for line in lines).encode("utf-8")
+    if how == "truncated":
+        return text[: draw(st.integers(0, len(text) - 1))]
+    if how == "binary":
+        return draw(st.binary(max_size=24))
+    return text
+
+
+def _fuzz_argv(draw, ws) -> list[str]:
+    """A small, valid command line for a drawn subcommand, its inputs written to ws/fuzz.
+
+    Half the time one numeric value (or the last part of an orders, policy or
+    scale value) is then replaced by a hostile one.
+    """
+    root = ws / "fuzz"
+    (root / "sts").mkdir(parents=True, exist_ok=True)
+    pairs, sims, words = root / "pairs.tsv", root / "sts" / "sims.tsv", root / "words.txt"
+    pairs.write_bytes(draw(_file(_WORDS, _WORDS)))
+    sims.write_bytes(draw(_file(_WORDS, _WORDS, _ints(0, 5))))
+    words.write_bytes(draw(_file(_WORDS)))
+    model = str(ws / "model.bin")
+    command = draw(st.sampled_from(_COMMANDS))
+    argv = command.split()
+    if command == "train":
+        argv += ["--pairs", str(pairs), "--out", str(root / "model.bin"),
+                 "--dim", draw(_ints(1, 16)), "--batch", draw(_ints(2, 8)),
+                 "--epochs", draw(_ints(0, 2)), "--seed", draw(_ints(0, 3)),
+                 "--margin", draw(_floats(0.01, 2)), "--lambda", draw(_floats(0, 0.1)),
+                 "--lr", draw(_floats(1e-4, 1)), "--eval-every", draw(_floats(0, 1)),
+                 "--activation", draw(st.sampled_from(charngram.ACTIVATIONS)),
+                 "--sampling", draw(st.sampled_from(["max", "mix"])),
+                 "--pool", draw(st.sampled_from(["same-side", "both-sides"])),
+                 "--orders", draw(st.sampled_from(["2", "2,3", "1,2,3,4"])),
+                 draw(st.sampled_from(["--curriculum", "--no-curriculum"]))]
+        if draw(st.booleans()):
+            argv += ["--eval-pairs", str(pairs)]
+    elif command == "build-vocab":
+        argv += ["--input", str(pairs), "--out", str(root / "vocab.tsv"),
+                 "--orders", draw(st.sampled_from(["2", "2,3", "1,2,3,4"])),
+                 "--policy", draw(st.sampled_from(["mincount", "topk"])) + ":" + draw(_ints(1, 3))]
+    elif command.startswith("eval"):
+        argv += ["--model", model, "--scale", draw(st.sampled_from(["0:5", "0:10", "-inf:9"]))]
+        if command == "eval word":
+            argv += ["--dataset", str(sims)]
+        else:
+            argv += ["--datasets", str(root / "sts")]
+        if command == "eval bins":
+            argv += ["--by", draw(st.sampled_from(["length", f"oov:{words}", "bogus"]))]
+    elif command == "embed":
+        argv += ["--model", model, *draw(st.lists(_FIELD, min_size=1, max_size=3))]
+    elif command == "nn":
+        argv += ["--model", model, "--wordlist", str(words), "--k", draw(_ints(1, 8)),
+                 draw(_FIELD)]
+    elif command == "nn-ngram":
+        argv += ["--model", model, "--k", draw(_ints(1, 8)), draw(_FIELD)]
+    else:
+        argv += ["--model", model, "--pairs", str(pairs), "--batch", draw(_ints(2, 8)),
+                 "--margin", draw(_floats(0.01, 2)), "--lambda", draw(_floats(0, 0.1)),
+                 "--seed", draw(_ints(0, 3)), "--step", draw(_floats(1e-6, 1e-3))]
+    numeric = [i for i, arg in enumerate(argv) if arg in _NUMERIC]
+    if numeric and draw(st.booleans()):
+        i = draw(st.sampled_from(numeric))
+        hostile = draw(st.sampled_from(HOSTILE[:-1] if argv[i] == "--epochs" else HOSTILE))
+        argv[i + 1] = re.sub(r"[^:,]*$", hostile, argv[i + 1], count=1)
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_command_lines_exit_with_a_documented_code(ws, data):
+    argv = _fuzz_argv(data.draw, ws)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+            warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")
+        rc = main(argv)
+    assert rc in (0, 1, 2, 3), argv
+    assert "Traceback" not in stderr.getvalue()

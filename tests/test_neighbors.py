@@ -14,11 +14,12 @@ from charngram import (
     ngram_neighbors,
     normalize,
 )
-from charngram import AdamState, NGramVocab, TrainConfig, WorkingVocab, batch_step
+from charngram import AdamState, NGramVocab, TrainConfig, WorkingVocab
 from charngram import finite_diff_audit, neighbors
 from charngram import model as model_module
 from charngram.model import COSINE_NORM_FLOOR, Model
 from charngram.neighbors import _NORM_BLOCK_ENTRIES, _guarded_cosines, _rank, _row_norms
+from charngram.train import _encode_pairs, _step
 
 from conftest import random_model
 
@@ -290,7 +291,8 @@ def test_ngram_query_after_a_training_step_sees_the_new_weights(wide_vocab):
     model = init_model(wide_vocab, config)
     before = ngram_neighbors("at ", model, wide_vocab, k=6)
     pairs = [("cat", "cats"), ("dog", "dogs"), ("fish", "deep")]
-    batch_step(pairs, model, wide_vocab, config, AdamState(), np.random.default_rng(0))
+    texts, counts = _encode_pairs(pairs, wide_vocab, model, "lower")
+    _step(texts, counts, model, config, AdamState(), np.random.default_rng(0))
     after = ngram_neighbors("at ", model, wide_vocab, k=6)
     assert _bits(after) == _bits(_ngram_reference("at ", model, wide_vocab, 6))
     assert after != before

@@ -1,7 +1,11 @@
-"""The README's Python API example runs as written."""
+"""The README's Python API example runs as written, and its lists match the code."""
 
 import re
+from dataclasses import fields
 from pathlib import Path
+
+from charngram import RunConfig
+from charngram.io import config_key
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -13,3 +17,8 @@ def test_readme_api_example_runs(capsys):
     cosine_line, shape_line = capsys.readouterr().out.splitlines()
     assert -1.0 <= float(cosine_line) <= 1.0
     assert shape_line == "(2, 50)"
+
+
+def test_readme_config_keys_are_the_run_config_keys():
+    bullet = README.read_text(encoding="utf-8").split("- **Config**:", 1)[1].split("\n- **", 1)[0]
+    assert re.findall(r"`(\w+)`", bullet) == [config_key(f) for f in fields(RunConfig)]

@@ -12,7 +12,6 @@ from charngram import (
     PairDataset,
     TrainConfig,
     TrainingCurve,
-    batch_step,
     build_vocab,
     cosine,
     encode,
@@ -31,6 +30,7 @@ from charngram.train import (
     _encode_pairs,
     _hinge,
     _rng,
+    _step,
 )
 
 from conftest import random_model
@@ -233,7 +233,8 @@ def test_satisfied_margins_leave_parameters_unchanged():
     before_b = model.bias.copy()
     config = TrainConfig(dim=2, activation="linear", batch_size=2, reg_lambda=0.0)
     adam = AdamState()
-    loss = batch_step([("aa", "aa"), ("bb", "bb")], model, vocab, config, adam, _rng(0, 11))
+    texts, counts = _encode_pairs([("aa", "aa"), ("bb", "bb")], vocab, model, "lower")
+    loss = _step(texts, counts, model, config, adam, _rng(0, 11))
     assert loss == 0.0
     assert np.array_equal(model.weights, before_w)
     assert np.array_equal(model.bias, before_b)
@@ -258,7 +259,8 @@ def test_decay_only_step_shrinks_touched_rows():
     vocab, model = _orthogonal_setup()
     config = TrainConfig(dim=2, activation="linear", batch_size=2, reg_lambda=1e-2)
     before = model.weights.copy()
-    batch_step([("aa", "aa"), ("bb", "bb")], model, vocab, config, AdamState(), _rng(0, 12))
+    texts, counts = _encode_pairs([("aa", "aa"), ("bb", "bb")], vocab, model, "lower")
+    _step(texts, counts, model, config, AdamState(), _rng(0, 12))
     moved = np.abs(model.weights) - np.abs(before)
     assert np.all(moved[np.abs(before) > 0.1] < 0)  # big coordinates move toward zero
 
@@ -276,7 +278,7 @@ def test_first_adam_step_is_signed_learning_rate(small_vocab):
 
     before_w = model.weights.copy()
     before_b = model.bias.copy()
-    batch_step(batch, model, small_vocab, config, AdamState(), _rng(0, 13))
+    _step(texts, counts, model, config, AdamState(), _rng(0, 13))
 
     for grad, delta in [
         (grad_bias, model.bias - before_b),
@@ -292,7 +294,8 @@ def test_untouched_rows_bit_unchanged(small_vocab):
     before = model.weights.copy()
     batch = [("the cat", "black cat"), ("dogs bark", "bark loud")]
     adam = AdamState()
-    batch_step(batch, model, small_vocab, config, adam, _rng(3, 14))
+    texts, counts = _encode_pairs(batch, small_vocab, model, "lower")
+    _step(texts, counts, model, config, adam, _rng(3, 14))
 
     touched = set()
     for a, b in batch:
@@ -474,13 +477,6 @@ def test_hinge_gradient_bit_equal_to_scatter_reference(n):
             negatives.append((picks[int(rng.integers(3))], picks[int(rng.integers(3))]))
         _, grad = _hinge(values, negatives, 1.5)
         assert np.array_equal(grad, _hinge_grad_reference(values, negatives, 1.5))
-
-
-def test_batch_step_rejects_singleton():
-    vocab, model = _orthogonal_setup()
-    config = TrainConfig(dim=2, activation="linear", batch_size=2)
-    with pytest.raises(DataError, match="cannot sample negatives"):
-        batch_step([("aa", "bb")], model, vocab, config, AdamState(), _rng(0, 15))
 
 
 # --- config and curve --------------------------------------------------------
