@@ -35,10 +35,10 @@ from .io import (
     save_vocab,
     unescape_ngram,
 )
-from .model import count_matrix, embed_matrix, row_cosines
+from .model import embed_matrix, encode_matrix, row_cosines
 from .neighbors import build_working_vocab, nearest_neighbors, ngram_neighbors
 from .train import TrainConfig, finite_diff_audit, train
-from .vocab import CASE_MODES, MinCount, TopKPerOrder, build_vocab, check_orders, encode, normalize
+from .vocab import CASE_MODES, MinCount, TopKPerOrder, build_vocab, check_orders, normalize
 
 
 # the training settings, by RunConfig field name
@@ -140,10 +140,14 @@ def _cmd_train(args) -> int:
     hook = None
     if cfg.eval_pairs is not None:
         dev = load_pairs(cfg.eval_pairs)
-        dev_cvs = [encode(normalize(t, cfg.case), vocab) for pair in dev.pairs for t in pair]
+        dev_seqs = [normalize(t, cfg.case) for pair in dev.pairs for t in pair]
+        dev_counts = None
 
         def hook(model, examples_seen):
-            values = embed_matrix(count_matrix(dev_cvs, model), model)
+            nonlocal dev_counts
+            if dev_counts is None:  # built once, at the first curve point
+                dev_counts = encode_matrix(dev_seqs, vocab, model)
+            values = embed_matrix(dev_counts, model)
             return {"dev_mean_cosine": float(np.mean(row_cosines(values[0::2], values[1::2])))}
 
     started = time.perf_counter()
@@ -221,7 +225,7 @@ def _cmd_embed(args) -> int:
         texts = args.text
     else:
         raise UsageError("embed requires TEXT arguments or --stdin")
-    counts = count_matrix([encode(normalize(text, case), vocab) for text in texts], model)
+    counts = encode_matrix([normalize(text, case) for text in texts], vocab, model)
     for row in embed_matrix(counts, model):
         print("\t".join(f"{x:.9g}" for x in row))
     return 0

@@ -15,8 +15,8 @@ import numpy as np
 from scipy import stats
 
 from .errors import DataError
-from .model import Model, count_matrix, embed_matrix, row_cosines
-from .vocab import NGramVocab, check_case_mode, encode, normalize
+from .model import Model, embed_matrix, encode_matrix, row_cosines
+from .vocab import NGramVocab, check_case_mode, normalize
 
 # Item: (text1, text2, gold score).
 SimItem = tuple[str, str, float]
@@ -109,8 +109,8 @@ def _pair_scores(
     model: Model, vocab: NGramVocab, items: Sequence[SimItem], case_mode: str
 ) -> np.ndarray:
     case_mode = check_case_mode(case_mode)
-    cvs = [encode(normalize(t, case_mode), vocab) for item in items for t in item[:2]]
-    values = embed_matrix(count_matrix(cvs, model), model)
+    seqs = [normalize(t, case_mode) for item in items for t in item[:2]]
+    values = embed_matrix(encode_matrix(seqs, vocab, model), model)
     return row_cosines(values[0::2], values[1::2])
 
 

@@ -10,14 +10,13 @@ in memory; file persistence quantizes to float32 (see charngram.io).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
 from scipy import sparse
 
 from .errors import DataError
-from .vocab import CountVector, NGramVocab, check_case_mode
+from .vocab import CountVector, NGramVocab, _stack_counts, check_case_mode, encode_batch
 
 ACTIVATIONS = ("linear", "tanh")
 
@@ -166,17 +165,21 @@ def preactivation(cv: CountVector, model: Model) -> np.ndarray:
     return pre
 
 
+def _count_csr(arrays: tuple[np.ndarray, np.ndarray, np.ndarray], model: Model) -> sparse.csr_matrix:
+    indptr, indices, data = arrays
+    _check_rows(indices, model)
+    return sparse.csr_matrix((data, indices, indptr), shape=(len(indptr) - 1, model.vocab_size))
+
+
 def count_matrix(cvs: Sequence[CountVector], model: Model) -> sparse.csr_matrix:
     """Stack count vectors as the rows of a CSR (len(cvs), |V|) matrix."""
-    indptr = np.zeros(len(cvs) + 1, dtype=np.intp)
-    np.cumsum([len(cv) for cv in cvs], out=indptr[1:])
-    nnz = int(indptr[-1])
-    rows = np.fromiter(chain.from_iterable(cvs), dtype=np.intp, count=nnz)
-    _check_rows(rows, model)
-    counts = np.fromiter(
-        chain.from_iterable(cv.values() for cv in cvs), dtype=np.float64, count=nnz
-    )
-    return sparse.csr_matrix((counts, rows, indptr), shape=(len(cvs), model.vocab_size))
+    return _count_csr(_stack_counts(cvs), model)
+
+
+def encode_matrix(seqs: Sequence[str], vocab: NGramVocab, model: Model) -> sparse.csr_matrix:
+    """The count matrix of normalized sequences: `count_matrix` of their `encode`
+    count vectors, with the same arrays, computed by `encode_batch` in one pass."""
+    return _count_csr(encode_batch(seqs, vocab), model)
 
 
 def embed_matrix(counts: sparse.csr_matrix, model: Model) -> np.ndarray:

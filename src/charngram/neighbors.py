@@ -25,9 +25,9 @@ from .model import (  # noqa: F401 (_NORM_BLOCK_ENTRIES is re-exported beside _r
     COSINE_NORM_FLOOR,
     Model,
     _row_norms,
-    count_matrix,
     embed,
     embed_matrix,
+    encode_matrix,
 )
 from .vocab import NGramVocab, check_case_mode, encode, normalize
 
@@ -76,7 +76,7 @@ def build_working_vocab(
     if not words:
         raise DataError("empty word list")
     padded = list(dict.fromkeys(normalize(word, case_mode) for word in words))
-    counts = count_matrix([encode(seq, vocab) for seq in padded], model)
+    counts = encode_matrix(padded, vocab, model)
     return WorkingVocab(
         words=[seq[1:-1] for seq in padded],
         embeddings=embed_matrix(counts, model),

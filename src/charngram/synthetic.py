@@ -17,10 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evaluate import SimDataset
-from .model import Model, count_matrix, embed_matrix, unit_rows
+from .model import Model, embed_matrix, encode_matrix, unit_rows
 from .neighbors import build_working_vocab, nearest_neighbors
 from .train import PairDataset, TrainConfig, TrainingCurve, train
-from .vocab import NGramVocab, TopKPerOrder, build_vocab, encode, normalize
+from .vocab import NGramVocab, TopKPerOrder, build_vocab, normalize
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 _SUFFIXES = ("s", "es", "ed", "ing", "er", "ly", "ness", "ment", "tion", "able")
@@ -182,7 +182,7 @@ def cosine_gap(model: Model, vocab: NGramVocab, task: SyntheticTask) -> float:
     """
     words = [w for ws in task.heldout_words for w in ws]
     roots = np.repeat(np.arange(len(task.heldout_words)), [len(ws) for ws in task.heldout_words])
-    counts = count_matrix([encode(normalize(w), vocab) for w in words], model)
+    counts = encode_matrix([normalize(w) for w in words], vocab, model)
     units = unit_rows(embed_matrix(counts, model))
     i, j = np.triu_indices(len(words), k=1)
     cosines = np.einsum("ij,ij->i", units[i], units[j])

@@ -3,7 +3,16 @@
 A text is normalized into a space-padded character sequence, every contiguous
 character window of the configured orders is extracted (windows spanning word
 boundaries included), and a vocabulary maps the surviving n-grams to dense
-indices. Sequences are then encoded as sparse index -> count maps.
+indices. Sequences are then encoded as sparse index -> count maps, one at a
+time (`encode`), or a batch at a time as the arrays of a CSR count matrix
+(`encode_batch`).
+
+A batch, and the corpus `build_vocab` counts, go through one array pass over
+their joined code points: each character becomes its rank in a sorted
+alphabet, and the window of order n starting at each position is packed into
+one int64 key, its first character most significant. Packed keys of one order
+sort as their n-grams do, by code point. A key must fit in 63 bits: with A
+ranks, orders up to n need A**n <= 2**63. Past that, the per-text loop runs.
 """
 
 from __future__ import annotations
@@ -12,7 +21,11 @@ import hashlib
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Union
+from itertools import chain, repeat
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Sequence, Union
+
+import numpy as np
 
 from .errors import DataError
 
@@ -33,6 +46,10 @@ MAX_ORDER = 255  # order is persisted as a single byte
 # once (an n-gram of order k is at most 4k bytes of UTF-8).
 _LENGTH_BYTES = [n.to_bytes(2, "little") for n in range(4 * MAX_ORDER + 1)]
 _ORDER_BYTES = [bytes((order,)) for order in range(MAX_ORDER + 1)]
+
+# Packed window keys are int64: a key of order n over A ranks fits when A**n
+# does not exceed this.
+_KEY_LIMIT = 2**63
 
 
 def check_case_mode(case_mode: str) -> str:
@@ -83,6 +100,79 @@ def extract_ngrams(seq: CharSeq, orders: Iterable[int]) -> Counter:
     included. For a single order n the counts sum to max(0, len(seq) - n + 1).
     """
     return Counter(_windows(seq, check_orders(orders)))
+
+
+def _code_points(seqs: Sequence[str]) -> tuple[str, np.ndarray, np.ndarray]:
+    """The texts joined, the code point of each of its characters, and where each text ends."""
+    joined = "".join(seqs)
+    # a lone surrogate is one character of a Python string, and one code point here
+    points = np.frombuffer(joined.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+    ends = np.cumsum(np.fromiter(map(len, seqs), dtype=np.intp, count=len(seqs)))
+    return joined, points, ends
+
+
+def _window_keys(
+    ranks: np.ndarray, ends: np.ndarray, orders: Sequence[int], base: int
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Per order n of `orders` (ascending): where each window of n characters that
+    stays inside its text starts, and the window's packed key.
+
+    `ranks` holds the rank, below `base`, of each character of the joined
+    texts, and `ends` the offset where each text ends. Starts ascend, so the
+    windows of one text come in the order `_windows` meets them, order by
+    order. base**max(orders) must not exceed _KEY_LIMIT.
+    """
+    limit = np.repeat(ends, np.diff(ends, prepend=0))  # the end of each position's text
+    keys = ranks.astype(np.int64)
+    width = 1
+    for n in orders:
+        while width < n:
+            keys = keys[:-1] * base + ranks[width:]
+            width += 1
+        starts = np.flatnonzero(limit[: len(keys)] - np.arange(len(keys)) >= n)
+        yield n, starts, keys[starts]
+
+
+def _tally(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct values, sorted; where each first occurs in `values`; how often.
+
+    np.unique(values, return_index=True, return_counts=True), but on an
+    unstable sort, several times faster than the stable one np.unique needs
+    for first occurrences.
+    """
+    by_value = np.argsort(values)
+    ordered = values[by_value]
+    starts = np.ones(len(values), dtype=bool)
+    starts[1:] = ordered[1:] != ordered[:-1]
+    runs = np.flatnonzero(starts)
+    first = np.minimum.reduceat(by_value, runs) if len(runs) else runs
+    return ordered[runs], first, np.diff(runs, append=len(values))
+
+
+def _ngram_counts(
+    seqs: Sequence[CharSeq], orders: tuple[int, ...]
+) -> Iterator[tuple[int, Callable[[np.ndarray], list[str]], np.ndarray]]:
+    """Per order n ascending: the distinct n-grams of `seqs` in code point order,
+    as a function from their positions in that order to the n-grams, and their
+    counts.
+
+    One array pass; when the alphabet of `seqs` is too wide for a packed key
+    of the highest order, the windows are counted text by text instead.
+    """
+    joined, points, ends = _code_points(seqs)
+    alphabet, ranks = np.unique(points, return_inverse=True)
+    if len(alphabet) ** orders[-1] > _KEY_LIMIT:
+        counts = Counter(chain.from_iterable(_windows(seq, orders) for seq in seqs))
+        for n in orders:
+            ngrams = sorted(ngram for ngram in counts if len(ngram) == n)
+            tally = np.array([counts[ngram] for ngram in ngrams], dtype=np.int64)
+            yield n, lambda at, ngrams=ngrams: [ngrams[i] for i in at.tolist()], tally
+        return
+    for n, starts, keys in _window_keys(ranks, ends, orders, len(alphabet)):
+        # the keys of one order sort as their n-grams do
+        _, first, tally = _tally(keys)
+        where = starts[first]
+        yield n, lambda at, s=where, n=n: [joined[p : p + n] for p in s[at].tolist()], tally
 
 
 @dataclass(frozen=True)
@@ -152,13 +242,40 @@ class NGramVocab:
     asc); vocabularies reconstructed from files keep their stored order.
     """
 
-    __slots__ = ("entries", "index", "orders", "_table", "_fingerprint")
+    __slots__ = ("entries", "index", "orders", "_table", "_fingerprint", "_keys")
 
     def __init__(self, entries: list[tuple[str, int, int]], orders: Iterable[int] | None = None):
         self.entries = list(entries)
-        self.index: dict[str, int] = {}
-        for pos, (ngram, order, count) in enumerate(self.entries):
-            if ngram in self.index:
+        ngrams = list(map(itemgetter(0), self.entries))
+        entry_orders = list(map(itemgetter(1), self.entries))
+        present = frozenset(entry_orders)
+        self.index: dict[str, int] = dict(zip(ngrams, range(len(ngrams))))
+        # whole-column checks; the entry loop runs only to name the first bad entry
+        if self.entries and not (
+            len(self.index) == len(ngrams)
+            and list(map(len, ngrams)) == entry_orders
+            and 1 <= min(present)
+            and max(present) <= MAX_ORDER
+            and min(map(itemgetter(2), self.entries)) >= 0
+        ):
+            self._check_entries()
+        if orders is None:
+            self.orders = present
+        else:
+            self.orders = frozenset(check_orders(orders))
+            if not present <= self.orders:
+                raise DataError("vocabulary contains entries outside the declared orders")
+        self._table: bytes | None = None
+        self._fingerprint: int | None = None
+        # (sorted alphabet, {order: (sorted packed keys, their entry indices)} or
+        # None when a key would not fit), built at the first batch encode
+        self._keys: tuple[np.ndarray, dict[int, tuple[np.ndarray, np.ndarray]] | None] | None = None
+
+    def _check_entries(self) -> None:
+        """Raise DataError naming the first malformed entry, in entry order."""
+        seen: set[str] = set()
+        for ngram, order, count in self.entries:
+            if ngram in seen:
                 raise DataError(f"duplicate n-gram in vocabulary: {ngram!r}")
             if not 1 <= order <= MAX_ORDER:
                 raise DataError(f"bad n-gram order {order} for {ngram!r}")
@@ -166,16 +283,7 @@ class NGramVocab:
                 raise DataError(f"n-gram {ngram!r} length does not match order {order}")
             if count < 0:
                 raise DataError(f"negative corpus count for {ngram!r}")
-            self.index[ngram] = pos
-        entry_orders = {order for _, order, _ in self.entries}
-        if orders is None:
-            self.orders = frozenset(entry_orders)
-        else:
-            self.orders = frozenset(check_orders(orders))
-            if not entry_orders <= self.orders:
-                raise DataError("vocabulary contains entries outside the declared orders")
-        self._table: bytes | None = None
-        self._fingerprint: int | None = None
+            seen.add(ngram)
 
     @classmethod
     def from_table(cls, table: bytes, count: int, fingerprint: int) -> NGramVocab:
@@ -216,6 +324,39 @@ class NGramVocab:
             self._table = ngram_table(self.entries)
         return self._table
 
+    def key_table(self) -> tuple[np.ndarray, dict[int, tuple[np.ndarray, np.ndarray]] | None]:
+        """The packed keys of the entries, per order, sorted, built once for `encode_batch`.
+
+        Returns (alphabet, tables): the sorted code points of the entries, and
+        per order with entries the sorted keys and the entry index of each.
+        A character's rank is 1 + its position in the alphabet, so rank 0 is
+        free for characters outside it. `tables` is None when the key of the
+        highest order would not fit in 63 bits.
+        """
+        if self._keys is None:
+            orders = np.fromiter(map(itemgetter(1), self.entries), np.intp, len(self.entries))
+            joined = "".join(map(itemgetter(0), self.entries))
+            points = np.frombuffer(joined.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+            alphabet, ranks = np.unique(points, return_inverse=True)
+            ranks += 1
+            base = len(alphabet) + 1
+            present = np.unique(orders).tolist()
+            tables: dict[int, tuple[np.ndarray, np.ndarray]] | None = {}
+            if present and base ** present[-1] > _KEY_LIMIT:
+                tables = None
+            else:
+                # an n-gram's length is its order, so its characters start here
+                starts = np.cumsum(orders) - orders
+                for n in present:
+                    of_order = np.flatnonzero(orders == n)
+                    keys = np.zeros(len(of_order), dtype=np.int64)
+                    for j in range(n):
+                        keys = keys * base + ranks[starts[of_order] + j]
+                    by_key = np.argsort(keys)
+                    tables[n] = (keys[by_key], of_order[by_key])
+            self._keys = (alphabet, tables)
+        return self._keys
+
     @property
     def fingerprint(self) -> int:
         """64-bit checksum over (ngram, order) pairs in entry order: the table's digest.
@@ -242,29 +383,28 @@ def build_vocab(
     order of the corpus stream and the tie-break is total, so the result is
     deterministic. An empty corpus is an error; a policy that filters out
     every n-gram yields an empty vocabulary with a warning.
+
+    The corpus is counted in one array pass (see the module docstring), or
+    text by text when its alphabet is too wide for a 63-bit key of the
+    highest order; both give the same entries.
     """
     orders = check_orders(orders)
     case_mode = check_case_mode(case_mode)
-    counts: Counter = Counter()
-    saw_text = False
-    for text in corpus:
-        saw_text = True
-        counts.update(_windows(normalize(text, case_mode), orders))
-    if not saw_text:
+    seqs = [normalize(text, case_mode) for text in corpus]
+    if not seqs:
         raise DataError("empty corpus")
-
-    if isinstance(policy, MinCount):
-        kept = [(ng, c) for ng, c in counts.items() if c >= policy.min_count]
-    elif isinstance(policy, TopKPerOrder):
-        kept = []
-        for n in orders:
-            of_order = [(ng, c) for ng, c in counts.items() if len(ng) == n]
-            of_order.sort(key=lambda item: (-item[1], item[0]))
-            kept.extend(of_order[: policy.k])
-    else:
+    if not isinstance(policy, (MinCount, TopKPerOrder)):
         raise TypeError(f"unknown vocabulary policy: {policy!r}")
 
-    entries = sorted(((ng, len(ng), c) for ng, c in kept), key=lambda e: (e[1], -e[2], e[0]))
+    entries: list[tuple[str, int, int]] = []
+    for n, ngrams_at, counts in _ngram_counts(seqs, orders):
+        # count descending; the stable sort keeps code point order among ties
+        ranked = np.argsort(-counts, kind="stable")
+        if isinstance(policy, MinCount):
+            kept = ranked[counts[ranked] >= policy.min_count]
+        else:
+            kept = ranked[: policy.k]
+        entries += zip(ngrams_at(kept), repeat(n), counts[kept].tolist())
     if not entries:
         warnings.warn("vocabulary policy removed every n-gram; vocabulary is empty")
     return NGramVocab(entries, orders=orders)
@@ -284,3 +424,61 @@ def encode(seq: CharSeq, vocab: NGramVocab) -> CountVector:
             if pos is not None:
                 cv[pos] = cv.get(pos, 0) + 1
     return cv
+
+
+def _stack_counts(cvs: Sequence[CountVector]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The CSR arrays (indptr, indices, data) of count vectors stacked as rows."""
+    indptr = np.zeros(len(cvs) + 1, dtype=np.intp)
+    np.cumsum([len(cv) for cv in cvs], out=indptr[1:])
+    nnz = int(indptr[-1])
+    indices = np.fromiter(chain.from_iterable(cvs), dtype=np.intp, count=nnz)
+    data = np.fromiter(
+        chain.from_iterable(cv.values() for cv in cvs), dtype=np.float64, count=nnz
+    )
+    return indptr, indices, data
+
+
+def encode_batch(
+    seqs: Sequence[CharSeq], vocab: NGramVocab
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The CSR arrays (indptr, indices, data) of `encode` applied to every sequence.
+
+    Each row lists its indices in the order `encode` first meets them, with
+    their counts as float64, so the arrays equal those of the stacked count
+    vectors and a product with the matrix sums in the same order. The batch
+    is encoded in one array pass against `vocab.key_table()`, built at the
+    first call and kept. When the vocabulary's alphabet is too wide for a
+    63-bit key of its highest order, each sequence goes through `encode`.
+    For a single text `encode` is faster: the array pass has a fixed cost
+    of several array operations per order.
+    """
+    alphabet, tables = vocab.key_table()
+    if tables is None:
+        return _stack_counts([encode(seq, vocab) for seq in seqs])
+    if not tables:
+        return _stack_counts([{} for _ in seqs])
+    _, points, ends = _code_points(seqs)
+    # each character's rank in the vocabulary's alphabet, 0 outside it
+    chars, char_at = np.unique(points, return_inverse=True)
+    at = np.minimum(np.searchsorted(alphabet, chars), len(alphabet) - 1)
+    ranks = np.where(alphabet[at] == chars, at + 1, 0)[char_at]
+    row_of = np.repeat(np.arange(len(seqs)), np.diff(ends, prepend=0))
+    # each in-vocabulary window as one cell, row * |V| + index, order by order
+    width = len(vocab)
+    hits = [np.empty(0, dtype=np.intp)]
+    for n, starts, keys in _window_keys(ranks, ends, tuple(tables), len(alphabet) + 1):
+        table_keys, table_index = tables[n]
+        distinct, key_at = np.unique(keys, return_inverse=True)
+        at = np.minimum(np.searchsorted(table_keys, distinct), len(table_keys) - 1)
+        col = np.where(table_keys[at] == distinct, table_index[at], -1)[key_at]
+        hit = col >= 0
+        hits.append(row_of[starts[hit]] * width + col[hit])
+    hits = np.concatenate(hits)
+    # each distinct cell with its count and its first window; windows run order
+    # by order, so within a row the earlier window is the one `encode` meets first
+    cells, first, tally = _tally(hits)
+    cell_rows = cells // width
+    met = np.argsort(cell_rows * len(hits) + first)
+    indptr = np.zeros(len(seqs) + 1, dtype=np.intp)
+    np.cumsum(np.bincount(cell_rows, minlength=len(seqs)), out=indptr[1:])
+    return indptr, (cells - cell_rows * width)[met], tally[met].astype(np.float64)

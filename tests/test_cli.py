@@ -8,13 +8,16 @@ import sys
 import warnings
 from dataclasses import fields
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import charngram
-from charngram import RunConfig, load_model, load_vocab
+from charngram import (
+    RunConfig, count_matrix, embed_matrix, encode, load_model, load_vocab, normalize,
+)
 from charngram.cli import main
 from charngram.io import config_key
 
@@ -583,6 +586,36 @@ def test_train_help_lists_one_flag_per_config_key(capsys):
     assert sorted(listed) == sorted(["-h", "--config", *("--" + k.replace("_", "-") for k in keys)])
 
 
+ODD_TEXTS = ["the café cat", "naïve \U0001f600 dogs", "fi\x00sh swim", "猫 \U00010348 cat", ""]
+
+
+def test_non_ascii_astral_and_nul_text_through_the_batch_encoder(ws, tmp_path, capsys,
+                                                                monkeypatch):
+    model, vocab = load_model(ws / "model.bin")
+    monkeypatch.setattr("sys.stdin", io.StringIO("".join(f"{t}\n" for t in ODD_TEXTS)))
+    assert main(["embed", "--model", str(ws / "model.bin"), "--stdin"]) == 0
+    seqs = [normalize(t, model.case_mode) for t in ODD_TEXTS]
+    want = embed_matrix(count_matrix([encode(seq, vocab) for seq in seqs], model), model)
+    assert capsys.readouterr().out.splitlines() == [
+        "\t".join(f"{x:.9g}" for x in row) for row in want
+    ]
+
+    sts = tmp_path / "sts"
+    sts.mkdir()
+    (sts / "odd.tsv").write_text(
+        "".join(f"{a}\t{b}\t{i}\n" for i, (a, b) in enumerate(zip(ODD_TEXTS, ODD_TEXTS[1:]))),
+        encoding="utf-8",
+    )
+    assert main(["eval", "sts", "--model", str(ws / "model.bin"), "--datasets", str(sts)]) == 0
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("".join(f"{a}\t{b}\n" for a, b in zip(ODD_TEXTS, ODD_TEXTS[1:-1])),
+                     encoding="utf-8")
+    assert main(["train", "--pairs", str(pairs), "--out", str(tmp_path / "m.bin"), "--dim", "4",
+                 "--batch", "2", "--epochs", "1", "--eval-every", "0.5", "--eval-pairs", str(pairs),
+                 "--curve", str(tmp_path / "curve.tsv")]) == 0
+    assert "dev_mean_cosine" in (tmp_path / "curve.tsv").read_text()
+
+
 # --- fuzzing the command line -------------------------------------------------
 
 # Values that fail validation, parsing or allocation at once. A huge --epochs
@@ -590,7 +623,9 @@ def test_train_help_lists_one_flag_per_config_key(capsys):
 HOSTILE = ("0", "-1", "nan", "inf", str(2**63))
 _NUMERIC = {"--dim", "--batch", "--epochs", "--seed", "--margin", "--lambda", "--lr",
             "--eval-every", "--k", "--step", "--orders", "--policy", "--scale"}
-_WORDS = st.sampled_from(["cat", "cats", "the dog", "fish swim", "a bird"])
+# valid non-ASCII, astral and NUL characters reach the encoders through the files
+_WORDS = st.sampled_from(["cat", "cats", "the dog", "fish swim", "a bird", "café", "naïve Cat",
+                          "\U0001f600 dog", "fi\x00sh", "猫 \U00010348"])
 _FIELD = st.one_of(
     st.sampled_from(["cat", "the dog", " ", "", "4", "-1", "nan", "\\s"]),
     st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
@@ -635,6 +670,7 @@ def _fuzz_argv(draw, ws) -> list[str]:
     pairs.write_bytes(draw(_file(_WORDS, _WORDS)))
     sims.write_bytes(draw(_file(_WORDS, _WORDS, _ints(0, 5))))
     words.write_bytes(draw(_file(_WORDS)))
+    (root / "stdin.txt").write_bytes(draw(_file(_WORDS)))
     model = str(ws / "model.bin")
     command = draw(st.sampled_from(_COMMANDS))
     argv = command.split()
@@ -664,7 +700,8 @@ def _fuzz_argv(draw, ws) -> list[str]:
         if command == "eval bins":
             argv += ["--by", draw(st.sampled_from(["length", f"oov:{words}", "bogus"]))]
     elif command == "embed":
-        argv += ["--model", model, *draw(st.lists(_FIELD, min_size=1, max_size=3))]
+        argv += ["--model", model]
+        argv += ["--stdin"] if draw(st.booleans()) else draw(st.lists(_FIELD, min_size=1, max_size=3))
     elif command == "nn":
         argv += ["--model", model, "--wordlist", str(words), "--k", draw(_ints(1, 8)),
                  draw(_FIELD)]
@@ -687,8 +724,10 @@ def _fuzz_argv(draw, ws) -> list[str]:
 def test_mutated_command_lines_exit_with_a_documented_code(ws, data):
     argv = _fuzz_argv(data.draw, ws)
     stdout, stderr = io.StringIO(), io.StringIO()
+    # `embed --stdin` reads the drawn bytes as strict UTF-8, like a real stdin
+    stdin = io.TextIOWrapper(io.BytesIO((ws / "fuzz" / "stdin.txt").read_bytes()), encoding="utf-8")
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
-            warnings.catch_warnings(), np.errstate(all="ignore"):
+            mock.patch("sys.stdin", stdin), warnings.catch_warnings(), np.errstate(all="ignore"):
         warnings.simplefilter("ignore")
         rc = main(argv)
     assert rc in (0, 1, 2, 3), argv

@@ -1,0 +1,246 @@
+"""The array pass against its per-text oracles.
+
+`encode_batch` must give the arrays of `count_matrix` over per-text `encode`
+count vectors, and `build_vocab` the entries of a `Counter` over `_windows`,
+for any text: astral characters, NUL, lone surrogates, characters outside the
+vocabulary, empty texts and texts shorter than every order. Vocabularies and
+corpora too wide for a 63-bit key go through the per-text loop and must agree
+too.
+"""
+
+import contextlib
+import io
+import warnings
+from collections import Counter
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from charngram import (
+    DataError,
+    MinCount,
+    Model,
+    NGramVocab,
+    PairDataset,
+    SimDataset,
+    TopKPerOrder,
+    TrainConfig,
+    build_vocab,
+    build_working_vocab,
+    count_matrix,
+    encode,
+    encode_batch,
+    encode_matrix,
+    eval_sts,
+    init_model,
+    load_model,
+    save_model,
+)
+from charngram import cli, synthetic
+from charngram.train import _encode_pairs
+from charngram.vocab import _stack_counts, _windows, normalize
+
+# characters that stress the packing: NUL, lone surrogates, astral ones, the
+# highest code point, a combining mark
+ODD = ["\x00", "\ud800", "\udfff", "\U0001f600", "\U0010ffff", "\u0301", "\u00e9", "\u00c9"]
+CHARS = st.one_of(st.sampled_from(["a", "b", "A", " ", *ODD]), st.characters())
+TEXTS = st.text(CHARS, max_size=12)
+SEQS = st.one_of(
+    TEXTS.map(normalize),
+    TEXTS.map(lambda text: normalize(text, "preserve")),
+    TEXTS,  # not normalized: empty, and shorter than every order
+    st.text(st.sampled_from("ab "), max_size=60),  # windows that repeat within a text
+)
+POLICIES = st.one_of(
+    st.integers(1, 3).map(MinCount), st.integers(1, 6).map(TopKPerOrder)
+)
+
+
+def _build_vocab_ref(corpus, orders, policy, case_mode):
+    """Count every window text by text, select, and sort by (order, -count, n-gram)."""
+    counts = Counter()
+    for text in corpus:
+        counts.update(_windows(normalize(text, case_mode), tuple(sorted(set(orders)))))
+    if isinstance(policy, MinCount):
+        kept = [(ngram, c) for ngram, c in counts.items() if c >= policy.min_count]
+    else:
+        kept = []
+        for n in sorted(set(orders)):
+            of_order = sorted(
+                ((ngram, c) for ngram, c in counts.items() if len(ngram) == n),
+                key=lambda item: (-item[1], item[0]),
+            )
+            kept += of_order[: policy.k]
+    return sorted(((ngram, len(ngram), c) for ngram, c in kept), key=lambda e: (e[1], -e[2], e[0]))
+
+
+def _build(corpus, orders, policy, case_mode="lower"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a policy may keep nothing
+        return build_vocab(corpus, orders, policy, case_mode=case_mode)
+
+
+def _assert_batch_equals_loop(seqs, vocab):
+    cvs = [encode(seq, vocab) for seq in seqs]
+    for got, want in zip(encode_batch(seqs, vocab), _stack_counts(cvs)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    # no fingerprint: the table of a lone surrogate has no UTF-8 bytes
+    model = Model(weights=np.zeros((len(vocab), 1)), bias=np.zeros(1), activation="linear",
+                  vocab_fingerprint=0)
+    got, want = encode_matrix(seqs, vocab, model), count_matrix(cvs, model)
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        assert getattr(got, name).dtype == getattr(want, name).dtype
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
+@st.composite
+def vocabularies(draw):
+    """A built vocabulary, or one from drawn entries; declared orders may have no entries."""
+    if draw(st.booleans()):
+        corpus = draw(st.lists(TEXTS, min_size=1, max_size=6))
+        orders = draw(st.sets(st.integers(1, 5), min_size=1, max_size=3))
+        case_mode = draw(st.sampled_from(["lower", "preserve"]))
+        return _build(corpus, orders, draw(POLICIES), case_mode)
+    chars = st.one_of(st.sampled_from("ab "), st.sampled_from(ODD))
+    ngrams = draw(st.sets(st.text(chars, min_size=1, max_size=4), max_size=20))
+    entries = [(ngram, len(ngram), draw(st.integers(0, 9))) for ngram in draw(st.permutations(sorted(ngrams)))]
+    extra = draw(st.sets(st.integers(1, 6), max_size=2))
+    declared = {order for _, order, _ in entries} | extra
+    return NGramVocab(entries, orders=declared or None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(vocabularies(), st.lists(SEQS, max_size=12))
+# a later row whose windows repeat many times: each row's cells must stay in
+# that row, in first-met order
+@example(NGramVocab([("a", 1, 1), ("ab", 2, 1)]), ["ab", "a" * 50])
+def test_batch_encode_equals_per_text_encode(vocab, seqs):
+    _assert_batch_equals_loop(seqs, vocab)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(TEXTS, min_size=1, max_size=8),
+    st.sets(st.integers(1, 5), min_size=1, max_size=3),
+    POLICIES,
+    st.sampled_from(["lower", "preserve"]),
+)
+def test_build_vocab_equals_the_counter_of_windows(corpus, orders, policy, case_mode):
+    vocab = _build(corpus, orders, policy, case_mode)
+    assert vocab.entries == _build_vocab_ref(corpus, orders, policy, case_mode)
+    assert vocab.orders == frozenset(orders)
+
+
+WIDE_CORPUS = ["0123456789 9876543210", "0246813579 1357924680", "0123456789 9876543210 02468"]
+
+
+@pytest.mark.parametrize("policy", [MinCount(1), MinCount(2), TopKPerOrder(3)])
+def test_too_wide_for_a_packed_key_falls_back_to_the_loop(policy):
+    # 11 characters (the digits and the space): 11**19 > 2**63, so both the
+    # count and, with 12 as the base, the vocabulary's key table are too wide
+    orders = (2, 19)
+    vocab = _build(WIDE_CORPUS, orders, policy)
+    assert vocab.entries == _build_vocab_ref(WIDE_CORPUS, orders, policy, "lower")
+    assert any(order == 19 for _, order, _ in vocab.entries)
+    assert vocab.key_table()[1] is None
+    seqs = [normalize(t) for t in (*WIDE_CORPUS, "98765 43210 0123456789", "x", "")]
+    _assert_batch_equals_loop(seqs, vocab)
+
+
+@pytest.mark.parametrize("order, packed", [(39, True), (40, False)])
+def test_a_key_of_exactly_63_bits_is_packed(order, packed):
+    # two characters: the count's base is 2, and 2**63 is the largest key
+    # range that fits (64 goes through the loop); the vocabulary's base is 3,
+    # and 3**39 < 2**63 < 3**40
+    corpus = ["a" * 70, "a a aa aaa " * 7, "aa " * 30]
+    for orders in ((63,), (64,), (2, order)):
+        vocab = _build(corpus, orders, MinCount(1))
+        assert vocab.entries == _build_vocab_ref(corpus, orders, MinCount(1), "lower")
+    assert (vocab.key_table()[1] is not None) == packed
+    _assert_batch_equals_loop([normalize(t) for t in corpus] + ["a" * 45, " a "], vocab)
+
+
+def test_key_table_is_built_once_and_not_by_loading(tmp_path):
+    vocab = build_vocab(["the cat sat", "a dog"], (2, 3), MinCount(1))
+    model = init_model(vocab, TrainConfig(dim=3))
+    save_model(model, vocab, tmp_path / "m.bin")
+    loaded = load_model(tmp_path / "m.bin")[1]
+    assert loaded._keys is None
+    encode_batch([" cat "], loaded)
+    table = loaded._keys
+    encode_batch([" dog "], loaded)
+    assert loaded._keys is table
+
+
+def test_a_model_with_fewer_rows_than_its_vocabulary_is_a_mismatch_at_every_batch_site(
+    tmp_path, monkeypatch
+):
+    task = synthetic.make_task(3, n_roots=4, n_variants=3, n_heldout=1)
+    vocab = build_vocab([*synthetic.training_corpus(task), *task.heldout_words[0]], (2, 3),
+                        MinCount(1))
+    short = Model(weights=np.zeros((1, 3)), bias=np.zeros(3), activation="tanh",
+                  vocab_fingerprint=vocab.fingerprint)
+    words = synthetic.training_corpus(task)
+    sims = SimDataset("s", [(words[0], words[1], 1.0), (words[2], words[3], 2.0)])
+    sites = [
+        lambda: _encode_pairs([(words[0], words[1]), (words[2], words[3])], vocab, short, "lower"),
+        lambda: eval_sts(short, vocab, [sims]),
+        lambda: build_working_vocab(words, short, vocab),
+        lambda: synthetic.cosine_gap(short, vocab, task),
+    ]
+    for site in sites:
+        with pytest.raises(DataError, match="vocab/model mismatch"):
+            site()
+
+    # the command line: `embed`, and the `--eval-pairs` hook of `train`
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("".join(f"{a}\t{b}\n" for a, b in zip(words[::2], words[1::2])))
+
+    def train_calling_the_hook(dataset, vocab, config, eval_hook):
+        eval_hook(short, 0)
+
+    monkeypatch.setattr(cli, "load_model", lambda path: (short, vocab))
+    monkeypatch.setattr(cli, "train", train_calling_the_hook)
+    for argv in (
+        ["embed", "--model", "unused.bin", words[0], words[1]],
+        ["train", "--pairs", str(pairs), "--out", str(tmp_path / "m.bin"), "--orders", "2,3",
+         "--eval-pairs", str(pairs)],
+    ):
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 2
+        assert stderr.getvalue().splitlines()[-1] == "error: vocab/model mismatch"
+
+
+def test_eval_pairs_count_matrix_is_built_once(tmp_path, monkeypatch):
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("the cat\ta cat\nthe dog\ta dog\nfish swim\tbirds fly\ncats nap\tdogs nap\n")
+    built = []
+
+    def counting(seqs, vocab, model):
+        built.append(len(seqs))
+        return encode_matrix(seqs, vocab, model)
+
+    monkeypatch.setattr(cli, "encode_matrix", counting)
+    with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(["train", "--pairs", str(pairs), "--out", str(tmp_path / "m.bin"),
+                       "--dim", "4", "--batch", "2", "--epochs", "3", "--eval-every", "0.5",
+                       "--curve", str(tmp_path / "curve.tsv"), "--eval-pairs", str(pairs)])
+    assert rc == 0
+    assert built == [8]  # one build for 6 curve points
+    curve = (tmp_path / "curve.tsv").read_text()
+    assert curve.count("dev_mean_cosine") == 6
+
+
+def test_pair_dataset_encoding_is_the_per_text_count_matrix():
+    pairs = PairDataset([("the cat", "a cat"), ("\U0001f600 x", "\x00"), ("é É", "é")])
+    vocab = build_vocab([t for p in pairs.pairs for t in p], (1, 2, 3), MinCount(1))
+    model = init_model(vocab, TrainConfig(dim=2))
+    texts, counts = _encode_pairs(pairs.pairs, vocab, model, "lower")
+    seqs = [a for a, _ in texts] + [b for _, b in texts]
+    want = count_matrix([encode(seq, vocab) for seq in seqs], model)
+    assert (counts != want).nnz == 0
+    assert np.array_equal(counts.indices, want.indices)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 import sys
 
 import numpy as np
@@ -251,8 +252,15 @@ def test_inactive_hinges_give_pure_regularizer_gradient():
     assert negatives == [((1, 0), (1, 1)), ((0, 0), (0, 1))]
     assert loss == 0.0
     assert touched.tolist() == list(range(len(vocab)))
-    assert np.array_equal(grad_bias, 2 * lam * model.bias)
-    assert np.array_equal(grad_rows, 2 * lam * model.weights[touched])
+    # the batch gradient is the loss's alone; the Adam step adds 2 * lambda * theta
+    assert not grad_bias.any() and not grad_rows.any()
+    reference = Model(weights=model.weights.copy(), bias=model.bias.copy(),
+                      activation="linear", vocab_fingerprint=model.vocab_fingerprint)
+    _adam_apply(model, AdamState(), config, grad_bias, touched, grad_rows)
+    _adam_apply(reference, AdamState(), replace(config, reg_lambda=0.0),
+                2 * lam * reference.bias, touched, 2 * lam * reference.weights[touched])
+    assert np.array_equal(model.weights, reference.weights)
+    assert np.array_equal(model.bias, reference.bias)
 
 
 def test_decay_only_step_shrinks_touched_rows():
@@ -312,7 +320,14 @@ def test_untouched_rows_bit_unchanged(small_vocab):
 
 
 def _adam_reference(model, adam, config, grad_bias, touched, grad_rows):
-    """The unblocked Adam step in Kingma & Ba's step-size form: the bias, then all touched rows."""
+    """The unblocked Adam step in Kingma & Ba's step-size form: the bias, then all touched rows.
+
+    The L2 term's gradient is added to the loss gradient first, for the bias
+    and every touched row.
+    """
+    lam = config.reg_lambda
+    grad_bias = grad_bias + 2.0 * lam * model.bias
+    grad_rows = grad_rows + 2.0 * lam * model.weights[touched]
     adam.step += 1
     b1, b2 = config.adam_beta1, config.adam_beta2
     root_corr2 = math.sqrt(1.0 - b2**adam.step)
@@ -359,6 +374,38 @@ def test_blocked_adam_is_bit_equal_to_unblocked_reference():
     assert np.array_equal(blocked.bias, reference.bias)
     for name in ("m_bias", "v_bias", "m_weights", "v_weights"):
         assert np.array_equal(getattr(adam_blocked, name), getattr(adam_reference, name))
+
+
+def test_l2_term_in_the_adam_step_is_byte_equal_to_a_separate_gradient_term():
+    # the L2 gradient used to be added to the batch gradient before the step:
+    # grad += 2.0 * lambda * theta, then an Adam step that knew no lambda
+    vocab = build_vocab(PHRASES, (2, 3, 4), MinCount(1))
+    config = TrainConfig(dim=300, batch_size=4, reg_lambda=1e-3, seed=7)
+    folded, separate = init_model(vocab, config), init_model(vocab, config)
+    adam_folded, adam_separate = AdamState(), AdamState()
+    without_lambda = replace(config, reg_lambda=0.0)
+    batches = [list(zip(PHRASES[i::3], PHRASES[i + 1 :: 3])) for i in range(3)]
+    for step, batch in enumerate(batches):
+        texts, counts = _encode_pairs(batch, vocab, folded, "lower")
+        grads = _batch_gradients(texts, counts, folded, config, _rng(7, step))[1:4]
+        _adam_apply(folded, adam_folded, config, *grads)
+        grad_bias, touched, grad_rows = _batch_gradients(
+            texts, counts, separate, config, _rng(7, step)
+        )[1:4]
+        grad_bias += 2.0 * config.reg_lambda * separate.bias
+        grad_rows += 2.0 * config.reg_lambda * separate.weights[touched]
+        _adam_apply(separate, adam_separate, without_lambda, grad_bias, touched, grad_rows)
+    assert adam_folded.step == 3
+    assert folded.weights.tobytes() == separate.weights.tobytes()
+    assert folded.bias.tobytes() == separate.bias.tobytes()
+    for name in ("m_bias", "v_bias", "m_weights", "v_weights"):
+        assert getattr(adam_folded, name).tobytes() == getattr(adam_separate, name).tobytes()
+    # the audit's analytic gradient carries the same term, on a small model
+    small = replace(config, dim=4)
+    model, adam = init_model(vocab, small), AdamState()
+    for step, batch in enumerate(batches):
+        _step(*_encode_pairs(batch, vocab, model, "lower"), model, small, adam, _rng(7, step))
+    assert finite_diff_audit(model, vocab, batches[0], small) < 1e-4
 
 
 def test_blocked_adam_names_lowest_bad_row_and_bias_first():

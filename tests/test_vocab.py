@@ -169,6 +169,19 @@ def test_vocab_validation():
         NGramVocab([("abc", 3, 1)], orders={2})
 
 
+@pytest.mark.parametrize("entries, message", [
+    ([("ab", 2, 1), ("abc", 2, 1), ("ab", 2, 1)], "n-gram 'abc' length does not match order 2"),
+    ([("ab", 2, 1), ("ab", 2, -1), ("x", 0, 1)], "duplicate n-gram in vocabulary: 'ab'"),
+    ([("ab", 2, 1), ("cd", 2, -1), ("", 0, 1)], "negative corpus count for 'cd'"),
+    ([("ab", 2, 1), ("", 0, 1), ("cd", 2, -1)], "bad n-gram order 0 for ''"),
+    ([("a" * 256, 256, 0)], f"bad n-gram order 256 for {'a' * 256!r}"),
+])
+def test_vocab_errors_name_the_first_bad_entry(entries, message):
+    with pytest.raises(DataError) as caught:
+        NGramVocab(entries)
+    assert str(caught.value) == message
+
+
 def test_vocab_index_bijection(small_vocab):
     assert len(small_vocab.index) == len(small_vocab.entries)
     for ngram, pos in small_vocab.index.items():
