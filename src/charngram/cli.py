@@ -139,14 +139,14 @@ def _cmd_train(args) -> int:
 
     hook = None
     if cfg.eval_pairs is not None:
-        dev = load_pairs(cfg.eval_pairs)
-        dev_seqs = [normalize(t, cfg.case) for pair in dev.pairs for t in pair]
+        dev_texts = [t for pair in load_pairs(cfg.eval_pairs).pairs for t in pair]
         dev_counts = None
 
         def hook(model, examples_seen):
             nonlocal dev_counts
             if dev_counts is None:  # built once, at the first curve point
-                dev_counts = encode_matrix(dev_seqs, vocab, model)
+                seqs = [normalize(t, model.input_case_mode) for t in dev_texts]
+                dev_counts = encode_matrix(seqs, vocab, model)
             values = embed_matrix(dev_counts, model)
             return {"dev_mean_cosine": float(np.mean(row_cosines(values[0::2], values[1::2])))}
 
@@ -171,44 +171,39 @@ def _load_dataset_dir(directory, scale) -> list:
 
 
 def _load_model(args):
-    """The model named by --model, and the case mode to normalize its input text with.
-
-    That is the mode the model records; --case, when given, must agree with
-    it. A model that records none (a version-1 file) takes --case, default lower.
-    """
+    """The model and vocabulary named by --model; --case must agree with the case mode
+    the model records, and a model that records none (version 1) takes it, default lower."""
     model, vocab = load_model(args.model)
     if model.case_mode is None:
-        return model, vocab, args.case or "lower"
-    if args.case is not None and args.case != model.case_mode:
+        model.case_mode = args.case or "lower"
+    elif args.case is not None and args.case != model.case_mode:
         raise UsageError(
             f"--case {args.case} disagrees with the case mode {model.case_mode!r} "
             f"recorded in {args.model}"
         )
-    return model, vocab, model.case_mode
+    return model, vocab
 
 
 def _cmd_eval(args) -> int:
-    model, vocab, case = _load_model(args)
+    model, vocab = _load_model(args)
     if args.task == "word":
         dataset = load_simset(args.dataset, scale=args.scale)
-        rho = eval_word_sim(model, vocab, dataset, case_mode=case)
+        rho = eval_word_sim(model, vocab, dataset)
         print(f"{dataset.name}\tspearman\t{rho:.6f}")
         return 0
     datasets = _load_dataset_dir(args.datasets, args.scale)
     if args.task == "sts":
         grouping = load_groups(args.groups) if args.groups else None
-        report = eval_sts(model, vocab, datasets, grouping=grouping, case_mode=case)
+        report = eval_sts(model, vocab, datasets, grouping=grouping)
         for line in report.to_tsv_lines():
             print(line)
         return 0
     # bins
     if args.by == "length":
-        results = binned_eval(model, vocab, datasets, by="length", case_mode=case)
+        results = binned_eval(model, vocab, datasets, by="length")
     elif args.by.startswith("oov:"):
         reference = load_reference_vocab(args.by[len("oov:") :])
-        results = binned_eval(
-            model, vocab, datasets, by="oov", reference=reference, case_mode=case
-        )
+        results = binned_eval(model, vocab, datasets, by="oov", reference=reference)
     else:
         raise UsageError(f"bad --by value {args.by!r}; expected oov:VOCABFILE or length")
     for res in results:
@@ -218,22 +213,22 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_embed(args) -> int:
-    model, vocab, case = _load_model(args)
+    model, vocab = _load_model(args)
     if args.stdin:
         texts = [line.rstrip("\n") for line in sys.stdin]
     elif args.text:
         texts = args.text
     else:
         raise UsageError("embed requires TEXT arguments or --stdin")
-    counts = encode_matrix([normalize(text, case) for text in texts], vocab, model)
+    counts = encode_matrix([normalize(t, model.input_case_mode) for t in texts], vocab, model)
     for row in embed_matrix(counts, model):
         print("\t".join(f"{x:.9g}" for x in row))
     return 0
 
 
 def _cmd_nn(args) -> int:
-    model, vocab, case = _load_model(args)
-    working = build_working_vocab(load_wordlist(args.wordlist), model, vocab, case_mode=case)
+    model, vocab = _load_model(args)
+    working = build_working_vocab(load_wordlist(args.wordlist), model, vocab)
     for query in args.query:
         for rank, (word, cos) in enumerate(
             nearest_neighbors(query, working, model, vocab, args.k), start=1
@@ -256,7 +251,7 @@ def _cmd_nn_ngram(args) -> int:
 def _cmd_audit_grad(args) -> int:
     if args.batch < 2:
         raise UsageError(f"--batch must be at least 2, got {args.batch}")
-    model, vocab, case = _load_model(args)
+    model, vocab = _load_model(args)
     pairs = load_pairs(args.pairs)
     batch = pairs.pairs[: args.batch]
     if len(batch) < 2:
@@ -268,7 +263,6 @@ def _cmd_audit_grad(args) -> int:
         reg_lambda=args.reg_lambda,
         sampling=args.sampling,
         seed=args.seed,
-        case_mode=case,
         batch_size=len(batch),
     )
     config.validate()

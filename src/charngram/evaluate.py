@@ -3,7 +3,8 @@
 Word similarity datasets are scored with Spearman's rho, sentence similarity
 with Pearson's r (both against cosine similarities of the embedded pair).
 Binned analyses slice sentence pairs by out-of-vocabulary token count or by
-maximum token length and report a per-bin Pearson correlation.
+maximum token length and report a per-bin Pearson correlation. Every text
+is normalized with the case mode of the model it is embedded by.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from scipy import stats
 
 from .errors import DataError
 from .model import Model, embed_matrix, encode_matrix, row_cosines
-from .vocab import NGramVocab, check_case_mode, normalize
+from .vocab import NGramVocab, normalize
 
 # Item: (text1, text2, gold score).
 SimItem = tuple[str, str, float]
@@ -105,20 +106,15 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
     return float(stats.spearmanr(x, y)[0])
 
 
-def _pair_scores(
-    model: Model, vocab: NGramVocab, items: Sequence[SimItem], case_mode: str
-) -> np.ndarray:
-    case_mode = check_case_mode(case_mode)
-    seqs = [normalize(t, case_mode) for item in items for t in item[:2]]
+def _pair_scores(model: Model, vocab: NGramVocab, items: Sequence[SimItem]) -> np.ndarray:
+    seqs = [normalize(t, model.input_case_mode) for item in items for t in item[:2]]
     values = embed_matrix(encode_matrix(seqs, vocab, model), model)
     return row_cosines(values[0::2], values[1::2])
 
 
-def eval_word_sim(
-    model: Model, vocab: NGramVocab, dataset: SimDataset, case_mode: str = "lower"
-) -> float:
+def eval_word_sim(model: Model, vocab: NGramVocab, dataset: SimDataset) -> float:
     """Spearman's rho between embedding cosines and gold scores."""
-    scores = _pair_scores(model, vocab, dataset.items, case_mode)
+    scores = _pair_scores(model, vocab, dataset.items)
     golds = [gold for _, _, gold in dataset.items]
     return spearman(scores, golds)
 
@@ -128,7 +124,6 @@ def eval_sts(
     vocab: NGramVocab,
     datasets: Sequence[SimDataset],
     grouping: Mapping[str, str] | None = None,
-    case_mode: str = "lower",
 ) -> EvalReport:
     """Pearson's r per dataset, unweighted group means, and an overall mean.
 
@@ -138,7 +133,7 @@ def eval_sts(
     report = EvalReport()
     groups: dict[str, list[float]] = {}
     for ds in datasets:
-        scores = _pair_scores(model, vocab, ds.items, case_mode)
+        scores = _pair_scores(model, vocab, ds.items)
         golds = [gold for _, _, gold in ds.items]
         r = pearson(scores, golds)
         report.per_dataset[ds.name] = r
@@ -194,7 +189,6 @@ def binned_eval(
     by: str,
     reference: ReferenceVocab | None = None,
     bins: Sequence[str] | None = None,
-    case_mode: str = "lower",
 ) -> list[BinResult]:
     """Pearson's r within each bin of pairs, binned by "oov" count or "length".
 
@@ -227,7 +221,7 @@ def binned_eval(
     if not pool:
         raise DataError("empty dataset")
 
-    scores = _pair_scores(model, vocab, pool, case_mode)
+    scores = _pair_scores(model, vocab, pool)
     keys = [key(t1, t2) for t1, t2, _ in pool]
     golds = [gold for _, _, gold in pool]
 

@@ -99,6 +99,11 @@ class Model:
             self.case_mode = check_case_mode(self.case_mode)
 
     @property
+    def input_case_mode(self) -> str:
+        """The case mode input text is normalized with: the recorded one, else "lower"."""
+        return self.case_mode or "lower"
+
+    @property
     def dim(self) -> int:
         return self.bias.shape[0]
 

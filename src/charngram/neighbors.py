@@ -20,8 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DataError
-from .model import (  # noqa: F401 (_NORM_BLOCK_ENTRIES is re-exported beside _row_norms)
-    _NORM_BLOCK_ENTRIES,
+from .model import (
     COSINE_NORM_FLOOR,
     Model,
     _row_norms,
@@ -29,7 +28,7 @@ from .model import (  # noqa: F401 (_NORM_BLOCK_ENTRIES is re-exported beside _r
     embed_matrix,
     encode_matrix,
 )
-from .vocab import NGramVocab, check_case_mode, encode, normalize
+from .vocab import NGramVocab, encode, normalize
 
 
 @dataclass
@@ -42,7 +41,6 @@ class WorkingVocab:
 
     words: list[str]  # normalized, without the boundary padding
     embeddings: np.ndarray  # (len(words), d), read-only
-    case_mode: str = "lower"
     norms: np.ndarray = field(init=False, repr=False)  # (len(words),)
 
     def __post_init__(self):
@@ -68,20 +66,13 @@ def _guarded_cosines(matrix: np.ndarray, query: np.ndarray, norms: np.ndarray) -
     return np.divide(matrix @ query, norms * qn, out=np.zeros(len(norms)), where=live)
 
 
-def build_working_vocab(
-    words: list[str], model: Model, vocab: NGramVocab, case_mode: str = "lower"
-) -> WorkingVocab:
-    """Normalize, deduplicate, and embed a word list."""
-    case_mode = check_case_mode(case_mode)
+def build_working_vocab(words: list[str], model: Model, vocab: NGramVocab) -> WorkingVocab:
+    """Normalize (in the model's case mode), deduplicate, and embed a word list."""
     if not words:
         raise DataError("empty word list")
-    padded = list(dict.fromkeys(normalize(word, case_mode) for word in words))
+    padded = list(dict.fromkeys(normalize(w, model.input_case_mode) for w in words))
     counts = encode_matrix(padded, vocab, model)
-    return WorkingVocab(
-        words=[seq[1:-1] for seq in padded],
-        embeddings=embed_matrix(counts, model),
-        case_mode=case_mode,
-    )
+    return WorkingVocab([seq[1:-1] for seq in padded], embed_matrix(counts, model))
 
 
 def _rank(name: Callable[[int], str], cosines: np.ndarray, exclude: set[str], k: int):
@@ -112,7 +103,7 @@ def nearest_neighbors(
     wv_dim = wv.embeddings.shape[1]
     if wv_dim != model.dim:
         raise DataError(f"working vocabulary has d={wv_dim}, the model d={model.dim}")
-    padded = normalize(query, wv.case_mode)
+    padded = normalize(query, model.input_case_mode)
     q = embed(encode(padded, vocab), model).values
     cosines = _guarded_cosines(wv.embeddings, q, wv.norms)
     return _rank(wv.words.__getitem__, cosines, {padded[1:-1]}, k)

@@ -182,7 +182,7 @@ def cosine_gap(model: Model, vocab: NGramVocab, task: SyntheticTask) -> float:
     """
     words = [w for ws in task.heldout_words for w in ws]
     roots = np.repeat(np.arange(len(task.heldout_words)), [len(ws) for ws in task.heldout_words])
-    counts = encode_matrix([normalize(w) for w in words], vocab, model)
+    counts = encode_matrix([normalize(w, model.input_case_mode) for w in words], vocab, model)
     units = unit_rows(embed_matrix(counts, model))
     i, j = np.triu_indices(len(words), k=1)
     cosines = np.einsum("ij,ij->i", units[i], units[j])

@@ -368,9 +368,10 @@ def _adam_apply(
 
 
 def _encode_pairs(
-    pairs: Sequence[tuple[str, str]], vocab: NGramVocab, model: Model, case_mode: str
+    pairs: Sequence[tuple[str, str]], vocab: NGramVocab, model: Model
 ) -> tuple[list[tuple[str, str]], sparse.csr_matrix]:
-    """Normalized texts, and the count matrix of all side-1 texts over all side-2 texts."""
+    """Texts normalized in the model's case mode, and the count matrix of side 1 over side 2."""
+    case_mode = model.input_case_mode
     texts = [(normalize(a, case_mode), normalize(b, case_mode)) for a, b in pairs]
     seqs = [t for t, _ in texts] + [t for _, t in texts]
     return texts, encode_matrix(seqs, vocab, model)
@@ -448,7 +449,7 @@ def train(
     curve = TrainingCurve()
 
     if config.epochs:
-        texts, counts = _encode_pairs(dataset.pairs, vocab, model, config.case_mode)
+        texts, counts = _encode_pairs(dataset.pairs, vocab, model)
 
     n = len(dataset)
     examples_seen = 0
@@ -514,7 +515,7 @@ def finite_diff_audit(
     if not 0 < step < math.inf:
         raise ValueError(f"step must be finite and > 0, got {step}")
     model.drop_row_norms()  # central differences write into the weights
-    texts, counts = _encode_pairs(sample_batch, vocab, model, config.case_mode)
+    texts, counts = _encode_pairs(sample_batch, vocab, model)
     _, grad_bias, touched, grad_rows, negatives = _batch_gradients(
         texts, counts, model, config, _rng(config.seed, _DOMAIN_AUDIT)
     )

@@ -209,6 +209,15 @@ def ngram_table(entries: Iterable[tuple[str, int, int]]) -> bytes:
     return b"".join(parts)
 
 
+def _encodable(text: str) -> bool:
+    """True unless `text` holds a code point UTF-8 cannot encode (a lone surrogate)."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def table_fingerprint(table: bytes) -> int:
     """64-bit blake2b digest of an n-gram table, read little-endian."""
     return int.from_bytes(hashlib.blake2b(table, digest_size=8).digest(), "little")
@@ -257,6 +266,7 @@ class NGramVocab:
             and 1 <= min(present)
             and max(present) <= MAX_ORDER
             and min(map(itemgetter(2), self.entries)) >= 0
+            and _encodable("".join(ngrams))
         ):
             self._check_entries()
         if orders is None:
@@ -283,6 +293,8 @@ class NGramVocab:
                 raise DataError(f"n-gram {ngram!r} length does not match order {order}")
             if count < 0:
                 raise DataError(f"negative corpus count for {ngram!r}")
+            if not _encodable(ngram):
+                raise DataError(f"n-gram {ngram!r} cannot be encoded as UTF-8")
             seen.add(ngram)
 
     @classmethod
@@ -381,8 +393,9 @@ def build_vocab(
     for each order independently, the k highest-count n-grams, ties broken
     lexicographically ascending by code point. Counting is insensitive to the
     order of the corpus stream and the tie-break is total, so the result is
-    deterministic. An empty corpus is an error; a policy that filters out
-    every n-gram yields an empty vocabulary with a warning.
+    deterministic. An empty corpus is an error, and so is a kept n-gram that
+    UTF-8 cannot encode (one holding a lone surrogate); a policy that filters
+    out every n-gram yields an empty vocabulary with a warning.
 
     The corpus is counted in one array pass (see the module docstring), or
     text by text when its alphabet is too wide for a 63-bit key of the

@@ -17,8 +17,8 @@ from charngram import (
 from charngram import AdamState, NGramVocab, TrainConfig, WorkingVocab
 from charngram import finite_diff_audit, neighbors
 from charngram import model as model_module
-from charngram.model import COSINE_NORM_FLOOR, Model
-from charngram.neighbors import _NORM_BLOCK_ENTRIES, _guarded_cosines, _rank, _row_norms
+from charngram.model import _NORM_BLOCK_ENTRIES, COSINE_NORM_FLOOR, Model
+from charngram.neighbors import _guarded_cosines, _rank, _row_norms
 from charngram.train import _encode_pairs, _step
 
 from conftest import random_model
@@ -189,7 +189,7 @@ def test_blocked_cosines_equal_one_pass_formula():
 
 def _per_query_reference(query, wv, model, vocab, k):
     # the neighbour query with the word-row norms recomputed on every call
-    padded = normalize(query, wv.case_mode)
+    padded = normalize(query, model.input_case_mode)
     q = embed(encode(padded, vocab), model).values
     cosines = _guarded_cosines(wv.embeddings, q, _row_norms(wv.embeddings))
     return _rank(wv.words.__getitem__, cosines, {padded[1:-1]}, k)
@@ -291,7 +291,7 @@ def test_ngram_query_after_a_training_step_sees_the_new_weights(wide_vocab):
     model = init_model(wide_vocab, config)
     before = ngram_neighbors("at ", model, wide_vocab, k=6)
     pairs = [("cat", "cats"), ("dog", "dogs"), ("fish", "deep")]
-    texts, counts = _encode_pairs(pairs, wide_vocab, model, "lower")
+    texts, counts = _encode_pairs(pairs, wide_vocab, model)
     _step(texts, counts, model, config, AdamState(), np.random.default_rng(0))
     after = ngram_neighbors("at ", model, wide_vocab, k=6)
     assert _bits(after) == _bits(_ngram_reference("at ", model, wide_vocab, 6))

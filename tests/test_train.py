@@ -234,7 +234,7 @@ def test_satisfied_margins_leave_parameters_unchanged():
     before_b = model.bias.copy()
     config = TrainConfig(dim=2, activation="linear", batch_size=2, reg_lambda=0.0)
     adam = AdamState()
-    texts, counts = _encode_pairs([("aa", "aa"), ("bb", "bb")], vocab, model, "lower")
+    texts, counts = _encode_pairs([("aa", "aa"), ("bb", "bb")], vocab, model)
     loss = _step(texts, counts, model, config, adam, _rng(0, 11))
     assert loss == 0.0
     assert np.array_equal(model.weights, before_w)
@@ -245,7 +245,7 @@ def test_inactive_hinges_give_pure_regularizer_gradient():
     vocab, model = _orthogonal_setup()
     lam = 1e-2
     config = TrainConfig(dim=2, activation="linear", batch_size=2, reg_lambda=lam)
-    texts, counts = _encode_pairs([("aa", "aa"), ("bb", "bb")], vocab, model, "lower")
+    texts, counts = _encode_pairs([("aa", "aa"), ("bb", "bb")], vocab, model)
     loss, grad_bias, touched, grad_rows, negatives = _batch_gradients(
         texts, counts, model, config, _rng(0, 12)
     )
@@ -267,7 +267,7 @@ def test_decay_only_step_shrinks_touched_rows():
     vocab, model = _orthogonal_setup()
     config = TrainConfig(dim=2, activation="linear", batch_size=2, reg_lambda=1e-2)
     before = model.weights.copy()
-    texts, counts = _encode_pairs([("aa", "aa"), ("bb", "bb")], vocab, model, "lower")
+    texts, counts = _encode_pairs([("aa", "aa"), ("bb", "bb")], vocab, model)
     _step(texts, counts, model, config, AdamState(), _rng(0, 12))
     moved = np.abs(model.weights) - np.abs(before)
     assert np.all(moved[np.abs(before) > 0.1] < 0)  # big coordinates move toward zero
@@ -278,7 +278,7 @@ def test_first_adam_step_is_signed_learning_rate(small_vocab):
     model = random_model(np.random.default_rng(13), small_vocab, dim=3)
     config = TrainConfig(dim=3, batch_size=3, learning_rate=0.001)
     batch = [("the cat", "black cat"), ("dogs bark", "bark loud"), ("fish swim", "deep fish")]
-    texts, counts = _encode_pairs(batch, small_vocab, model, "lower")
+    texts, counts = _encode_pairs(batch, small_vocab, model)
     _, grad_bias, touched, grad_rows, _ = _batch_gradients(
         texts, counts, model, config, _rng(0, 13)
     )
@@ -302,7 +302,7 @@ def test_untouched_rows_bit_unchanged(small_vocab):
     before = model.weights.copy()
     batch = [("the cat", "black cat"), ("dogs bark", "bark loud")]
     adam = AdamState()
-    texts, counts = _encode_pairs(batch, small_vocab, model, "lower")
+    texts, counts = _encode_pairs(batch, small_vocab, model)
     _step(texts, counts, model, config, adam, _rng(3, 14))
 
     touched = set()
@@ -362,11 +362,11 @@ def test_blocked_adam_is_bit_equal_to_unblocked_reference():
     per_block = _ADAM_BLOCK_ENTRIES // config.dim
     batches = [list(zip(PHRASES[i::3], PHRASES[i + 1 :: 3])) for i in range(3)] * 2
     for step, batch in enumerate(batches):
-        texts, counts = _encode_pairs(batch, vocab, blocked, "lower")
+        texts, counts = _encode_pairs(batch, vocab, blocked)
         grads = _batch_gradients(texts, counts, blocked, config, _rng(5, step))[1:4]
         assert len(grads[1]) > 2 * per_block  # at least three blocks
         _adam_apply(blocked, adam_blocked, config, *grads)
-        texts, counts = _encode_pairs(batch, vocab, reference, "lower")
+        texts, counts = _encode_pairs(batch, vocab, reference)
         grads = _batch_gradients(texts, counts, reference, config, _rng(5, step))[1:4]
         _adam_reference(reference, adam_reference, config, *grads)
     assert adam_blocked.step == adam_reference.step == len(batches)
@@ -386,7 +386,7 @@ def test_l2_term_in_the_adam_step_is_byte_equal_to_a_separate_gradient_term():
     without_lambda = replace(config, reg_lambda=0.0)
     batches = [list(zip(PHRASES[i::3], PHRASES[i + 1 :: 3])) for i in range(3)]
     for step, batch in enumerate(batches):
-        texts, counts = _encode_pairs(batch, vocab, folded, "lower")
+        texts, counts = _encode_pairs(batch, vocab, folded)
         grads = _batch_gradients(texts, counts, folded, config, _rng(7, step))[1:4]
         _adam_apply(folded, adam_folded, config, *grads)
         grad_bias, touched, grad_rows = _batch_gradients(
@@ -404,7 +404,7 @@ def test_l2_term_in_the_adam_step_is_byte_equal_to_a_separate_gradient_term():
     small = replace(config, dim=4)
     model, adam = init_model(vocab, small), AdamState()
     for step, batch in enumerate(batches):
-        _step(*_encode_pairs(batch, vocab, model, "lower"), model, small, adam, _rng(7, step))
+        _step(*_encode_pairs(batch, vocab, model), model, small, adam, _rng(7, step))
     assert finite_diff_audit(model, vocab, batches[0], small) < 1e-4
 
 

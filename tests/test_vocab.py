@@ -182,6 +182,20 @@ def test_vocab_errors_name_the_first_bad_entry(entries, message):
     assert str(caught.value) == message
 
 
+def test_an_n_gram_utf8_cannot_encode_is_a_data_error():
+    # a lone surrogate has no UTF-8 bytes, so no n-gram table, fingerprint or file
+    with pytest.raises(DataError, match="cannot be encoded as UTF-8"):
+        build_vocab(["a\ud800b"], (2,), MinCount(1))
+    with pytest.raises(DataError) as caught:
+        NGramVocab([("ab", 2, 1), ("a\ud800", 2, 1), ("\udfff", 1, 1)])
+    assert str(caught.value) == "n-gram 'a\\ud800' cannot be encoded as UTF-8"
+    # text holding one still encodes against a valid vocabulary
+    vocab = build_vocab(["ab ba"], (2,), MinCount(1))
+    seq = normalize("a\ud800b ab")
+    assert encode(seq, vocab) == {vocab.index[" a"]: 2, vocab.index["ab"]: 1,
+                                  vocab.index["b "]: 2}
+
+
 def test_vocab_index_bijection(small_vocab):
     assert len(small_vocab.index) == len(small_vocab.entries)
     for ngram, pos in small_vocab.index.items():
