@@ -95,8 +95,13 @@ class Model:
         if self.weights.shape[1] != self.bias.shape[0]:
             raise ValueError("weights and bias dimensionality disagree")
         check_activation(self.activation)
-        if self.case_mode is not None:
-            self.case_mode = check_case_mode(self.case_mode)
+
+    def __setattr__(self, name, value):
+        # the case mode is checked and its alias resolved on every assignment,
+        # so a mode set after construction is one `save_model` can record
+        if name == "case_mode" and value is not None:
+            value = check_case_mode(value)
+        super().__setattr__(name, value)
 
     @property
     def input_case_mode(self) -> str:
@@ -192,28 +197,65 @@ def embed_matrix(counts: sparse.csr_matrix, model: Model) -> np.ndarray:
     return apply_activation(model.activation, counts @ model.weights + model.bias)
 
 
+def backward_layouts(
+    counts: sparse.csr_matrix, row_bounds: Sequence[int] | np.ndarray
+) -> list[tuple[np.ndarray, sparse.csr_matrix]]:
+    """The backward layout of each row block [row_bounds[b], row_bounds[b + 1]) of `counts`.
+
+    Block b's layout is (touched, X_b[:, touched]^T): the sorted columns present
+    in the block's rows X_b, and the CSR matrix whose row t lists the entries of
+    column touched[t], indexed by their row within the block, in row order (and
+    in stored order within a row). Those are the arrays scipy's csc -> csr
+    conversion of X_b[:, touched]^T gives, so products with it are bit-identical.
+    Each block's entries are put in that order by one sort of (column, entry
+    position) keys packed into int64, the same order as a stable argsort of the
+    columns; blocks may be empty.
+    """
+    indptr, indices = counts.indptr, counts.indices
+    row_bounds = np.asarray(row_bounds, dtype=np.intp)
+    entry_bounds = indptr[row_bounds]
+    block_rows = np.diff(row_bounds)
+    local_row = np.arange(counts.shape[0]) - np.repeat(row_bounds[:-1], block_rows)
+    entry_row = np.repeat(local_row.astype(indices.dtype), np.diff(indptr))
+    layouts = []
+    for b, (e0, e1) in enumerate(zip(entry_bounds, entry_bounds[1:])):
+        # a column (below |V| < 2^31) and a position in the block (below 2^32
+        # entries) fit one int64 key; position order breaks ties as a stable
+        # sort would
+        shift = int(e1 - e0).bit_length()
+        keys = np.sort((indices[e0:e1].astype(np.int64) << shift) | np.arange(e1 - e0))
+        order = keys & ((1 << shift) - 1)
+        columns = keys >> shift
+        new = np.ones(len(keys), dtype=bool)  # where a column's run of entries starts
+        new[1:] = columns[1:] != columns[:-1]
+        starts = np.flatnonzero(new)
+        xt = sparse.csr_matrix(
+            (counts.data[e0:e1][order], entry_row[e0:e1][order], np.append(starts, len(keys))),
+            shape=(len(starts), block_rows[b]),
+        )
+        layouts.append((columns[starts], xt))
+    return layouts
+
+
 def embed_matrix_grad(
-    counts: sparse.csr_matrix, values: np.ndarray, upstream: np.ndarray, model: Model
+    counts: sparse.csr_matrix,
+    values: np.ndarray,
+    upstream: np.ndarray,
+    model: Model,
+    layout: tuple[np.ndarray, sparse.csr_matrix] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Backpropagate `upstream` (d loss / d values) through values = embed_matrix(counts).
 
     Returns (d loss / d bias, touched rows, d loss / d weights[touched rows]),
     where the touched rows are the sorted columns present in `counts`.
+    `layout` is the one block of `backward_layouts` covering all of `counts`;
+    it is computed when not given.
     """
+    if layout is None:
+        (layout,) = backward_layouts(counts, (0, counts.shape[0]))
+    touched, xt = layout
     d_pre = upstream * activation_grad(model.activation, values)
-    # X_touched^T built directly: the CSR arrays of X, with each column index
-    # renumbered to its touched position, are the CSC arrays of X_touched^T;
-    # a presence mask finds the touched columns without sorting the indices
-    present = np.zeros(counts.shape[1], dtype=bool)
-    present[counts.indices] = True
-    touched = np.flatnonzero(present)
-    position = np.empty(counts.shape[1], dtype=np.intp)
-    position[touched] = np.arange(len(touched))
-    xt = sparse.csc_matrix(
-        (counts.data, position[counts.indices], counts.indptr),
-        shape=(len(touched), counts.shape[0]),
-    )
-    return d_pre.sum(axis=0), touched, xt.tocsr() @ d_pre
+    return d_pre.sum(axis=0), touched, xt @ d_pre
 
 
 def embed(cv: CountVector, model: Model) -> Embedding:

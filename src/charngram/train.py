@@ -10,13 +10,24 @@ decay applied lazily to the same touched set.
 A batch of n pairs is one count matrix stacking the side-1 texts over the
 side-2 texts, so each step runs one forward pass h(X @ W + b) over 2n rows,
 and its backward pass is X^T times the gradient at the pre-activations.
+
+What a step needs that does not depend on the weights is planned before the
+epoch's first step: every batch's count rows come from one fancy row index,
+every batch's backward layout (its touched rows and X_touched^T) from one
+`backward_layouts` call, and the integer ids that exclude string-equal
+negatives are made once per dataset. A step then does only the work that
+depends on the weights, with the same arithmetic in the same order as
+building each batch on its own. The plan covers a window of batches holding
+about _PLAN_WINDOW_ENTRIES count entries at a time, so beside the dataset's
+count matrix it keeps about two copies of that many entries (the rows and
+their layout), however large the dataset.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -25,6 +36,7 @@ from .errors import DataError, NumericalError
 from .model import (
     COSINE_NORM_FLOOR,
     Model,
+    backward_layouts,
     check_activation,
     embed_matrix,
     embed_matrix_grad,
@@ -51,6 +63,10 @@ _DOMAIN_AUDIT = 3
 # Weights per block of the Adam update: a block's gathered m, v, W and
 # gradient rows (4 x 128 KiB of float64) stay in a typical per-core L2 cache.
 _ADAM_BLOCK_ENTRIES = 16384
+
+# Count entries per window of planned batches (see `_plan_batches`): the
+# whole epoch of the paper-shape benchmark is one window.
+_PLAN_WINDOW_ENTRIES = 1 << 19
 
 
 def _rng(seed: int, *domain: int) -> np.random.Generator:
@@ -148,6 +164,13 @@ class TrainingCurve:
         self.points.append((examples_seen, metric, float(value)))
 
 
+def _text_ids(texts: Sequence[tuple[str, str]]) -> np.ndarray:
+    """(n, 2) integer ids of the phrases of n pairs, equal exactly where the phrases are."""
+    ids: dict[str, int] = {}
+    rows = [[ids.setdefault(t, len(ids)) for t in pair] for pair in texts]
+    return np.array(rows, dtype=np.intp).reshape(len(texts), 2)
+
+
 def select_negatives(
     side1: np.ndarray,
     side2: np.ndarray,
@@ -155,6 +178,8 @@ def select_negatives(
     rng: np.random.Generator,
     texts: Sequence[tuple[str, str]] | None = None,
     pool: str = "same-side",
+    *,
+    text_ids: np.ndarray | None = None,
 ) -> list[tuple[PhraseRef, PhraseRef]]:
     """Pick one negative example per side for every pair in the batch.
 
@@ -175,7 +200,9 @@ def select_negatives(
 
     When `texts` (normalized phrase strings per pair) is given, candidates
     string-equal to either phrase of the current pair are excluded, falling
-    back to all other-pair candidates if that empties the pool.
+    back to all other-pair candidates if that empties the pool. `text_ids`,
+    the `_text_ids` of those texts, excludes the same candidates without
+    reading the strings; the trainer passes the ids it made once per dataset.
     """
     n = len(side1)
     if n < 2:
@@ -185,21 +212,21 @@ def select_negatives(
         raise ValueError(f"sampling must be one of {SAMPLING_MODES}")
     if pool not in NEGATIVE_POOLS:
         raise ValueError(f"negative_pool must be one of {NEGATIVE_POOLS}")
+    if text_ids is None and texts is not None:
+        text_ids = _text_ids(texts)
 
     units = unit_rows(np.concatenate([side1, side2]))
     # candidates in enumeration order: pair ascending, then side
     cand_pair, cand_side = np.divmod(np.arange(2 * n), 2)
     candidates = units[cand_side * n + cand_pair]
     other_pair = cand_pair[None, :] != np.arange(n)[:, None]
-    if texts is not None:
-        ids: dict[str, int] = {}
-        text_ids = np.array([[ids.setdefault(t, len(ids)) for t in pair] for pair in texts])
+    if text_ids is not None:
         cand_ids = text_ids[cand_pair, cand_side]
         fresh = (cand_ids != text_ids[:, :1]) & (cand_ids != text_ids[:, 1:])
     pools = []  # per side: the (n, 2n) mask of allowed candidates, MAX's picks
     for side in (0, 1):
         allowed = other_pair & (cand_side == side) if pool == "same-side" else other_pair
-        if texts is not None:
+        if text_ids is not None:
             kept = allowed & fresh
             allowed = np.where(kept.any(axis=1, keepdims=True), kept, allowed)
         sims = units[side * n : (side + 1) * n] @ candidates.T
@@ -258,27 +285,34 @@ def _hinge(
     return float(np.maximum(hinge, 0.0).sum()) / n, (gather @ grad) / n
 
 
+@dataclass(frozen=True)
+class _Batch:
+    """What one training step needs that does not depend on the weights."""
+
+    counts: sparse.csr_matrix  # the side-1 rows over the side-2 rows
+    text_ids: np.ndarray  # (n, 2) `_text_ids` of the pairs, for excluding negatives
+    layout: tuple[np.ndarray, sparse.csr_matrix] | None = None  # `backward_layouts` of counts
+
+
 def _batch_gradients(
-    texts: Sequence[tuple[str, str]],
-    counts: sparse.csr_matrix,
-    model: Model,
-    config: TrainConfig,
-    rng: np.random.Generator,
+    batch: _Batch, model: Model, config: TrainConfig, rng: np.random.Generator
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, list[tuple[PhraseRef, PhraseRef]]]:
     """One forward pass, negative selection, and the analytic gradient of the batch loss.
 
-    `counts` stacks the side-1 rows over the side-2 rows. Returns (loss,
-    d bias, touched rows, d weights[touched rows], negatives). Neither the
-    loss nor the gradient includes the L2 term; `_adam_apply` adds its
-    gradient.
+    Returns (loss, d bias, touched rows, d weights[touched rows], negatives).
+    Neither the loss nor the gradient includes the L2 term; `_adam_apply`
+    adds its gradient.
     """
-    n = len(texts)
-    values = embed_matrix(counts, model)
+    values = embed_matrix(batch.counts, model)
+    n = len(batch.text_ids)
     negatives = select_negatives(
-        values[:n], values[n:], config.sampling, rng, texts=texts, pool=config.negative_pool
+        values[:n], values[n:], config.sampling, rng,
+        pool=config.negative_pool, text_ids=batch.text_ids,
     )
     loss, d_values = _hinge(values, negatives, config.margin)
-    grad_bias, touched, grad_rows = embed_matrix_grad(counts, values, d_values, model)
+    grad_bias, touched, grad_rows = embed_matrix_grad(
+        batch.counts, values, d_values, model, batch.layout
+    )
     return loss, grad_bias, touched, grad_rows, negatives
 
 
@@ -378,16 +412,44 @@ def _encode_pairs(
 
 
 def _step(
-    texts: Sequence[tuple[str, str]],
-    counts: sparse.csr_matrix,
-    model: Model,
-    config: TrainConfig,
-    adam: AdamState,
-    rng: np.random.Generator,
+    batch: _Batch, model: Model, config: TrainConfig, adam: AdamState, rng: np.random.Generator
 ) -> float:
-    loss, grad_bias, touched, grad_rows, _ = _batch_gradients(texts, counts, model, config, rng)
+    loss, grad_bias, touched, grad_rows, _ = _batch_gradients(batch, model, config, rng)
     _adam_apply(model, adam, config, grad_bias, touched, grad_rows)
     return loss
+
+
+def _plan_batches(
+    counts: sparse.csr_matrix, text_ids: np.ndarray, batches: Sequence[np.ndarray]
+) -> Iterator[_Batch]:
+    """The `_Batch` of each batch of pair indices, planned a window of batches at a time.
+
+    `counts` holds the side-1 rows of all n pairs over their side-2 rows, and
+    `text_ids` their `_text_ids`. A window takes its rows (each batch's side-1
+    rows, then its side-2 rows) with one fancy index of `counts` and lays out
+    every batch's backward pass with one `backward_layouts` call; each batch's
+    count matrix is then a contiguous row range of the window's arrays. A
+    window ends once its batches hold _PLAN_WINDOW_ENTRIES count entries, so
+    the plan keeps about that many entries twice (the rows and their layout)
+    besides `counts`, whatever the dataset size.
+    """
+    n = len(text_ids)
+    row_nnz = np.diff(counts.indptr)
+    pair_nnz = row_nnz[:n] + row_nnz[n:]
+    window_of = np.cumsum([pair_nnz[idxs].sum() for idxs in batches]) // _PLAN_WINDOW_ENTRIES
+    starts = np.flatnonzero(np.diff(window_of, prepend=-1))
+    for w0, w1 in zip(starts, [*starts[1:], len(batches)]):
+        window = batches[w0:w1]
+        rows = counts[np.concatenate([np.concatenate([idxs, idxs + n]) for idxs in window])]
+        bounds = np.cumsum([0, *(2 * len(idxs) for idxs in window)])
+        indptr = rows.indptr
+        for idxs, r0, r1, layout in zip(window, bounds, bounds[1:], backward_layouts(rows, bounds)):
+            e0, e1 = indptr[r0], indptr[r1]
+            batch_counts = sparse.csr_matrix(
+                (rows.data[e0:e1], rows.indices[e0:e1], indptr[r0 : r1 + 1] - e0),
+                shape=(r1 - r0, rows.shape[1]),
+            )
+            yield _Batch(batch_counts, text_ids[idxs], layout)
 
 
 def epoch_permutation(seed: int, epoch: int, n: int, curriculum: bool) -> np.ndarray:
@@ -450,6 +512,7 @@ def train(
 
     if config.epochs:
         texts, counts = _encode_pairs(dataset.pairs, vocab, model)
+        text_ids = _text_ids(texts)
 
     n = len(dataset)
     examples_seen = 0
@@ -469,13 +532,12 @@ def train(
         epoch_loss = 0.0
         interval_loss = 0.0
         interval_batches = 0
-        for bi, idxs in enumerate(batch_slices):
-            batch = counts[np.concatenate([idxs, idxs + n])]
+        for bi, batch in enumerate(_plan_batches(counts, text_ids, batch_slices)):
             try:
-                loss = _step([texts[i] for i in idxs], batch, model, config, adam, sample_rng)
+                loss = _step(batch, model, config, adam, sample_rng)
             except NumericalError as err:
                 raise NumericalError(f"epoch {epoch + 1}, batch {bi + 1}: {err}") from err
-            examples_seen += len(idxs)
+            examples_seen += len(batch.text_ids)
             epoch_loss += loss
             interval_loss += loss
             interval_batches += 1
@@ -517,7 +579,7 @@ def finite_diff_audit(
     model.drop_row_norms()  # central differences write into the weights
     texts, counts = _encode_pairs(sample_batch, vocab, model)
     _, grad_bias, touched, grad_rows, negatives = _batch_gradients(
-        texts, counts, model, config, _rng(config.seed, _DOMAIN_AUDIT)
+        _Batch(counts, _text_ids(texts)), model, config, _rng(config.seed, _DOMAIN_AUDIT)
     )
     if config.reg_lambda > 0:  # the L2 term, as `_adam_apply` adds it
         grad_bias += 2.0 * config.reg_lambda * model.bias

@@ -324,12 +324,6 @@ class NGramVocab:
         return self.entries == other.entries and self.orders == other.orders
 
     @property
-    def max_order(self) -> int:
-        if not self.orders:
-            return 0
-        return max(self.orders)
-
-    @property
     def table(self) -> bytes:
         """The n-gram table of the entries, built once."""
         if self._table is None:

@@ -157,6 +157,19 @@ def test_input_case_mode_is_the_recorded_mode_else_lower(preserve, version_1):
     assert version_1[0].input_case_mode == "lower"
 
 
+def test_a_case_mode_assigned_later_is_checked_and_aliased(version_1, tmp_path):
+    model = dataclasses.replace(version_1[0])
+    model.case_mode = "lowercase"  # the accepted alias of "lower"
+    assert model.case_mode == "lower"
+    save_model(model, version_1[1], tmp_path / "alias.bin")
+    assert load_model(tmp_path / "alias.bin")[0].case_mode == "lower"
+    with pytest.raises(ValueError, match="case_mode must be one of"):
+        model.case_mode = "bogus"
+    assert model.case_mode == "lower"
+    model.case_mode = None  # not recorded, as a version-1 file loads
+    assert model.input_case_mode == "lower"
+
+
 def test_preserve_and_lower_differ_on_these_texts(preserve, version_1):
     # the test above would show nothing if case made no difference here
     model, vocab = preserve

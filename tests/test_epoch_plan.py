@@ -1,0 +1,223 @@
+"""The epoch plan: batches laid out once per window, bit-identical to per-step rebuilds.
+
+`train` takes each window's batch rows with one fancy index, lays out every
+batch's backward pass with one `backward_layouts` call and gives each phrase
+an integer id once per dataset. The references here rebuild all three per
+batch, as the trainer did before it planned: a fancy row index per batch, a
+text-to-id dict per batch and a csc -> csr transpose per backward pass.
+"""
+
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
+
+from charngram import (
+    AdamState,
+    MinCount,
+    PairDataset,
+    TrainConfig,
+    TrainingCurve,
+    build_vocab,
+    epoch_permutation,
+    init_model,
+    select_negatives,
+    train,
+)
+from charngram.model import (
+    Model,
+    activation_grad,
+    backward_layouts,
+    embed_matrix,
+    embed_matrix_grad,
+)
+from charngram.train import _DOMAIN_SAMPLING, _Batch, _encode_pairs, _rng, _step, _text_ids
+
+
+def _tocsr_layout(counts):
+    """A batch's touched columns by a presence mask, and X_touched^T by csc -> csr."""
+    present = np.zeros(counts.shape[1], dtype=bool)
+    present[counts.indices] = True
+    touched = np.flatnonzero(present)
+    position = np.empty(counts.shape[1], dtype=np.intp)
+    position[touched] = np.arange(len(touched))
+    xt = sparse.csc_matrix(
+        (counts.data, position[counts.indices], counts.indptr),
+        shape=(len(touched), counts.shape[0]),
+    )
+    return touched, xt.tocsr()
+
+
+def _embed_matrix_grad_reference(counts, values, upstream, model):
+    touched, xt = _tocsr_layout(counts)
+    d_pre = upstream * activation_grad(model.activation, values)
+    return d_pre.sum(axis=0), touched, xt @ d_pre
+
+
+# --- the planner ------------------------------------------------------------
+
+
+def _assert_layouts_equal_per_block(counts, bounds):
+    layouts = backward_layouts(counts, bounds)
+    assert len(layouts) == len(bounds) - 1
+    for (touched, xt), r0, r1 in zip(layouts, bounds, bounds[1:]):
+        block = counts[r0:r1]
+        ref_touched, ref_xt = _tocsr_layout(block)
+        assert np.array_equal(touched, np.unique(block.indices))
+        assert np.array_equal(touched, ref_touched)
+        assert xt.shape == ref_xt.shape
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(xt, name), getattr(ref_xt, name)), name
+
+
+@st.composite
+def _blocked_counts(draw):
+    n_cols = draw(st.integers(1, 10))
+    rows = draw(st.lists(st.lists(st.integers(0, n_cols - 1), max_size=6), max_size=14))
+    data = [draw(st.lists(st.integers(1, 4), min_size=len(r), max_size=len(r))) for r in rows]
+    indptr = np.cumsum([0, *map(len, rows)])
+    counts = sparse.csr_matrix(
+        (np.array(sum(data, []), dtype=np.float64),
+         np.array(sum(rows, []), dtype=np.int32), indptr),
+        shape=(len(rows), n_cols),
+    )
+    cuts = draw(st.lists(st.integers(0, len(rows)), max_size=5))
+    return counts, [0, *sorted(cuts), len(rows)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_blocked_counts())
+def test_backward_layouts_equal_unique_and_tocsr_per_block(case):
+    # rows may be empty, unsorted or hold one column twice; blocks may be empty
+    _assert_layouts_equal_per_block(*case)
+
+
+def test_backward_layouts_edge_blocks():
+    # an all-empty block, a single-column block, a zero-row block and a block
+    # whose rows repeat one column between them
+    rows = [[], [], [3], [3], [], [0, 5], [5, 0], [2]]
+    indptr = np.cumsum([0, *map(len, rows)])
+    counts = sparse.csr_matrix(
+        (np.arange(1.0, indptr[-1] + 1), np.array(sum(rows, []), dtype=np.int32), indptr),
+        shape=(len(rows), 6),
+    )
+    bounds = [0, 2, 4, 4, 7, 8]
+    _assert_layouts_equal_per_block(counts, bounds)
+    layouts = backward_layouts(counts, bounds)
+    assert [t.tolist() for t, _ in layouts] == [[], [3], [], [0, 5], [2]]
+    assert layouts[0][1].shape == (0, 2) and layouts[2][1].shape == (0, 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_blocked_counts(), st.sampled_from(["linear", "tanh"]), st.integers(0, 2**32 - 1))
+def test_embed_matrix_grad_is_byte_equal_to_the_tocsr_backward(case, activation, seed):
+    counts, bounds = case
+    rng = np.random.default_rng(seed)
+    model = Model(weights=rng.normal(size=(counts.shape[1], 3)), bias=rng.normal(size=3),
+                  activation=activation, vocab_fingerprint=0)
+    layouts = backward_layouts(counts, bounds)
+    for layout, r0, r1 in zip(layouts, bounds, bounds[1:]):
+        block = counts[r0:r1]
+        values = embed_matrix(block, model)
+        upstream = rng.normal(size=values.shape)
+        want = _embed_matrix_grad_reference(block, values, upstream, model)
+        for got in (embed_matrix_grad(block, values, upstream, model),
+                    embed_matrix_grad(block, values, upstream, model, layout)):
+            assert [a.dtype for a in got] == [a.dtype for a in want]
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+def test_text_ids_are_equal_exactly_where_the_phrases_are():
+    texts = [("a", "b"), ("b", "c"), ("a", "a"), ("d", "b")]
+    ids = _text_ids(texts)
+    assert ids.shape == (4, 2)
+    flat = [t for pair in texts for t in pair]
+    for i, s in enumerate(flat):
+        for j, t in enumerate(flat):
+            assert (ids.ravel()[i] == ids.ravel()[j]) == (s == t)
+    assert _text_ids([]).shape == (0, 2)
+    rng = np.random.default_rng(3)
+    side1, side2 = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
+    for pool in ("same-side", "both-sides"):
+        by_text = select_negatives(side1, side2, "mix", _rng(3, 1), texts=texts, pool=pool)
+        by_id = select_negatives(side1, side2, "mix", _rng(3, 1), pool=pool, text_ids=ids)
+        assert by_text == by_id
+
+
+# --- train() against the per-batch reference ---------------------------------
+
+
+def _train_reference(dataset, vocab, config):
+    """`train` without a hook, rebuilding each batch's rows, text ids and layout per step."""
+    model = init_model(vocab, config)
+    adam, curve = AdamState(), TrainingCurve()
+    texts, counts = _encode_pairs(dataset.pairs, vocab, model)
+    n = len(dataset)
+    examples_seen = 0
+    for epoch in range(config.epochs):
+        order = epoch_permutation(config.seed, epoch, n, config.curriculum)
+        sample_rng = _rng(config.seed, _DOMAIN_SAMPLING, epoch)
+        slices = [order[s : s + config.batch_size] for s in range(0, n, config.batch_size)]
+        slices = [b for b in slices if len(b) >= 2]
+        hook_interval = max(1, round(len(slices) * config.eval_every))
+        epoch_loss = interval_loss = 0.0
+        interval_batches = 0
+        for bi, idxs in enumerate(slices):
+            batch = counts[np.concatenate([idxs, idxs + n])]
+            planned = _Batch(batch, _text_ids([texts[i] for i in idxs]), _tocsr_layout(batch))
+            loss = _step(planned, model, config, adam, sample_rng)
+            examples_seen += len(idxs)
+            epoch_loss += loss
+            interval_loss += loss
+            interval_batches += 1
+            if (bi + 1) % hook_interval == 0:
+                curve.add(examples_seen, "train_loss", interval_loss / interval_batches)
+                interval_loss = 0.0
+                interval_batches = 0
+        curve.add(examples_seen, "epoch_mean_batch_loss", epoch_loss / len(slices))
+    return model, adam, curve
+
+
+def _pairs():
+    """23 pairs over words without a "q"; the last three pairs encode to nothing.
+
+    Some phrases repeat across pairs and one pair repeats its own phrase, so
+    the exclusion of string-equal negatives has work to do.
+    """
+    rng = np.random.default_rng(2016)
+    words = ["".join(rng.choice(list("abcdefghij"), size=rng.integers(2, 6))) for _ in range(30)]
+    pairs = [(words[i], words[i + 1] + " " + words[(3 * i) % 30]) for i in range(17)]
+    pairs += [(words[2], words[3]), (words[5], words[5]), (words[0], words[1] + " " + words[0])]
+    vocab = build_vocab([t for p in pairs for t in p], (2, 3), MinCount(1))
+    pairs += [("qqq", "qq q"), ("q", "qqqq"), ("qq", "q q")]
+    return PairDataset(pairs), vocab
+
+
+@pytest.mark.parametrize("window", [None, 1, 150])
+@pytest.mark.parametrize("curriculum", [False, True])
+@pytest.mark.parametrize("pool", ["same-side", "both-sides"])
+@pytest.mark.parametrize("sampling", ["max", "mix"])
+def test_train_is_byte_identical_to_per_batch_rebuilds(
+    sampling, pool, curriculum, window, monkeypatch
+):
+    if window is not None:  # many windows: every batch alone, or a few per window
+        monkeypatch.setattr(sys.modules["charngram.train"], "_PLAN_WINDOW_ENTRIES", window)
+    dataset, vocab = _pairs()
+    # 23 pairs in batches of 5: a short final batch of 3, which under the
+    # curriculum's first epoch holds only the pairs that encode to nothing
+    config = TrainConfig(dim=6, batch_size=5, epochs=3, seed=11, sampling=sampling,
+                         negative_pool=pool, curriculum=curriculum, reg_lambda=1e-3)
+    _, counts = _encode_pairs(dataset.pairs, vocab, init_model(vocab, config))
+    row_nnz = np.diff(counts.indptr)
+    assert not row_nnz[20:23].any() and not row_nnz[43:].any() and row_nnz[:20].all()
+    model, adam, curve = train(dataset, vocab, config)
+    ref_model, ref_adam, ref_curve = _train_reference(dataset, vocab, config)
+    assert model.weights.tobytes() == ref_model.weights.tobytes()
+    assert model.bias.tobytes() == ref_model.bias.tobytes()
+    assert adam.step == ref_adam.step == 15
+    for name in ("m_bias", "v_bias", "m_weights", "v_weights"):
+        assert getattr(adam, name).tobytes() == getattr(ref_adam, name).tobytes()
+    assert curve.points == ref_curve.points

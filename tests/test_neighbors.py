@@ -19,7 +19,7 @@ from charngram import finite_diff_audit, neighbors
 from charngram import model as model_module
 from charngram.model import _NORM_BLOCK_ENTRIES, COSINE_NORM_FLOOR, Model
 from charngram.neighbors import _guarded_cosines, _rank, _row_norms
-from charngram.train import _encode_pairs, _step
+from charngram.train import _Batch, _encode_pairs, _step, _text_ids
 
 from conftest import random_model
 
@@ -292,7 +292,7 @@ def test_ngram_query_after_a_training_step_sees_the_new_weights(wide_vocab):
     before = ngram_neighbors("at ", model, wide_vocab, k=6)
     pairs = [("cat", "cats"), ("dog", "dogs"), ("fish", "deep")]
     texts, counts = _encode_pairs(pairs, wide_vocab, model)
-    _step(texts, counts, model, config, AdamState(), np.random.default_rng(0))
+    _step(_Batch(counts, _text_ids(texts)), model, config, AdamState(), np.random.default_rng(0))
     after = ngram_neighbors("at ", model, wide_vocab, k=6)
     assert _bits(after) == _bits(_ngram_reference("at ", model, wide_vocab, 6))
     assert after != before

@@ -26,15 +26,22 @@ from charngram import (
 from charngram.model import COSINE_NORM_FLOOR, Model, check_activation
 from charngram.train import (
     _ADAM_BLOCK_ENTRIES,
+    _Batch,
     _adam_apply,
     _batch_gradients,
     _encode_pairs,
     _hinge,
     _rng,
     _step,
+    _text_ids,
 )
 
 from conftest import random_model
+
+
+def _batch(texts, counts):
+    """One training batch of the pairs `texts` with count matrix `counts`."""
+    return _Batch(counts, _text_ids(texts))
 
 
 def _vec(angle):
@@ -235,7 +242,7 @@ def test_satisfied_margins_leave_parameters_unchanged():
     config = TrainConfig(dim=2, activation="linear", batch_size=2, reg_lambda=0.0)
     adam = AdamState()
     texts, counts = _encode_pairs([("aa", "aa"), ("bb", "bb")], vocab, model)
-    loss = _step(texts, counts, model, config, adam, _rng(0, 11))
+    loss = _step(_batch(texts, counts), model, config, adam, _rng(0, 11))
     assert loss == 0.0
     assert np.array_equal(model.weights, before_w)
     assert np.array_equal(model.bias, before_b)
@@ -247,7 +254,7 @@ def test_inactive_hinges_give_pure_regularizer_gradient():
     config = TrainConfig(dim=2, activation="linear", batch_size=2, reg_lambda=lam)
     texts, counts = _encode_pairs([("aa", "aa"), ("bb", "bb")], vocab, model)
     loss, grad_bias, touched, grad_rows, negatives = _batch_gradients(
-        texts, counts, model, config, _rng(0, 12)
+        _batch(texts, counts), model, config, _rng(0, 12)
     )
     assert negatives == [((1, 0), (1, 1)), ((0, 0), (0, 1))]
     assert loss == 0.0
@@ -268,7 +275,7 @@ def test_decay_only_step_shrinks_touched_rows():
     config = TrainConfig(dim=2, activation="linear", batch_size=2, reg_lambda=1e-2)
     before = model.weights.copy()
     texts, counts = _encode_pairs([("aa", "aa"), ("bb", "bb")], vocab, model)
-    _step(texts, counts, model, config, AdamState(), _rng(0, 12))
+    _step(_batch(texts, counts), model, config, AdamState(), _rng(0, 12))
     moved = np.abs(model.weights) - np.abs(before)
     assert np.all(moved[np.abs(before) > 0.1] < 0)  # big coordinates move toward zero
 
@@ -280,13 +287,13 @@ def test_first_adam_step_is_signed_learning_rate(small_vocab):
     batch = [("the cat", "black cat"), ("dogs bark", "bark loud"), ("fish swim", "deep fish")]
     texts, counts = _encode_pairs(batch, small_vocab, model)
     _, grad_bias, touched, grad_rows, _ = _batch_gradients(
-        texts, counts, model, config, _rng(0, 13)
+        _batch(texts, counts), model, config, _rng(0, 13)
     )
     assert np.any(np.abs(grad_rows) > 1e-4)
 
     before_w = model.weights.copy()
     before_b = model.bias.copy()
-    _step(texts, counts, model, config, AdamState(), _rng(0, 13))
+    _step(_batch(texts, counts), model, config, AdamState(), _rng(0, 13))
 
     for grad, delta in [
         (grad_bias, model.bias - before_b),
@@ -303,7 +310,7 @@ def test_untouched_rows_bit_unchanged(small_vocab):
     batch = [("the cat", "black cat"), ("dogs bark", "bark loud")]
     adam = AdamState()
     texts, counts = _encode_pairs(batch, small_vocab, model)
-    _step(texts, counts, model, config, adam, _rng(3, 14))
+    _step(_batch(texts, counts), model, config, adam, _rng(3, 14))
 
     touched = set()
     for a, b in batch:
@@ -363,11 +370,11 @@ def test_blocked_adam_is_bit_equal_to_unblocked_reference():
     batches = [list(zip(PHRASES[i::3], PHRASES[i + 1 :: 3])) for i in range(3)] * 2
     for step, batch in enumerate(batches):
         texts, counts = _encode_pairs(batch, vocab, blocked)
-        grads = _batch_gradients(texts, counts, blocked, config, _rng(5, step))[1:4]
+        grads = _batch_gradients(_batch(texts, counts), blocked, config, _rng(5, step))[1:4]
         assert len(grads[1]) > 2 * per_block  # at least three blocks
         _adam_apply(blocked, adam_blocked, config, *grads)
         texts, counts = _encode_pairs(batch, vocab, reference)
-        grads = _batch_gradients(texts, counts, reference, config, _rng(5, step))[1:4]
+        grads = _batch_gradients(_batch(texts, counts), reference, config, _rng(5, step))[1:4]
         _adam_reference(reference, adam_reference, config, *grads)
     assert adam_blocked.step == adam_reference.step == len(batches)
     assert np.array_equal(blocked.weights, reference.weights)
@@ -387,10 +394,10 @@ def test_l2_term_in_the_adam_step_is_byte_equal_to_a_separate_gradient_term():
     batches = [list(zip(PHRASES[i::3], PHRASES[i + 1 :: 3])) for i in range(3)]
     for step, batch in enumerate(batches):
         texts, counts = _encode_pairs(batch, vocab, folded)
-        grads = _batch_gradients(texts, counts, folded, config, _rng(7, step))[1:4]
+        grads = _batch_gradients(_batch(texts, counts), folded, config, _rng(7, step))[1:4]
         _adam_apply(folded, adam_folded, config, *grads)
         grad_bias, touched, grad_rows = _batch_gradients(
-            texts, counts, separate, config, _rng(7, step)
+            _batch(texts, counts), separate, config, _rng(7, step)
         )[1:4]
         grad_bias += 2.0 * config.reg_lambda * separate.bias
         grad_rows += 2.0 * config.reg_lambda * separate.weights[touched]
@@ -404,7 +411,7 @@ def test_l2_term_in_the_adam_step_is_byte_equal_to_a_separate_gradient_term():
     small = replace(config, dim=4)
     model, adam = init_model(vocab, small), AdamState()
     for step, batch in enumerate(batches):
-        _step(*_encode_pairs(batch, vocab, model), model, small, adam, _rng(7, step))
+        _step(_batch(*_encode_pairs(batch, vocab, model)), model, small, adam, _rng(7, step))
     assert finite_diff_audit(model, vocab, batches[0], small) < 1e-4
 
 
