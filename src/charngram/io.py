@@ -449,7 +449,8 @@ class RunConfig:
         "curriculum", _parse_bool, help="keep file order (descending confidence) for epoch 1"
     )
     eval_every: float = _knob(
-        "eval_every", float, help="curve point interval as a fraction of an epoch"
+        "eval_every", float,
+        help="curve point interval as a fraction of an epoch, in (0, 1]; 0 records none",
     )
     case: str = _knob("case_mode", choices=CASE_MODES)
     pool: str = _knob("negative_pool", choices=NEGATIVE_POOLS, help="negative candidate pool")

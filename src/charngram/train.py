@@ -21,10 +21,18 @@ building each batch on its own. The plan covers a window of batches holding
 about _PLAN_WINDOW_ENTRIES count entries at a time, so beside the dataset's
 count matrix it keeps about two copies of that many entries (the rows and
 their layout), however large the dataset.
+
+The step itself builds no SciPy matrix. Negative selection reads the masks
+of allowed candidates from a cache keyed by the batch size and the pool,
+and scores both sides in one batched product. The hinge sums each row's
+gradient terms with slice adds and one `np.add.at` over the negatives'
+terms. Adam updates the bias in place and the touched rows a cache-sized
+block at a time.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping, Sequence
@@ -135,8 +143,10 @@ class TrainConfig:
             raise ValueError("Adam betas must lie in (0, 1)")
         if self.adam_epsilon <= 0:
             raise ValueError("adam_epsilon must be > 0")
-        if self.eval_every < 0:
-            raise ValueError("eval_every must be >= 0")
+        # a curve point falls every round(batches * eval_every) batches of an
+        # epoch, counted afresh each epoch, so above 1 no point ever falls
+        if not 0 <= self.eval_every <= 1:
+            raise ValueError(f"eval_every must lie in (0, 1], or be 0 for none, got {self.eval_every}")
         if self.negative_pool not in NEGATIVE_POOLS:
             raise ValueError(f"negative_pool must be one of {NEGATIVE_POOLS}")
 
@@ -207,39 +217,65 @@ def select_negatives(
     n = len(side1)
     if n < 2:
         raise DataError("cannot sample negatives")
+    if not isinstance(mode, str) or mode.lower() not in SAMPLING_MODES:
+        raise ValueError(f"sampling must be one of {SAMPLING_MODES}, got {mode!r}")
     mode = mode.lower()
-    if mode not in SAMPLING_MODES:
-        raise ValueError(f"sampling must be one of {SAMPLING_MODES}")
     if pool not in NEGATIVE_POOLS:
         raise ValueError(f"negative_pool must be one of {NEGATIVE_POOLS}")
     if text_ids is None and texts is not None:
         text_ids = _text_ids(texts)
 
+    layout = _candidate_layout(n, pool)
     units = unit_rows(np.concatenate([side1, side2]))
-    # candidates in enumeration order: pair ascending, then side
-    cand_pair, cand_side = np.divmod(np.arange(2 * n), 2)
-    candidates = units[cand_side * n + cand_pair]
-    other_pair = cand_pair[None, :] != np.arange(n)[:, None]
+    candidates = units[layout.order]
+    allowed = layout.allowed
     if text_ids is not None:
-        cand_ids = text_ids[cand_pair, cand_side]
+        cand_ids = text_ids.ravel()  # candidate c is phrase c % 2 of pair c // 2
         fresh = (cand_ids != text_ids[:, :1]) & (cand_ids != text_ids[:, 1:])
-    pools = []  # per side: the (n, 2n) mask of allowed candidates, MAX's picks
-    for side in (0, 1):
-        allowed = other_pair & (cand_side == side) if pool == "same-side" else other_pair
-        if text_ids is not None:
-            kept = allowed & fresh
-            allowed = np.where(kept.any(axis=1, keepdims=True), kept, allowed)
-        sims = units[side * n : (side + 1) * n] @ candidates.T
-        pools.append((allowed, np.where(allowed, sims, -np.inf).argmax(axis=1)))
+        kept = allowed & fresh
+        allowed = np.where(kept.any(axis=2, keepdims=True), kept, allowed)
+    # one (n, d) @ (d, 2n) product per side: a single (2n, d) product can
+    # round differently in the last bit, and so pick another tied candidate
+    sims = units.reshape(2, n, -1) @ candidates.T
+    picks = np.where(allowed, sims, -np.inf).argmax(axis=2)
 
     if mode == "mix":
         for i in range(n):
-            for allowed, picks in pools:
+            for side in (0, 1):
                 if rng.random() >= 0.5:
-                    positions = np.flatnonzero(allowed[i])
-                    picks[i] = positions[int(rng.integers(len(positions)))]
-    refs = list(zip(cand_pair.tolist(), cand_side.tolist()))
-    return [(refs[a], refs[b]) for a, b in zip(pools[0][1], pools[1][1])]
+                    positions = np.flatnonzero(allowed[side, i])
+                    picks[side, i] = positions[int(rng.integers(len(positions)))]
+    refs = layout.refs
+    return [(refs[a], refs[b]) for a, b in zip(*picks.tolist())]
+
+
+@dataclass(frozen=True)
+class _CandidateLayout:
+    """The negative candidates of a batch of n pairs, which depend only on n and the pool.
+
+    Candidates are in enumeration order, pair ascending, then side: candidate
+    c is phrase c % 2 of pair c // 2, `refs[c]` as a `PhraseRef` and row
+    `order[c]` of the stacked (2n, d) batch. `allowed[side, i]` masks the
+    candidates open to that side of pair i: other pairs' phrases, of the same
+    side under the "same-side" pool. The arrays are read-only, as every call
+    for the same (n, pool) shares them.
+    """
+
+    order: np.ndarray
+    allowed: np.ndarray  # (2, n, 2n) bool
+    refs: tuple[PhraseRef, ...]
+
+
+@functools.lru_cache(maxsize=16)
+def _candidate_layout(n: int, pool: str) -> _CandidateLayout:
+    cand_pair, cand_side = np.divmod(np.arange(2 * n), 2)
+    other_pair = cand_pair[None, :] != np.arange(n)[:, None]
+    allowed = np.stack([other_pair, other_pair])
+    if pool == "same-side":
+        allowed &= (cand_side == np.arange(2)[:, None])[:, None, :]
+    order = cand_side * n + cand_pair
+    order.flags.writeable = allowed.flags.writeable = False
+    return _CandidateLayout(order, allowed, tuple(zip(cand_pair.tolist(), cand_side.tolist())))
 
 
 def _hinge(
@@ -251,6 +287,14 @@ def _hinge(
     Pair i contributes max(0, margin - cos(x1, x2) + cos(x1, t1)) plus the
     same term for side 2, where t1 and t2 are its frozen negatives; cosines
     and their gradients are 0 at (near-)zero-norm vectors, as in `cosine`.
+
+    Each cosine gives a gradient term to both of its rows. A row's gradient
+    sums its terms from zero, in a fixed term order: the positive-pair and
+    negative-anchor terms first, as slice adds over the two (n, d) halves,
+    then the terms that reach it as another phrase's negative. Only those
+    last 2n terms land on rows that depend on the data; one unbuffered
+    `np.add.at` adds them in order, so repeated rows sum the same way every
+    time.
     """
     n = len(values) // 2
     norms = np.linalg.norm(values, axis=1)
@@ -263,26 +307,35 @@ def _hinge(
     refs = np.asarray(negatives).reshape(n, 2, 2)  # pair, side, (j, s)
     anchor = np.arange(2 * n).reshape(2, n).T  # rows of x1 and x2
     negative = refs[..., 1] * n + refs[..., 0]
-    c_pos = np.einsum("ij,ij->i", units[:n], units[n:])
-    c_neg = np.einsum("ikj,ikj->ik", units[anchor], units[negative])
+    x1, x2 = units[:n], units[n:]
+    t_anchor, t_negative = units[anchor], units[negative]  # (n, 2, d)
+    c_pos = np.einsum("ij,ij->i", x1, x2)
+    c_neg = np.einsum("ikj,ikj->ik", t_anchor, t_negative)
     hinge = margin - c_pos[:, None] + c_neg
     active = (hinge > 0).astype(np.float64)
+    w_pos = -active.sum(axis=1)
 
-    # each cosine c(a, b), weighted by d loss / dc, passes weight * dc/da to
-    # row a and weight * dc/db to row b, with dc/da = (unit_b - c * unit_a) / |a|
-    a = np.concatenate([anchor[:, 0], anchor.ravel()])
-    b = np.concatenate([anchor[:, 1], negative.ravel()])
-    rows, others = np.concatenate([a, b]), np.concatenate([b, a])
-    cos = np.tile(np.concatenate([c_pos, c_neg.ravel()]), 2)[:, None]
-    weight = np.tile(np.concatenate([-active.sum(axis=1), active.ravel()]), 2)[:, None]
-    grad = (units[others] - cos * units[rows]) * (weight * inv_norms[rows, None])
-    # upstream[r] sums the terms of row r in term order, starting from zero,
-    # as one product with a 0/1 matrix whose row r lists those terms
-    terms = np.argsort(rows, kind="stable")
-    indptr = np.zeros(2 * n + 1, dtype=np.intp)
-    np.cumsum(np.bincount(rows, minlength=2 * n), out=indptr[1:])
-    gather = sparse.csr_matrix((np.ones(len(terms)), terms, indptr), shape=(2 * n, len(terms)))
-    return float(np.maximum(hinge, 0.0).sum()) / n, (gather @ grad) / n
+    def terms(unit_a, unit_b, cos, weight, inv_norm_a):
+        # each cosine c(a, b), weighted by d loss / dc, passes weight * dc/da to
+        # row a and weight * dc/db to row b, with dc/da = (unit_b - c * unit_a) / |a|
+        return (unit_b - cos[..., None] * unit_a) * (weight * inv_norm_a)[..., None]
+
+    # term order: x1's positive-pair term, then its negative-anchor term; x2's
+    # negative-anchor term, then its positive-pair term; then, on the rows
+    # picked as negatives, their terms
+    anchor_terms = terms(t_anchor, t_negative, c_neg, active, inv_norms[anchor])
+    upstream = np.zeros(values.shape)
+    upstream[:n] += terms(x1, x2, c_pos, w_pos, inv_norms[:n])
+    upstream[:n] += anchor_terms[:, 0]
+    upstream[n:] += anchor_terms[:, 1]
+    upstream[n:] += terms(x2, x1, c_pos, w_pos, inv_norms[n:])
+    negative_terms = terms(t_negative, t_anchor, c_neg, active, inv_norms[negative])
+    # np.add.at adds one index after the other, so repeated rows too sum in
+    # term order; on the flat array it takes NumPy's faster 1-D path
+    d = values.shape[1]
+    flat = (negative.reshape(-1, 1) * d + np.arange(d)).ravel()
+    np.add.at(upstream.reshape(-1), flat, negative_terms.ravel())
+    return float(np.maximum(hinge, 0.0).sum()) / n, upstream / n
 
 
 @dataclass(frozen=True)
@@ -336,11 +389,12 @@ def _adam_apply(
     moves by alpha_t * m / (sqrt(v) + eps_t), the same update as
     lr * m_hat / (sqrt(v_hat) + eps) up to rounding.
 
-    The touched rows are updated in ascending blocks of about
-    _ADAM_BLOCK_ENTRIES weights, so each block's gathered copies of m, v and W
-    stay in cache through the whole update; the bias runs first as a block of
-    its own. Finiteness is checked on each block as it is written, so the
-    error names the bias before any row, and otherwise the lowest bad row.
+    The bias is updated first, in place on its own 1-D arrays, with the same
+    order of operations as a row. The touched rows are then updated in
+    ascending blocks of about _ADAM_BLOCK_ENTRIES weights, so each block's
+    gathered copies of m, v and W stay in cache through the whole update.
+    Finiteness is checked on the bias and on each block as it is written, so
+    the error names the bias before any row, and otherwise the lowest bad row.
     """
     model.drop_row_norms()
     adam.step += 1
@@ -356,6 +410,24 @@ def _adam_apply(
     two_lam = 2.0 * config.reg_lambda
     per_block = max(1, _ADAM_BLOCK_ENTRIES // model.dim)
     scratch = np.empty((per_block, model.dim))
+
+    # the bias in place, in the order of operations of a block of rows below;
+    # its moments are kept, so the step goes through new arrays
+    m, v = adam.m_bias, adam.v_bias
+    grad = grad_bias + two_lam * model.bias if two_lam > 0 else grad_bias
+    term = scratch[0]
+    m *= b1
+    m += np.multiply(grad, 1 - b1, out=term)
+    v *= b2
+    np.multiply(grad, 1 - b2, out=term)
+    v += np.multiply(term, grad, out=term)
+    denom = np.sqrt(v)
+    denom += eps
+    step = m * alpha
+    step /= denom
+    model.bias -= step
+    if not np.isfinite(model.bias).all():
+        raise NumericalError("non-finite bias after update")
 
     def update(param, m, v, idx, grad) -> np.ndarray:
         # idx is an index array, so param[idx], m[idx] and v[idx] are copies
@@ -386,11 +458,6 @@ def _adam_apply(
         param[idx] = rows
         return rows
 
-    # the bias runs as a one-row block, so its moments too are gathered as copies
-    one_row = np.zeros(1, dtype=np.intp)
-    rows = update(model.bias[None], adam.m_bias[None], adam.v_bias[None], one_row, grad_bias[None])
-    if not np.isfinite(rows).all():
-        raise NumericalError("non-finite bias after update")
     m, v = adam.m_weights, adam.v_weights
     for start in range(0, len(touched), per_block):
         block = slice(start, start + per_block)
@@ -494,9 +561,9 @@ def train(
     the epoch's permutation (final short batch kept when it has at least two
     pairs, dropped otherwise). The curve records the mean batch loss per
     epoch ("epoch_mean_batch_loss"), the running mean since the previous
-    curve point ("train_loss") every `eval_every` fraction of an epoch, and
-    whatever metrics `eval_hook(model, examples_seen)` returns at those same
-    points. Fully deterministic given config.seed. `order_log`, when passed,
+    curve point ("train_loss") every `eval_every` fraction of an epoch (none
+    when it is 0), and whatever metrics `eval_hook(model, examples_seen)`
+    returns at those same points. Fully deterministic given config.seed. `order_log`, when passed,
     receives (epoch, consumed index order) tuples. With zero epochs the
     pairs are not encoded, and the model returned is `init_model`'s.
     """

@@ -376,6 +376,21 @@ def test_bad_scale_flag_exits_1(ws, capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("value", ["1.5", "3"])
+def test_eval_every_above_one_exits_1_up_front(ws, tmp_path, capsys, value):
+    # no curve point could ever fall: the interval restarts every epoch
+    out = tmp_path / "m.bin"
+    rc = main([
+        "train", "--pairs", str(ws / "pairs.tsv"), "--vocab", str(ws / "vocab.tsv"),
+        "--out", str(out), "--dim", "4", "--batch", "4", "--eval-every", value,
+    ])
+    stdout, err = capsys.readouterr()
+    assert rc == 1
+    assert "error: eval_every must lie in (0, 1]" in err
+    assert "Traceback" not in err
+    assert stdout == "" and not out.exists()
+
+
 @pytest.mark.parametrize(
     "flag, value, name",
     [

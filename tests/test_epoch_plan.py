@@ -221,3 +221,36 @@ def test_train_is_byte_identical_to_per_batch_rebuilds(
     for name in ("m_bias", "v_bias", "m_weights", "v_weights"):
         assert getattr(adam, name).tobytes() == getattr(ref_adam, name).tobytes()
     assert curve.points == ref_curve.points
+
+
+class _CountingSparse:
+    """scipy.sparse, counting the `csr_matrix` constructions made through it."""
+
+    def __init__(self):
+        self.made = 0
+
+    def __getattr__(self, name):
+        return getattr(sparse, name)
+
+    def csr_matrix(self, *args, **kwargs):
+        self.made += 1
+        return sparse.csr_matrix(*args, **kwargs)
+
+
+@pytest.mark.parametrize("window", [None, 1])
+def test_scipy_constructions_per_train_call(window, monkeypatch):
+    # One for the encoded dataset, then two per batch: its rows and its
+    # backward layout. A SciPy matrix built per step for anything else (such
+    # as summing the hinge terms) is per-call overhead that shows at small
+    # batches. SciPy's own row index per window is not made through these
+    # modules and is not counted.
+    counter = _CountingSparse()
+    for module in ("charngram.train", "charngram.model"):
+        monkeypatch.setattr(sys.modules[module], "sparse", counter)
+    if window is not None:
+        monkeypatch.setattr(sys.modules["charngram.train"], "_PLAN_WINDOW_ENTRIES", window)
+    dataset, vocab = _pairs()
+    config = TrainConfig(dim=6, batch_size=5, epochs=3, seed=11, sampling="mix")
+    _, adam, _ = train(dataset, vocab, config)
+    assert adam.step == 15
+    assert counter.made == 1 + 2 * adam.step

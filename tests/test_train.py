@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 import sys
 
@@ -26,9 +27,12 @@ from charngram import (
 from charngram.model import COSINE_NORM_FLOOR, Model, check_activation
 from charngram.train import (
     _ADAM_BLOCK_ENTRIES,
+    NEGATIVE_POOLS,
+    SAMPLING_MODES,
     _Batch,
     _adam_apply,
     _batch_gradients,
+    _candidate_layout,
     _encode_pairs,
     _hinge,
     _rng,
@@ -218,6 +222,65 @@ def test_max_matches_exhaustive_scan():
                     if c > best_c:
                         best, best_c = j, c
                 assert got[i][side] == (best, side)
+
+
+@pytest.mark.parametrize("mode", [None, 3, "hardest"])
+def test_bad_sampling_mode_is_a_value_error(mode):
+    batch = _batch_from_vectors([_vec(0), _vec(1)], [_vec(2), _vec(3)])
+    with pytest.raises(ValueError, match=re.escape(str(SAMPLING_MODES))):
+        select_negatives(*batch, mode, _rng(0, 11))
+
+
+def _negatives_oracle(side1, side2, mode, rng, pool, texts):
+    """select_negatives by exhaustive scan over the candidates, pair by pair, side by side."""
+    n = len(side1)
+    phrases = {(j, s): (side1, side2)[s][j] for j in range(n) for s in (0, 1)}
+    out = []
+    for i in range(n):
+        picks = []
+        for side in (0, 1):
+            allowed = [
+                (j, s) for j in range(n) for s in (0, 1)
+                if j != i and (pool == "both-sides" or s == side)
+            ]
+            if texts is not None:
+                allowed = [(j, s) for j, s in allowed if texts[j][s] not in texts[i]] or allowed
+            if mode == "mix" and rng.random() >= 0.5:
+                picks.append(allowed[int(rng.integers(len(allowed)))])
+                continue
+            best, best_c = None, -math.inf
+            for ref in allowed:  # the first of equal cosines wins
+                c = cosine(phrases[(i, side)], phrases[ref])
+                if c > best_c:
+                    best, best_c = ref, c
+            picks.append(best)
+        out.append(tuple(picks))
+    return out
+
+
+def test_cached_candidate_layouts_match_the_oracle_and_stay_unwritten():
+    rng = np.random.default_rng(41)
+    seen = set()
+    for trial in range(60):
+        n = int(rng.integers(2, 7))
+        pool = NEGATIVE_POOLS[trial % 2]
+        mode = SAMPLING_MODES[(trial // 2) % 2]
+        side1, side2 = rng.normal(size=(2, n, 3))
+        texts = None
+        if trial % 3:
+            # few distinct strings, so exclusion bites and some pairs fall back
+            words = ["a", "b", "c"][: int(rng.integers(1, 4))]
+            texts = [tuple(str(rng.choice(words)) for _ in (0, 1)) for _ in range(n)]
+        got = select_negatives(side1, side2, mode, _rng(trial, 12), texts=texts, pool=pool)
+        assert got == _negatives_oracle(side1, side2, mode, _rng(trial, 12), pool, texts)
+        seen.add((n, pool))
+    for n, pool in seen:
+        cached, fresh = _candidate_layout(n, pool), _candidate_layout.__wrapped__(n, pool)
+        for name in ("order", "allowed"):
+            array = getattr(cached, name)
+            assert not array.flags.writeable
+            assert np.array_equal(array, getattr(fresh, name))
+        assert cached.refs == fresh.refs
 
 
 # --- crafted two-cluster setup ----------------------------------------------
@@ -553,6 +616,8 @@ def test_config_rejects_relu():
         {"reg_lambda": -1e-6},
         {"adam_beta1": 1.0},
         {"eval_every": -0.5},
+        {"eval_every": 1.5},
+        {"eval_every": 3.0},
         {"negative_pool": "everything"},
         {"margin": math.nan},
         {"margin": math.inf},
@@ -684,6 +749,15 @@ def test_eval_hook_and_curve_metrics(pair_vocab):
     assert calls == [int(n) for n, m, _ in curve.points if m == "dev_score"]
     seen = [n for n, _, _ in curve.points]
     assert seen == sorted(seen)
+
+
+def test_eval_every_one_gives_a_point_per_epoch(pair_vocab):
+    # the largest interval accepted: one train_loss point and one hook call per epoch
+    config = TrainConfig(dim=4, batch_size=3, epochs=4, seed=2, eval_every=1.0)
+    calls = []
+    _, _, curve = train(PAIRS, pair_vocab, config, eval_hook=lambda m, seen: calls.append(seen))
+    points = [n for n, m, _ in curve.points if m == "train_loss"]
+    assert points == calls == [6, 12, 18, 24]
 
 
 def test_train_nan_guard(pair_vocab):
