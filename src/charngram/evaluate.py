@@ -65,11 +65,10 @@ class BinResult:
 
 @dataclass
 class EvalReport:
-    """Per-dataset correlations plus group means; optionally binned results."""
+    """Per-dataset correlations plus group means."""
 
     per_dataset: dict[str, float] = field(default_factory=dict)
     group_averages: dict[str, float] = field(default_factory=dict)
-    bins: list[BinResult] | None = None
 
     def to_tsv_lines(self) -> list[str]:
         """Machine-readable `dataset<TAB>metric<TAB>value` lines, stable order."""

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import contextlib
 import os
+import re
 import struct
 import tempfile
 from dataclasses import Field, dataclass, field, fields
@@ -46,31 +47,28 @@ _CASE_CODES = {None: 0, "lower": 1, "preserve": 2}  # None: not recorded
 _CASE_NAMES = {v: k for k, v in _CASE_CODES.items()}
 
 
+# a backslash and the character after it, if any, in an escaped n-gram field
+_ESCAPE = re.compile(r"\\(.?)", re.DOTALL)
+_UNESCAPED = {"\\": "\\", "s": " "}
+
+
 def escape_ngram(ngram: str) -> str:
     """Escape for the vocabulary TSV: backslash doubles, space becomes \\s."""
     return ngram.replace("\\", "\\\\").replace(" ", "\\s")
 
 
 def unescape_ngram(text: str) -> str:
-    out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\\":
-            if i + 1 >= len(text):
-                raise DataError(f"dangling escape in n-gram field {text!r}")
-            nxt = text[i + 1]
-            if nxt == "\\":
-                out.append("\\")
-            elif nxt == "s":
-                out.append(" ")
-            else:
-                raise DataError(f"bad escape \\{nxt} in n-gram field {text!r}")
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+    """Undo `escape_ngram`; DataError on a dangling or unknown escape."""
+
+    def unescape(match: re.Match) -> str:
+        escaped = match[1]
+        if escaped in _UNESCAPED:
+            return _UNESCAPED[escaped]
+        if not escaped:
+            raise DataError(f"dangling escape in n-gram field {text!r}")
+        raise DataError(f"bad escape \\{escaped} in n-gram field {text!r}")
+
+    return _ESCAPE.sub(unescape, text)
 
 
 def _read_text(path) -> str:

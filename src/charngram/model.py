@@ -188,7 +188,10 @@ def count_matrix(cvs: Sequence[CountVector], model: Model) -> sparse.csr_matrix:
 
 def encode_matrix(seqs: Sequence[str], vocab: NGramVocab, model: Model) -> sparse.csr_matrix:
     """The count matrix of normalized sequences: `count_matrix` of their `encode`
-    count vectors, with the same arrays, computed by `encode_batch` in one pass."""
+    count vectors, with the same arrays, computed by `encode_batch` in one pass.
+
+    DataError unless `model` was built against `vocab` (`verify_binding`)."""
+    verify_binding(model, vocab)
     return _count_csr(encode_batch(seqs, vocab), model)
 
 

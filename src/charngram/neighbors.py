@@ -27,6 +27,7 @@ from .model import (
     embed,
     embed_matrix,
     encode_matrix,
+    verify_binding,
 )
 from .vocab import NGramVocab, encode, normalize
 
@@ -96,10 +97,11 @@ def nearest_neighbors(
     Entries string-equal to the normalized query are excluded; near-duplicates
     (inflections, misspellings) are legitimate neighbors and retained. Ties
     break by word lexicographic order. Shorter-than-k results are returned
-    as-is.
+    as-is. DataError unless `model` was built against `vocab`.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    verify_binding(model, vocab)
     wv_dim = wv.embeddings.shape[1]
     if wv_dim != model.dim:
         raise DataError(f"working vocabulary has d={wv_dim}, the model d={model.dim}")
@@ -112,9 +114,13 @@ def nearest_neighbors(
 def ngram_neighbors(
     query_ngram: str, model: Model, vocab: NGramVocab, k: int
 ) -> list[tuple[str, float]]:
-    """Top-k vocabulary n-grams whose weight rows are cosine-closest to the query's row."""
+    """Top-k vocabulary n-grams whose weight rows are cosine-closest to the query's row.
+
+    DataError unless `model` was built against `vocab`.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
+    verify_binding(model, vocab)
     pos = vocab.index.get(query_ngram)
     if pos is None:
         raise DataError("n-gram not in model")

@@ -56,9 +56,6 @@ from .vocab import NGramVocab, check_case_mode, normalize
 SAMPLING_MODES = ("max", "mix")
 NEGATIVE_POOLS = ("same-side", "both-sides")
 
-# Reference to a phrase inside a batch: (pair index, side), side 0 or 1.
-PhraseRef = tuple[int, int]
-
 _SEED_MASK = 0xFFFFFFFFFFFFFFFF
 
 # RNG stream domains, so that initialization, shuffling, and negative sampling
@@ -186,18 +183,17 @@ def select_negatives(
     side2: np.ndarray,
     mode: str,
     rng: np.random.Generator,
-    texts: Sequence[tuple[str, str]] | None = None,
     pool: str = "same-side",
     *,
     text_ids: np.ndarray | None = None,
-) -> list[tuple[PhraseRef, PhraseRef]]:
+) -> np.ndarray:
     """Pick one negative example per side for every pair in the batch.
 
     `side1` and `side2` are the (n, d) embeddings of the pairs' two sides.
-    Returns, per pair, ((j1, s1), (j2, s2)) where the side-1 negative is
-    phrase s1 of pair j1 and likewise for side 2. Under the default pool the
-    side-1 negative competes among side-1 phrases of other pairs (s1 = 0) and
-    the side-2 negative among side-2 phrases (s2 = 1); pool="both-sides"
+    Returns an (n, 2, 2) intp array: `out[i, side]` is (j, s) when that
+    side's negative for pair i is phrase s of pair j. Under the default pool
+    the side-1 negative competes among side-1 phrases of other pairs (s = 0)
+    and the side-2 negative among side-2 phrases (s = 1); pool="both-sides"
     widens both competitions to all phrases of other pairs.
 
     MAX picks the candidate most cosine-similar to the phrase being matched,
@@ -208,11 +204,10 @@ def select_negatives(
     ...), with one `rng.random()` per coin and one `rng.integers()` per
     uniform draw; plain MAX never touches the rng.
 
-    When `texts` (normalized phrase strings per pair) is given, candidates
-    string-equal to either phrase of the current pair are excluded, falling
-    back to all other-pair candidates if that empties the pool. `text_ids`,
-    the `_text_ids` of those texts, excludes the same candidates without
-    reading the strings; the trainer passes the ids it made once per dataset.
+    When `text_ids` (the `_text_ids` of the pairs' normalized phrases) is
+    given, candidates string-equal to either phrase of the current pair are
+    excluded, falling back to all other-pair candidates if that empties the
+    pool; the trainer passes the ids it made once per dataset.
     """
     n = len(side1)
     if n < 2:
@@ -222,8 +217,6 @@ def select_negatives(
     mode = mode.lower()
     if pool not in NEGATIVE_POOLS:
         raise ValueError(f"negative_pool must be one of {NEGATIVE_POOLS}")
-    if text_ids is None and texts is not None:
-        text_ids = _text_ids(texts)
 
     layout = _candidate_layout(n, pool)
     units = unit_rows(np.concatenate([side1, side2]))
@@ -245,8 +238,7 @@ def select_negatives(
                 if rng.random() >= 0.5:
                     positions = np.flatnonzero(allowed[side, i])
                     picks[side, i] = positions[int(rng.integers(len(positions)))]
-    refs = layout.refs
-    return [(refs[a], refs[b]) for a, b in zip(*picks.tolist())]
+    return layout.refs[picks.T]
 
 
 @dataclass(frozen=True)
@@ -254,7 +246,7 @@ class _CandidateLayout:
     """The negative candidates of a batch of n pairs, which depend only on n and the pool.
 
     Candidates are in enumeration order, pair ascending, then side: candidate
-    c is phrase c % 2 of pair c // 2, `refs[c]` as a `PhraseRef` and row
+    c is phrase c % 2 of pair c // 2, `refs[c]` as (pair, side) and row
     `order[c]` of the stacked (2n, d) batch. `allowed[side, i]` masks the
     candidates open to that side of pair i: other pairs' phrases, of the same
     side under the "same-side" pool. The arrays are read-only, as every call
@@ -263,7 +255,7 @@ class _CandidateLayout:
 
     order: np.ndarray
     allowed: np.ndarray  # (2, n, 2n) bool
-    refs: tuple[PhraseRef, ...]
+    refs: np.ndarray  # (2n, 2) intp
 
 
 @functools.lru_cache(maxsize=16)
@@ -274,19 +266,19 @@ def _candidate_layout(n: int, pool: str) -> _CandidateLayout:
     if pool == "same-side":
         allowed &= (cand_side == np.arange(2)[:, None])[:, None, :]
     order = cand_side * n + cand_pair
-    order.flags.writeable = allowed.flags.writeable = False
-    return _CandidateLayout(order, allowed, tuple(zip(cand_pair.tolist(), cand_side.tolist())))
+    refs = np.stack([cand_pair, cand_side], axis=1)
+    order.flags.writeable = allowed.flags.writeable = refs.flags.writeable = False
+    return _CandidateLayout(order, allowed, refs)
 
 
-def _hinge(
-    values: np.ndarray, negatives: Sequence[tuple[PhraseRef, PhraseRef]], margin: float
-) -> tuple[float, np.ndarray]:
+def _hinge(values: np.ndarray, negatives: np.ndarray, margin: float) -> tuple[float, np.ndarray]:
     """Mean hinge loss of a stacked batch and its gradient with respect to `values`.
 
     `values` holds the side-1 embeddings over the side-2 embeddings, (2n, d).
     Pair i contributes max(0, margin - cos(x1, x2) + cos(x1, t1)) plus the
-    same term for side 2, where t1 and t2 are its frozen negatives; cosines
-    and their gradients are 0 at (near-)zero-norm vectors, as in `cosine`.
+    same term for side 2, where t1 and t2 are its frozen negatives, given as
+    `select_negatives` returns them; cosines and their gradients are 0 at
+    (near-)zero-norm vectors, as in `cosine`.
 
     Each cosine gives a gradient term to both of its rows. A row's gradient
     sums its terms from zero, in a fixed term order: the positive-pair and
@@ -304,9 +296,8 @@ def _hinge(
     inv_norms = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms >= COSINE_NORM_FLOOR)
     units = values * inv_norms[:, None]
 
-    refs = np.asarray(negatives).reshape(n, 2, 2)  # pair, side, (j, s)
     anchor = np.arange(2 * n).reshape(2, n).T  # rows of x1 and x2
-    negative = refs[..., 1] * n + refs[..., 0]
+    negative = negatives[..., 1] * n + negatives[..., 0]
     x1, x2 = units[:n], units[n:]
     t_anchor, t_negative = units[anchor], units[negative]  # (n, 2, d)
     c_pos = np.einsum("ij,ij->i", x1, x2)
@@ -349,7 +340,7 @@ class _Batch:
 
 def _batch_gradients(
     batch: _Batch, model: Model, config: TrainConfig, rng: np.random.Generator
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, list[tuple[PhraseRef, PhraseRef]]]:
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One forward pass, negative selection, and the analytic gradient of the batch loss.
 
     Returns (loss, d bias, touched rows, d weights[touched rows], negatives).

@@ -12,7 +12,10 @@ their joined code points: each character becomes its rank in a sorted
 alphabet, and the window of order n starting at each position is packed into
 one int64 key, its first character most significant. Packed keys of one order
 sort as their n-grams do, by code point. A key must fit in 63 bits: with A
-ranks, orders up to n need A**n <= 2**63. Past that, the per-text loop runs.
+ranks, orders up to n need A**n <= 2**63. Counting goes past that by
+replacing the keys with their ranks among the distinct keys, which sort the
+same way, whenever the next character would overflow them. A batch encode
+against a vocabulary whose keys would not fit runs the per-text loop.
 """
 
 from __future__ import annotations
@@ -115,19 +118,28 @@ def _window_keys(
     ranks: np.ndarray, ends: np.ndarray, orders: Sequence[int], base: int
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Per order n of `orders` (ascending): where each window of n characters that
-    stays inside its text starts, and the window's packed key.
+    stays inside its text starts, and the window's key.
 
     `ranks` holds the rank, below `base`, of each character of the joined
     texts, and `ends` the offset where each text ends. Starts ascend, so the
     windows of one text come in the order `_windows` meets them, order by
-    order. base**max(orders) must not exceed _KEY_LIMIT.
+    order. Keys of one order sort as their windows do. A key packs its
+    window's characters; where the next character would overflow 63 bits,
+    the keys so far are first replaced by their ranks among the distinct
+    keys, which keeps their order. `encode_batch` packs only when
+    base**max(orders) fits, so its keys are never re-ranked.
     """
     limit = np.repeat(ends, np.diff(ends, prepend=0))  # the end of each position's text
     keys = ranks.astype(np.int64)
+    bound = base  # every key is below it
     width = 1
     for n in orders:
         while width < n:
+            if bound * base > _KEY_LIMIT:
+                distinct, keys = np.unique(keys, return_inverse=True)
+                bound = len(distinct)
             keys = keys[:-1] * base + ranks[width:]
+            bound *= base
             width += 1
         starts = np.flatnonzero(limit[: len(keys)] - np.arange(len(keys)) >= n)
         yield n, starts, keys[starts]
@@ -154,20 +166,10 @@ def _ngram_counts(
 ) -> Iterator[tuple[int, Callable[[np.ndarray], list[str]], np.ndarray]]:
     """Per order n ascending: the distinct n-grams of `seqs` in code point order,
     as a function from their positions in that order to the n-grams, and their
-    counts.
-
-    One array pass; when the alphabet of `seqs` is too wide for a packed key
-    of the highest order, the windows are counted text by text instead.
+    counts, in one array pass for any alphabet.
     """
     joined, points, ends = _code_points(seqs)
     alphabet, ranks = np.unique(points, return_inverse=True)
-    if len(alphabet) ** orders[-1] > _KEY_LIMIT:
-        counts = Counter(chain.from_iterable(_windows(seq, orders) for seq in seqs))
-        for n in orders:
-            ngrams = sorted(ngram for ngram in counts if len(ngram) == n)
-            tally = np.array([counts[ngram] for ngram in ngrams], dtype=np.int64)
-            yield n, lambda at, ngrams=ngrams: [ngrams[i] for i in at.tolist()], tally
-        return
     for n, starts, keys in _window_keys(ranks, ends, orders, len(alphabet)):
         # the keys of one order sort as their n-grams do
         _, first, tally = _tally(keys)
@@ -391,9 +393,7 @@ def build_vocab(
     UTF-8 cannot encode (one holding a lone surrogate); a policy that filters
     out every n-gram yields an empty vocabulary with a warning.
 
-    The corpus is counted in one array pass (see the module docstring), or
-    text by text when its alphabet is too wide for a 63-bit key of the
-    highest order; both give the same entries.
+    The corpus is counted in one array pass (see the module docstring).
     """
     orders = check_orders(orders)
     case_mode = check_case_mode(case_mode)

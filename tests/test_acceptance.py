@@ -155,7 +155,7 @@ def test_criterion_3_max_selection_oracle():
                     c = cosine(embs[i], embs[j])
                     if c > best_c:
                         best, best_c = j, c
-                if got[i][side] != (best, side):
+                if tuple(got[i][side]) != (best, side):
                     mismatches += 1
     record(
         3,

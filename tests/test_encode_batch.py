@@ -4,9 +4,9 @@
 count vectors, and `build_vocab` the entries of a `Counter` over `_windows`,
 for any text: astral characters, NUL, lone surrogates, characters outside the
 vocabulary, empty texts and texts shorter than every order. A vocabulary
-that would keep a lone surrogate is a DataError. Vocabularies and
-corpora too wide for a 63-bit key go through the per-text loop and must agree
-too.
+that would keep a lone surrogate is a DataError. Vocabularies too wide for
+a 63-bit key go through the per-text loop, and corpora that wide are counted
+through re-ranked keys; both must agree too.
 """
 
 import contextlib
@@ -28,6 +28,7 @@ from charngram import (
     SimDataset,
     TopKPerOrder,
     TrainConfig,
+    binned_eval,
     build_vocab,
     build_working_vocab,
     count_matrix,
@@ -35,11 +36,17 @@ from charngram import (
     encode_batch,
     encode_matrix,
     eval_sts,
+    eval_word_sim,
+    finite_diff_audit,
     init_model,
     load_model,
+    nearest_neighbors,
+    ngram_neighbors,
     save_model,
+    save_vocab,
 )
 from charngram import cli, synthetic
+from charngram.io import escape_ngram
 from charngram.train import _encode_pairs
 from charngram.vocab import _stack_counts, _windows, normalize
 
@@ -168,7 +175,7 @@ def test_too_wide_for_a_packed_key_falls_back_to_the_loop(policy):
 @pytest.mark.parametrize("order, packed", [(39, True), (40, False)])
 def test_a_key_of_exactly_63_bits_is_packed(order, packed):
     # two characters: the count's base is 2, and 2**63 is the largest key
-    # range that fits (64 goes through the loop); the vocabulary's base is 3,
+    # range that fits (64 re-ranks its keys); the vocabulary's base is 3,
     # and 3**39 < 2**63 < 3**40
     corpus = ["a" * 70, "a a aa aaa " * 7, "aa " * 30]
     for orders in ((63,), (64,), (2, order)):
@@ -210,9 +217,11 @@ def test_a_model_with_fewer_rows_than_its_vocabulary_is_a_mismatch_at_every_batc
         with pytest.raises(DataError, match="vocab/model mismatch"):
             site()
 
-    # the command line: `embed`, and the `--eval-pairs` hook of `train`
+    # the command line: `embed`, and the `--eval-pairs` hook of `train`, on
+    # the vocabulary the model shares its fingerprint with
     pairs = tmp_path / "pairs.tsv"
     pairs.write_text("".join(f"{a}\t{b}\n" for a, b in zip(words[::2], words[1::2])))
+    save_vocab(vocab, tmp_path / "vocab.tsv")
 
     def train_calling_the_hook(dataset, vocab, config, eval_hook):
         eval_hook(short, 0)
@@ -221,13 +230,79 @@ def test_a_model_with_fewer_rows_than_its_vocabulary_is_a_mismatch_at_every_batc
     monkeypatch.setattr(cli, "train", train_calling_the_hook)
     for argv in (
         ["embed", "--model", "unused.bin", words[0], words[1]],
-        ["train", "--pairs", str(pairs), "--out", str(tmp_path / "m.bin"), "--orders", "2,3",
-         "--eval-pairs", str(pairs)],
+        ["train", "--pairs", str(pairs), "--out", str(tmp_path / "m.bin"),
+         "--vocab", str(tmp_path / "vocab.tsv"), "--eval-pairs", str(pairs)],
     ):
         stderr = io.StringIO()
         with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(argv) == 2
         assert stderr.getvalue().splitlines()[-1] == "error: vocab/model mismatch"
+
+
+def test_a_model_paired_with_a_foreign_vocabulary_of_its_size_is_refused_at_every_site(
+    tmp_path, monkeypatch
+):
+    task = synthetic.make_task(3, n_roots=4, n_variants=3, n_heldout=1)
+    vocab = build_vocab(synthetic.training_corpus(task), (2, 3), MinCount(1))
+    # the same n-grams in another order: every index is in range, every row wrong
+    foreign = NGramVocab(vocab.entries[::-1])
+    assert len(foreign) == len(vocab) and foreign.fingerprint != vocab.fingerprint
+    config = TrainConfig(dim=3, batch_size=2)
+    model = init_model(vocab, config)
+    words = synthetic.training_corpus(task)
+    sims = SimDataset("s", [(words[0], words[1], 1.0), (words[2], words[3], 2.0)])
+    pairs = [(words[0], words[1]), (words[2], words[3])]
+    working = build_working_vocab(words, model, vocab)
+    query = vocab.entries[0][0]
+    sites = [
+        lambda: _encode_pairs(pairs, foreign, model),
+        lambda: eval_sts(model, foreign, [sims]),
+        lambda: eval_word_sim(model, foreign, sims),
+        lambda: binned_eval(model, foreign, [sims], "length"),
+        lambda: build_working_vocab(words, model, foreign),
+        lambda: synthetic.cosine_gap(model, foreign, task),
+        lambda: synthetic.top1_same_root_accuracy(model, foreign, task),
+        lambda: finite_diff_audit(model, foreign, pairs, config),
+        lambda: nearest_neighbors(words[0], working, model, foreign, 3),
+        lambda: ngram_neighbors(query, model, foreign, 3),
+    ]
+    for site in sites:
+        with pytest.raises(DataError, match=r"fingerprint mismatch"):
+            site()
+
+    # the command line: every command that reads a model, and the `--eval-pairs`
+    # hook of `train` on a vocabulary file
+    pair_file = tmp_path / "pairs.tsv"
+    pair_file.write_text("".join(f"{a}\t{b}\n" for a, b in pairs))
+    word_file = tmp_path / "words.txt"
+    word_file.write_text("\n".join(words) + "\n")
+    sim_dir = tmp_path / "sts"
+    sim_dir.mkdir()
+    (sim_dir / "s.tsv").write_text(f"{words[0]}\t{words[1]}\t1\n{words[2]}\t{words[3]}\t2\n")
+    save_vocab(foreign, tmp_path / "vocab.tsv")
+
+    def train_calling_the_hook(dataset, vocab, config, eval_hook):
+        eval_hook(model, 0)
+
+    monkeypatch.setattr(cli, "load_model", lambda path: (model, foreign))
+    monkeypatch.setattr(cli, "train", train_calling_the_hook)
+    for argv in (
+        ["embed", "--model", "unused.bin", words[0], words[1]],
+        ["eval", "word", "--model", "unused.bin", "--dataset", str(sim_dir / "s.tsv")],
+        ["eval", "sts", "--model", "unused.bin", "--datasets", str(sim_dir)],
+        ["eval", "bins", "--model", "unused.bin", "--datasets", str(sim_dir), "--by", "length"],
+        ["nn", "--model", "unused.bin", "--wordlist", str(word_file), words[0]],
+        ["nn-ngram", "--model", "unused.bin", escape_ngram(query)],
+        ["audit-grad", "--model", "unused.bin", "--pairs", str(pair_file)],
+        ["train", "--pairs", str(pair_file), "--out", str(tmp_path / "m.bin"),
+         "--vocab", str(tmp_path / "vocab.tsv"), "--eval-pairs", str(pair_file)],
+    ):
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 2, argv
+        assert stderr.getvalue().splitlines()[-1] == (
+            "error: model not bound to vocabulary (fingerprint mismatch)"
+        )
 
 
 def test_eval_pairs_count_matrix_is_built_once(tmp_path, monkeypatch):

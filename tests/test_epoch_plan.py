@@ -24,7 +24,6 @@ from charngram import (
     build_vocab,
     epoch_permutation,
     init_model,
-    select_negatives,
     train,
 )
 from charngram.model import (
@@ -139,12 +138,6 @@ def test_text_ids_are_equal_exactly_where_the_phrases_are():
         for j, t in enumerate(flat):
             assert (ids.ravel()[i] == ids.ravel()[j]) == (s == t)
     assert _text_ids([]).shape == (0, 2)
-    rng = np.random.default_rng(3)
-    side1, side2 = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
-    for pool in ("same-side", "both-sides"):
-        by_text = select_negatives(side1, side2, "mix", _rng(3, 1), texts=texts, pool=pool)
-        by_id = select_negatives(side1, side2, "mix", _rng(3, 1), pool=pool, text_ids=ids)
-        assert by_text == by_id
 
 
 # --- train() against the per-batch reference ---------------------------------

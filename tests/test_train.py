@@ -58,7 +58,7 @@ def _vec(angle):
 def _two_pair_loss(x1, x2, t1, t2, margin):
     """Mean hinge loss of the batch [(x1, x2), (t1, t2)], each pair the other's negatives."""
     values = np.array([x1, t1, x2, t2], dtype=np.float64)  # [side 1; side 2]
-    loss, _ = _hinge(values, [((1, 0), (1, 1)), ((0, 0), (0, 1))], margin)
+    loss, _ = _hinge(values, np.array([((1, 0), (1, 1)), ((0, 0), (0, 1))]), margin)
     return loss
 
 
@@ -66,7 +66,7 @@ def test_pair_loss_margins_satisfied():
     x = np.array([1.0, 0.0])
     t = np.array([0.0, 1.0])
     values = np.array([x, t, x, t])
-    loss, grad = _hinge(values, [((1, 0), (1, 1)), ((0, 0), (0, 1))], 0.4)
+    loss, grad = _hinge(values, np.array([((1, 0), (1, 1)), ((0, 0), (0, 1))]), 0.4)
     assert loss == 0.0 and not grad.any()
 
 
@@ -91,7 +91,7 @@ def test_pair_loss_gradient_matches_finite_differences():
     rng = np.random.default_rng(17)
     values = rng.normal(size=(8, 3))
     values[5] = 0.0  # a zero-norm embedding has cosine 0 and no gradient
-    negatives = [((1, 0), (2, 1)), ((3, 0), (0, 1)), ((0, 1), (1, 1)), ((2, 0), (3, 1))]
+    negatives = np.array([((1, 0), (2, 1)), ((3, 0), (0, 1)), ((0, 1), (1, 1)), ((2, 0), (3, 1))])
     _, grad = _hinge(values, negatives, 1.5)
     assert not grad[5].any()
     step = 1e-6
@@ -107,7 +107,7 @@ def test_pair_loss_gradient_matches_finite_differences():
 
 def test_pair_loss_rejects_non_finite_embeddings():
     values = np.ones((4, 2))
-    negatives = [((1, 0), (1, 1)), ((0, 0), (0, 1))]
+    negatives = np.array([((1, 0), (1, 1)), ((0, 0), (0, 1))])
     for bad in (np.nan, np.inf, 1e300):  # 1e300 is finite, but its norm is not
         values[2] = [bad, bad]
         with pytest.raises(NumericalError, match="non-finite embedding"):
@@ -126,7 +126,9 @@ def test_two_pairs_unique_candidate():
     batch = _batch_from_vectors([_vec(0), _vec(1)], [_vec(2), _vec(3)])
     for mode in ("max", "mix"):
         rng = _rng(0, 99)
-        assert select_negatives(*batch, mode, rng) == [((1, 0), (1, 1)), ((0, 0), (0, 1))]
+        out = select_negatives(*batch, mode, rng)
+        assert out.dtype == np.intp
+        assert out.tolist() == [[[1, 0], [1, 1]], [[0, 0], [0, 1]]]
 
 
 def test_max_prefers_most_similar():
@@ -135,14 +137,14 @@ def test_max_prefers_most_similar():
     side2 = [_vec(1), _vec(2), _vec(3)]
     batch = _batch_from_vectors(side1, side2)
     out = select_negatives(*batch, "max", _rng(0, 1))
-    assert out[0][0] == (1, 0)
+    assert tuple(out[0][0]) == (1, 0)
 
 
 def test_max_tie_breaks_by_lowest_index():
     dup = _vec(0.5)
     batch = _batch_from_vectors([_vec(0), dup, dup.copy()], [_vec(1), _vec(2), _vec(3)])
     out = select_negatives(*batch, "max", _rng(0, 2))
-    assert out[0][0] == (1, 0)  # pairs 1 and 2 tie exactly; lowest index wins
+    assert tuple(out[0][0]) == (1, 0)  # pairs 1 and 2 tie exactly; lowest index wins
 
 
 def test_batch_of_one_rejected():
@@ -178,7 +180,7 @@ def test_mix_matches_manual_replay():
                 expected = (best, side)
             else:
                 expected = (allowed[int(replay.integers(len(allowed)))], side)
-            assert got[i][side] == expected
+            assert tuple(got[i][side]) == expected
 
 
 def test_string_equal_candidates_excluded():
@@ -186,15 +188,17 @@ def test_string_equal_candidates_excluded():
     # make pair 1's side-1 the most similar, so exclusion must actively skip it
     side1 = [_vec(0), _vec(0.01), _vec(1.0)]
     side2 = [_vec(2), _vec(3), _vec(4)]
-    out = select_negatives(*_batch_from_vectors(side1, side2), "max", _rng(0, 7), texts=texts)
-    assert out[0][0] == (2, 0)
+    out = select_negatives(
+        *_batch_from_vectors(side1, side2), "max", _rng(0, 7), text_ids=_text_ids(texts)
+    )
+    assert tuple(out[0][0]) == (2, 0)
 
 
 def test_exclusion_fallback_when_pool_empties():
     texts = [(" a ", " b "), (" a ", " b ")]
     batch = _batch_from_vectors([_vec(0), _vec(0.2)], [_vec(1), _vec(1.2)])
-    out = select_negatives(*batch, "max", _rng(0, 8), texts=texts)
-    assert out[0][0] == (1, 0)  # only candidate, readmitted by the fallback
+    out = select_negatives(*batch, "max", _rng(0, 8), text_ids=_text_ids(texts))
+    assert tuple(out[0][0]) == (1, 0)  # only candidate, readmitted by the fallback
 
 
 def test_both_sides_pool_reaches_other_side():
@@ -202,7 +206,7 @@ def test_both_sides_pool_reaches_other_side():
     side2 = [_vec(2), _vec(0.05)]  # pair 1 side 2 is closest to pair 0 side 1
     batch = _batch_from_vectors(side1, side2)
     out = select_negatives(*batch, "max", _rng(0, 9), pool="both-sides")
-    assert out[0][0] == (1, 1)
+    assert tuple(out[0][0]) == (1, 1)
 
 
 def test_max_matches_exhaustive_scan():
@@ -221,7 +225,7 @@ def test_max_matches_exhaustive_scan():
                     c = cosine(embs[i], embs[j])
                     if c > best_c:
                         best, best_c = j, c
-                assert got[i][side] == (best, side)
+                assert tuple(got[i][side]) == (best, side)
 
 
 @pytest.mark.parametrize("mode", [None, 3, "hardest"])
@@ -266,21 +270,22 @@ def test_cached_candidate_layouts_match_the_oracle_and_stay_unwritten():
         pool = NEGATIVE_POOLS[trial % 2]
         mode = SAMPLING_MODES[(trial // 2) % 2]
         side1, side2 = rng.normal(size=(2, n, 3))
-        texts = None
+        texts = text_ids = None
         if trial % 3:
             # few distinct strings, so exclusion bites and some pairs fall back
             words = ["a", "b", "c"][: int(rng.integers(1, 4))]
             texts = [tuple(str(rng.choice(words)) for _ in (0, 1)) for _ in range(n)]
-        got = select_negatives(side1, side2, mode, _rng(trial, 12), texts=texts, pool=pool)
-        assert got == _negatives_oracle(side1, side2, mode, _rng(trial, 12), pool, texts)
+            text_ids = _text_ids(texts)
+        got = select_negatives(side1, side2, mode, _rng(trial, 12), pool, text_ids=text_ids)
+        want = _negatives_oracle(side1, side2, mode, _rng(trial, 12), pool, texts)
+        assert [tuple(map(tuple, refs)) for refs in got.tolist()] == want
         seen.add((n, pool))
     for n, pool in seen:
         cached, fresh = _candidate_layout(n, pool), _candidate_layout.__wrapped__(n, pool)
-        for name in ("order", "allowed"):
+        for name in ("order", "allowed", "refs"):
             array = getattr(cached, name)
             assert not array.flags.writeable
             assert np.array_equal(array, getattr(fresh, name))
-        assert cached.refs == fresh.refs
 
 
 # --- crafted two-cluster setup ----------------------------------------------
@@ -319,7 +324,7 @@ def test_inactive_hinges_give_pure_regularizer_gradient():
     loss, grad_bias, touched, grad_rows, negatives = _batch_gradients(
         _batch(texts, counts), model, config, _rng(0, 12)
     )
-    assert negatives == [((1, 0), (1, 1)), ((0, 0), (0, 1))]
+    assert negatives.tolist() == [[[1, 0], [1, 1]], [[0, 0], [0, 1]]]
     assert loss == 0.0
     assert touched.tolist() == list(range(len(vocab)))
     # the batch gradient is the loss's alone; the Adam step adds 2 * lambda * theta
@@ -592,8 +597,14 @@ def test_hinge_gradient_bit_equal_to_scatter_reference(n):
             crowd = 0 if i else 1
             picks = [(crowd, 0), (crowd, 1), (int(rng.integers(n)), int(rng.integers(2)))]
             negatives.append((picks[int(rng.integers(3))], picks[int(rng.integers(3))]))
-        _, grad = _hinge(values, negatives, 1.5)
+        _, grad = _hinge(values, np.array(negatives), 1.5)
         assert np.array_equal(grad, _hinge_grad_reference(values, negatives, 1.5))
+        # and the picker's own (n, 2, 2) array, read pair by pair by the reference
+        picked = select_negatives(
+            values[:n], values[n:], "mix", _rng(n, trial), NEGATIVE_POOLS[trial % 2]
+        )
+        _, grad = _hinge(values, picked, 1.5)
+        assert np.array_equal(grad, _hinge_grad_reference(values, picked.tolist(), 1.5))
 
 
 # --- config and curve --------------------------------------------------------
