@@ -10,7 +10,7 @@ in memory; file persistence quantizes to float32 (see charngram.io).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -25,6 +25,11 @@ COSINE_NORM_FLOOR = 1e-12
 
 # Entries per block of the row-norm pass, so the squares it sums stay in cache.
 _NORM_BLOCK_ENTRIES = 65536
+
+# Rows with a norm at or above this (or not finite) are left out of the float32
+# unit rows: the product of two norms below it, and so every dot product of two
+# such rows, stays finite in float64.
+_UNIT_NORM_LIMIT = 2.0**511
 
 
 def check_activation(activation: str) -> str:
@@ -50,29 +55,47 @@ def activation_grad(activation: str, values: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown activation {activation!r}")
 
 
-def _row_norms(matrix: np.ndarray) -> np.ndarray:
+def _row_norms(matrix: np.ndarray, units: np.ndarray | None = None) -> np.ndarray:
     """np.linalg.norm(matrix, axis=1), a block of rows at a time.
 
     Each row's norm is its own reduction, so the blocked result is
-    bit-identical, without a (|V|, d) temporary of squares.
+    bit-identical, without a (|V|, d) temporary of squares. Given `units`, a
+    float32 array of the matrix's shape, the same pass writes into it each
+    row divided by its norm, rounded to float32; rows whose norm is below
+    COSINE_NORM_FLOOR, not below _UNIT_NORM_LIMIT or not finite are zero.
     """
     per_block = max(1, _NORM_BLOCK_ENTRIES // matrix.shape[1])
-    if len(matrix) <= per_block:
+    if units is None and len(matrix) <= per_block:
         return np.linalg.norm(matrix, axis=1)
     norms = np.empty(len(matrix))
     for start in range(0, len(matrix), per_block):
         block = slice(start, start + per_block)
         norms[block] = np.linalg.norm(matrix[block], axis=1)
+        if units is not None:
+            with np.errstate(invalid="ignore", divide="ignore"):  # zero rows divide 0 by 0
+                np.divide(matrix[block], norms[block, None], out=units[block], casting="same_kind")
+            scale = norms[block]
+            units[block][~((scale >= COSINE_NORM_FLOOR) & (scale < _UNIT_NORM_LIMIT))] = 0.0
     return norms
+
+
+class _RowCache(NamedTuple):
+    weights: np.ndarray  # the array the rest was computed from
+    norms: np.ndarray  # its row norms, as `_row_norms` gives them
+    units: np.ndarray  # (|V|, d) float32 unit rows from the same pass, read-only
+    outliers: np.ndarray  # rows left zero in `units` for a norm not below _UNIT_NORM_LIMIT
+    writeable: bool  # the weights' writeable flag before they were cached
 
 
 @dataclass
 class Model:
     """Learned parameters: weights has one row per vocabulary n-gram.
 
-    `row_norms()` caches the norms of the weight rows. While they are cached,
-    `weights` is read-only, so an in-place write raises ValueError instead of
-    leaving the norms stale; writers call `drop_row_norms()` first. Writes
+    `row_norms()` caches the norms of the weight rows and, from the same pass,
+    `unit_rows32()` a float32 copy of the rows scaled to unit norm (4·|V|·d
+    bytes; n-gram queries screen with it). While they are cached, `weights` is
+    read-only, so an in-place write raises ValueError instead of leaving them
+    stale; writers call `drop_row_norms()` first, which frees both. Writes
     through another array sharing the memory of `weights` are not caught.
     """
 
@@ -81,9 +104,8 @@ class Model:
     activation: str
     vocab_fingerprint: int
     case_mode: str | None = None  # the text case handling trained with; None = not recorded
-    # (the weights array the norms belong to, its norms, its writeable flag
-    # before they were cached); not copied by dataclasses.replace
-    _norm_cache: tuple[np.ndarray, np.ndarray, bool] | None = field(
+    # not copied by dataclasses.replace
+    _norm_cache: _RowCache | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -116,28 +138,48 @@ class Model:
     def vocab_size(self) -> int:
         return self.weights.shape[0]
 
+    def _row_cache(self) -> _RowCache:
+        # The cache belongs to the array object bound to `weights`: rebinding it
+        # gives a fresh one. A cached array that is writeable again (a pickled
+        # or deep-copied model) is not trusted either.
+        cache = self._norm_cache
+        if cache is None or cache.weights is not self.weights or cache.weights.flags.writeable:
+            self.drop_row_norms()
+            weights = self.weights
+            writeable = weights.flags.writeable
+            weights.flags.writeable = False
+            units = np.empty(weights.shape, dtype=np.float32)
+            norms = _row_norms(weights, units)
+            units.flags.writeable = False
+            outliers = np.flatnonzero(~(norms < _UNIT_NORM_LIMIT))
+            self._norm_cache = _RowCache(weights, norms, units, outliers, writeable)
+        return self._norm_cache
+
     def row_norms(self) -> np.ndarray:
         """Norms of the weight rows, computed once and kept until `weights` changes.
 
-        The cache belongs to the array object bound to `weights`: rebinding it
-        gives fresh norms. A cached array that is writeable again (a pickled
-        or deep-copied model) is not trusted either.
+        The pass that computes them also builds `unit_rows32()`.
         """
-        cache = self._norm_cache
-        if cache is None or cache[0] is not self.weights or cache[0].flags.writeable:
-            self.drop_row_norms()
-            writeable = self.weights.flags.writeable
-            self.weights.flags.writeable = False
-            self._norm_cache = (self.weights, _row_norms(self.weights), writeable)
-        return self._norm_cache[1]
+        return self._row_cache().norms
+
+    def unit_rows32(self) -> tuple[np.ndarray, np.ndarray]:
+        """(units, outliers): the weight rows scaled to unit norm, in read-only float32,
+        and the sorted rows left zero there because their norm is not finite or
+        not below _UNIT_NORM_LIMIT. Rows with a norm below COSINE_NORM_FLOOR are
+        zero too. Cached with `row_norms()`, for as long as the norms are.
+        """
+        cache = self._row_cache()
+        return cache.units, cache.outliers
 
     def drop_row_norms(self) -> None:
-        """Forget the cached row norms; the array they belong to gets back its writeable flag.
+        """Forget the cached row norms and unit rows; the array they belong to gets
+        back its writeable flag.
 
         Call before writing into `weights` in place.
         """
         if self._norm_cache is not None:
-            array, _, writeable = self._norm_cache
+            array = self._norm_cache.weights
+            writeable = self._norm_cache.writeable
             self._norm_cache = None
             array.flags.writeable = writeable
 

@@ -1,19 +1,26 @@
 """Brute-force nearest-neighbor search over a word list and over n-gram rows.
 
 A working vocabulary is a prepared index: it holds the embeddings of a list
-of words, read-only, and their row norms, computed once when it is built. A
-query is then ranked against it by cosine with one matrix-vector product.
-The n-gram variant compares raw weight rows directly, against the row norms
-the model caches at its first query (`Model.row_norms`). The weights are
-read-only while those norms are cached, and training and the gradient audit
-drop them before they write; writes through another array sharing the
-weights' memory are not caught. Linear scans only: at the scales this tool
-targets (~100k words, a few hundred dimensions) a scan takes well under a
-second.
+of words, read-only, their row norms, computed once when it is built, and
+the model that embedded them. A query is then ranked against it by cosine
+with one matrix-vector product.
+
+The n-gram variant compares raw weight rows directly. At its first query the
+model caches the row norms and a float32 copy of the rows scaled to unit
+norm (`Model.row_norms`, `Model.unit_rows32`). A query scores every row in
+float32 against that copy, keeps only the rows that can still make the top k
+once the float32 error is allowed for, and ranks those by their exact float64
+cosine: the answer is the one a float64 scan of every row gives, bit for bit,
+for about half the bytes read. The weights are read-only while the cache is
+held, and training and the gradient audit drop it before they write; writes
+through another array sharing the weights' memory are not caught. Linear
+scans only: at the scales this tool targets (~100k words, a few hundred
+dimensions) a scan takes well under a second.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -21,6 +28,7 @@ import numpy as np
 
 from .errors import DataError
 from .model import (
+    _UNIT_NORM_LIMIT,
     COSINE_NORM_FLOOR,
     Model,
     _row_norms,
@@ -38,11 +46,15 @@ class WorkingVocab:
 
     `embeddings` is coerced to float64 and marked read-only in place (not
     copied); `norms`, its row norms, is computed once, here, for every query.
+    `embedded_by` is the model `build_working_vocab` embedded the words with
+    (the object, not a copy), and only that model may query it; a working
+    vocabulary built directly from arrays has none and checks only d.
     """
 
     words: list[str]  # normalized, without the boundary padding
     embeddings: np.ndarray  # (len(words), d), read-only
     norms: np.ndarray = field(init=False, repr=False)  # (len(words),)
+    embedded_by: Model | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.embeddings = np.asarray(self.embeddings, dtype=np.float64)
@@ -55,16 +67,30 @@ class WorkingVocab:
         self.norms = _row_norms(self.embeddings)
 
 
-def _guarded_cosines(matrix: np.ndarray, query: np.ndarray, norms: np.ndarray) -> np.ndarray:
+def _guarded_cosines(
+    matrix: np.ndarray, query: np.ndarray, norms: np.ndarray, dot=np.matmul
+) -> np.ndarray:
     """Cosine of `query` against every row of `matrix`; zero-norm vectors score 0.
 
     `norms` holds the row norms of `matrix`, as `_row_norms` computes them.
-    The rows are scaled after the product, so no normalized copy of `matrix`
-    (the whole weight table, for n-gram queries) is made.
+    The rows are scaled after the product `dot(matrix, query)`, so no
+    normalized copy of `matrix` (the whole weight table, for n-gram queries)
+    is made.
     """
-    qn = np.linalg.norm(query)
-    live = (norms >= COSINE_NORM_FLOOR) & (qn >= COSINE_NORM_FLOOR)
-    return np.divide(matrix @ query, norms * qn, out=np.zeros(len(norms)), where=live)
+    qn = math.sqrt(query.dot(query))  # np.linalg.norm's arithmetic, without its checks
+    cosines = np.zeros(len(norms))
+    if qn >= COSINE_NORM_FLOOR:
+        np.divide(dot(matrix, query), norms * qn, out=cosines, where=norms >= COSINE_NORM_FLOOR)
+    return cosines
+
+
+def _row_dots(matrix: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """matrix @ query as one einsum reduction per row.
+
+    A row's product has the same bits whatever rows are scored with it, in
+    whatever order or position; a BLAS gemv's can differ in the last bit.
+    """
+    return np.einsum("ij,j->i", np.ascontiguousarray(matrix), query)
 
 
 def build_working_vocab(words: list[str], model: Model, vocab: NGramVocab) -> WorkingVocab:
@@ -73,7 +99,7 @@ def build_working_vocab(words: list[str], model: Model, vocab: NGramVocab) -> Wo
         raise DataError("empty word list")
     padded = list(dict.fromkeys(normalize(w, model.input_case_mode) for w in words))
     counts = encode_matrix(padded, vocab, model)
-    return WorkingVocab([seq[1:-1] for seq in padded], embed_matrix(counts, model))
+    return WorkingVocab([seq[1:-1] for seq in padded], embed_matrix(counts, model), model)
 
 
 def _rank(name: Callable[[int], str], cosines: np.ndarray, exclude: set[str], k: int):
@@ -81,12 +107,13 @@ def _rank(name: Callable[[int], str], cosines: np.ndarray, exclude: set[str], k:
     # in the top k, so only those are named and sorted (by cosine, then name)
     top = min(k + len(exclude), len(cosines))
     floor = -np.partition(-cosines, top - 1)[top - 1]
-    named = [(name(i), i) for i in np.flatnonzero(cosines >= floor).tolist()]
-    order = sorted(
-        ((word, i) for word, i in named if word not in exclude),
-        key=lambda entry: (-cosines[entry[1]], entry[0]),
+    picked = np.flatnonzero(cosines >= floor)
+    ranked = sorted(
+        (-cos, word)
+        for i, cos in zip(picked.tolist(), cosines[picked].tolist())
+        if (word := name(i)) not in exclude
     )
-    return [(word, float(cosines[i])) for word, i in order[:k]]
+    return [(word, -negated) for negated, word in ranked[:k]]
 
 
 def nearest_neighbors(
@@ -97,11 +124,14 @@ def nearest_neighbors(
     Entries string-equal to the normalized query are excluded; near-duplicates
     (inflections, misspellings) are legitimate neighbors and retained. Ties
     break by word lexicographic order. Shorter-than-k results are returned
-    as-is. DataError unless `model` was built against `vocab`.
+    as-is. DataError unless `model` was built against `vocab`, and unless it
+    is the model that embedded `wv` (when `wv.embedded_by` records one).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     verify_binding(model, vocab)
+    if wv.embedded_by is not None and wv.embedded_by is not model:
+        raise DataError("working vocabulary was embedded by another model")
     wv_dim = wv.embeddings.shape[1]
     if wv_dim != model.dim:
         raise DataError(f"working vocabulary has d={wv_dim}, the model d={model.dim}")
@@ -111,12 +141,48 @@ def nearest_neighbors(
     return _rank(wv.words.__getitem__, cosines, {padded[1:-1]}, k)
 
 
+def _screen(units: np.ndarray, outliers: np.ndarray, pos: int, top: int) -> np.ndarray:
+    """The rows that can be among the `top` best by exact cosine to row `pos`.
+
+    `units` and `outliers` are `Model.unit_rows32()`; row `pos` has a norm of
+    at least COSINE_NORM_FLOOR and is not an outlier, and `top` < |V|.
+
+    Why no such row is lost. Let s be a row's float32 score, the dot product
+    of the float32 unit rows, and c its exact cosine, as `_guarded_cosines`
+    computes it in float64. The float32 sum of d products of unit-row entries
+    is off by at most γ_d ≈ d·2⁻²⁴, and rounding the two unit rows to float32
+    adds at most 2·2⁻²⁴. What is left (the d²·2⁻⁴⁸ in γ_d, float64 rounding
+    in c and in the unit rows, float32 underflow) is orders of magnitude
+    smaller. So δ = (d + 4)·2⁻²³ is at least twice the worst-case |s − c|;
+    rows below the norm floor score exactly 0 both ways. Let τ be the
+    `top`-th largest score over the rows that are not outliers. Those `top`
+    rows have c ≥ τ − δ/2, so the `top`-th best exact cosine is at least
+    τ − δ/2, and a row reaching it scores s ≥ c − δ/2 ≥ τ − δ. The rows kept
+    are those with s ≥ τ − 2δ, a floor computed in float32: rounding moves it
+    by at most 2⁻²⁴ < δ, so it stays below τ − δ. Outliers, whose norm is
+    not finite or too large for the float64 products to stay finite, are not
+    counted towards τ and are always kept. With fewer than `top` rows that
+    are not outliers, τ is −inf and every row is kept.
+    """
+    delta = (units.shape[1] + 4) * 2.0**-23
+    scores = units @ units[pos]
+    if len(outliers):
+        scores[outliers] = -np.inf  # not counted towards tau...
+    tau = np.partition(scores, len(scores) - top)[len(scores) - top]
+    if len(outliers):
+        scores[outliers] = np.inf  # ...but always kept
+    return np.flatnonzero(scores >= tau - 2 * delta)  # a float32 floor, as argued above
+
+
 def ngram_neighbors(
     query_ngram: str, model: Model, vocab: NGramVocab, k: int
 ) -> list[tuple[str, float]]:
     """Top-k vocabulary n-grams whose weight rows are cosine-closest to the query's row.
 
-    DataError unless `model` was built against `vocab`.
+    A float32 pass over the model's cached unit rows picks the candidates and
+    only they are scored in float64 (`_screen`), so the answer is the one an
+    exhaustive float64 scan of every row gives. DataError unless `model` was
+    built against `vocab`.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -124,7 +190,14 @@ def ngram_neighbors(
     pos = vocab.index.get(query_ngram)
     if pos is None:
         raise DataError("n-gram not in model")
-    # the norms are cached on the model; W is read-only until a writer drops them
-    weights = model.weights
-    cosines = _guarded_cosines(weights, weights[pos], model.row_norms())
+    # the norms and unit rows are cached on the model; W is read-only until a
+    # writer drops them
+    weights, norms = model.weights, model.row_norms()
+    units, outliers = model.unit_rows32()
+    if k + 1 < len(norms) and COSINE_NORM_FLOOR <= norms[pos] < _UNIT_NORM_LIMIT:
+        rows = _screen(units, outliers, pos, k + 1)
+        cosines = _guarded_cosines(weights[rows], weights[pos], norms[rows], _row_dots)
+        return _rank(lambda i: vocab.entries[rows[i]][0], cosines, {query_ngram}, k)
+    # every row: too few to screen, or a query row that is zero or an outlier
+    cosines = _guarded_cosines(weights, weights[pos], norms, _row_dots)
     return _rank(lambda i: vocab.entries[i][0], cosines, {query_ngram}, k)

@@ -1,5 +1,10 @@
+import gc
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from charngram import (
     DataError,
@@ -18,7 +23,7 @@ from charngram import AdamState, NGramVocab, TrainConfig, WorkingVocab
 from charngram import finite_diff_audit, neighbors
 from charngram import model as model_module
 from charngram.model import _NORM_BLOCK_ENTRIES, COSINE_NORM_FLOOR, Model
-from charngram.neighbors import _guarded_cosines, _rank, _row_norms
+from charngram.neighbors import _guarded_cosines, _rank, _row_dots, _row_norms, _screen
 from charngram.train import _Batch, _encode_pairs, _step, _text_ids
 
 from conftest import random_model
@@ -244,10 +249,26 @@ def test_working_vocab_of_other_dimension_is_rejected(wide_vocab, wide_model):
         nearest_neighbors("cat", wv, wide_model, wide_vocab, k=1)
 
 
+def test_working_vocab_answers_only_the_model_that_embedded_it(wide_vocab):
+    words = ["the", "cat", "sat", "dog"]
+    tanh = random_model(np.random.default_rng(1), wide_vocab, dim=8, activation="tanh")
+    linear = random_model(np.random.default_rng(2), wide_vocab, dim=8, activation="linear")
+    wv = build_working_vocab(words, tanh, wide_vocab)
+    assert wv.embedded_by is tanh
+    assert nearest_neighbors("cat", wv, tanh, wide_vocab, k=2)
+    for other in (linear, Model(tanh.weights, tanh.bias, "tanh", tanh.vocab_fingerprint)):
+        with pytest.raises(DataError, match="embedded by another model"):
+            nearest_neighbors("cat", wv, other, wide_vocab, k=2)
+    # a working vocabulary made from arrays records no model and checks d only
+    assert nearest_neighbors("cat", WorkingVocab(wv.words, wv.embeddings), linear, wide_vocab, k=2)
+
+
 def _ngram_reference(query, model, vocab, k):
-    # the n-gram query with the weight-row norms recomputed on every call
+    # the n-gram query scanning every row, with the weight-row norms recomputed
+    # on every call; each row's cosine comes from the per-row routine, which
+    # gives a row the same bits whatever subset it is scored in
     weights = model.weights
-    cosines = _guarded_cosines(weights, weights[vocab.index[query]], _row_norms(weights))
+    cosines = _guarded_cosines(weights, weights[vocab.index[query]], _row_norms(weights), _row_dots)
     return _rank(lambda i: vocab.entries[i][0], cosines, {query}, k)
 
 
@@ -275,15 +296,66 @@ def test_cached_ngram_norms_equal_per_query_norms_bit_for_bit():
 
 def test_second_ngram_query_does_not_recompute_norms(wide_vocab, monkeypatch):
     model = random_model(np.random.default_rng(44), wide_vocab, dim=8)
-    first = ngram_neighbors("at ", model, wide_vocab, k=4)
+    passes = []
 
-    def recomputed(matrix):
-        raise AssertionError("weight-row norms recomputed for a query")
+    def counted(matrix, units=None):
+        passes.append(units is not None)
+        return _row_norms(matrix, units)
+
+    monkeypatch.setattr(model_module, "_row_norms", counted)
+    first = ngram_neighbors("at ", model, wide_vocab, k=4)
+    assert passes == [True]  # one pass built both the norms and the float32 rows
+    norms, (units, _) = model.row_norms(), model.unit_rows32()
+    assert np.array_equal(norms, _row_norms(model.weights))
+
+    def recomputed(matrix, units=None):
+        raise AssertionError("weight-row norms or unit rows recomputed for a query")
 
     for module in (model_module, neighbors):  # both hold the name
         monkeypatch.setattr(module, "_row_norms", recomputed)
     assert ngram_neighbors("at ", model, wide_vocab, k=4) == first
     assert ngram_neighbors("ca", model, wide_vocab, k=4)
+    assert model.row_norms() is norms and model.unit_rows32()[0] is units
+
+
+def test_unit_rows_are_read_only_float32_and_dropped_with_the_norms():
+    rng = np.random.default_rng(45)
+    weights = rng.normal(size=(7, 5))
+    weights[2] = 0.0
+    weights[4, 0] = 1e200  # its norm overflows
+    model = Model(weights=weights, bias=np.zeros(5), activation="tanh", vocab_fingerprint=0)
+    units, outliers = model.unit_rows32()
+    assert units.dtype == np.float32 and units.shape == weights.shape
+    assert outliers.tolist() == [4]
+    live = [0, 1, 3, 5, 6]
+    assert np.array_equal(units[live], (weights[live] / _row_norms(weights)[live, None]).astype(np.float32))
+    assert not units[[2, 4]].any()  # zero and outlier rows stay zero
+    with pytest.raises(ValueError):
+        units[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        model.weights[0, 0] = 1.0
+    freed = weakref.ref(units)
+    del units
+    model.drop_row_norms()
+    gc.collect()
+    assert freed() is None  # the model held the only reference
+    model.weights[0, 0] = 1.0  # writeable again
+    assert model.unit_rows32()[0][0, 0] == np.float32(1.0 / _row_norms(model.weights)[0])
+
+
+def test_first_ngram_query_allocates_less_than_a_float64_copy_of_the_weights():
+    rng = np.random.default_rng(46)
+    n, dim = 20000, 40
+    vocab = NGramVocab([(f"{i:05x}", 5, 1) for i in range(n)])
+    model = Model(weights=rng.normal(size=(n, dim)), bias=np.zeros(dim), activation="tanh",
+                  vocab_fingerprint=vocab.fingerprint)
+    tracemalloc.start()
+    try:
+        ngram_neighbors(vocab.entries[3][0], model, vocab, k=10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert model.unit_rows32()[0].nbytes <= peak < model.weights.nbytes
 
 
 def test_ngram_query_after_a_training_step_sees_the_new_weights(wide_vocab):
@@ -309,3 +381,77 @@ def test_ngram_query_after_the_gradient_audit_sees_the_weights(wide_vocab):
     assert model.weights.flags.writeable  # the audit dropped the cached norms
     got = ngram_neighbors("at ", model, wide_vocab, k=6)
     assert _bits(got) == _bits(_ngram_reference("at ", model, wide_vocab, 6))
+
+
+def _per_row_bits(cosines):
+    return [c.hex() for c in cosines.tolist()]
+
+
+def test_per_row_cosines_do_not_depend_on_the_rows_scored_with_them():
+    # the bit-for-bit reference scans every row; the screened query scores a
+    # subset, so each row's cosine must have the same bits in any subset,
+    # order or position (a BLAS gemv's can differ in the last bit)
+    rng = np.random.default_rng(47)
+    for dim in (1, 2, 7, 37, 64, 300):
+        matrix = rng.normal(size=(150, dim)) * 10.0 ** rng.integers(-11, 12, size=(150, 1))
+        matrix[rng.random(matrix.shape) < 0.2] = -0.0
+        matrix[[3, 70]] = 0.0
+        query = matrix[5]
+        norms = _row_norms(matrix)
+        full = _guarded_cosines(matrix, query, norms, _row_dots)
+        for _ in range(30):
+            rows = rng.choice(len(matrix), size=int(rng.integers(1, 2 * len(matrix))))
+            picked = matrix[rows]
+            shifted = np.empty(picked.size + 1)[1:].reshape(picked.shape)  # off by one element
+            shifted[:] = picked
+            fortran = np.asfortranarray(picked)
+            for sub in (picked, shifted, fortran):
+                got = _guarded_cosines(sub, query, norms[rows], _row_dots)
+                assert _per_row_bits(got) == _per_row_bits(full[rows])
+
+
+def test_screen_keeps_few_rows_of_a_random_table():
+    rng = np.random.default_rng(48)
+    n, dim = 3000, 50
+    model = Model(weights=rng.uniform(-0.1, 0.1, size=(n, dim)), bias=np.zeros(dim),
+                  activation="tanh", vocab_fingerprint=0)
+    units, outliers = model.unit_rows32()
+    for pos in (0, 17, n - 1):
+        rows = _screen(units, outliers, pos, 11)
+        assert pos in rows and 11 <= len(rows) < 40
+
+
+@st.composite
+def _screened_tables(draw):
+    # a weight table built to crowd the k-th place: rows drawn around a few
+    # directions (near-ties within the float32 error), exact and scaled
+    # duplicates (exact ties), zero rows, magnitudes from 1e-30 to 1e30, and
+    # possibly one row whose norm overflows
+    n = draw(st.integers(1, 300))
+    dim = draw(st.integers(1, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    centres = rng.normal(size=(draw(st.integers(1, 5)), dim))
+    spread = 10.0 ** draw(st.sampled_from([-14, -9, -7, -5, -2, 0]))
+    weights = centres[rng.integers(len(centres), size=n)] + spread * rng.normal(size=(n, dim))
+    weights *= 10.0 ** rng.uniform(-30, 30, size=(n, 1))
+    for _ in range(draw(st.integers(0, n // 3))):
+        a, b = rng.integers(n, size=2)
+        weights[a] = weights[b] * draw(st.sampled_from([1.0, 1.0, 2.0, 3.0, -1.0, 1e-20]))
+    weights[rng.random(n) < draw(st.sampled_from([0.0, 0.1, 0.5]))] = 0.0
+    if draw(st.booleans()):
+        weights[rng.integers(n), rng.integers(dim)] = 1e160  # the row's norm is inf
+    names = [f"{i:04x}" for i in rng.permutation(max(n, 2**12))[:n]]  # not in row order
+    query = draw(st.integers(0, n - 1))
+    k = draw(st.integers(1, n + 2))
+    return weights, names, query, k
+
+
+@settings(max_examples=400, deadline=None)
+@given(_screened_tables())
+def test_screened_ngram_neighbors_equal_an_exhaustive_per_row_scan_bit_for_bit(table):
+    weights, names, query, k = table
+    vocab = NGramVocab([(g, 4, 1) for g in names])
+    model = Model(weights=weights, bias=np.zeros(weights.shape[1]), activation="linear",
+                  vocab_fingerprint=vocab.fingerprint)
+    got = ngram_neighbors(names[query], model, vocab, k)
+    assert _bits(got) == _bits(_ngram_reference(names[query], model, vocab, k))
