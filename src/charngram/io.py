@@ -199,6 +199,8 @@ def _load_v2(handle, head: bytes, path) -> tuple[Model, NGramVocab]:
         raise ModelFormatError(f"{path}: corrupt model file (unknown case mode code {case_code})")
     if any(reserved):
         raise ModelFormatError(f"{path}: corrupt model file (non-zero reserved bytes)")
+    if dim == 0:  # no model has d = 0, and the size check below would not bound |V|
+        raise ModelFormatError(f"{path}: corrupt model file (dimension 0)")
     # the size follows from the header alone; checked before allocating
     data_offset = _data_offset(table_len)
     size = data_offset + 4 * dim * (vocab_size + 1)
@@ -286,6 +288,8 @@ def _load_v1(path) -> tuple[Model, NGramVocab]:
         raise ModelFormatError(f"{path}: unsupported version {version}")
     if act_code not in _ACTIVATION_NAMES:
         raise ModelFormatError(f"{path}: corrupt model file (unknown activation code {act_code})")
+    if dim == 0:
+        raise ModelFormatError(f"{path}: corrupt model file (dimension 0)")
     # every record holds at least its head and a row; checked before allocating
     least = _HEADER.size + 4 * dim + vocab_size * (_RECORD_HEAD.size + 4 * dim)
     if least > len(data):

@@ -65,18 +65,32 @@ def _row_norms(matrix: np.ndarray, units: np.ndarray | None = None) -> np.ndarra
     COSINE_NORM_FLOOR, not below _UNIT_NORM_LIMIT or not finite are zero.
     """
     per_block = max(1, _NORM_BLOCK_ENTRIES // matrix.shape[1])
-    if units is None and len(matrix) <= per_block:
-        return np.linalg.norm(matrix, axis=1)
-    norms = np.empty(len(matrix))
-    for start in range(0, len(matrix), per_block):
-        block = slice(start, start + per_block)
-        norms[block] = np.linalg.norm(matrix[block], axis=1)
-        if units is not None:
-            with np.errstate(invalid="ignore", divide="ignore"):  # zero rows divide 0 by 0
+    # a norm that overflows is inf, and zero rows divide 0 by 0; neither warns
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if units is None and len(matrix) <= per_block:
+            return np.linalg.norm(matrix, axis=1)
+        norms = np.empty(len(matrix))
+        for start in range(0, len(matrix), per_block):
+            block = slice(start, start + per_block)
+            norms[block] = np.linalg.norm(matrix[block], axis=1)
+            if units is not None:
                 np.divide(matrix[block], norms[block, None], out=units[block], casting="same_kind")
-            scale = norms[block]
-            units[block][~((scale >= COSINE_NORM_FLOOR) & (scale < _UNIT_NORM_LIMIT))] = 0.0
+                scale = norms[block]
+                units[block][~((scale >= COSINE_NORM_FLOOR) & (scale < _UNIT_NORM_LIMIT))] = 0.0
     return norms
+
+
+def _unit_rows32(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(norms, units, outliers) of `matrix`, from one `_row_norms` pass.
+
+    `units` is the read-only float32 copy of the rows scaled to unit norm and
+    `outliers` the sorted rows left zero there because their norm is not
+    finite or not below _UNIT_NORM_LIMIT.
+    """
+    units = np.empty(matrix.shape, dtype=np.float32)
+    norms = _row_norms(matrix, units)
+    units.flags.writeable = False
+    return norms, units, np.flatnonzero(~(norms < _UNIT_NORM_LIMIT))
 
 
 class _RowCache(NamedTuple):
@@ -148,11 +162,7 @@ class Model:
             weights = self.weights
             writeable = weights.flags.writeable
             weights.flags.writeable = False
-            units = np.empty(weights.shape, dtype=np.float32)
-            norms = _row_norms(weights, units)
-            units.flags.writeable = False
-            outliers = np.flatnonzero(~(norms < _UNIT_NORM_LIMIT))
-            self._norm_cache = _RowCache(weights, norms, units, outliers, writeable)
+            self._norm_cache = _RowCache(weights, *_unit_rows32(weights), writeable)
         return self._norm_cache
 
     def row_norms(self) -> np.ndarray:

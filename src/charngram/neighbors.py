@@ -2,20 +2,26 @@
 
 A working vocabulary is a prepared index: it holds the embeddings of a list
 of words, read-only, their row norms, computed once when it is built, and
-the model that embedded them. A query is then ranked against it by cosine
-with one matrix-vector product.
+the model that embedded them. How a query is ranked against it depends on
+the size of the scan. A list of fewer than _SCREEN_MIN_ENTRIES entries
+(rows × d) is scored with one float64 matrix-vector product. A larger list
+also keeps, from the same norms pass, a float32 copy of its rows scaled to
+unit norm (4·n·d bytes: 8 MB for 6,800 words at d = 300), and is screened the
+way n-gram rows are: the float32 pass picks the candidates and only they are
+scored in float64. Below the size the fixed cost of the screen outweighs the
+bytes it saves (BENCH_nn_screen.json holds the measured crossover).
 
 The n-gram variant compares raw weight rows directly. At its first query the
 model caches the row norms and a float32 copy of the rows scaled to unit
 norm (`Model.row_norms`, `Model.unit_rows32`). A query scores every row in
 float32 against that copy, keeps only the rows that can still make the top k
-once the float32 error is allowed for, and ranks those by their exact float64
-cosine: the answer is the one a float64 scan of every row gives, bit for bit,
-for about half the bytes read. The weights are read-only while the cache is
-held, and training and the gradient audit drop it before they write; writes
-through another array sharing the weights' memory are not caught. Linear
-scans only: at the scales this tool targets (~100k words, a few hundred
-dimensions) a scan takes well under a second.
+once the float32 error is allowed for (`_screen`), and ranks those by their
+exact float64 cosine: the answer is the one a float64 scan of every row
+gives, bit for bit, for about half the bytes read. The weights are read-only
+while the cache is held, and training and the gradient audit drop it before
+they write; writes through another array sharing the weights' memory are not
+caught. Linear scans only: at the scales this tool targets (~100k words, a
+few hundred dimensions) a scan takes well under a second.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from .model import (
     COSINE_NORM_FLOOR,
     Model,
     _row_norms,
+    _unit_rows32,
     embed,
     embed_matrix,
     encode_matrix,
@@ -40,20 +47,33 @@ from .model import (
 from .vocab import NGramVocab, encode, normalize
 
 
+# Word lists of at least this many entries (rows × d) are screened in float32;
+# smaller ones are scanned with one float64 product, which is faster there.
+# From the crossover measured in BENCH_nn_screen.json.
+_SCREEN_MIN_ENTRIES = 2**18
+
+
 @dataclass
 class WorkingVocab:
     """Unique normalized words with embeddings computed under one model+vocab.
 
     `embeddings` is coerced to float64 and marked read-only in place (not
     copied); `norms`, its row norms, is computed once, here, for every query.
-    `embedded_by` is the model `build_working_vocab` embedded the words with
-    (the object, not a copy), and only that model may query it; a working
-    vocabulary built directly from arrays has none and checks only d.
+    A list of at least _SCREEN_MIN_ENTRIES entries (rows × d) also keeps, from
+    the same pass, `unit_rows32`: a read-only float32 copy of its rows scaled
+    to unit norm (4·n·d bytes) and the sorted outlier rows, as
+    `Model.unit_rows32` gives them; queries screen with it. Smaller lists keep
+    None there. `embedded_by` is the model `build_working_vocab` embedded the
+    words with (the object, not a copy), and only that model may query it; a
+    working vocabulary built directly from arrays has none and checks only d.
     """
 
     words: list[str]  # normalized, without the boundary padding
     embeddings: np.ndarray  # (len(words), d), read-only
     norms: np.ndarray = field(init=False, repr=False)  # (len(words),)
+    unit_rows32: tuple[np.ndarray, np.ndarray] | None = field(
+        init=False, repr=False, compare=False
+    )
     embedded_by: Model | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -64,7 +84,11 @@ class WorkingVocab:
                 f"words, embeddings of shape {self.embeddings.shape}"
             )
         self.embeddings.flags.writeable = False
-        self.norms = _row_norms(self.embeddings)
+        if self.embeddings.size >= _SCREEN_MIN_ENTRIES:
+            norms, units, outliers = _unit_rows32(self.embeddings)
+            self.norms, self.unit_rows32 = norms, (units, outliers)
+        else:
+            self.norms, self.unit_rows32 = _row_norms(self.embeddings), None
 
 
 def _guarded_cosines(
@@ -75,12 +99,50 @@ def _guarded_cosines(
     `norms` holds the row norms of `matrix`, as `_row_norms` computes them.
     The rows are scaled after the product `dot(matrix, query)`, so no
     normalized copy of `matrix` (the whole weight table, for n-gram queries)
-    is made.
+    is made. Rows whose float64 norm overflows, and a query whose norm does,
+    are scored by `_overflowed_cosines`; every other row gets the same bits
+    either way.
     """
-    qn = math.sqrt(query.dot(query))  # np.linalg.norm's arithmetic, without its checks
+    # np.linalg.norm's arithmetic (one ddot) without its checks; unlike
+    # ndarray.dot, np.vdot does not warn when a sum overflows. The second sum
+    # is not finite when a norm overflowed or is NaN (or when finite norms are
+    # large enough for their squares to overflow, which the slow path also
+    # scores right): one ddot, to send the rare such calls to the slow path.
+    qn = math.sqrt(np.vdot(query, query))
+    if not (qn < math.inf and np.vdot(norms, norms) < math.inf):
+        return _overflowed_cosines(matrix, query, norms, dot)
+    return _divided_cosines(matrix, query, qn, norms, dot)
+
+
+def _divided_cosines(
+    matrix: np.ndarray, query: np.ndarray, qn: float, norms: np.ndarray, dot
+) -> np.ndarray:
     cosines = np.zeros(len(norms))
     if qn >= COSINE_NORM_FLOOR:
         np.divide(dot(matrix, query), norms * qn, out=cosines, where=norms >= COSINE_NORM_FLOOR)
+    return cosines
+
+
+def _overflowed_cosines(
+    matrix: np.ndarray, query: np.ndarray, norms: np.ndarray, dot
+) -> np.ndarray:
+    """`_guarded_cosines` when the query's norm or some row norms are not finite.
+
+    A vector whose norm overflows is scored from its copy divided by its
+    largest absolute entry, which has the same direction and a norm between
+    1 and √d, so a finite row parallel to the query still scores 1. A vector
+    holding an inf or NaN has no direction and scores 0, as a zero vector does.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # the products of the overflowing rows
+        qn = math.sqrt(np.vdot(query, query))
+        if qn == math.inf:
+            query = query / np.abs(query).max()
+            qn = math.sqrt(np.vdot(query, query))
+        big = norms == math.inf
+        cosines = _divided_cosines(matrix, query, qn, np.where(big, 0.0, norms), dot)
+        for i in np.flatnonzero(big).tolist():
+            row = matrix[i : i + 1] / np.abs(matrix[i]).max()
+            cosines[i] = _divided_cosines(row, query, qn, _row_norms(row), dot)[0]
     return cosines
 
 
@@ -104,10 +166,11 @@ def build_working_vocab(words: list[str], model: Model, vocab: NGramVocab) -> Wo
 
 def _rank(name: Callable[[int], str], cosines: np.ndarray, exclude: set[str], k: int):
     # only entries scoring at least the (k + |exclude|)-th best cosine can be
-    # in the top k, so only those are named and sorted (by cosine, then name)
+    # in the top k, so only those are named and sorted (by cosine, then name);
+    # a NaN is never named, nor taken as that floor when too few are numbers
     top = min(k + len(exclude), len(cosines))
     floor = -np.partition(-cosines, top - 1)[top - 1]
-    picked = np.flatnonzero(cosines >= floor)
+    picked = np.flatnonzero(cosines >= (floor if floor == floor else -math.inf))
     ranked = sorted(
         (-cos, word)
         for i, cos in zip(picked.tolist(), cosines[picked].tolist())
@@ -137,22 +200,34 @@ def nearest_neighbors(
         raise DataError(f"working vocabulary has d={wv_dim}, the model d={model.dim}")
     padded = normalize(query, model.input_case_mode)
     q = embed(encode(padded, vocab), model).values
+    exclude = {padded[1:-1]}
+    if wv.unit_rows32 is not None and k + 1 < len(wv.words):
+        qn = math.sqrt(np.vdot(q, q))  # as `_guarded_cosines` takes it
+        if COSINE_NORM_FLOOR <= qn < _UNIT_NORM_LIMIT:
+            units, outliers = wv.unit_rows32
+            rows = _screen(units, outliers, (q / qn).astype(np.float32), k + 1)
+            cosines = _guarded_cosines(wv.embeddings[rows], q, wv.norms[rows], _row_dots)
+            return _rank(lambda i: wv.words[rows[i]], cosines, exclude, k)
+    # one float64 product over every row: a small list, too few rows to
+    # screen, or a query that is zero or an outlier
     cosines = _guarded_cosines(wv.embeddings, q, wv.norms)
-    return _rank(wv.words.__getitem__, cosines, {padded[1:-1]}, k)
+    return _rank(wv.words.__getitem__, cosines, exclude, k)
 
 
-def _screen(units: np.ndarray, outliers: np.ndarray, pos: int, top: int) -> np.ndarray:
-    """The rows that can be among the `top` best by exact cosine to row `pos`.
+def _screen(units: np.ndarray, outliers: np.ndarray, query: np.ndarray, top: int) -> np.ndarray:
+    """The rows that can be among the `top` best by exact cosine to a query.
 
-    `units` and `outliers` are `Model.unit_rows32()`; row `pos` has a norm of
-    at least COSINE_NORM_FLOOR and is not an outlier, and `top` < |V|.
+    `units` and `outliers` are as `Model.unit_rows32()` gives them, and
+    `top` < len(units). `query` is the query's unit vector in float32: its
+    float64 form divided by its norm, which is at least COSINE_NORM_FLOOR and
+    below _UNIT_NORM_LIMIT, then rounded (for an n-gram, its own row of `units`).
 
     Why no such row is lost. Let s be a row's float32 score, the dot product
-    of the float32 unit rows, and c its exact cosine, as `_guarded_cosines`
+    of the float32 unit vectors, and c its exact cosine, as `_guarded_cosines`
     computes it in float64. The float32 sum of d products of unit-row entries
-    is off by at most γ_d ≈ d·2⁻²⁴, and rounding the two unit rows to float32
+    is off by at most γ_d ≈ d·2⁻²⁴, and rounding the two unit vectors to float32
     adds at most 2·2⁻²⁴. What is left (the d²·2⁻⁴⁸ in γ_d, float64 rounding
-    in c and in the unit rows, float32 underflow) is orders of magnitude
+    in c and in the unit vectors, float32 underflow) is orders of magnitude
     smaller. So δ = (d + 4)·2⁻²³ is at least twice the worst-case |s − c|;
     rows below the norm floor score exactly 0 both ways. Let τ be the
     `top`-th largest score over the rows that are not outliers. Those `top`
@@ -165,7 +240,7 @@ def _screen(units: np.ndarray, outliers: np.ndarray, pos: int, top: int) -> np.n
     are not outliers, τ is −inf and every row is kept.
     """
     delta = (units.shape[1] + 4) * 2.0**-23
-    scores = units @ units[pos]
+    scores = units @ query
     if len(outliers):
         scores[outliers] = -np.inf  # not counted towards tau...
     tau = np.partition(scores, len(scores) - top)[len(scores) - top]
@@ -195,7 +270,7 @@ def ngram_neighbors(
     weights, norms = model.weights, model.row_norms()
     units, outliers = model.unit_rows32()
     if k + 1 < len(norms) and COSINE_NORM_FLOOR <= norms[pos] < _UNIT_NORM_LIMIT:
-        rows = _screen(units, outliers, pos, k + 1)
+        rows = _screen(units, outliers, units[pos], k + 1)
         cosines = _guarded_cosines(weights[rows], weights[pos], norms[rows], _row_dots)
         return _rank(lambda i: vocab.entries[rows[i]][0], cosines, {query_ngram}, k)
     # every row: too few to screen, or a query row that is zero or an outlier

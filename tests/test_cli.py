@@ -322,6 +322,13 @@ def test_corrupt_model_exits_2(ws, tmp_path, capsys):
     assert rc == 2
     assert "corrupt model file (expected at least" in err
 
+    # so does a version-2 header declaring d = 0
+    bad.write_bytes(struct.pack("<4sIIB3xQQB7xQ", b"CHRG", 2, 0, 1, 0, 2**40, 1, 0) + b"\x00" * 16)
+    rc = main(["embed", "--model", str(bad), "some text"])
+    _, err = capsys.readouterr()
+    assert rc == 2
+    assert "corrupt model file (dimension 0)" in err
+
 
 def test_numerical_failure_exits_3(ws, tmp_path, capsys):
     with np.errstate(all="ignore"):

@@ -206,6 +206,20 @@ def test_oversized_header(tmp_path):
     )
 
 
+def test_dimension_zero_is_rejected(tmp_path, vocab):
+    # each writer accepts a d = 0 model; neither loader does
+    empty = Model(weights=np.zeros((len(vocab), 0)), bias=np.zeros(0), activation="tanh",
+                  vocab_fingerprint=vocab.fingerprint)
+    for write in (save_v1, save_model):
+        path = tmp_path / "d0.bin"
+        write(empty, vocab, path)
+        _expect_corrupt(tmp_path, path.read_bytes(), r"corrupt model file \(dimension 0\)")
+    # with d = 0 the size check would not bound |V|: a 2**40-row header stops first
+    header = bytearray(_oversized_header(2))
+    struct.pack_into("<I", header, 8, 0)
+    _expect_corrupt(tmp_path, bytes(header[:64]), r"corrupt model file \(dimension 0\)")
+
+
 def test_trailing_garbage(tmp_path, model_files):
     for model_bytes in model_files.values():
         _expect_corrupt(tmp_path, model_bytes + b"\x00", r"\(trailing data\)")

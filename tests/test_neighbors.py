@@ -1,5 +1,6 @@
 import gc
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -22,7 +23,7 @@ from charngram import (
 from charngram import AdamState, NGramVocab, TrainConfig, WorkingVocab
 from charngram import finite_diff_audit, neighbors
 from charngram import model as model_module
-from charngram.model import _NORM_BLOCK_ENTRIES, COSINE_NORM_FLOOR, Model
+from charngram.model import _NORM_BLOCK_ENTRIES, _UNIT_NORM_LIMIT, COSINE_NORM_FLOOR, Model
 from charngram.neighbors import _guarded_cosines, _rank, _row_dots, _row_norms, _screen
 from charngram.train import _Batch, _encode_pairs, _step, _text_ids
 
@@ -192,12 +193,18 @@ def test_blocked_cosines_equal_one_pass_formula():
         assert np.array_equal(_guarded_cosines(matrix, query, _row_norms(matrix)), expected)
 
 
-def _per_query_reference(query, wv, model, vocab, k):
-    # the neighbour query with the word-row norms recomputed on every call
+def _exhaustive_scan(matrix, query, names, exclude, k, dot):
+    # the neighbour query scanning every row, with the row norms recomputed on
+    # every call; `dot` is np.matmul for the dgemv scan, or `_row_dots`, which
+    # gives a row the same bits whatever subset it is scored in
+    cosines = _guarded_cosines(matrix, query, _row_norms(matrix), dot)
+    return _rank(names.__getitem__, cosines, exclude, k)
+
+
+def _embedded(query, model, vocab):
+    # a word query's embedding and the word it excludes
     padded = normalize(query, model.input_case_mode)
-    q = embed(encode(padded, vocab), model).values
-    cosines = _guarded_cosines(wv.embeddings, q, _row_norms(wv.embeddings))
-    return _rank(wv.words.__getitem__, cosines, {padded[1:-1]}, k)
+    return embed(encode(padded, vocab), model).values, {padded[1:-1]}
 
 
 def test_prepared_norms_equal_per_query_norms_bit_for_bit(wide_vocab, wide_model):
@@ -207,12 +214,14 @@ def test_prepared_norms_equal_per_query_norms_bit_for_bit(wide_vocab, wide_model
     rows[[0, 5000, len(rows) - 1]] = 0.0  # zero rows score 0
     words = ["cat", "dogz"] + [f"w{i:05d}" for i in range(len(rows) - 2)]
     wv = WorkingVocab(words, rows)
+    assert wv.unit_rows32 is None  # 131,128 entries: below the size rule, the dgemv scan
     zero_model = Model(weights=np.zeros_like(wide_model.weights), bias=np.zeros(dim),
                        activation="tanh", vocab_fingerprint=wide_vocab.fingerprint)
     for model in (wide_model, zero_model):  # the zero model embeds every query as 0
         for query in ("cat", "dogz", "fish", "qqq"):
             got = nearest_neighbors(query, wv, model, wide_vocab, k=25)
-            assert got == _per_query_reference(query, wv, model, wide_vocab, 25)
+            q, exclude = _embedded(query, model, wide_vocab)
+            assert got == _exhaustive_scan(rows, q, words, exclude, 25, np.matmul)
     assert [c for _, c in nearest_neighbors("cat", wv, zero_model, wide_vocab, k=3)] == [0.0] * 3
 
 
@@ -263,17 +272,14 @@ def test_working_vocab_answers_only_the_model_that_embedded_it(wide_vocab):
     assert nearest_neighbors("cat", WorkingVocab(wv.words, wv.embeddings), linear, wide_vocab, k=2)
 
 
-def _ngram_reference(query, model, vocab, k):
-    # the n-gram query scanning every row, with the weight-row norms recomputed
-    # on every call; each row's cosine comes from the per-row routine, which
-    # gives a row the same bits whatever subset it is scored in
-    weights = model.weights
-    cosines = _guarded_cosines(weights, weights[vocab.index[query]], _row_norms(weights), _row_dots)
-    return _rank(lambda i: vocab.entries[i][0], cosines, {query}, k)
-
-
 def _bits(ranked):
     return [(word, cos.hex()) for word, cos in ranked]
+
+
+def _ngram_scan(query, model, vocab, k):
+    # the n-gram query as an exhaustive scan of every weight row
+    weights, names = model.weights, [entry[0] for entry in vocab.entries]
+    return _exhaustive_scan(weights, weights[vocab.index[query]], names, {query}, k, _row_dots)
 
 
 def test_cached_ngram_norms_equal_per_query_norms_bit_for_bit():
@@ -289,7 +295,7 @@ def test_cached_ngram_norms_equal_per_query_norms_bit_for_bit():
                   vocab_fingerprint=vocab.fingerprint)
     queries = [vocab.entries[i][0] for i in (0, 1, 1800, 2500, n - 1, 5, 1)]  # zero rows too
     for query in queries:
-        expected = _ngram_reference(query, model, vocab, 25)
+        expected = _ngram_scan(query, model, vocab, 25)
         assert _bits(ngram_neighbors(query, model, vocab, k=25)) == _bits(expected)
     assert [c for _, c in ngram_neighbors(vocab.entries[0][0], model, vocab, k=3)] == [0.0] * 3
 
@@ -366,7 +372,7 @@ def test_ngram_query_after_a_training_step_sees_the_new_weights(wide_vocab):
     texts, counts = _encode_pairs(pairs, wide_vocab, model)
     _step(_Batch(counts, _text_ids(texts)), model, config, AdamState(), np.random.default_rng(0))
     after = ngram_neighbors("at ", model, wide_vocab, k=6)
-    assert _bits(after) == _bits(_ngram_reference("at ", model, wide_vocab, 6))
+    assert _bits(after) == _bits(_ngram_scan("at ", model, wide_vocab, 6))
     assert after != before
 
 
@@ -380,7 +386,7 @@ def test_ngram_query_after_the_gradient_audit_sees_the_weights(wide_vocab):
     assert np.array_equal(model.weights, weights)
     assert model.weights.flags.writeable  # the audit dropped the cached norms
     got = ngram_neighbors("at ", model, wide_vocab, k=6)
-    assert _bits(got) == _bits(_ngram_reference("at ", model, wide_vocab, 6))
+    assert _bits(got) == _bits(_ngram_scan("at ", model, wide_vocab, 6))
 
 
 def _per_row_bits(cosines):
@@ -417,7 +423,7 @@ def test_screen_keeps_few_rows_of_a_random_table():
                   activation="tanh", vocab_fingerprint=0)
     units, outliers = model.unit_rows32()
     for pos in (0, 17, n - 1):
-        rows = _screen(units, outliers, pos, 11)
+        rows = _screen(units, outliers, units[pos], 11)
         assert pos in rows and 11 <= len(rows) < 40
 
 
@@ -454,4 +460,128 @@ def test_screened_ngram_neighbors_equal_an_exhaustive_per_row_scan_bit_for_bit(t
     model = Model(weights=weights, bias=np.zeros(weights.shape[1]), activation="linear",
                   vocab_fingerprint=vocab.fingerprint)
     got = ngram_neighbors(names[query], model, vocab, k)
-    assert _bits(got) == _bits(_ngram_reference(names[query], model, vocab, k))
+    assert _bits(got) == _bits(_ngram_scan(names[query], model, vocab, k))
+
+
+# one bigram vocabulary; a model with zero weights and a linear activation
+# embeds every query as its bias, so a test can pick the query vector
+_ONE_GRAM = NGramVocab([("ab", 2, 1)])
+
+
+def _embedding_as(query_vector, vocab=_ONE_GRAM):
+    return Model(weights=np.zeros((len(vocab), len(query_vector))), bias=query_vector,
+                 activation="linear", vocab_fingerprint=vocab.fingerprint)
+
+
+@pytest.mark.parametrize("min_entries", [0, 2**18], ids=["screened-list", "exact-list"])
+def test_rows_whose_norm_overflows_score_by_their_direction(min_entries, monkeypatch):
+    monkeypatch.setattr(neighbors, "_SCREEN_MIN_ENTRIES", min_entries)
+    rows = np.array([[1e200, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    names = ["ab", "bc", "cd"]
+    vocab = NGramVocab([(g, 2, 1) for g in names])
+    expected = {"ab": [("bc", 1.0), ("cd", 0.0)], "bc": [("ab", 1.0), ("cd", 0.0)]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and no overflow warning leaks
+        model = Model(weights=rows, bias=np.zeros(2), activation="linear",
+                      vocab_fingerprint=vocab.fingerprint)
+        wv = WorkingVocab(names, rows)
+        for query, want in expected.items():
+            embedder = _embedding_as(rows[names.index(query)], vocab)
+            for k in (1, 2):
+                assert ngram_neighbors(query, model, vocab, k) == want[:k]
+                assert nearest_neighbors(query, wv, embedder, vocab, k) == want[:k]
+        # a row holding an inf or a NaN has no direction and scores 0
+        odd = np.array([[np.inf, 1.0], [np.nan, 0.0], [1.0, 0.0]])
+        cosines = _guarded_cosines(odd, np.array([1.0, 0.0]), _row_norms(odd))
+        assert cosines.tolist() == [0.0, 0.0, 1.0]
+
+
+def test_rank_names_no_nan_and_never_takes_a_nan_floor():
+    words = ["a", "b", "c", "d"]
+    cosines = np.array([np.nan, 0.5, np.nan, -0.25])
+    assert _rank(words.__getitem__, cosines, set(), 3) == [("b", 0.5), ("d", -0.25)]
+    assert _rank(words.__getitem__, cosines, {"b"}, 1) == [("d", -0.25)]
+
+
+def test_working_vocab_keeps_float32_unit_rows_from_the_size_rule_up(monkeypatch):
+    rng = np.random.default_rng(49)
+    rows = rng.normal(size=(64, 8))
+    rows[3] = 0.0
+    rows[5, 0] = 1e160  # its norm overflows
+    words = [f"w{i}" for i in range(len(rows))]
+    monkeypatch.setattr(neighbors, "_SCREEN_MIN_ENTRIES", rows.size + 1)
+    assert WorkingVocab(words, rows).unit_rows32 is None
+    monkeypatch.setattr(neighbors, "_SCREEN_MIN_ENTRIES", rows.size)
+    wv = WorkingVocab(words, rows)
+    units, outliers = wv.unit_rows32
+    model = Model(weights=rows, bias=np.zeros(8), activation="tanh", vocab_fingerprint=0)
+    assert units.dtype == np.float32 and units.nbytes == 4 * rows.size
+    assert not units.flags.writeable
+    assert np.array_equal(units, model.unit_rows32()[0])
+    assert outliers.tolist() == model.unit_rows32()[1].tolist() == [5]
+    assert _per_row_bits(wv.norms) == _per_row_bits(_row_norms(rows))
+
+
+@st.composite
+def _word_lists(draw):
+    # a word list built to crowd the k-th place, as _screened_tables does, with
+    # rows whose norm overflows or reaches the outlier limit, and a query that
+    # is zero (an unknown word), a word of the list or a vector near the rows
+    n = draw(st.integers(1, 200))
+    dim = draw(st.integers(1, 48))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    centres = rng.normal(size=(draw(st.integers(1, 5)), dim))
+    spread = 10.0 ** draw(st.sampled_from([-14, -9, -7, -5, -2, 0]))
+    rows = centres[rng.integers(len(centres), size=n)] + spread * rng.normal(size=(n, dim))
+    rows *= 10.0 ** rng.uniform(-30, 30, size=(n, 1))
+    for _ in range(draw(st.integers(0, n // 3))):
+        a, b = rng.integers(n, size=2)
+        rows[a] = rows[b] * draw(st.sampled_from([1.0, 1.0, 2.0, 3.0, -1.0, 1e-20]))
+    rows[rng.random(n) < draw(st.sampled_from([0.0, 0.1, 0.5]))] = 0.0
+    for scale in (1e160, 1e154):  # a norm that overflows; one at the outlier limit
+        if draw(st.booleans()):
+            rows[rng.integers(n), rng.integers(dim)] = scale
+    words = [f"w{i:04x}" for i in rng.permutation(max(n, 2**12))[:n]]  # not in row order
+    kind = draw(st.sampled_from(["unknown", "word", "near"]))
+    if kind == "unknown":
+        query, vector = "zz", np.zeros(dim)
+    elif kind == "word":
+        pos = draw(st.integers(0, n - 1))
+        query, vector = words[pos], rows[pos].copy()
+    else:
+        query = "zz"
+        vector = centres[rng.integers(len(centres))] + spread * rng.normal(size=dim)
+        vector *= 10.0 ** rng.uniform(-30, 30)
+    k = draw(st.integers(1, n + 1))
+    return rows, words, query, vector, k
+
+
+@pytest.mark.parametrize("screened", [True, False], ids=["screened-list", "exact-list"])
+@settings(max_examples=300, deadline=None)
+@given(_word_lists())
+def test_word_neighbors_equal_an_exhaustive_scan_bit_for_bit(screened, table):
+    rows, words, query, vector, k = table
+    model = _embedding_as(vector)
+    q, exclude = _embedded(query, model, _ONE_GRAM)
+    with np.errstate(over="ignore"):
+        qn = np.linalg.norm(q)
+    screens = []
+
+    def counted(*args):
+        screens.append(args)
+        return _screen(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(neighbors, "_SCREEN_MIN_ENTRIES", 0 if screened else rows.size + 1)
+        patch.setattr(neighbors, "_screen", counted)
+        wv = WorkingVocab(words, rows)
+        got = nearest_neighbors(query, wv, model, _ONE_GRAM, k)
+    assert (wv.unit_rows32 is not None) == screened
+    if screened and k + 1 < len(words) and COSINE_NORM_FLOOR <= qn < _UNIT_NORM_LIMIT:
+        assert len(screens) == 1
+        # the names of an exhaustive scan, and each cosine as the per-row routine gives it
+        assert _bits(got) == _bits(_exhaustive_scan(rows, q, words, exclude, k, _row_dots))
+    else:
+        assert not screens
+        # the dgemv scan, bit for bit
+        assert _bits(got) == _bits(_exhaustive_scan(rows, q, words, exclude, k, np.matmul))
