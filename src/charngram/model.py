@@ -67,8 +67,6 @@ def _row_norms(matrix: np.ndarray, units: np.ndarray | None = None) -> np.ndarra
     per_block = max(1, _NORM_BLOCK_ENTRIES // matrix.shape[1])
     # a norm that overflows is inf, and zero rows divide 0 by 0; neither warns
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if units is None and len(matrix) <= per_block:
-            return np.linalg.norm(matrix, axis=1)
         norms = np.empty(len(matrix))
         for start in range(0, len(matrix), per_block):
             block = slice(start, start + per_block)
@@ -80,37 +78,41 @@ def _row_norms(matrix: np.ndarray, units: np.ndarray | None = None) -> np.ndarra
     return norms
 
 
-def _unit_rows32(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(norms, units, outliers) of `matrix`, from one `_row_norms` pass.
+class RowIndex(NamedTuple):
+    """Rows prepared for neighbour search, from one `_row_norms` pass (`_index_rows`)."""
 
-    `units` is the read-only float32 copy of the rows scaled to unit norm and
-    `outliers` the sorted rows left zero there because their norm is not
-    finite or not below _UNIT_NORM_LIMIT.
+    norms: np.ndarray  # the row norms, as `_row_norms` gives them
+    units: np.ndarray | None  # read-only float32 rows scaled to unit norm, or None
+    outliers: np.ndarray  # sorted rows whose norm is not finite or not below _UNIT_NORM_LIMIT
+    finite: bool  # every norm is finite (none overflowed, none is NaN)
+
+
+def _index_rows(matrix: np.ndarray, units: bool = True) -> RowIndex:
+    """The `RowIndex` of a (n, d) float64 matrix, with or without its unit rows.
+
+    Every norm that is not finite is an outlier, so `finite` reads only those.
+    DataError when d = 0: such rows have no direction to search by.
     """
-    units = np.empty(matrix.shape, dtype=np.float32)
-    norms = _row_norms(matrix, units)
-    units.flags.writeable = False
-    return norms, units, np.flatnonzero(~(norms < _UNIT_NORM_LIMIT))
-
-
-class _RowCache(NamedTuple):
-    weights: np.ndarray  # the array the rest was computed from
-    norms: np.ndarray  # its row norms, as `_row_norms` gives them
-    units: np.ndarray  # (|V|, d) float32 unit rows from the same pass, read-only
-    outliers: np.ndarray  # rows left zero in `units` for a norm not below _UNIT_NORM_LIMIT
-    writeable: bool  # the weights' writeable flag before they were cached
+    if matrix.shape[1] == 0:
+        raise DataError("cannot search rows of dimension 0")
+    copy = np.empty(matrix.shape, dtype=np.float32) if units else None
+    norms = _row_norms(matrix, copy)
+    if copy is not None:
+        copy.flags.writeable = False
+    outliers = np.flatnonzero(~(norms < _UNIT_NORM_LIMIT))
+    return RowIndex(norms, copy, outliers, bool(np.isfinite(norms[outliers]).all()))
 
 
 @dataclass
 class Model:
     """Learned parameters: weights has one row per vocabulary n-gram.
 
-    `row_norms()` caches the norms of the weight rows and, from the same pass,
-    `unit_rows32()` a float32 copy of the rows scaled to unit norm (4·|V|·d
-    bytes; n-gram queries screen with it). While they are cached, `weights` is
-    read-only, so an in-place write raises ValueError instead of leaving them
-    stale; writers call `drop_row_norms()` first, which frees both. Writes
-    through another array sharing the memory of `weights` are not caught.
+    `row_index()` caches the weight rows prepared for n-gram queries: their
+    norms (`row_norms()`) and a float32 copy scaled to unit norm
+    (`unit_rows32()`, 4·|V|·d bytes). While it is cached, `weights` is
+    read-only, so an in-place write raises ValueError instead of leaving it
+    stale; writers call `drop_row_norms()` first. Writes through another
+    array sharing the memory of `weights` are not caught.
     """
 
     weights: np.ndarray  # (|V|, d) float64
@@ -118,8 +120,8 @@ class Model:
     activation: str
     vocab_fingerprint: int
     case_mode: str | None = None  # the text case handling trained with; None = not recorded
-    # not copied by dataclasses.replace
-    _norm_cache: _RowCache | None = field(
+    # (weights, their writeable flag before, index); not copied by dataclasses.replace
+    _index_cache: tuple[np.ndarray, bool, RowIndex] | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -152,45 +154,43 @@ class Model:
     def vocab_size(self) -> int:
         return self.weights.shape[0]
 
-    def _row_cache(self) -> _RowCache:
+    def row_index(self) -> RowIndex:
+        """The weight rows' `RowIndex`, with unit rows, kept until `weights` changes.
+
+        DataError at d = 0.
+        """
         # The cache belongs to the array object bound to `weights`: rebinding it
         # gives a fresh one. A cached array that is writeable again (a pickled
         # or deep-copied model) is not trusted either.
-        cache = self._norm_cache
-        if cache is None or cache.weights is not self.weights or cache.weights.flags.writeable:
+        cache = self._index_cache
+        if cache is None or cache[0] is not self.weights or cache[0].flags.writeable:
             self.drop_row_norms()
             weights = self.weights
-            writeable = weights.flags.writeable
+            index = _index_rows(weights)
+            self._index_cache = (weights, weights.flags.writeable, index)
             weights.flags.writeable = False
-            self._norm_cache = _RowCache(weights, *_unit_rows32(weights), writeable)
-        return self._norm_cache
+        return self._index_cache[2]
 
     def row_norms(self) -> np.ndarray:
-        """Norms of the weight rows, computed once and kept until `weights` changes.
-
-        The pass that computes them also builds `unit_rows32()`.
-        """
-        return self._row_cache().norms
+        """Norms of the weight rows, from `row_index()`."""
+        return self.row_index().norms
 
     def unit_rows32(self) -> tuple[np.ndarray, np.ndarray]:
-        """(units, outliers): the weight rows scaled to unit norm, in read-only float32,
-        and the sorted rows left zero there because their norm is not finite or
-        not below _UNIT_NORM_LIMIT. Rows with a norm below COSINE_NORM_FLOOR are
-        zero too. Cached with `row_norms()`, for as long as the norms are.
+        """(units, outliers) of `row_index()`: the weight rows scaled to unit norm, in
+        read-only float32, and the sorted rows left zero there because their norm
+        is not finite or not below _UNIT_NORM_LIMIT (and those below COSINE_NORM_FLOOR).
         """
-        cache = self._row_cache()
-        return cache.units, cache.outliers
+        index = self.row_index()
+        return index.units, index.outliers
 
     def drop_row_norms(self) -> None:
-        """Forget the cached row norms and unit rows; the array they belong to gets
-        back its writeable flag.
+        """Forget the cached row index, giving its array back its writeable flag.
 
         Call before writing into `weights` in place.
         """
-        if self._norm_cache is not None:
-            array = self._norm_cache.weights
-            writeable = self._norm_cache.writeable
-            self._norm_cache = None
+        if self._index_cache is not None:
+            array, writeable, _ = self._index_cache
+            self._index_cache = None
             array.flags.writeable = writeable
 
 

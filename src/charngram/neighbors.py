@@ -1,27 +1,26 @@
 """Brute-force nearest-neighbor search over a word list and over n-gram rows.
 
-A working vocabulary is a prepared index: it holds the embeddings of a list
-of words, read-only, their row norms, computed once when it is built, and
-the model that embedded them. How a query is ranked against it depends on
-the size of the scan. A list of fewer than _SCREEN_MIN_ENTRIES entries
-(rows × d) is scored with one float64 matrix-vector product. A larger list
-also keeps, from the same norms pass, a float32 copy of its rows scaled to
-unit norm (4·n·d bytes: 8 MB for 6,800 words at d = 300), and is screened the
-way n-gram rows are: the float32 pass picks the candidates and only they are
-scored in float64. Below the size the fixed cost of the screen outweighs the
-bytes it saves (BENCH_nn_screen.json holds the measured crossover).
+Both searches read a `model.RowIndex`, built by one pass over the rows: their
+norms, the rows whose norm is not finite or too large to screen (outliers),
+whether every norm is finite, and, where a size rule asks for them, a
+read-only float32 copy of the rows scaled to unit norm (4·n·d bytes). One
+routine, `_search`, answers both. Given unit rows it scores every row in
+float32, keeps only the rows that can still make the top k once the float32
+error is allowed for (`_screen`), and ranks those by their exact float64
+cosine: the answer a float64 scan of every row gives, bit for bit, for about
+half the bytes read. Otherwise it scans every row in float64.
 
-The n-gram variant compares raw weight rows directly. At its first query the
-model caches the row norms and a float32 copy of the rows scaled to unit
-norm (`Model.row_norms`, `Model.unit_rows32`). A query scores every row in
-float32 against that copy, keeps only the rows that can still make the top k
-once the float32 error is allowed for (`_screen`), and ranks those by their
-exact float64 cosine: the answer is the one a float64 scan of every row
-gives, bit for bit, for about half the bytes read. The weights are read-only
-while the cache is held, and training and the gradient audit drop it before
-they write; writes through another array sharing the weights' memory are not
-caught. Linear scans only: at the scales this tool targets (~100k words, a
-few hundred dimensions) a scan takes well under a second.
+The two size rules: a working vocabulary (a word list, its embeddings
+read-only, and the model that embedded them) keeps unit rows from
+_SCREEN_MIN_ENTRIES entries (rows × d) up, as below that one float64
+matrix-vector product is faster (BENCH_nn_screen.json); the model keeps them
+for its weights always (`Model.row_index`, built at the first n-gram query),
+as an exact scan of n-gram rows must score each row on its own, which the
+screen beats from about 2^16 entries (ROADMAP, 'Measured and not taken').
+The weights are read-only while the index is held; training and the
+gradient audit drop it before they write. Writes through another array
+sharing their memory are not caught. Rows of dimension 0 cannot be indexed
+(DataError).
 """
 
 from __future__ import annotations
@@ -37,8 +36,9 @@ from .model import (
     _UNIT_NORM_LIMIT,
     COSINE_NORM_FLOOR,
     Model,
+    RowIndex,
+    _index_rows,
     _row_norms,
-    _unit_rows32,
     embed,
     embed_matrix,
     encode_matrix,
@@ -58,22 +58,17 @@ class WorkingVocab:
     """Unique normalized words with embeddings computed under one model+vocab.
 
     `embeddings` is coerced to float64 and marked read-only in place (not
-    copied); `norms`, its row norms, is computed once, here, for every query.
-    A list of at least _SCREEN_MIN_ENTRIES entries (rows × d) also keeps, from
-    the same pass, `unit_rows32`: a read-only float32 copy of its rows scaled
-    to unit norm (4·n·d bytes) and the sorted outlier rows, as
-    `Model.unit_rows32` gives them; queries screen with it. Smaller lists keep
-    None there. `embedded_by` is the model `build_working_vocab` embedded the
-    words with (the object, not a copy), and only that model may query it; a
-    working vocabulary built directly from arrays has none and checks only d.
+    copied). `index`, their `RowIndex`, is built here, once; it holds unit rows
+    from _SCREEN_MIN_ENTRIES entries (rows × d) up. `norms` and `unit_rows32`
+    ((units, outliers) as `Model.unit_rows32` gives them, or None) read it.
+    `embedded_by` is the model `build_working_vocab` embedded the words with
+    (the object, not a copy), and only that model may query it; a working
+    vocabulary built directly from arrays has none and checks only d.
     """
 
     words: list[str]  # normalized, without the boundary padding
     embeddings: np.ndarray  # (len(words), d), read-only
-    norms: np.ndarray = field(init=False, repr=False)  # (len(words),)
-    unit_rows32: tuple[np.ndarray, np.ndarray] | None = field(
-        init=False, repr=False, compare=False
-    )
+    index: RowIndex = field(init=False, repr=False, compare=False)
     embedded_by: Model | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -84,57 +79,42 @@ class WorkingVocab:
                 f"words, embeddings of shape {self.embeddings.shape}"
             )
         self.embeddings.flags.writeable = False
-        if self.embeddings.size >= _SCREEN_MIN_ENTRIES:
-            norms, units, outliers = _unit_rows32(self.embeddings)
-            self.norms, self.unit_rows32 = norms, (units, outliers)
-        else:
-            self.norms, self.unit_rows32 = _row_norms(self.embeddings), None
+        self.index = _index_rows(self.embeddings, self.embeddings.size >= _SCREEN_MIN_ENTRIES)
+
+    @property
+    def norms(self) -> np.ndarray:
+        return self.index.norms
+
+    @property
+    def unit_rows32(self) -> tuple[np.ndarray, np.ndarray] | None:
+        return None if self.index.units is None else (self.index.units, self.index.outliers)
 
 
 def _guarded_cosines(
-    matrix: np.ndarray, query: np.ndarray, norms: np.ndarray, dot=np.matmul
+    matrix: np.ndarray, query: np.ndarray, norms: np.ndarray, dot=np.matmul, finite=None
 ) -> np.ndarray:
     """Cosine of `query` against every row of `matrix`; zero-norm vectors score 0.
 
-    `norms` holds the row norms of `matrix`, as `_row_norms` computes them.
-    The rows are scaled after the product `dot(matrix, query)`, so no
-    normalized copy of `matrix` (the whole weight table, for n-gram queries)
-    is made. Rows whose float64 norm overflows, and a query whose norm does,
-    are scored by `_overflowed_cosines`; every other row gets the same bits
-    either way.
+    `norms` holds the row norms of `matrix`, as `_row_norms` computes them,
+    and `finite` says whether all are finite (`RowIndex.finite`; when not
+    given, one ddot over the norms decides). The rows are scaled after the
+    product `dot(matrix, query)`, so no normalized copy of `matrix` (the whole
+    weight table, for n-gram queries) is made. A vector whose norm overflows
+    is scored from its copy divided by its largest absolute entry, which has
+    the same direction and a norm between 1 and √d, so a finite row parallel
+    to the query still scores 1. A vector holding an inf or NaN has no
+    direction and scores 0, as a zero vector does. Every other row gets the
+    same bits whether or not some norm is not finite.
     """
     # np.linalg.norm's arithmetic (one ddot) without its checks; unlike
-    # ndarray.dot, np.vdot does not warn when a sum overflows. The second sum
-    # is not finite when a norm overflowed or is NaN (or when finite norms are
-    # large enough for their squares to overflow, which the slow path also
-    # scores right): one ddot, to send the rare such calls to the slow path.
+    # ndarray.dot, np.vdot does not warn when a sum overflows. Finite norms are
+    # below 2^512, so with the query's finite too no product overflows.
     qn = math.sqrt(np.vdot(query, query))
-    if not (qn < math.inf and np.vdot(norms, norms) < math.inf):
-        return _overflowed_cosines(matrix, query, norms, dot)
-    return _divided_cosines(matrix, query, qn, norms, dot)
-
-
-def _divided_cosines(
-    matrix: np.ndarray, query: np.ndarray, qn: float, norms: np.ndarray, dot
-) -> np.ndarray:
-    cosines = np.zeros(len(norms))
-    if qn >= COSINE_NORM_FLOOR:
-        np.divide(dot(matrix, query), norms * qn, out=cosines, where=norms >= COSINE_NORM_FLOOR)
-    return cosines
-
-
-def _overflowed_cosines(
-    matrix: np.ndarray, query: np.ndarray, norms: np.ndarray, dot
-) -> np.ndarray:
-    """`_guarded_cosines` when the query's norm or some row norms are not finite.
-
-    A vector whose norm overflows is scored from its copy divided by its
-    largest absolute entry, which has the same direction and a norm between
-    1 and √d, so a finite row parallel to the query still scores 1. A vector
-    holding an inf or NaN has no direction and scores 0, as a zero vector does.
-    """
+    if finite is None:
+        finite = np.vdot(norms, norms) < math.inf
+    if qn < math.inf and finite:
+        return _divided_cosines(matrix, query, qn, norms, dot)
     with np.errstate(over="ignore", invalid="ignore"):  # the products of the overflowing rows
-        qn = math.sqrt(np.vdot(query, query))
         if qn == math.inf:
             query = query / np.abs(query).max()
             qn = math.sqrt(np.vdot(query, query))
@@ -143,6 +123,15 @@ def _overflowed_cosines(
         for i in np.flatnonzero(big).tolist():
             row = matrix[i : i + 1] / np.abs(matrix[i]).max()
             cosines[i] = _divided_cosines(row, query, qn, _row_norms(row), dot)[0]
+    return cosines
+
+
+def _divided_cosines(
+    matrix: np.ndarray, query: np.ndarray, qn: float, norms: np.ndarray, dot
+) -> np.ndarray:
+    cosines = np.zeros(len(norms))
+    if qn >= COSINE_NORM_FLOOR:
+        np.divide(dot(matrix, query), norms * qn, out=cosines, where=norms >= COSINE_NORM_FLOOR)
     return cosines
 
 
@@ -200,18 +189,24 @@ def nearest_neighbors(
         raise DataError(f"working vocabulary has d={wv_dim}, the model d={model.dim}")
     padded = normalize(query, model.input_case_mode)
     q = embed(encode(padded, vocab), model).values
-    exclude = {padded[1:-1]}
-    if wv.unit_rows32 is not None and k + 1 < len(wv.words):
-        qn = math.sqrt(np.vdot(q, q))  # as `_guarded_cosines` takes it
-        if COSINE_NORM_FLOOR <= qn < _UNIT_NORM_LIMIT:
-            units, outliers = wv.unit_rows32
-            rows = _screen(units, outliers, (q / qn).astype(np.float32), k + 1)
-            cosines = _guarded_cosines(wv.embeddings[rows], q, wv.norms[rows], _row_dots)
-            return _rank(lambda i: wv.words[rows[i]], cosines, exclude, k)
-    # one float64 product over every row: a small list, too few rows to
-    # screen, or a query that is zero or an outlier
-    cosines = _guarded_cosines(wv.embeddings, q, wv.norms)
-    return _rank(wv.words.__getitem__, cosines, exclude, k)
+    return _search(wv.embeddings, wv.index, q, wv.words.__getitem__, {padded[1:-1]}, k, np.matmul)
+
+
+def _search(matrix: np.ndarray, index: RowIndex, query: np.ndarray, name, exclude, k, scan_dot):
+    """Top-k rows of `matrix` by cosine to `query`, as `_rank` names them with `name`.
+
+    `index` is the matrix's `RowIndex`. Given unit rows, more than k + 1 rows
+    and a query norm in [COSINE_NORM_FLOOR, _UNIT_NORM_LIMIT), the rows
+    `_screen` keeps are scored with `_row_dots`; otherwise all, with `scan_dot`.
+    """
+    qn = math.sqrt(np.vdot(query, query))  # as `_guarded_cosines` takes it
+    screened = index.units is not None and k + 1 < len(matrix)
+    if screened and COSINE_NORM_FLOOR <= qn < _UNIT_NORM_LIMIT:
+        rows = _screen(index.units, index.outliers, (query / qn).astype(np.float32), k + 1)
+        cosines = _guarded_cosines(matrix[rows], query, index.norms[rows], _row_dots, index.finite)
+        return _rank(lambda i: name(rows[i]), cosines, exclude, k)
+    cosines = _guarded_cosines(matrix, query, index.norms, scan_dot, index.finite)
+    return _rank(name, cosines, exclude, k)
 
 
 def _screen(units: np.ndarray, outliers: np.ndarray, query: np.ndarray, top: int) -> np.ndarray:
@@ -220,7 +215,7 @@ def _screen(units: np.ndarray, outliers: np.ndarray, query: np.ndarray, top: int
     `units` and `outliers` are as `Model.unit_rows32()` gives them, and
     `top` < len(units). `query` is the query's unit vector in float32: its
     float64 form divided by its norm, which is at least COSINE_NORM_FLOOR and
-    below _UNIT_NORM_LIMIT, then rounded (for an n-gram, its own row of `units`).
+    below _UNIT_NORM_LIMIT, then rounded.
 
     Why no such row is lost. Let s be a row's float32 score, the dot product
     of the float32 unit vectors, and c its exact cosine, as `_guarded_cosines`
@@ -257,7 +252,7 @@ def ngram_neighbors(
     A float32 pass over the model's cached unit rows picks the candidates and
     only they are scored in float64 (`_screen`), so the answer is the one an
     exhaustive float64 scan of every row gives. DataError unless `model` was
-    built against `vocab`.
+    built against `vocab`, and at d = 0.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -265,14 +260,6 @@ def ngram_neighbors(
     pos = vocab.index.get(query_ngram)
     if pos is None:
         raise DataError("n-gram not in model")
-    # the norms and unit rows are cached on the model; W is read-only until a
-    # writer drops them
-    weights, norms = model.weights, model.row_norms()
-    units, outliers = model.unit_rows32()
-    if k + 1 < len(norms) and COSINE_NORM_FLOOR <= norms[pos] < _UNIT_NORM_LIMIT:
-        rows = _screen(units, outliers, units[pos], k + 1)
-        cosines = _guarded_cosines(weights[rows], weights[pos], norms[rows], _row_dots)
-        return _rank(lambda i: vocab.entries[rows[i]][0], cosines, {query_ngram}, k)
-    # every row: too few to screen, or a query row that is zero or an outlier
-    cosines = _guarded_cosines(weights, weights[pos], norms, _row_dots)
-    return _rank(lambda i: vocab.entries[i][0], cosines, {query_ngram}, k)
+    index, weights = model.row_index(), model.weights  # W is read-only while the index is cached
+    name = lambda i: vocab.entries[i][0]
+    return _search(weights, index, weights[pos], name, {query_ngram}, k, _row_dots)

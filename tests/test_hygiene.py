@@ -43,3 +43,38 @@ def test_the_check_names_each_unused_import():
         "    return np.zeros(1)\n"
     )
     assert _unused_imports(source) == ["Iterator (line 4)", "os (line 2)"]
+
+
+def _unread_private_names(sources: dict[str, str]) -> list[str]:
+    """The private names each module of `sources` defines at its top level and no module reads."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((module, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(module, t.id) for t in targets if isinstance(t, ast.Name)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(
+        f"{module}: {name}" for module, name in defined
+        if name.startswith("_") and not name.startswith("__") and name not in read
+    )
+
+
+def test_every_private_module_name_is_read_somewhere_in_the_package():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert _unread_private_names(sources) == []
+
+
+def test_the_check_names_each_unread_private_name():
+    sources = {
+        "a.py": "_USED = 1\n_LEFT: int = 2\ndef _helper():\n    return _USED\nclass _Gone:\n    pass\n",
+        "b.py": "from . import a\nfrom .a import _helper\n_helper()\n__all__ = []\n",
+    }
+    assert _unread_private_names(sources) == ["a.py: _Gone", "a.py: _LEFT"]

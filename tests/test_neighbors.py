@@ -494,6 +494,47 @@ def test_rows_whose_norm_overflows_score_by_their_direction(min_entries, monkeyp
         odd = np.array([[np.inf, 1.0], [np.nan, 0.0], [1.0, 0.0]])
         cosines = _guarded_cosines(odd, np.array([1.0, 0.0]), _row_norms(odd))
         assert cosines.tolist() == [0.0, 0.0, 1.0]
+        # finite norms whose squares sum past float64's range (a finite norm
+        # is below 2^512, as the norms pass squares every entry), where the
+        # index's finite flag and a ddot over the norms decide differently, and
+        # rows holding a NaN, beside an inf too (a NaN norm, which an inf-only
+        # flag would send through the unguarded dgemv); both sides of each
+        # size rule score the scan's bits
+        big = 2.0**511.5
+        for table in ([[big, 0.0], [0.0, big], [1.0, 0.0], [1.0, 1.0]],
+                      [[np.nan, 0.0], [np.nan, np.inf], [1.0, 0.0], [1.0, 1.0]]):
+            table, names = np.array(table), ["ab", "bc", "cd", "de"]
+            vocab = NGramVocab([(g, 2, 1) for g in names])
+            model = Model(weights=table, bias=np.zeros(2), activation="linear",
+                          vocab_fingerprint=vocab.fingerprint)
+            wv = WorkingVocab(names, table)
+            for query, q in zip(names, table):
+                qn = np.sqrt(np.vdot(q, q))
+                screened = wv.unit_rows32 is not None and COSINE_NORM_FLOOR <= qn < _UNIT_NORM_LIMIT
+                for k in (1, 3):  # a screen with k + 1 < 4 rows, else a scan
+                    expected = _exhaustive_scan(table, q, names, {query}, k, _row_dots)
+                    assert _bits(ngram_neighbors(query, model, vocab, k)) == _bits(expected)
+                    dot = _row_dots if screened and k == 1 else np.matmul
+                    expected = _exhaustive_scan(table, q, names, {query}, k, dot)
+                    got = nearest_neighbors(query, wv, _embedding_as(q, vocab), vocab, k)
+                    assert _bits(got) == _bits(expected)
+
+
+@pytest.mark.parametrize("entry", ["working-vocab", "row-norms", "unit-rows", "ngram-query"])
+def test_rows_of_dimension_zero_cannot_be_indexed(entry):
+    # a d = 0 model can be built (and written); its rows have no direction
+    vocab = NGramVocab([("ab", 2, 1), ("bc", 2, 1)])
+    model = Model(weights=np.zeros((2, 0)), bias=np.zeros(0), activation="tanh",
+                  vocab_fingerprint=vocab.fingerprint)
+    calls = {
+        "working-vocab": lambda: WorkingVocab(["ab", "bc"], np.zeros((2, 0))),
+        "row-norms": model.row_norms,
+        "unit-rows": model.unit_rows32,
+        "ngram-query": lambda: ngram_neighbors("ab", model, vocab, k=1),
+    }
+    with pytest.raises(DataError, match="dimension 0"):
+        calls[entry]()
+    assert model.weights.flags.writeable  # nothing was cached
 
 
 def test_rank_names_no_nan_and_never_takes_a_nan_floor():
