@@ -66,7 +66,7 @@ class WorkingVocab:
     vocabulary built directly from arrays has none and checks only d.
     """
 
-    words: list[str]  # normalized, without the boundary padding
+    words: list[str]  # normalized, without the boundary padding; not empty
     embeddings: np.ndarray  # (len(words), d), read-only
     index: RowIndex = field(init=False, repr=False, compare=False)
     embedded_by: Model | None = field(default=None, repr=False, compare=False)
@@ -78,6 +78,8 @@ class WorkingVocab:
                 f"working vocabulary needs one embedding row per word: {len(self.words)} "
                 f"words, embeddings of shape {self.embeddings.shape}"
             )
+        if not self.words:
+            raise DataError("empty word list")
         self.embeddings.flags.writeable = False
         self.index = _index_rows(self.embeddings, self.embeddings.size >= _SCREEN_MIN_ENTRIES)
 

@@ -7,15 +7,15 @@ indices. Sequences are then encoded as sparse index -> count maps, one at a
 time (`encode`), or a batch at a time as the arrays of a CSR count matrix
 (`encode_batch`).
 
-A batch, and the corpus `build_vocab` counts, go through one array pass over
-their joined code points: each character becomes its rank in a sorted
-alphabet, and the window of order n starting at each position is packed into
-one int64 key, its first character most significant. Packed keys of one order
-sort as their n-grams do, by code point. A key must fit in 63 bits: with A
-ranks, orders up to n need A**n <= 2**63. Counting goes past that by
-replacing the keys with their ranks among the distinct keys, which sort the
-same way, whenever the next character would overflow them. A batch encode
-against a vocabulary whose keys would not fit runs the per-text loop.
+A batch, the corpus `build_vocab` counts and a vocabulary's key table go
+through one array pass over their joined code points (`_window_keys`): each
+character becomes its rank in a sorted alphabet, and the window of order n
+starting at each position is packed into one int64 key, its first character
+most significant. Packed keys of one order sort as their n-grams do, by code
+point. A key must fit in 63 bits: with A ranks, orders up to n need
+A**n <= 2**63. Past that, whenever the next character would overflow them,
+the keys are replaced by their ranks among distinct keys: counting and the
+key table re-rank against their own, a batch against the key table's.
 """
 
 from __future__ import annotations
@@ -114,8 +114,16 @@ def _code_points(seqs: Sequence[str]) -> tuple[str, np.ndarray, np.ndarray]:
     return joined, points, ends
 
 
+def _lookup(table: np.ndarray, values: np.ndarray, missing: int) -> np.ndarray:
+    """The position of each of `values` in the sorted `table`, or `missing` where absent."""
+    if not len(table):
+        return np.full(len(values), missing, dtype=np.intp)
+    at = np.minimum(np.searchsorted(table, values), len(table) - 1)
+    return np.where(table[at] == values, at, missing)
+
+
 def _window_keys(
-    ranks: np.ndarray, ends: np.ndarray, orders: Sequence[int], base: int
+    ranks: np.ndarray, ends: np.ndarray, orders: Sequence[int], base: int, reranks: dict
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Per order n of `orders` (ascending): where each window of n characters that
     stays inside its text starts, and the window's key.
@@ -123,11 +131,13 @@ def _window_keys(
     `ranks` holds the rank, below `base`, of each character of the joined
     texts, and `ends` the offset where each text ends. Starts ascend, so the
     windows of one text come in the order `_windows` meets them, order by
-    order. Keys of one order sort as their windows do. A key packs its
-    window's characters; where the next character would overflow 63 bits,
-    the keys so far are first replaced by their ranks among the distinct
-    keys, which keeps their order. `encode_batch` packs only when
-    base**max(orders) fits, so its keys are never re-ranked.
+    order. A key packs its window's characters; where the next character
+    would overflow 63 bits, the keys of width w so far are first replaced by
+    their positions in `reranks[w]`, sorted distinct keys (one past the last
+    for a key not there). A missing width is filled with the texts' own
+    distinct keys, so keys of one order sort as their windows do. The widths
+    re-ranked depend only on `base` and `reranks`, so a window keyed with a
+    vocabulary's (`NGramVocab.key_table`) gets its n-gram's key if it is one.
     """
     limit = np.repeat(ends, np.diff(ends, prepend=0))  # the end of each position's text
     keys = ranks.astype(np.int64)
@@ -136,8 +146,11 @@ def _window_keys(
     for n in orders:
         while width < n:
             if bound * base > _KEY_LIMIT:
-                distinct, keys = np.unique(keys, return_inverse=True)
-                bound = len(distinct)
+                if width in reranks:
+                    keys = _lookup(reranks[width], keys, len(reranks[width]))
+                else:
+                    reranks[width], keys = np.unique(keys, return_inverse=True)
+                bound = len(reranks[width]) + 1  # room for a key not found
             keys = keys[:-1] * base + ranks[width:]
             bound *= base
             width += 1
@@ -170,7 +183,7 @@ def _ngram_counts(
     """
     joined, points, ends = _code_points(seqs)
     alphabet, ranks = np.unique(points, return_inverse=True)
-    for n, starts, keys in _window_keys(ranks, ends, orders, len(alphabet)):
+    for n, starts, keys in _window_keys(ranks, ends, orders, len(alphabet), {}):
         # the keys of one order sort as their n-grams do
         _, first, tally = _tally(keys)
         where = starts[first]
@@ -279,9 +292,7 @@ class NGramVocab:
                 raise DataError("vocabulary contains entries outside the declared orders")
         self._table: bytes | None = None
         self._fingerprint: int | None = None
-        # (sorted alphabet, {order: (sorted packed keys, their entry indices)} or
-        # None when a key would not fit), built at the first batch encode
-        self._keys: tuple[np.ndarray, dict[int, tuple[np.ndarray, np.ndarray]] | None] | None = None
+        self._keys: tuple[np.ndarray, dict, dict] | None = None  # `key_table()`, built once
 
     def _check_entries(self) -> None:
         """Raise DataError naming the first malformed entry, in entry order."""
@@ -332,37 +343,28 @@ class NGramVocab:
             self._table = ngram_table(self.entries)
         return self._table
 
-    def key_table(self) -> tuple[np.ndarray, dict[int, tuple[np.ndarray, np.ndarray]] | None]:
-        """The packed keys of the entries, per order, sorted, built once for `encode_batch`.
+    def key_table(self) -> tuple[np.ndarray, dict, dict]:
+        """The keys of the entries, per order, sorted, built once for `encode_batch`.
 
-        Returns (alphabet, tables): the sorted code points of the entries, and
-        per order with entries the sorted keys and the entry index of each.
-        A character's rank is 1 + its position in the alphabet, so rank 0 is
-        free for characters outside it. `tables` is None when the key of the
-        highest order would not fit in 63 bits.
+        Returns (alphabet, reranks, tables): the sorted code points of the
+        entries; the re-ranks `_window_keys` made keying the entries, one text
+        per entry, with base len(alphabet) + 1; and per order with entries the
+        sorted keys, each entry's one window of its order, and their entry
+        indices. A character's rank is 1 + its position in the alphabet, so
+        rank 0 is free for characters outside it.
         """
         if self._keys is None:
-            orders = np.fromiter(map(itemgetter(1), self.entries), np.intp, len(self.entries))
-            joined = "".join(map(itemgetter(0), self.entries))
-            points = np.frombuffer(joined.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+            _, points, ends = _code_points(list(map(itemgetter(0), self.entries)))
             alphabet, ranks = np.unique(points, return_inverse=True)
-            ranks += 1
-            base = len(alphabet) + 1
+            orders = np.diff(ends, prepend=0)  # an n-gram's length is its order
+            reranks, tables = {}, {}
             present = np.unique(orders).tolist()
-            tables: dict[int, tuple[np.ndarray, np.ndarray]] | None = {}
-            if present and base ** present[-1] > _KEY_LIMIT:
-                tables = None
-            else:
-                # an n-gram's length is its order, so its characters start here
-                starts = np.cumsum(orders) - orders
-                for n in present:
-                    of_order = np.flatnonzero(orders == n)
-                    keys = np.zeros(len(of_order), dtype=np.int64)
-                    for j in range(n):
-                        keys = keys * base + ranks[starts[of_order] + j]
-                    by_key = np.argsort(keys)
-                    tables[n] = (keys[by_key], of_order[by_key])
-            self._keys = (alphabet, tables)
+            for n, starts, keys in _window_keys(ranks + 1, ends, present, len(alphabet) + 1, reranks):
+                of_order = np.flatnonzero(orders == n)
+                keys = keys[np.searchsorted(starts, ends[of_order] - n)]
+                by_key = np.argsort(keys)
+                tables[n] = (keys[by_key], of_order[by_key])
+            self._keys = (alphabet, reranks, tables)
         return self._keys
 
     @property
@@ -454,32 +456,26 @@ def encode_batch(
     their counts as float64, so the arrays equal those of the stacked count
     vectors and a product with the matrix sums in the same order. The batch
     is encoded in one array pass against `vocab.key_table()`, built at the
-    first call and kept. When the vocabulary's alphabet is too wide for a
-    63-bit key of its highest order, each sequence goes through `encode`.
-    For a single text `encode` is faster: the array pass has a fixed cost
-    of several array operations per order.
+    first call and kept, for any alphabet: its windows are keyed with the
+    table's base and re-ranks, so a window's key is that of the vocabulary
+    n-gram equal to it, if any. For a single text `encode` is faster: the
+    array pass has a fixed cost of several array operations per order.
     """
-    alphabet, tables = vocab.key_table()
-    if tables is None:
-        return _stack_counts([encode(seq, vocab) for seq in seqs])
-    if not tables:
-        return _stack_counts([{} for _ in seqs])
+    alphabet, reranks, tables = vocab.key_table()
     _, points, ends = _code_points(seqs)
     # each character's rank in the vocabulary's alphabet, 0 outside it
     chars, char_at = np.unique(points, return_inverse=True)
-    at = np.minimum(np.searchsorted(alphabet, chars), len(alphabet) - 1)
-    ranks = np.where(alphabet[at] == chars, at + 1, 0)[char_at]
+    ranks = (_lookup(alphabet, chars, -1) + 1)[char_at]
     row_of = np.repeat(np.arange(len(seqs)), np.diff(ends, prepend=0))
     # each in-vocabulary window as one cell, row * |V| + index, order by order
     width = len(vocab)
     hits = [np.empty(0, dtype=np.intp)]
-    for n, starts, keys in _window_keys(ranks, ends, tuple(tables), len(alphabet) + 1):
+    for n, starts, keys in _window_keys(ranks, ends, tuple(tables), len(alphabet) + 1, reranks):
         table_keys, table_index = tables[n]
         distinct, key_at = np.unique(keys, return_inverse=True)
-        at = np.minimum(np.searchsorted(table_keys, distinct), len(table_keys) - 1)
-        col = np.where(table_keys[at] == distinct, table_index[at], -1)[key_at]
-        hit = col >= 0
-        hits.append(row_of[starts[hit]] * width + col[hit])
+        at = _lookup(table_keys, distinct, -1)[key_at]
+        hit = at >= 0
+        hits.append(row_of[starts[hit]] * width + table_index[at[hit]])
     hits = np.concatenate(hits)
     # each distinct cell with its count and its first window; windows run order
     # by order, so within a row the earlier window is the one `encode` meets first

@@ -4,9 +4,10 @@
 count vectors, and `build_vocab` the entries of a `Counter` over `_windows`,
 for any text: astral characters, NUL, lone surrogates, characters outside the
 vocabulary, empty texts and texts shorter than every order. A vocabulary
-that would keep a lone surrogate is a DataError. Vocabularies too wide for
-a 63-bit key go through the per-text loop, and corpora that wide are counted
-through re-ranked keys; both must agree too.
+that would keep a lone surrogate is a DataError. Past a 63-bit key, counting,
+the key table and batch encoding all re-rank their keys; both property tests
+also run under small key limits, which force re-ranking at many widths, and
+must agree there too.
 """
 
 import contextlib
@@ -14,6 +15,7 @@ import io
 import re
 import warnings
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -73,6 +75,9 @@ VOCAB_TEXTS = st.text(
 POLICIES = st.one_of(
     st.integers(1, 3).map(MinCount), st.integers(1, 6).map(TopKPerOrder)
 )
+# packed-key limits that force re-ranking at many widths, and the real one;
+# patched with a context manager, as Hypothesis rejects function-scoped fixtures
+KEY_LIMITS = [2**3, 2**10, 2**20, 2**63]
 
 
 def _build_vocab_ref(corpus, orders, policy, case_mode):
@@ -135,7 +140,10 @@ def vocabularies(draw):
 # that row, in first-met order
 @example(NGramVocab([("a", 1, 1), ("ab", 2, 1)]), ["ab", "a" * 50])
 def test_batch_encode_equals_per_text_encode(vocab, seqs):
-    _assert_batch_equals_loop(seqs, vocab)
+    for limit in KEY_LIMITS:
+        with mock.patch("charngram.vocab._KEY_LIMIT", limit):
+            vocab._keys = None  # the key table is rebuilt under this limit
+            _assert_batch_equals_loop(seqs, vocab)
 
 
 @settings(max_examples=200, deadline=None)
@@ -147,27 +155,31 @@ def test_batch_encode_equals_per_text_encode(vocab, seqs):
 )
 def test_build_vocab_equals_the_counter_of_windows(corpus, orders, policy, case_mode):
     want = _build_vocab_ref(corpus, orders, policy, case_mode)
-    if any(LONE_SURROGATE.search(ngram) for ngram, _, _ in want):
-        with pytest.raises(DataError, match="cannot be encoded as UTF-8"):
-            _build(corpus, orders, policy, case_mode)
-        return
-    vocab = _build(corpus, orders, policy, case_mode)
-    assert vocab.entries == want
-    assert vocab.orders == frozenset(orders)
+    unencodable = any(LONE_SURROGATE.search(ngram) for ngram, _, _ in want)
+    for limit in KEY_LIMITS:
+        with mock.patch("charngram.vocab._KEY_LIMIT", limit):
+            if unencodable:
+                with pytest.raises(DataError, match="cannot be encoded as UTF-8"):
+                    _build(corpus, orders, policy, case_mode)
+                continue
+            vocab = _build(corpus, orders, policy, case_mode)
+        assert vocab.entries == want
+        assert vocab.orders == frozenset(orders)
 
 
 WIDE_CORPUS = ["0123456789 9876543210", "0246813579 1357924680", "0123456789 9876543210 02468"]
 
 
 @pytest.mark.parametrize("policy", [MinCount(1), MinCount(2), TopKPerOrder(3)])
-def test_too_wide_for_a_packed_key_falls_back_to_the_loop(policy):
+def test_too_wide_for_a_packed_key_is_re_ranked(policy):
     # 11 characters (the digits and the space): 11**19 > 2**63, so both the
-    # count and, with 12 as the base, the vocabulary's key table are too wide
+    # count and, with 12 as the base, the vocabulary's key table re-rank their
+    # keys; 12**17 < 2**63 < 12**18, so the key table re-ranks at width 17
     orders = (2, 19)
     vocab = _build(WIDE_CORPUS, orders, policy)
     assert vocab.entries == _build_vocab_ref(WIDE_CORPUS, orders, policy, "lower")
     assert any(order == 19 for _, order, _ in vocab.entries)
-    assert vocab.key_table()[1] is None
+    assert list(vocab.key_table()[1]) == [17]
     seqs = [normalize(t) for t in (*WIDE_CORPUS, "98765 43210 0123456789", "x", "")]
     _assert_batch_equals_loop(seqs, vocab)
 
@@ -181,7 +193,7 @@ def test_a_key_of_exactly_63_bits_is_packed(order, packed):
     for orders in ((63,), (64,), (2, order)):
         vocab = _build(corpus, orders, MinCount(1))
         assert vocab.entries == _build_vocab_ref(corpus, orders, MinCount(1), "lower")
-    assert (vocab.key_table()[1] is not None) == packed
+    assert list(vocab.key_table()[1]) == ([] if packed else [39])
     _assert_batch_equals_loop([normalize(t) for t in corpus] + ["a" * 45, " a "], vocab)
 
 

@@ -1,4 +1,6 @@
-"""Source hygiene: no module of the package imports a name it never uses.
+"""Source hygiene: no module of the package imports a name it never uses or
+defines a private name nothing reads, and only the single-query path calls
+the per-text `encode`.
 
 `__init__.py` is exempt: its imports are the package's re-exports.
 """
@@ -78,3 +80,49 @@ def test_the_check_names_each_unread_private_name():
         "b.py": "from . import a\nfrom .a import _helper\n_helper()\n__all__ = []\n",
     }
     assert _unread_private_names(sources) == ["a.py: _Gone", "a.py: _LEFT"]
+
+
+# the single-query path; every batch goes through `encode_batch`
+PER_TEXT_ENCODE_CALLERS = ["neighbors.py: nearest_neighbors"]
+
+
+def _per_text_encode_callers(sources: dict[str, str]) -> list[str]:
+    """Each function of `sources`, as `module: name`, that calls `encode` by name.
+
+    A call outside any function is named `module: <module>`; `text.encode(...)`
+    is a method call and not counted.
+    """
+    callers = set()
+
+    def visit(node: ast.AST, module: str, scope: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            if node.func.id == "encode":
+                callers.add(f"{module}: {scope}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, scope)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), module, "<module>")
+    return sorted(callers)
+
+
+def test_only_the_single_query_path_calls_the_per_text_encode():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert _per_text_encode_callers(sources) == PER_TEXT_ENCODE_CALLERS
+
+
+def test_the_check_names_each_per_text_encode_caller():
+    sources = {
+        "a.py": (
+            "from .vocab import encode\n"
+            "def batch(seqs, vocab):\n"
+            "    def one(seq):\n"
+            "        return encode(seq, vocab)\n"
+            "    return [one(s) for s in seqs], 'x'.encode('utf-8')\n"
+            "FIRST = encode(' a ', None)\n"
+        ),
+        "b.py": "def untouched(text):\n    return text.encode('utf-8')\n",
+    }
+    assert _per_text_encode_callers(sources) == ["a.py: <module>", "a.py: one"]

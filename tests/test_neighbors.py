@@ -252,6 +252,12 @@ def test_malformed_working_vocab_is_rejected(n_words, shape):
         WorkingVocab(WORDS[:n_words], np.zeros(shape))
 
 
+def test_working_vocab_of_no_words_is_rejected():
+    # a query of it would have no row to rank
+    with pytest.raises(DataError, match="empty word list"):
+        WorkingVocab([], np.zeros((0, 3)))
+
+
 def test_working_vocab_of_other_dimension_is_rejected(wide_vocab, wide_model):
     wv = WorkingVocab(["cat", "dog"], np.ones((2, wide_model.dim + 1)))
     with pytest.raises(DataError, match="d=9, the model d=8"):
