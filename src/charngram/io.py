@@ -1,14 +1,21 @@
 """File formats: binary model persistence, dataset loaders, run configuration.
 
-A model file (format version 2) is little-endian: a 48-byte header, the
-n-gram table in the byte layout the vocabulary fingerprint hashes (see
-`charngram.vocab`), zero padding to a multiple of 64 bytes, then the float32
-bias and the float32 (|V|, d) matrix. Saving and loading stream the bias and
-matrix through one fixed-size float32 buffer, so neither holds a copy of the
-whole file. Version-1 files (a 32-byte header, the bias, then one record per
-n-gram) still load. Parameters are stored at float32; in-memory training uses
-float64. Writes go through a temp file plus atomic rename so readers never
-observe a partial file.
+A model file is little-endian and starts with a 32-byte header that both
+format versions share: magic, version, d, activation code, vocabulary
+fingerprint and |V|. Version 2, which `save_model` writes, goes on with 16
+bytes (case mode, 7 reserved zero bytes, table length), the n-gram table in
+the byte layout the vocabulary fingerprint hashes (see `charngram.vocab`),
+zero padding to a multiple of 64 bytes, then the float32 bias and the float32
+(|V|, d) matrix. Saving and loading stream the bias and matrix through one
+fixed-size float32 buffer, so neither holds a copy of the whole file.
+Version-1 files (the bias, then per n-gram its order, UTF-8 length, UTF-8
+bytes and row) still load: `load_model` is the one reader, and it rebuilds
+the version-2 n-gram table from the records, so both versions check the
+table's digest and build the vocabulary the same way. Parameters are stored
+at float32 and must be finite there; a file holding an inf or NaN is
+rejected, and so is saving one. In-memory training uses float64. Writes go
+through a temp file plus atomic rename so readers never observe a partial
+file.
 """
 
 from __future__ import annotations
@@ -33,11 +40,11 @@ from .vocab import CASE_MODES, NGramVocab
 MAGIC = b"CHRG"
 FORMAT_VERSION = 2  # what save_model writes; load_model also reads version 1
 
-_HEADER = struct.Struct("<4sIIB3xQQ")  # magic, version, d, activation, fingerprint, |V|
+# both versions: magic, version, d, activation, fingerprint, |V|
+_HEADER = struct.Struct("<4sIIB3xQQ")
+_V2_HEAD = struct.Struct("<B7sQ")  # version 2 goes on: case mode, 7 reserved bytes, table byte length
+_V2_TABLE_START = _HEADER.size + _V2_HEAD.size
 _RECORD_HEAD = struct.Struct("<BH")  # version 1: order, utf-8 byte length
-# version 2: the version-1 header, then case mode, 7 reserved bytes, table byte length
-_HEADER_V2 = struct.Struct("<4sIIB3xQQB7sQ")
-_V2_PREFIX = MAGIC + FORMAT_VERSION.to_bytes(4, "little")
 _ALIGN = 64  # a version-2 bias starts at a multiple of this
 _BLOCK_VALUES = 1 << 16  # float32 values in the block buffer the matrix streams through
 
@@ -142,30 +149,31 @@ def save_model(model: Model, vocab: NGramVocab, path) -> None:
 
     The same (model, vocab) always produces identical bytes: entries are
     written in vocabulary order and parameters are quantized to float32. The
-    matrix is converted and written a block at a time.
+    matrix is converted and written a block at a time. DataError, and no
+    file written, when a parameter is not finite in float32.
     """
     verify_binding(model, vocab)
     table = vocab.table
-    head = _HEADER_V2.pack(
+    head = _HEADER.pack(
         MAGIC,
         FORMAT_VERSION,
         model.dim,
         _ACTIVATION_CODES[model.activation],
         model.vocab_fingerprint,
         len(vocab),
-        _CASE_CODES[model.case_mode],
-        bytes(7),
-        len(table),
-    )
-    padding = bytes(_data_offset(len(table)) - _HEADER_V2.size - len(table))
+    ) + _V2_HEAD.pack(_CASE_CODES[model.case_mode], bytes(7), len(table))
+    padding = bytes(_data_offset(len(table)) - len(head) - len(table))
 
     def write(handle) -> None:
         handle.write(head)
         handle.write(table)
         handle.write(padding)
-        for rows, chunk in _blocks(model.bias, model.weights):
-            np.copyto(chunk, rows, casting="same_kind")
-            handle.write(chunk)
+        with np.errstate(over="ignore"):  # a value past the float32 range becomes inf
+            for rows, chunk in _blocks(model.bias, model.weights):
+                np.copyto(chunk, rows, casting="same_kind")
+                if not np.isfinite(chunk).all():
+                    raise DataError(f"{path}: cannot save a parameter that is not finite in float32")
+                handle.write(chunk)
 
     _atomic_write(path, write)
 
@@ -173,77 +181,130 @@ def save_model(model: Model, vocab: NGramVocab, path) -> None:
 def load_model(path) -> tuple[Model, NGramVocab]:
     """Parse a model file (version 2 or 1) back into (Model, NGramVocab).
 
-    The reconstructed vocabulary keeps the stored entry order; corpus counts
-    are not persisted and come back as zero. Parameters are promoted to
-    float64, into arrays the caller may write.
+    The file is opened once. The header both versions share is checked here,
+    then a body per version reads the rest; a version-1 body rebuilds the
+    n-gram table from its records, so both versions check the table's digest
+    and build the vocabulary the same way. The reconstructed vocabulary keeps
+    the stored entry order; corpus counts are not persisted and come back as
+    zero. A parameter that is not finite is a ModelFormatError. Parameters are
+    promoted to float64, into arrays the caller may write.
     """
     try:
         with open(path, "rb") as handle:
-            head = handle.read(_HEADER_V2.size)
-            if head[:8] == _V2_PREFIX:
-                return _load_v2(handle, head, path)
+            head = _read(handle, _HEADER.size, path, f"expected {_HEADER.size} bytes")
+            magic, version, dim, act_code, fingerprint, vocab_size = _HEADER.unpack(head)
+            if magic != MAGIC:
+                raise ModelFormatError(f"{path}: not a model file")
+            if version not in (1, 2):
+                raise ModelFormatError(f"{path}: unsupported version {version}")
+            if act_code not in _ACTIVATION_NAMES:
+                raise _corrupt(path, f"unknown activation code {act_code}")
+            if dim == 0:  # no model has d = 0, and the size checks would not bound |V|
+                raise _corrupt(path, "dimension 0")
+            read_body = _read_v2 if version == 2 else _read_v1
+            case_code, vocab, bias, weights = read_body(handle, path, dim, vocab_size, fingerprint)
     except OSError as err:
         raise DataError(f"{path}: {err.strerror or err}") from err
-    return _load_v1(path)
+    model = Model(weights, bias, _ACTIVATION_NAMES[act_code], fingerprint, _CASE_NAMES[case_code])
+    return model, vocab
 
 
-def _load_v2(handle, head: bytes, path) -> tuple[Model, NGramVocab]:
-    if len(head) < _HEADER_V2.size:
-        raise ModelFormatError(f"{path}: corrupt model file (expected {_HEADER_V2.size} bytes)")
-    _, _, dim, act_code, fingerprint, vocab_size, case_code, reserved, table_len = (
-        _HEADER_V2.unpack(head)
-    )
-    if act_code not in _ACTIVATION_NAMES:
-        raise ModelFormatError(f"{path}: corrupt model file (unknown activation code {act_code})")
+def _read_v2(handle, path, dim: int, vocab_size: int, fingerprint: int):
+    """The rest of a version-2 file: (case code, vocabulary, bias, weights)."""
+    head = _read(handle, _V2_HEAD.size, path, f"expected {_V2_TABLE_START} bytes")
+    case_code, reserved, table_len = _V2_HEAD.unpack(head)
     if case_code not in _CASE_NAMES:
-        raise ModelFormatError(f"{path}: corrupt model file (unknown case mode code {case_code})")
+        raise _corrupt(path, f"unknown case mode code {case_code}")
     if any(reserved):
-        raise ModelFormatError(f"{path}: corrupt model file (non-zero reserved bytes)")
-    if dim == 0:  # no model has d = 0, and the size check below would not bound |V|
-        raise ModelFormatError(f"{path}: corrupt model file (dimension 0)")
+        raise _corrupt(path, "non-zero reserved bytes")
     # the size follows from the header alone; checked before allocating
     data_offset = _data_offset(table_len)
     size = data_offset + 4 * dim * (vocab_size + 1)
     found = os.fstat(handle.fileno()).st_size
     if found < size:
-        raise ModelFormatError(f"{path}: corrupt model file (expected {size} bytes)")
+        raise _corrupt(path, f"expected {size} bytes")
     if found > size:
-        raise ModelFormatError(f"{path}: corrupt model file (trailing data)")
+        raise _corrupt(path, "trailing data")
 
     table = _read(handle, table_len, path)
-    if any(_read(handle, data_offset - _HEADER_V2.size - table_len, path)):
-        raise ModelFormatError(f"{path}: corrupt model file (non-zero padding)")
-    try:
-        vocab = NGramVocab.from_table(table, vocab_size, fingerprint)
-    except DataError as err:
-        raise ModelFormatError(f"{path}: corrupt model file ({err})") from err
+    if any(_read(handle, data_offset - _V2_TABLE_START - table_len, path)):
+        raise _corrupt(path, "non-zero padding")
+    vocab = _table_vocab(table, vocab_size, fingerprint, path)
 
     bias = np.empty(dim)
     weights = np.empty((vocab_size, dim))
     for rows, chunk in _blocks(bias, weights):
         if handle.readinto(chunk) != chunk.nbytes:
-            raise ModelFormatError(f"{path}: corrupt model file (short read)")
-        rows[...] = chunk
-    model = Model(
-        weights=weights,
-        bias=bias,
-        activation=_ACTIVATION_NAMES[act_code],
-        vocab_fingerprint=fingerprint,
-        case_mode=_CASE_NAMES[case_code],
-    )
-    return model, vocab
+            raise _corrupt(path, "short read")
+        rows[...] = _finite(chunk, path)
+    return case_code, vocab, bias, weights
 
 
-def _read(handle, count: int, path) -> bytes:
+def _read_v1(handle, path, dim: int, vocab_size: int, fingerprint: int):
+    """The rest of a version-1 file: (case code, vocabulary, bias, weights).
+
+    The file holds the bias, then per n-gram its order, UTF-8 length, UTF-8
+    bytes and row. Each record's length, bytes and order, in that order, are
+    its entry of the version-2 n-gram table.
+    """
+    # every record holds at least its head and a row; checked before allocating
+    least = _HEADER.size + 4 * dim + vocab_size * (_RECORD_HEAD.size + 4 * dim)
+    if least > os.fstat(handle.fileno()).st_size:
+        raise _corrupt(path, f"expected at least {least} bytes")
+    data = handle.read()
+    offset = 0
+
+    def take(count: int) -> bytes:
+        nonlocal offset
+        if offset + count > len(data):
+            raise _corrupt(path, f"expected {_HEADER.size + offset + count} bytes")
+        chunk = data[offset : offset + count]
+        offset += count
+        return chunk
+
+    bias = take(4 * dim)
+    table, rows = [], []
+    for _ in range(vocab_size):
+        head = take(_RECORD_HEAD.size)
+        table += (head[1:], take(_RECORD_HEAD.unpack(head)[1]), head[:1])
+        rows.append(take(4 * dim))
+    if offset != len(data):
+        raise _corrupt(path, "trailing data")
+    del data  # so that at most one float32 and one float64 copy of the rows coexist
+    vocab = _table_vocab(b"".join(table), vocab_size, fingerprint, path)
+    bias = _finite(np.frombuffer(bias, dtype="<f4"), path).astype(np.float64)
+    rows = np.frombuffer(b"".join(rows), dtype="<f4").reshape(vocab_size, dim)
+    return _CASE_CODES[None], vocab, bias, _finite(rows, path).astype(np.float64)
+
+
+def _corrupt(path, what: str) -> ModelFormatError:
+    return ModelFormatError(f"{path}: corrupt model file ({what})")
+
+
+def _read(handle, count: int, path, short: str = "short read") -> bytes:
     data = handle.read(count)
     if len(data) != count:
-        raise ModelFormatError(f"{path}: corrupt model file (short read)")
+        raise _corrupt(path, short)
     return data
+
+
+def _table_vocab(table: bytes, vocab_size: int, fingerprint: int, path) -> NGramVocab:
+    try:
+        return NGramVocab.from_table(table, vocab_size, fingerprint)
+    except DataError as err:
+        raise _corrupt(path, str(err)) from err
+
+
+def _finite(values: np.ndarray, path) -> np.ndarray:
+    """`values`, float32 parameters read from a model file, unless one is not finite."""
+    if not np.isfinite(values).all():
+        raise _corrupt(path, "non-finite parameter")
+    return values
 
 
 def _data_offset(table_len: int) -> int:
     """Where a version-2 file's bias starts: after the header and table, 64-byte aligned."""
-    return -(-(_HEADER_V2.size + table_len) // _ALIGN) * _ALIGN
+    return -(-(_V2_TABLE_START + table_len) // _ALIGN) * _ALIGN
 
 
 def _blocks(bias: np.ndarray, weights: np.ndarray):
@@ -259,70 +320,6 @@ def _blocks(bias: np.ndarray, weights: np.ndarray):
     for start in range(0, len(weights), per_block):
         rows = weights[start : start + per_block]
         yield rows, buffer[: rows.size].reshape(rows.shape)
-
-
-def _load_v1(path) -> tuple[Model, NGramVocab]:
-    """Parse a version-1 file: a header, the bias, then one record per n-gram."""
-    try:
-        data = Path(path).read_bytes()
-    except OSError as err:
-        raise DataError(f"{path}: {err.strerror or err}") from err
-
-    offset = 0
-
-    def take(count: int) -> bytes:
-        nonlocal offset
-        if offset + count > len(data):
-            raise ModelFormatError(
-                f"{path}: corrupt model file (expected {offset + count} bytes)"
-            )
-        chunk = data[offset : offset + count]
-        offset += count
-        return chunk
-
-    header = take(_HEADER.size)
-    magic, version, dim, act_code, fingerprint, vocab_size = _HEADER.unpack(header)
-    if magic != MAGIC:
-        raise ModelFormatError(f"{path}: not a model file")
-    if version != 1:
-        raise ModelFormatError(f"{path}: unsupported version {version}")
-    if act_code not in _ACTIVATION_NAMES:
-        raise ModelFormatError(f"{path}: corrupt model file (unknown activation code {act_code})")
-    if dim == 0:
-        raise ModelFormatError(f"{path}: corrupt model file (dimension 0)")
-    # every record holds at least its head and a row; checked before allocating
-    least = _HEADER.size + 4 * dim + vocab_size * (_RECORD_HEAD.size + 4 * dim)
-    if least > len(data):
-        raise ModelFormatError(f"{path}: corrupt model file (expected at least {least} bytes)")
-
-    bias = np.frombuffer(take(4 * dim), dtype="<f4").astype(np.float64)
-    entries = []
-    rows = []
-    for pos in range(vocab_size):
-        order, byte_len = _RECORD_HEAD.unpack(take(_RECORD_HEAD.size))
-        try:
-            ngram = take(byte_len).decode("utf-8")
-        except UnicodeDecodeError as err:
-            raise ModelFormatError(f"{path}: corrupt model file (bad n-gram bytes)") from err
-        rows.append(take(4 * dim))
-        entries.append((ngram, order, 0))
-    if offset != len(data):
-        raise ModelFormatError(f"{path}: corrupt model file (trailing data)")
-    del data  # so that at most one float32 and one float64 copy of the rows coexist
-    rows = b"".join(rows)
-    rows = np.frombuffer(rows, dtype="<f4").reshape(vocab_size, dim).astype(np.float64)
-
-    try:
-        vocab = NGramVocab(entries)
-    except DataError as err:
-        raise ModelFormatError(f"{path}: corrupt model file ({err})") from err
-    if vocab.fingerprint != fingerprint:
-        raise ModelFormatError(f"{path}: corrupt model file (vocabulary fingerprint mismatch)")
-
-    model = Model(
-        weights=rows, bias=bias, activation=_ACTIVATION_NAMES[act_code], vocab_fingerprint=fingerprint
-    )
-    return model, vocab
 
 
 def load_pairs(path) -> PairDataset:

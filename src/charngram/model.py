@@ -107,12 +107,12 @@ def _index_rows(matrix: np.ndarray, units: bool = True) -> RowIndex:
 class Model:
     """Learned parameters: weights has one row per vocabulary n-gram.
 
-    `row_index()` caches the weight rows prepared for n-gram queries: their
-    norms (`row_norms()`) and a float32 copy scaled to unit norm
-    (`unit_rows32()`, 4·|V|·d bytes). While it is cached, `weights` is
-    read-only, so an in-place write raises ValueError instead of leaving it
-    stale; writers call `drop_row_norms()` first. Writes through another
-    array sharing the memory of `weights` are not caught.
+    `row_index()` caches the weight rows prepared for n-gram queries, a
+    `RowIndex`: their norms and a float32 copy scaled to unit norm (4·|V|·d
+    bytes). While it is cached, `weights` is read-only, so an in-place write
+    raises ValueError instead of leaving it stale; writers call
+    `drop_row_norms()` first. Writes through another array sharing the memory
+    of `weights` are not caught.
     """
 
     weights: np.ndarray  # (|V|, d) float64
@@ -170,18 +170,6 @@ class Model:
             self._index_cache = (weights, weights.flags.writeable, index)
             weights.flags.writeable = False
         return self._index_cache[2]
-
-    def row_norms(self) -> np.ndarray:
-        """Norms of the weight rows, from `row_index()`."""
-        return self.row_index().norms
-
-    def unit_rows32(self) -> tuple[np.ndarray, np.ndarray]:
-        """(units, outliers) of `row_index()`: the weight rows scaled to unit norm, in
-        read-only float32, and the sorted rows left zero there because their norm
-        is not finite or not below _UNIT_NORM_LIMIT (and those below COSINE_NORM_FLOOR).
-        """
-        index = self.row_index()
-        return index.units, index.outliers
 
     def drop_row_norms(self) -> None:
         """Forget the cached row index, giving its array back its writeable flag.

@@ -59,11 +59,10 @@ class WorkingVocab:
 
     `embeddings` is coerced to float64 and marked read-only in place (not
     copied). `index`, their `RowIndex`, is built here, once; it holds unit rows
-    from _SCREEN_MIN_ENTRIES entries (rows × d) up. `norms` and `unit_rows32`
-    ((units, outliers) as `Model.unit_rows32` gives them, or None) read it.
-    `embedded_by` is the model `build_working_vocab` embedded the words with
-    (the object, not a copy), and only that model may query it; a working
-    vocabulary built directly from arrays has none and checks only d.
+    from _SCREEN_MIN_ENTRIES entries (rows × d) up. `embedded_by` is the
+    model `build_working_vocab` embedded the words with (the object, not a
+    copy), and only that model may query it; a working vocabulary built
+    directly from arrays has none and checks only d.
     """
 
     words: list[str]  # normalized, without the boundary padding; not empty
@@ -83,37 +82,27 @@ class WorkingVocab:
         self.embeddings.flags.writeable = False
         self.index = _index_rows(self.embeddings, self.embeddings.size >= _SCREEN_MIN_ENTRIES)
 
-    @property
-    def norms(self) -> np.ndarray:
-        return self.index.norms
-
-    @property
-    def unit_rows32(self) -> tuple[np.ndarray, np.ndarray] | None:
-        return None if self.index.units is None else (self.index.units, self.index.outliers)
-
 
 def _guarded_cosines(
-    matrix: np.ndarray, query: np.ndarray, norms: np.ndarray, dot=np.matmul, finite=None
+    matrix: np.ndarray, query: np.ndarray, norms: np.ndarray, dot, finite: bool
 ) -> np.ndarray:
     """Cosine of `query` against every row of `matrix`; zero-norm vectors score 0.
 
     `norms` holds the row norms of `matrix`, as `_row_norms` computes them,
-    and `finite` says whether all are finite (`RowIndex.finite`; when not
-    given, one ddot over the norms decides). The rows are scaled after the
-    product `dot(matrix, query)`, so no normalized copy of `matrix` (the whole
-    weight table, for n-gram queries) is made. A vector whose norm overflows
-    is scored from its copy divided by its largest absolute entry, which has
-    the same direction and a norm between 1 and √d, so a finite row parallel
-    to the query still scores 1. A vector holding an inf or NaN has no
-    direction and scores 0, as a zero vector does. Every other row gets the
-    same bits whether or not some norm is not finite.
+    and `finite` says whether all are finite (`RowIndex.finite`). The rows
+    are scaled after the product `dot(matrix, query)`, so no normalized copy
+    of `matrix` (the whole weight table, for n-gram queries) is made. A
+    vector whose norm overflows is scored from its copy divided by its
+    largest absolute entry, which has the same direction and a norm between 1
+    and √d, so a finite row parallel to the query still scores 1. A vector
+    holding an inf or NaN has no direction and scores 0, as a zero vector
+    does. Every other row gets the same bits whether or not some norm is not
+    finite.
     """
     # np.linalg.norm's arithmetic (one ddot) without its checks; unlike
     # ndarray.dot, np.vdot does not warn when a sum overflows. Finite norms are
     # below 2^512, so with the query's finite too no product overflows.
     qn = math.sqrt(np.vdot(query, query))
-    if finite is None:
-        finite = np.vdot(norms, norms) < math.inf
     if qn < math.inf and finite:
         return _divided_cosines(matrix, query, qn, norms, dot)
     with np.errstate(over="ignore", invalid="ignore"):  # the products of the overflowing rows
@@ -214,7 +203,7 @@ def _search(matrix: np.ndarray, index: RowIndex, query: np.ndarray, name, exclud
 def _screen(units: np.ndarray, outliers: np.ndarray, query: np.ndarray, top: int) -> np.ndarray:
     """The rows that can be among the `top` best by exact cosine to a query.
 
-    `units` and `outliers` are as `Model.unit_rows32()` gives them, and
+    `units` and `outliers` are those of a `RowIndex` with unit rows, and
     `top` < len(units). `query` is the query's unit vector in float32: its
     float64 form divided by its norm, which is at least COSINE_NORM_FLOOR and
     below _UNIT_NORM_LIMIT, then rounded.

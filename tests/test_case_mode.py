@@ -117,7 +117,8 @@ def _as_tuples(results):
 def _neighbors_reference(query, wv, model, vocab, k, mode):
     padded = normalize(query, mode)
     q = embed(encode(padded, vocab), model).values
-    cosines = _guarded_cosines(wv.embeddings, q, wv.norms)
+    norms = wv.index.norms
+    cosines = _guarded_cosines(wv.embeddings, q, norms, np.matmul, bool(np.isfinite(norms).all()))
     return _rank(wv.words.__getitem__, cosines, {padded[1:-1]}, k)
 
 

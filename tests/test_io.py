@@ -1,5 +1,6 @@
 import os
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from charngram import (
     save_vocab,
 )
 from charngram import io as charngram_io
+from charngram.cli import main
 from charngram.io import escape_ngram, unescape_ngram
 
 from conftest import random_model, save_v1
@@ -265,7 +267,8 @@ def _checked_offsets(payload: bytes) -> set[int]:
     valid value: the activation code, and in version 2 the case mode. In
     version 1 it is then each record's head and n-gram bytes; in version 2
     the n-gram table, hashed into the fingerprint, and the zero padding after
-    it. The rest are float32 parameters, which may hold any bits.
+    it. The rest are float32 parameters: any finite value loads, and a flip
+    that makes one an inf or a NaN is rejected.
     """
     version = struct.unpack_from("<I", payload, 4)[0]
     dim = struct.unpack_from("<I", payload, 8)[0]
@@ -411,17 +414,23 @@ def test_v2_loaded_arrays_are_writeable(tmp_path, vocab):
 
 
 def test_v1_file_resaved_as_v2_loads_bit_equal(tmp_path, vocab):
-    model = random_model(np.random.default_rng(7), vocab, dim=6, activation="linear")
-    old = tmp_path / "old.bin"
-    save_v1(model, vocab, old)
-    from_v1 = load_model(old)
-    assert from_v1[0].case_mode is None
-    new = tmp_path / "new.bin"
-    save_model(*from_v1, new)
-    assert struct.unpack_from("<I", new.read_bytes(), 4)[0] == 2
-    from_v2 = load_model(new)
-    _assert_same_load(from_v2, from_v1)
-    assert from_v2[0].case_mode is None
+    # the second vocabulary holds characters of 2, 3 and 4 UTF-8 bytes and an
+    # n-gram of 280 bytes, whose length needs the high byte of the table's
+    # 2-byte length field that the version-1 records are rebuilt into
+    wide = NGramVocab([("é€", 2, 1), ("日本語", 3, 1), ("𝄞a𝄞", 3, 1), ("𝄞" * 70, 70, 1)])
+    for bound in (vocab, wide):
+        model = random_model(np.random.default_rng(7), bound, dim=6, activation="linear")
+        old = tmp_path / "old.bin"
+        save_v1(model, bound, old)
+        from_v1 = load_model(old)
+        assert from_v1[0].case_mode is None
+        assert from_v1[1].fingerprint == bound.fingerprint
+        new = tmp_path / "new.bin"
+        save_model(*from_v1, new)
+        assert struct.unpack_from("<I", new.read_bytes(), 4)[0] == 2
+        from_v2 = load_model(new)
+        _assert_same_load(from_v2, from_v1)
+        assert from_v2[0].case_mode is None
 
 
 def test_v2_loaded_fingerprint_is_the_entries_fingerprint(tmp_path, vocab):
@@ -430,6 +439,32 @@ def test_v2_loaded_fingerprint_is_the_entries_fingerprint(tmp_path, vocab):
     _, loaded_vocab = load_model(path)
     assert loaded_vocab.fingerprint == NGramVocab(loaded_vocab.entries).fingerprint
     assert loaded_vocab.fingerprint == vocab.fingerprint
+
+
+def test_non_finite_parameters_are_rejected_without_a_warning(tmp_path, vocab, model_files, capsys):
+    quiet_nan, inf, minus_inf = (struct.pack("<f", v) for v in (np.nan, np.inf, -np.inf))
+    signalling_nan = struct.pack("<I", 0x7F800001)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for version, model_bytes in model_files.items():
+            first_bias = _data_offset(model_bytes) if version == 2 else 32
+            for pos in (first_bias, len(model_bytes) - 4):  # then the last weight
+                for value in (quiet_nan, inf, minus_inf, signalling_nan):
+                    tampered = model_bytes[:pos] + value + model_bytes[pos + 4 :]
+                    _expect_corrupt(tmp_path, tampered, r"\(non-finite parameter\)")
+        # the last file written: version 2 with a signalling NaN as its last weight
+        rc = main(["embed", "--model", str(tmp_path / "bad.bin"), "the cat"])
+        assert rc == 2
+        assert "(non-finite parameter)" in capsys.readouterr().err
+
+        # a weight past the float32 range would be written as inf
+        model = random_model(np.random.default_rng(9), vocab, dim=4)
+        model.weights[2, 1] = 1e200
+        out = tmp_path / "out"
+        out.mkdir()
+        with pytest.raises(DataError, match="not finite in float32"):
+            save_model(model, vocab, out / "big.bin")
+        assert list(out.iterdir()) == []
 
 
 def test_model_missing_file(tmp_path):

@@ -254,58 +254,58 @@ def test_model_shape_validation():
 
 def test_row_norms_are_cached_and_freeze_the_weights():
     model = _bare_model(np.random.default_rng(20).normal(size=(9, 5)), np.zeros(5))
-    norms = model.row_norms()
+    norms = model.row_index().norms
     assert np.array_equal(norms, np.linalg.norm(model.weights, axis=1))
-    assert model.row_norms() is norms
+    assert model.row_index().norms is norms
     with pytest.raises(ValueError):
         model.weights[3, 1] = 1.0
     with pytest.raises(ValueError):
         model.weights += 1.0
     model.drop_row_norms()
     model.weights[3, 1] = 1.0  # writeable again
-    assert np.array_equal(model.row_norms(), _row_norms(model.weights))
+    assert np.array_equal(model.row_index().norms, _row_norms(model.weights))
 
 
 def test_rebinding_weights_gives_fresh_norms():
     rng = np.random.default_rng(21)
     model = _bare_model(rng.normal(size=(6, 4)), np.zeros(4))
     old = model.weights
-    model.row_norms()
+    model.row_index().norms
     model.weights = rng.normal(size=(6, 4))
     model.weights[0, 0] = 7.0  # a rebound array starts writeable
-    assert np.array_equal(model.row_norms(), _row_norms(model.weights))
+    assert np.array_equal(model.row_index().norms, _row_norms(model.weights))
     assert old.flags.writeable  # the old array got its flag back
 
 
 def test_replace_copy_starts_without_cached_norms():
     rng = np.random.default_rng(22)
     model = _bare_model(rng.normal(size=(6, 4)), np.zeros(4))
-    model.row_norms()
+    model.row_index().norms
     copy = dataclasses.replace(model, weights=model.weights.copy())
     copy.weights[1] = 0.0
-    assert copy.row_norms()[1] == 0.0
-    assert np.array_equal(copy.row_norms(), _row_norms(copy.weights))
-    assert model.row_norms()[1] > 0.0
+    assert copy.row_index().norms[1] == 0.0
+    assert np.array_equal(copy.row_index().norms, _row_norms(copy.weights))
+    assert model.row_index().norms[1] > 0.0
 
 
 def test_deep_copy_recomputes_its_norms():
     model = _bare_model(np.random.default_rng(24).normal(size=(6, 4)), np.zeros(4))
-    model.row_norms()
+    model.row_index().norms
     clone = copy.deepcopy(model)  # its weights come back writeable
     clone.weights[2] = 0.0
-    assert np.array_equal(clone.row_norms(), _row_norms(clone.weights))
-    assert clone.row_norms()[2] == 0.0 and model.row_norms()[2] > 0.0
+    assert np.array_equal(clone.row_index().norms, _row_norms(clone.weights))
+    assert clone.row_index().norms[2] == 0.0 and model.row_index().norms[2] > 0.0
 
 
 def test_drop_row_norms_puts_back_the_original_flag():
     weights = np.random.default_rng(23).normal(size=(5, 3))
     weights.flags.writeable = False
     model = _bare_model(weights, np.zeros(3))
-    model.row_norms()
+    model.row_index().norms
     model.drop_row_norms()
     assert not model.weights.flags.writeable  # arrived read-only, stays read-only
     model.drop_row_norms()  # nothing cached: no-op
     writable = _bare_model(np.ones((5, 3)), np.zeros(3))
-    writable.row_norms()
+    writable.row_index().norms
     writable.drop_row_norms()
     assert writable.weights.flags.writeable

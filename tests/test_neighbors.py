@@ -190,14 +190,16 @@ def test_blocked_cosines_equal_one_pass_formula():
         norms = np.linalg.norm(matrix, axis=1)
         live = (norms >= COSINE_NORM_FLOOR) & (qn >= COSINE_NORM_FLOOR)
         expected = np.divide(matrix @ query, norms * qn, out=np.zeros(len(norms)), where=live)
-        assert np.array_equal(_guarded_cosines(matrix, query, _row_norms(matrix)), expected)
+        cosines = _guarded_cosines(matrix, query, _row_norms(matrix), np.matmul, True)
+        assert np.array_equal(cosines, expected)
 
 
 def _exhaustive_scan(matrix, query, names, exclude, k, dot):
     # the neighbour query scanning every row, with the row norms recomputed on
     # every call; `dot` is np.matmul for the dgemv scan, or `_row_dots`, which
     # gives a row the same bits whatever subset it is scored in
-    cosines = _guarded_cosines(matrix, query, _row_norms(matrix), dot)
+    norms = _row_norms(matrix)
+    cosines = _guarded_cosines(matrix, query, norms, dot, bool(np.isfinite(norms).all()))
     return _rank(names.__getitem__, cosines, exclude, k)
 
 
@@ -214,7 +216,7 @@ def test_prepared_norms_equal_per_query_norms_bit_for_bit(wide_vocab, wide_model
     rows[[0, 5000, len(rows) - 1]] = 0.0  # zero rows score 0
     words = ["cat", "dogz"] + [f"w{i:05d}" for i in range(len(rows) - 2)]
     wv = WorkingVocab(words, rows)
-    assert wv.unit_rows32 is None  # 131,128 entries: below the size rule, the dgemv scan
+    assert wv.index.units is None  # 131,128 entries: below the size rule, the dgemv scan
     zero_model = Model(weights=np.zeros_like(wide_model.weights), bias=np.zeros(dim),
                        activation="tanh", vocab_fingerprint=wide_vocab.fingerprint)
     for model in (wide_model, zero_model):  # the zero model embeds every query as 0
@@ -317,7 +319,7 @@ def test_second_ngram_query_does_not_recompute_norms(wide_vocab, monkeypatch):
     monkeypatch.setattr(model_module, "_row_norms", counted)
     first = ngram_neighbors("at ", model, wide_vocab, k=4)
     assert passes == [True]  # one pass built both the norms and the float32 rows
-    norms, (units, _) = model.row_norms(), model.unit_rows32()
+    norms, units = model.row_index().norms, model.row_index().units
     assert np.array_equal(norms, _row_norms(model.weights))
 
     def recomputed(matrix, units=None):
@@ -327,7 +329,7 @@ def test_second_ngram_query_does_not_recompute_norms(wide_vocab, monkeypatch):
         monkeypatch.setattr(module, "_row_norms", recomputed)
     assert ngram_neighbors("at ", model, wide_vocab, k=4) == first
     assert ngram_neighbors("ca", model, wide_vocab, k=4)
-    assert model.row_norms() is norms and model.unit_rows32()[0] is units
+    assert model.row_index().norms is norms and model.row_index().units is units
 
 
 def test_unit_rows_are_read_only_float32_and_dropped_with_the_norms():
@@ -336,7 +338,7 @@ def test_unit_rows_are_read_only_float32_and_dropped_with_the_norms():
     weights[2] = 0.0
     weights[4, 0] = 1e200  # its norm overflows
     model = Model(weights=weights, bias=np.zeros(5), activation="tanh", vocab_fingerprint=0)
-    units, outliers = model.unit_rows32()
+    _, units, outliers, _ = model.row_index()
     assert units.dtype == np.float32 and units.shape == weights.shape
     assert outliers.tolist() == [4]
     live = [0, 1, 3, 5, 6]
@@ -352,7 +354,7 @@ def test_unit_rows_are_read_only_float32_and_dropped_with_the_norms():
     gc.collect()
     assert freed() is None  # the model held the only reference
     model.weights[0, 0] = 1.0  # writeable again
-    assert model.unit_rows32()[0][0, 0] == np.float32(1.0 / _row_norms(model.weights)[0])
+    assert model.row_index().units[0, 0] == np.float32(1.0 / _row_norms(model.weights)[0])
 
 
 def test_first_ngram_query_allocates_less_than_a_float64_copy_of_the_weights():
@@ -367,7 +369,7 @@ def test_first_ngram_query_allocates_less_than_a_float64_copy_of_the_weights():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert model.unit_rows32()[0].nbytes <= peak < model.weights.nbytes
+    assert model.row_index().units.nbytes <= peak < model.weights.nbytes
 
 
 def test_ngram_query_after_a_training_step_sees_the_new_weights(wide_vocab):
@@ -410,7 +412,8 @@ def test_per_row_cosines_do_not_depend_on_the_rows_scored_with_them():
         matrix[[3, 70]] = 0.0
         query = matrix[5]
         norms = _row_norms(matrix)
-        full = _guarded_cosines(matrix, query, norms, _row_dots)
+        finite = bool(np.isfinite(norms).all())
+        full = _guarded_cosines(matrix, query, norms, _row_dots, finite)
         for _ in range(30):
             rows = rng.choice(len(matrix), size=int(rng.integers(1, 2 * len(matrix))))
             picked = matrix[rows]
@@ -418,7 +421,7 @@ def test_per_row_cosines_do_not_depend_on_the_rows_scored_with_them():
             shifted[:] = picked
             fortran = np.asfortranarray(picked)
             for sub in (picked, shifted, fortran):
-                got = _guarded_cosines(sub, query, norms[rows], _row_dots)
+                got = _guarded_cosines(sub, query, norms[rows], _row_dots, finite)
                 assert _per_row_bits(got) == _per_row_bits(full[rows])
 
 
@@ -427,7 +430,7 @@ def test_screen_keeps_few_rows_of_a_random_table():
     n, dim = 3000, 50
     model = Model(weights=rng.uniform(-0.1, 0.1, size=(n, dim)), bias=np.zeros(dim),
                   activation="tanh", vocab_fingerprint=0)
-    units, outliers = model.unit_rows32()
+    _, units, outliers, _ = model.row_index()
     for pos in (0, 17, n - 1):
         rows = _screen(units, outliers, units[pos], 11)
         assert pos in rows and 11 <= len(rows) < 40
@@ -498,14 +501,14 @@ def test_rows_whose_norm_overflows_score_by_their_direction(min_entries, monkeyp
                 assert nearest_neighbors(query, wv, embedder, vocab, k) == want[:k]
         # a row holding an inf or a NaN has no direction and scores 0
         odd = np.array([[np.inf, 1.0], [np.nan, 0.0], [1.0, 0.0]])
-        cosines = _guarded_cosines(odd, np.array([1.0, 0.0]), _row_norms(odd))
+        cosines = _guarded_cosines(odd, np.array([1.0, 0.0]), _row_norms(odd), np.matmul, False)
         assert cosines.tolist() == [0.0, 0.0, 1.0]
         # finite norms whose squares sum past float64's range (a finite norm
-        # is below 2^512, as the norms pass squares every entry), where the
-        # index's finite flag and a ddot over the norms decide differently, and
-        # rows holding a NaN, beside an inf too (a NaN norm, which an inf-only
-        # flag would send through the unguarded dgemv); both sides of each
-        # size rule score the scan's bits
+        # is below 2^512, as the norms pass squares every entry), which the
+        # guarded path, taken when a ddot over the norms overflows, scores with
+        # the unguarded path's bits, and rows holding a NaN, beside an inf too
+        # (a NaN norm, which an inf-only flag would send through the unguarded
+        # dgemv); both sides of each size rule score the scan's bits
         big = 2.0**511.5
         for table in ([[big, 0.0], [0.0, big], [1.0, 0.0], [1.0, 1.0]],
                       [[np.nan, 0.0], [np.nan, np.inf], [1.0, 0.0], [1.0, 1.0]]):
@@ -514,9 +517,13 @@ def test_rows_whose_norm_overflows_score_by_their_direction(min_entries, monkeyp
             model = Model(weights=table, bias=np.zeros(2), activation="linear",
                           vocab_fingerprint=vocab.fingerprint)
             wv = WorkingVocab(names, table)
+            norms = _row_norms(table)
             for query, q in zip(names, table):
+                guarded = _guarded_cosines(table, q, norms, np.matmul, False)
+                flagged = _guarded_cosines(table, q, norms, np.matmul, wv.index.finite)
+                assert _per_row_bits(guarded) == _per_row_bits(flagged)
                 qn = np.sqrt(np.vdot(q, q))
-                screened = wv.unit_rows32 is not None and COSINE_NORM_FLOOR <= qn < _UNIT_NORM_LIMIT
+                screened = wv.index.units is not None and COSINE_NORM_FLOOR <= qn < _UNIT_NORM_LIMIT
                 for k in (1, 3):  # a screen with k + 1 < 4 rows, else a scan
                     expected = _exhaustive_scan(table, q, names, {query}, k, _row_dots)
                     assert _bits(ngram_neighbors(query, model, vocab, k)) == _bits(expected)
@@ -534,8 +541,8 @@ def test_rows_of_dimension_zero_cannot_be_indexed(entry):
                   vocab_fingerprint=vocab.fingerprint)
     calls = {
         "working-vocab": lambda: WorkingVocab(["ab", "bc"], np.zeros((2, 0))),
-        "row-norms": model.row_norms,
-        "unit-rows": model.unit_rows32,
+        "row-norms": lambda: model.row_index().norms,
+        "unit-rows": lambda: model.row_index().units,
         "ngram-query": lambda: ngram_neighbors("ab", model, vocab, k=1),
     }
     with pytest.raises(DataError, match="dimension 0"):
@@ -557,16 +564,16 @@ def test_working_vocab_keeps_float32_unit_rows_from_the_size_rule_up(monkeypatch
     rows[5, 0] = 1e160  # its norm overflows
     words = [f"w{i}" for i in range(len(rows))]
     monkeypatch.setattr(neighbors, "_SCREEN_MIN_ENTRIES", rows.size + 1)
-    assert WorkingVocab(words, rows).unit_rows32 is None
+    assert WorkingVocab(words, rows).index.units is None
     monkeypatch.setattr(neighbors, "_SCREEN_MIN_ENTRIES", rows.size)
     wv = WorkingVocab(words, rows)
-    units, outliers = wv.unit_rows32
+    units, outliers = wv.index.units, wv.index.outliers
     model = Model(weights=rows, bias=np.zeros(8), activation="tanh", vocab_fingerprint=0)
     assert units.dtype == np.float32 and units.nbytes == 4 * rows.size
     assert not units.flags.writeable
-    assert np.array_equal(units, model.unit_rows32()[0])
-    assert outliers.tolist() == model.unit_rows32()[1].tolist() == [5]
-    assert _per_row_bits(wv.norms) == _per_row_bits(_row_norms(rows))
+    assert np.array_equal(units, model.row_index().units)
+    assert outliers.tolist() == model.row_index().outliers.tolist() == [5]
+    assert _per_row_bits(wv.index.norms) == _per_row_bits(_row_norms(rows))
 
 
 @st.composite
@@ -623,7 +630,7 @@ def test_word_neighbors_equal_an_exhaustive_scan_bit_for_bit(screened, table):
         patch.setattr(neighbors, "_screen", counted)
         wv = WorkingVocab(words, rows)
         got = nearest_neighbors(query, wv, model, _ONE_GRAM, k)
-    assert (wv.unit_rows32 is not None) == screened
+    assert (wv.index.units is not None) == screened
     if screened and k + 1 < len(words) and COSINE_NORM_FLOOR <= qn < _UNIT_NORM_LIMIT:
         assert len(screens) == 1
         # the names of an exhaustive scan, and each cosine as the per-row routine gives it
