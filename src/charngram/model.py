@@ -218,6 +218,11 @@ def preactivation(cv: CountVector, model: Model) -> np.ndarray:
 def _count_csr(arrays: tuple[np.ndarray, np.ndarray, np.ndarray], model: Model) -> sparse.csr_matrix:
     indptr, indices, data = arrays
     _check_rows(indices, model)
+    # SciPy keeps int32 index arrays where the shape and nnz allow; handing
+    # them over as int32 spares its scan and copy of int64 ones
+    if max(len(indptr), len(data), model.vocab_size) <= np.iinfo(np.int32).max:
+        indptr = indptr.astype(np.int32, copy=False)
+        indices = indices.astype(np.int32, copy=False)
     return sparse.csr_matrix((data, indices, indptr), shape=(len(indptr) - 1, model.vocab_size))
 
 
@@ -252,7 +257,8 @@ def backward_layouts(
     conversion of X_b[:, touched]^T gives, so products with it are bit-identical.
     Each block's entries are put in that order by one sort of (column, entry
     position) keys packed into int64, the same order as a stable argsort of the
-    columns; blocks may be empty.
+    columns; blocks may be empty. The layout's index arrays take the dtype of
+    `counts.indices`, int32 wherever SciPy chose it.
     """
     indptr, indices = counts.indptr, counts.indices
     row_bounds = np.asarray(row_bounds, dtype=np.intp)
@@ -269,11 +275,13 @@ def backward_layouts(
         keys = np.sort((indices[e0:e1].astype(np.int64) << shift) | np.arange(e1 - e0))
         order = keys & ((1 << shift) - 1)
         columns = keys >> shift
-        new = np.ones(len(keys), dtype=bool)  # where a column's run of entries starts
-        new[1:] = columns[1:] != columns[:-1]
-        starts = np.flatnonzero(new)
+        # where a column's run of entries starts, and the end of the last run
+        new = np.ones(len(keys) + 1, dtype=bool)
+        new[1:-1] = columns[1:] != columns[:-1]
+        xt_indptr = np.flatnonzero(new).astype(indices.dtype, copy=False)
+        starts = xt_indptr[:-1]
         xt = sparse.csr_matrix(
-            (counts.data[e0:e1][order], entry_row[e0:e1][order], np.append(starts, len(keys))),
+            (counts.data[e0:e1][order], entry_row[e0:e1][order], xt_indptr),
             shape=(len(starts), block_rows[b]),
         )
         layouts.append((columns[starts], xt))
@@ -317,11 +325,16 @@ def cosine(u, v) -> float:
     return float(row_cosines(u[None, :], v[None, :])[0])
 
 
-def unit_rows(values: np.ndarray) -> np.ndarray:
-    """Rows scaled to unit norm; (near-)zero rows become zero, so cos(u, 0) = 0."""
-    norms = np.linalg.norm(values, axis=1, keepdims=True)
-    units = values / np.where(norms < COSINE_NORM_FLOOR, 1.0, norms)
-    units[norms[:, 0] < COSINE_NORM_FLOOR] = 0.0
+def unit_rows(values: np.ndarray, norms: np.ndarray | None = None) -> np.ndarray:
+    """Rows scaled to unit norm; (near-)zero rows become zero, so cos(u, 0) = 0.
+
+    `norms`, when given, must be `np.linalg.norm(values, axis=1)`.
+    """
+    if norms is None:
+        norms = np.linalg.norm(values, axis=1)
+    small = norms < COSINE_NORM_FLOOR
+    units = values / np.where(small, 1.0, norms)[:, None]
+    units[small] = 0.0
     return units
 
 

@@ -26,8 +26,9 @@ The step itself builds no SciPy matrix. Negative selection reads the masks
 of allowed candidates from a cache keyed by the batch size and the pool,
 and scores both sides in one batched product. The hinge sums each row's
 gradient terms with slice adds and one `np.add.at` over the negatives'
-terms. Adam updates the bias in place and the touched rows a cache-sized
-block at a time.
+terms. Adam updates the bias and then the touched rows a cache-sized block
+at a time. Its moments and their arithmetic are float32, while the weights,
+the bias and the gradient stay float64 (see `_adam_apply`).
 """
 
 from __future__ import annotations
@@ -65,13 +66,19 @@ _DOMAIN_SHUFFLE = 1
 _DOMAIN_SAMPLING = 2
 _DOMAIN_AUDIT = 3
 
-# Weights per block of the Adam update: a block's gathered m, v, W and
-# gradient rows (4 x 128 KiB of float64) stay in a typical per-core L2 cache.
-_ADAM_BLOCK_ENTRIES = 16384
+# Bytes per block of the Adam update: a block's gathered float32 m, v,
+# gradient and term rows and its float64 W and gradient rows, 32 bytes a
+# weight, stay in a typical per-core L2 cache.
+_ADAM_BLOCK_BYTES = 1 << 19
 
 # Count entries per window of planned batches (see `_plan_batches`): the
 # whole epoch of the paper-shape benchmark is one window.
 _PLAN_WINDOW_ENTRIES = 1 << 19
+
+
+def _adam_block_rows(dim: int) -> int:
+    """Rows per block of the Adam update at dimension `dim`."""
+    return max(1, _ADAM_BLOCK_BYTES // (32 * dim))
 
 
 def _rng(seed: int, *domain: int) -> np.random.Generator:
@@ -140,6 +147,13 @@ class TrainConfig:
             raise ValueError("Adam betas must lie in (0, 1)")
         if self.adam_epsilon <= 0:
             raise ValueError("adam_epsilon must be > 0")
+        # the Adam step divides by sqrt(v) + eps_t in float32, and eps_t is
+        # smallest at step 1; at 0 an untouched moment would divide 0 by 0
+        if not np.float32(self.adam_epsilon * math.sqrt(1.0 - self.adam_beta2)) > 0:
+            raise ValueError(
+                "adam_epsilon * sqrt(1 - adam_beta2) must stay above 0 in float32, "
+                f"got adam_epsilon {self.adam_epsilon}"
+            )
         # a curve point falls every round(batches * eval_every) batches of an
         # epoch, counted afresh each epoch, so above 1 no point ever falls
         if not 0 <= self.eval_every <= 1:
@@ -150,7 +164,16 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """Adam moments, allocated zero at the first step; rows no step touched stay zero."""
+    """Adam moments, allocated zero at the first step; rows no step touched stay zero.
+
+    The moments are float32, (d,) for the bias and (|V|, d) for the weights.
+    Every step gathers and scatters them for each touched row, and they only
+    scale the step, so float32's relative precision of about 6e-8 moves each
+    update by no more than that. The weights and bias they update stay
+    float64: the forward pass, and the float64 references that embeddings are
+    checked against, read them. `_adam_apply` raises DataError for moments of
+    another shape or dtype.
+    """
 
     step: int = 0
     m_bias: np.ndarray | None = None
@@ -186,6 +209,7 @@ def select_negatives(
     pool: str = "same-side",
     *,
     text_ids: np.ndarray | None = None,
+    norms: np.ndarray | None = None,
 ) -> np.ndarray:
     """Pick one negative example per side for every pair in the batch.
 
@@ -207,7 +231,9 @@ def select_negatives(
     When `text_ids` (the `_text_ids` of the pairs' normalized phrases) is
     given, candidates string-equal to either phrase of the current pair are
     excluded, falling back to all other-pair candidates if that empties the
-    pool; the trainer passes the ids it made once per dataset.
+    pool; the trainer passes the ids it made once per dataset. `norms`, when
+    given, must be the row norms of the stacked (2n, d) embeddings,
+    `np.linalg.norm(values, axis=1)`; the trainer shares them with `_hinge`.
     """
     n = len(side1)
     if n < 2:
@@ -219,7 +245,7 @@ def select_negatives(
         raise ValueError(f"negative_pool must be one of {NEGATIVE_POOLS}")
 
     layout = _candidate_layout(n, pool)
-    units = unit_rows(np.concatenate([side1, side2]))
+    units = unit_rows(np.concatenate([side1, side2]), norms)
     candidates = units[layout.order]
     allowed = layout.allowed
     if text_ids is not None:
@@ -271,7 +297,9 @@ def _candidate_layout(n: int, pool: str) -> _CandidateLayout:
     return _CandidateLayout(order, allowed, refs)
 
 
-def _hinge(values: np.ndarray, negatives: np.ndarray, margin: float) -> tuple[float, np.ndarray]:
+def _hinge(
+    values: np.ndarray, negatives: np.ndarray, margin: float, *, norms: np.ndarray | None = None
+) -> tuple[float, np.ndarray]:
     """Mean hinge loss of a stacked batch and its gradient with respect to `values`.
 
     `values` holds the side-1 embeddings over the side-2 embeddings, (2n, d).
@@ -286,10 +314,11 @@ def _hinge(values: np.ndarray, negatives: np.ndarray, margin: float) -> tuple[fl
     then the terms that reach it as another phrase's negative. Only those
     last 2n terms land on rows that depend on the data; one unbuffered
     `np.add.at` adds them in order, so repeated rows sum the same way every
-    time.
+    time. `norms`, when given, must be `np.linalg.norm(values, axis=1)`.
     """
     n = len(values) // 2
-    norms = np.linalg.norm(values, axis=1)
+    if norms is None:
+        norms = np.linalg.norm(values, axis=1)
     # a huge but finite embedding has an infinite norm and a zero unit vector
     if not np.all(np.isfinite(norms)):
         raise NumericalError("non-finite embedding")
@@ -348,12 +377,13 @@ def _batch_gradients(
     adds its gradient.
     """
     values = embed_matrix(batch.counts, model)
+    norms = np.linalg.norm(values, axis=1)  # one pass for the picker and the hinge
     n = len(batch.text_ids)
     negatives = select_negatives(
         values[:n], values[n:], config.sampling, rng,
-        pool=config.negative_pool, text_ids=batch.text_ids,
+        pool=config.negative_pool, text_ids=batch.text_ids, norms=norms,
     )
-    loss, d_values = _hinge(values, negatives, config.margin)
+    loss, d_values = _hinge(values, negatives, config.margin, norms=norms)
     grad_bias, touched, grad_rows = embed_matrix_grad(
         batch.counts, values, d_values, model, batch.layout
     )
@@ -370,9 +400,9 @@ def _adam_apply(
 ) -> None:
     """One bias-corrected Adam step over the bias and the touched rows only, in place.
 
-    `grad_bias` and `grad_rows` are the gradient of the batch loss; the step
-    adds the L2 term's 2*lambda*theta (unscaled) for the bias and each
-    touched row, from the rows it gathers anyway.
+    `grad_bias` and `grad_rows` are the float64 gradient of the batch loss;
+    the step adds the L2 term's 2*lambda*theta (unscaled) for the bias and
+    each touched row in float64, from the rows it gathers anyway.
 
     The step uses the efficient form of Kingma & Ba (2015, section 2): the
     bias corrections fold into a step size alpha_t = lr * sqrt(1 - b2^t) /
@@ -380,83 +410,95 @@ def _adam_apply(
     moves by alpha_t * m / (sqrt(v) + eps_t), the same update as
     lr * m_hat / (sqrt(v_hat) + eps) up to rounding.
 
-    The bias is updated first, in place on its own 1-D arrays, with the same
-    order of operations as a row. The touched rows are then updated in
-    ascending blocks of about _ADAM_BLOCK_ENTRIES weights, so each block's
-    gathered copies of m, v and W stay in cache through the whole update.
-    Finiteness is checked on the bias and on each block as it is written, so
-    the error names the bias before any row, and otherwise the lowest bad row.
+    The moments are float32, and so is their arithmetic: each block casts its
+    gradient to float32, updates m and v with b1, 1 - b1, b2, 1 - b2, alpha_t
+    and eps_t each rounded to float32 once per step, and subtracts the float32
+    step from its float64 weight rows. The parameters stay float64, and so do
+    the forward pass, the gradient and everything served from them. Moments
+    of another shape or dtype are a DataError.
+
+    One helper runs this for the bias first, in place, and then for the
+    touched rows in ascending blocks of about _ADAM_BLOCK_BYTES of gathered
+    rows, so each block's copies of m, v and W stay in cache through the
+    whole update.
+    Finiteness of the written parameters and of v is checked on the bias and
+    on each block, so a gradient past float32's range, or whose square is, is
+    a NumericalError that names the bias before any row, and otherwise the
+    lowest bad row.
     """
-    model.drop_row_norms()
-    adam.step += 1
+    shapes = {"m_bias": (model.dim,), "v_bias": (model.dim,)}
+    shapes["m_weights"] = shapes["v_weights"] = model.weights.shape
     if adam.m_weights is None:
         # np.zeros leaves untouched pages unallocated until first written
-        adam.m_bias, adam.v_bias = np.zeros(model.dim), np.zeros(model.dim)
-        shape = model.weights.shape
-        adam.m_weights, adam.v_weights = np.zeros(shape), np.zeros(shape)
+        for name, shape in shapes.items():
+            setattr(adam, name, np.zeros(shape, dtype=np.float32))
+    for name, shape in shapes.items():
+        moment = getattr(adam, name)
+        if not (isinstance(moment, np.ndarray) and moment.dtype == np.float32
+                and moment.shape == shape):
+            raise DataError(f"Adam moment {name} must be float32 of shape {shape}")
+    model.drop_row_norms()
+    adam.step += 1
+    f32 = np.float32
     b1, b2 = config.adam_beta1, config.adam_beta2
     root_corr2 = math.sqrt(1.0 - b2**adam.step)
-    alpha = config.learning_rate * root_corr2 / (1.0 - b1**adam.step)
-    eps = config.adam_epsilon * root_corr2
+    alpha = f32(config.learning_rate * root_corr2 / (1.0 - b1**adam.step))
+    eps = f32(config.adam_epsilon * root_corr2)
+    keep1, take1, keep2, take2 = f32(b1), f32(1 - b1), f32(b2), f32(1 - b2)
     two_lam = 2.0 * config.reg_lambda
-    per_block = max(1, _ADAM_BLOCK_ENTRIES // model.dim)
-    scratch = np.empty((per_block, model.dim))
+    per_block = _adam_block_rows(model.dim)
+    grad32, term = np.empty((2, per_block, model.dim), dtype=np.float32)
 
-    # the bias in place, in the order of operations of a block of rows below;
-    # its moments are kept, so the step goes through new arrays
-    m, v = adam.m_bias, adam.v_bias
-    grad = grad_bias + two_lam * model.bias if two_lam > 0 else grad_bias
-    term = scratch[0]
-    m *= b1
-    m += np.multiply(grad, 1 - b1, out=term)
-    v *= b2
-    np.multiply(grad, 1 - b2, out=term)
-    v += np.multiply(term, grad, out=term)
-    denom = np.sqrt(v)
-    denom += eps
-    step = m * alpha
-    step /= denom
-    model.bias -= step
-    if not np.isfinite(model.bias).all():
-        raise NumericalError("non-finite bias after update")
+    def update(param, m, v, idx, grad) -> np.ndarray | None:
+        """Step the rows idx of param by their gradient `grad`.
 
-    def update(param, m, v, idx, grad) -> np.ndarray:
-        # idx is an index array, so param[idx], m[idx] and v[idx] are copies
-        # the arithmetic below may overwrite
+        Returns None, or which of the rows are not finite in v or after the step.
+        """
+        # idx is a slice for the bias, whose param[idx], m[idx] and v[idx] are
+        # views updated in place, and an index array for a block of rows,
+        # whose copies are written back
         rows = None
         if two_lam > 0:  # the L2 term's gradient, from the rows the step writes back
             rows = param[idx]
             grad = grad + two_lam * rows
-        term = scratch[: len(idx)]
+        g, t = grad32[: len(grad)], term[: len(grad)]
+        np.copyto(g, grad, casting="same_kind")
         m_rows = m[idx]
-        m_rows *= b1
-        m_rows += np.multiply(grad, 1 - b1, out=term)
+        m_rows *= keep1
+        m_rows += np.multiply(g, take1, out=t)
         m[idx] = m_rows
         v_rows = v[idx]
-        v_rows *= b2
-        np.multiply(grad, 1 - b2, out=term)
-        v_rows += np.multiply(term, grad, out=term)
+        v_rows *= keep2
+        np.multiply(g, take2, out=t)
+        v_rows += np.multiply(t, g, out=t)
         v[idx] = v_rows
-        # param[idx] -= alpha * m / (sqrt(v) + eps), in the moment copies,
-        # keeping the written rows for the finiteness check
-        np.sqrt(v_rows, out=v_rows)
-        v_rows += eps
-        m_rows *= alpha
-        m_rows /= v_rows
+        # the step alpha * m / (sqrt(v) + eps), in the scratch rows
+        step = np.multiply(m_rows, alpha, out=g)
+        denom = np.sqrt(v_rows, out=t)
+        denom += eps
+        step /= denom
         if rows is None:  # gathered last: measured a little faster than first
             rows = param[idx]
-        rows -= m_rows
+        rows -= step
         param[idx] = rows
-        return rows
+        # denom is sqrt(v) + eps >= 0 or NaN, so its max is finite exactly when
+        # all of it is, and a max is cheaper than an isfinite pass
+        if np.isfinite(rows).all() and np.isfinite(denom.max()):
+            return None
+        return ~(np.isfinite(rows).all(axis=1) & np.isfinite(denom).all(axis=1))
 
-    m, v = adam.m_weights, adam.v_weights
-    for start in range(0, len(touched), per_block):
-        block = slice(start, start + per_block)
-        rows = update(model.weights, m, v, touched[block], grad_rows[block])
-        finite = np.isfinite(rows)
-        if not finite.all():
-            bad = touched[block][~finite.all(axis=1)]
-            raise NumericalError(f"non-finite weight row {bad[0]} after update")
+    # a gradient past float32's range casts to inf, and its square may
+    # overflow; both end as non-finite rows, which the checks report
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        bias = (model.bias[None], adam.m_bias[None], adam.v_bias[None], slice(None))
+        if update(*bias, grad_bias[None]) is not None:
+            raise NumericalError("non-finite bias after update")
+        for start in range(0, len(touched), per_block):
+            idx = touched[start : start + per_block]
+            bad = update(model.weights, adam.m_weights, adam.v_weights, idx,
+                         grad_rows[start : start + per_block])
+            if bad is not None:
+                raise NumericalError(f"non-finite weight row {idx[bad][0]} after update")
 
 
 def _encode_pairs(

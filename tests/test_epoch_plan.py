@@ -217,17 +217,21 @@ def test_train_is_byte_identical_to_per_batch_rebuilds(
 
 
 class _CountingSparse:
-    """scipy.sparse, counting the `csr_matrix` constructions made through it."""
+    """scipy.sparse, counting the `csr_matrix` constructions made through it
+    and recording the dtypes of the index arrays they are handed."""
 
     def __init__(self):
         self.made = 0
+        self.index_dtypes = set()
 
     def __getattr__(self, name):
         return getattr(sparse, name)
 
-    def csr_matrix(self, *args, **kwargs):
+    def csr_matrix(self, arg, *args, **kwargs):
         self.made += 1
-        return sparse.csr_matrix(*args, **kwargs)
+        if isinstance(arg, tuple) and len(arg) == 3:  # (data, indices, indptr)
+            self.index_dtypes |= {np.asarray(a).dtype for a in arg[1:]}
+        return sparse.csr_matrix(arg, *args, **kwargs)
 
 
 @pytest.mark.parametrize("window", [None, 1])
@@ -247,3 +251,6 @@ def test_scipy_constructions_per_train_call(window, monkeypatch):
     _, adam, _ = train(dataset, vocab, config)
     assert adam.step == 15
     assert counter.made == 1 + 2 * adam.step
+    # every index array reaches SciPy as int32, which it keeps without a scan
+    # and a copy
+    assert counter.index_dtypes == {np.dtype(np.int32)}

@@ -24,13 +24,19 @@ from charngram import (
     select_negatives,
     train,
 )
-from charngram.model import COSINE_NORM_FLOOR, Model, check_activation
+from charngram.model import (
+    COSINE_NORM_FLOOR,
+    Model,
+    check_activation,
+    embed_matrix,
+    embed_matrix_grad,
+)
 from charngram.train import (
-    _ADAM_BLOCK_ENTRIES,
     NEGATIVE_POOLS,
     SAMPLING_MODES,
     _Batch,
     _adam_apply,
+    _adam_block_rows,
     _batch_gradients,
     _candidate_layout,
     _encode_pairs,
@@ -397,23 +403,28 @@ def test_untouched_rows_bit_unchanged(small_vocab):
 def _adam_reference(model, adam, config, grad_bias, touched, grad_rows):
     """The unblocked Adam step in Kingma & Ba's step-size form: the bias, then all touched rows.
 
-    The L2 term's gradient is added to the loss gradient first, for the bias
-    and every touched row.
+    The L2 term's gradient is added to the loss gradient first, in float64,
+    for the bias and every touched row. The gradient is then rounded to
+    float32, and the moments and the step are float32 arithmetic with each
+    constant rounded to float32; the float32 step is subtracted from the
+    float64 parameters.
     """
     lam = config.reg_lambda
     grad_bias = grad_bias + 2.0 * lam * model.bias
     grad_rows = grad_rows + 2.0 * lam * model.weights[touched]
     adam.step += 1
+    f32 = np.float32
     b1, b2 = config.adam_beta1, config.adam_beta2
     root_corr2 = math.sqrt(1.0 - b2**adam.step)
-    alpha = config.learning_rate * root_corr2 / (1.0 - b1**adam.step)
-    eps = config.adam_epsilon * root_corr2
+    alpha = f32(config.learning_rate * root_corr2 / (1.0 - b1**adam.step))
+    eps = f32(config.adam_epsilon * root_corr2)
     for param, m, v, idx, grad in (
         (model.bias, adam.m_bias, adam.v_bias, slice(None), grad_bias),
         (model.weights, adam.m_weights, adam.v_weights, touched, grad_rows),
     ):
-        m[idx] = b1 * m[idx] + (1 - b1) * grad
-        v[idx] = b2 * v[idx] + (1 - b2) * grad * grad
+        g = grad.astype(np.float32)
+        m[idx] = f32(b1) * m[idx] + f32(1 - b1) * g
+        v[idx] = f32(b2) * v[idx] + f32(1 - b2) * g * g
         param[idx] -= alpha * m[idx] / (np.sqrt(v[idx]) + eps)
 
 
@@ -431,10 +442,11 @@ def test_blocked_adam_is_bit_equal_to_unblocked_reference():
     reference = init_model(vocab, config)
     adam_blocked = AdamState()
     adam_reference = AdamState(
-        m_bias=np.zeros(config.dim), v_bias=np.zeros(config.dim),
-        m_weights=np.zeros(reference.weights.shape), v_weights=np.zeros(reference.weights.shape),
+        m_bias=np.zeros(config.dim, np.float32), v_bias=np.zeros(config.dim, np.float32),
+        m_weights=np.zeros(reference.weights.shape, np.float32),
+        v_weights=np.zeros(reference.weights.shape, np.float32),
     )
-    per_block = _ADAM_BLOCK_ENTRIES // config.dim
+    per_block = _adam_block_rows(config.dim)
     batches = [list(zip(PHRASES[i::3], PHRASES[i + 1 :: 3])) for i in range(3)] * 2
     for step, batch in enumerate(batches):
         texts, counts = _encode_pairs(batch, vocab, blocked)
@@ -485,7 +497,7 @@ def test_l2_term_in_the_adam_step_is_byte_equal_to_a_separate_gradient_term():
 
 def test_blocked_adam_names_lowest_bad_row_and_bias_first():
     dim = 300
-    per_block = _ADAM_BLOCK_ENTRIES // dim
+    per_block = _adam_block_rows(dim)
     rng = np.random.default_rng(6)
     touched = 2 * np.arange(4 * per_block)  # four blocks of rows 0, 2, 4, ...
     config = TrainConfig(dim=dim)
@@ -537,11 +549,19 @@ def test_adam_steps_match_textbook_bias_correction():
             m_hat, v_hat = m[idx] / (1 - b1**t), v[idx] / (1 - b2**t)
             param[idx] -= lr * m_hat / (np.sqrt(v_hat) + eps)
     assert adam.step == 6
-    np.testing.assert_allclose(model.weights - start, weights - start, rtol=1e-12, atol=0)
-    np.testing.assert_allclose(model.bias, bias, rtol=1e-12, atol=0)
+    # The moments and the step are float32 arithmetic. Each step rounds the
+    # gradient, the four moment constants, alpha_t and eps_t once, and each of
+    # its eleven operations rounds once, every rounding within float32's unit
+    # roundoff u (relative). No term cancels another (one sign per weight), so
+    # over six steps the relative error of any moment, step or displacement
+    # is at most 6 * 18 = 108 u to first order; 128 u leaves room for the
+    # float64 roundings. A wrong bias correction is off by at least 1e-3.
+    rtol = 128 * np.finfo(np.float32).eps / 2
+    np.testing.assert_allclose(model.weights - start, weights - start, rtol=rtol, atol=0)
+    np.testing.assert_allclose(model.bias, bias, rtol=rtol, atol=0)
     for actual, expected in ((adam.m_weights, m_w), (adam.v_weights, v_w),
                              (adam.m_bias, m_b), (adam.v_bias, v_b)):
-        np.testing.assert_allclose(actual, expected, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(actual, expected, rtol=rtol, atol=0)
 
 
 def test_first_adam_step_leaves_exact_moments():
@@ -556,10 +576,75 @@ def test_first_adam_step_leaves_exact_moments():
     grad_rows, grad_bias = rng.normal(size=(len(touched), dim)), rng.normal(size=dim)
     adam = AdamState()
     _adam_apply(model, adam, config, grad_bias, touched, grad_rows)
-    assert np.array_equal(adam.m_bias, (1 - b1) * grad_bias)
-    assert np.array_equal(adam.v_bias, (1 - b2) * grad_bias * grad_bias)
-    assert np.array_equal(adam.m_weights[touched], (1 - b1) * grad_rows)
-    assert np.array_equal(adam.v_weights[touched], (1 - b2) * grad_rows * grad_rows)
+    # float32 moments: the gradient and each constant are rounded to float32
+    g_bias, g_rows = grad_bias.astype(np.float32), grad_rows.astype(np.float32)
+    take1, take2 = np.float32(1 - b1), np.float32(1 - b2)
+    assert np.array_equal(adam.m_bias, take1 * g_bias)
+    assert np.array_equal(adam.v_bias, take2 * g_bias * g_bias)
+    assert np.array_equal(adam.m_weights[touched], take1 * g_rows)
+    assert np.array_equal(adam.v_weights[touched], take2 * g_rows * g_rows)
+
+
+def test_adam_moments_are_float32_at_four_bytes_a_weight(small_vocab):
+    config = TrainConfig(dim=5, batch_size=2, seed=4)
+    model, adam = init_model(small_vocab, config), AdamState()
+    texts, counts = _encode_pairs([("the cat", "black cat"), ("dogs bark", "bark loud")],
+                                  small_vocab, model)
+    _step(_batch(texts, counts), model, config, adam, _rng(4, 15))
+    for name in ("m_bias", "v_bias", "m_weights", "v_weights"):
+        assert getattr(adam, name).dtype == np.float32, name
+    assert adam.m_weights.nbytes == adam.v_weights.nbytes == 4 * len(small_vocab) * config.dim
+    assert adam.m_bias.nbytes == 4 * config.dim
+    assert model.weights.dtype == model.bias.dtype == np.float64
+
+
+def test_adam_errors_are_typed_at_the_float32_boundary():
+    dim = 300
+    per_block = _adam_block_rows(dim)
+    rng = np.random.default_rng(8)
+    touched = 2 * np.arange(3 * per_block)
+    config = TrainConfig(dim=dim)
+
+    def model():
+        return Model(weights=rng.normal(size=(2 * len(touched), dim)), bias=np.zeros(dim),
+                     activation="tanh", vocab_fingerprint=0)
+
+    def apply(value, positions, bad_bias=False):
+        grad_rows = rng.normal(size=(len(touched), dim))
+        grad_rows[positions, 7] = value
+        grad_bias = rng.normal(size=dim)
+        if bad_bias:
+            grad_bias[3] = value
+        _adam_apply(model(), AdamState(), config, grad_bias, touched, grad_rows)
+
+    # finite float64 gradients: 1e39 is past float32's range, and 1e30 is not,
+    # but its square is; neither warns, and both name the lowest bad row
+    late, later = per_block + 3, 2 * per_block + 1
+    for value in (1e39, -1e39, 1e30):
+        with pytest.raises(NumericalError, match=rf"non-finite weight row {touched[late]} "):
+            apply(value, [later, late])
+        with pytest.raises(NumericalError, match="non-finite bias"):
+            apply(value, [later, late], bad_bias=True)
+
+    # moments of another shape or dtype than the model's
+    target = model()
+    shape = target.weights.shape
+    grads = (rng.normal(size=dim), touched, rng.normal(size=(len(touched), dim)))
+    for name, moment in (
+        ("m_weights", np.zeros((3, dim), np.float32)),
+        ("v_weights", np.zeros((shape[0], dim + 1), np.float32)),
+        ("m_bias", np.zeros(dim + 1, np.float32)),
+        ("v_weights", np.zeros(shape)),
+        ("v_bias", None),
+    ):
+        adam = AdamState()
+        _adam_apply(target, adam, config, *grads)
+        setattr(adam, name, moment)
+        before = target.weights.copy()
+        with pytest.raises(DataError, match=f"Adam moment {name} must be float32 of shape"):
+            _adam_apply(target, adam, config, *grads)
+        assert adam.step == 1
+        assert target.weights.tobytes() == before.tobytes()
 
 
 def _hinge_grad_reference(values, negatives, margin):
@@ -607,6 +692,49 @@ def test_hinge_gradient_bit_equal_to_scatter_reference(n):
         assert np.array_equal(grad, _hinge_grad_reference(values, picked.tolist(), 1.5))
 
 
+@pytest.mark.parametrize("n", [2, 5, 25])
+def test_shared_norms_leave_picks_loss_and_gradient_byte_equal(n):
+    # the trainer computes the (2n,) norms once and hands them to both
+    rng = np.random.default_rng(41 + n)
+    for trial in range(12):
+        values = np.tanh(rng.normal(size=(2 * n, 7)))
+        if trial % 3 == 0:
+            values[rng.integers(2 * n)] = 0.0  # a zero-norm embedding
+        if trial % 4 == 1:
+            values[n:] = values[:n]  # every cosine tied with its pair's
+        norms = np.linalg.norm(values, axis=1)
+        for mode, pool in (("max", "same-side"), ("mix", "both-sides")):
+            ids = _text_ids([(str(i % 3), str(i % 4)) for i in range(n)])
+            picks = [
+                select_negatives(values[:n], values[n:], mode, _rng(n, trial), pool,
+                                 text_ids=ids, **kwargs)
+                for kwargs in ({}, {"norms": norms})
+            ]
+            assert picks[0].tobytes() == picks[1].tobytes()
+            (loss, grad), (shared_loss, shared_grad) = (
+                _hinge(values, picks[0], 0.4, **kwargs) for kwargs in ({}, {"norms": norms})
+            )
+            assert loss == shared_loss
+            assert grad.tobytes() == shared_grad.tobytes()
+
+
+@pytest.mark.parametrize("sampling", SAMPLING_MODES)
+def test_batch_gradients_equal_the_route_without_shared_norms(small_vocab, sampling):
+    model = random_model(np.random.default_rng(17), small_vocab, dim=4)
+    config = TrainConfig(dim=4, batch_size=4, sampling=sampling)
+    batch = _batch(*_encode_pairs(
+        [("the cat", "black cat"), ("dogs bark", "bark loud"), ("fish swim", "deep fish"),
+         ("a cat sat", "the cat")], small_vocab, model))
+    got = _batch_gradients(batch, model, config, _rng(2, 17))
+    values = embed_matrix(batch.counts, model)
+    negatives = select_negatives(values[:4], values[4:], sampling, _rng(2, 17),
+                                 text_ids=batch.text_ids)
+    loss, d_values = _hinge(values, negatives, config.margin)
+    want = (loss, *embed_matrix_grad(batch.counts, values, d_values, model), negatives)
+    assert got[0] == want[0]
+    assert [a.tobytes() for a in got[1:]] == [a.tobytes() for a in want[1:]]
+
+
 # --- config and curve --------------------------------------------------------
 
 
@@ -638,6 +766,7 @@ def test_config_rejects_relu():
         {"learning_rate": math.inf},
         {"adam_epsilon": math.nan},
         {"adam_epsilon": math.inf},
+        {"adam_epsilon": 1e-50},  # rounds to 0 in the float32 step
         {"eval_every": math.nan},
         {"eval_every": math.inf},
     ],
