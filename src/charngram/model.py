@@ -246,7 +246,9 @@ def embed_matrix(counts: sparse.csr_matrix, model: Model) -> np.ndarray:
 
 
 def backward_layouts(
-    counts: sparse.csr_matrix, row_bounds: Sequence[int] | np.ndarray
+    counts: sparse.csr_matrix,
+    row_bounds: Sequence[int] | np.ndarray,
+    dtype: np.dtype | type | None = None,
 ) -> list[tuple[np.ndarray, sparse.csr_matrix]]:
     """The backward layout of each row block [row_bounds[b], row_bounds[b + 1]) of `counts`.
 
@@ -258,9 +260,11 @@ def backward_layouts(
     Each block's entries are put in that order by one sort of (column, entry
     position) keys packed into int64, the same order as a stable argsort of the
     columns; blocks may be empty. The layout's index arrays take the dtype of
-    `counts.indices`, int32 wherever SciPy chose it.
+    `counts.indices`, int32 wherever SciPy chose it, and its counts `dtype`,
+    the dtype of `counts` when None.
     """
     indptr, indices = counts.indptr, counts.indices
+    data = counts.data.astype(counts.dtype if dtype is None else dtype, copy=False)
     row_bounds = np.asarray(row_bounds, dtype=np.intp)
     entry_bounds = indptr[row_bounds]
     block_rows = np.diff(row_bounds)
@@ -281,7 +285,7 @@ def backward_layouts(
         xt_indptr = np.flatnonzero(new).astype(indices.dtype, copy=False)
         starts = xt_indptr[:-1]
         xt = sparse.csr_matrix(
-            (counts.data[e0:e1][order], entry_row[e0:e1][order], xt_indptr),
+            (data[e0:e1][order], entry_row[e0:e1][order], xt_indptr),
             shape=(len(starts), block_rows[b]),
         )
         layouts.append((columns[starts], xt))
@@ -300,13 +304,19 @@ def embed_matrix_grad(
     Returns (d loss / d bias, touched rows, d loss / d weights[touched rows]),
     where the touched rows are the sorted columns present in `counts`.
     `layout` is the one block of `backward_layouts` covering all of `counts`;
-    it is computed when not given.
+    it is computed, in the dtype of `counts`, when not given. The bias
+    gradient is float64; the rows' gradient is the product X_touched^T @ d_pre
+    in the layout's dtype, so a float32 layout gives float32 rows and a
+    float64 layout the float64 formula.
     """
     if layout is None:
         (layout,) = backward_layouts(counts, (0, counts.shape[0]))
     touched, xt = layout
     d_pre = upstream * activation_grad(model.activation, values)
-    return d_pre.sum(axis=0), touched, xt @ d_pre
+    # past float32's range a value casts to inf, which the Adam step reports
+    with np.errstate(over="ignore"):
+        d_pre_xt = d_pre.astype(xt.dtype, copy=False)
+    return d_pre.sum(axis=0), touched, xt @ d_pre_xt
 
 
 def embed(cv: CountVector, model: Model) -> Embedding:

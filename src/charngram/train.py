@@ -26,9 +26,12 @@ The step itself builds no SciPy matrix. Negative selection reads the masks
 of allowed candidates from a cache keyed by the batch size and the pool,
 and scores both sides in one batched product. The hinge sums each row's
 gradient terms with slice adds and one `np.add.at` over the negatives'
-terms. Adam updates the bias and then the touched rows a cache-sized block
-at a time. Its moments and their arithmetic are float32, while the weights,
-the bias and the gradient stay float64 (see `_adam_apply`).
+terms. The backward multiplies in float32, as each planned layout holds its
+counts as float32, so the gradient rows come out in the precision Adam reads
+them in (see `_Batch`). Adam updates the bias and then the touched rows a
+cache-sized block at a time. Its moments and their arithmetic are float32,
+while the weights, the bias and its gradient, and everything the forward
+pass reads, stay float64 (see `_adam_apply`).
 """
 
 from __future__ import annotations
@@ -169,10 +172,11 @@ class AdamState:
     The moments are float32, (d,) for the bias and (|V|, d) for the weights.
     Every step gathers and scatters them for each touched row, and they only
     scale the step, so float32's relative precision of about 6e-8 moves each
-    update by no more than that. The weights and bias they update stay
-    float64: the forward pass, and the float64 references that embeddings are
-    checked against, read them. `_adam_apply` raises DataError for moments of
-    another shape or dtype.
+    update by no more than that. The gradient rows of a planned batch that
+    feed them are float32 as well (see `_Batch`). The weights and bias they
+    update stay float64: the forward pass, and the float64 references that
+    embeddings are checked against, read them. `_adam_apply` raises DataError
+    for moments of another shape or dtype.
     """
 
     step: int = 0
@@ -360,11 +364,27 @@ def _hinge(
 
 @dataclass(frozen=True)
 class _Batch:
-    """What one training step needs that does not depend on the weights."""
+    """What one training step needs that does not depend on the weights.
+
+    The backward layout holds its counts as float32, which is exact for
+    counts below 2^24, so the step's backward builds the gradient rows in the
+    float32 that `_adam_apply` reads them in; a layout given in another dtype
+    is cast. Without a layout, `embed_matrix_grad` lays the counts out in
+    their own float64, and the gradient is the float64 formula that
+    `finite_diff_audit` checks.
+    """
 
     counts: sparse.csr_matrix  # the side-1 rows over the side-2 rows
     text_ids: np.ndarray  # (n, 2) `_text_ids` of the pairs, for excluding negatives
     layout: tuple[np.ndarray, sparse.csr_matrix] | None = None  # `backward_layouts` of counts
+
+    def __post_init__(self):
+        if self.layout is not None and self.layout[1].dtype != np.float32:
+            touched, xt = self.layout
+            xt = sparse.csr_matrix(
+                (xt.data.astype(np.float32), xt.indices, xt.indptr), shape=xt.shape
+            )
+            object.__setattr__(self, "layout", (touched, xt))
 
 
 def _batch_gradients(
@@ -373,8 +393,10 @@ def _batch_gradients(
     """One forward pass, negative selection, and the analytic gradient of the batch loss.
 
     Returns (loss, d bias, touched rows, d weights[touched rows], negatives).
-    Neither the loss nor the gradient includes the L2 term; `_adam_apply`
-    adds its gradient.
+    The bias gradient is float64, and the rows' gradient float32 when the
+    batch has a layout and float64 when it has none (see `_Batch`). Neither
+    the loss nor the gradient includes the L2 term; `_adam_apply` adds its
+    gradient.
     """
     values = embed_matrix(batch.counts, model)
     norms = np.linalg.norm(values, axis=1)  # one pass for the picker and the hinge
@@ -400,9 +422,11 @@ def _adam_apply(
 ) -> None:
     """One bias-corrected Adam step over the bias and the touched rows only, in place.
 
-    `grad_bias` and `grad_rows` are the float64 gradient of the batch loss;
-    the step adds the L2 term's 2*lambda*theta (unscaled) for the bias and
-    each touched row in float64, from the rows it gathers anyway.
+    `grad_bias` and `grad_rows` are the gradient of the batch loss, float32
+    or float64; the step adds the L2 term's 2*lambda*theta (unscaled) for the
+    bias and each touched row in float64, from the rows it gathers anyway. It
+    reads float32 gradient rows as they are when lambda is 0, and writes
+    nothing into either argument.
 
     The step uses the efficient form of Kingma & Ba (2015, section 2): the
     bias corrections fold into a step size alpha_t = lr * sqrt(1 - b2^t) /
@@ -410,12 +434,12 @@ def _adam_apply(
     moves by alpha_t * m / (sqrt(v) + eps_t), the same update as
     lr * m_hat / (sqrt(v_hat) + eps) up to rounding.
 
-    The moments are float32, and so is their arithmetic: each block casts its
-    gradient to float32, updates m and v with b1, 1 - b1, b2, 1 - b2, alpha_t
-    and eps_t each rounded to float32 once per step, and subtracts the float32
-    step from its float64 weight rows. The parameters stay float64, and so do
-    the forward pass, the gradient and everything served from them. Moments
-    of another shape or dtype are a DataError.
+    The moments are float32, and so is their arithmetic: each block casts a
+    float64 gradient (L2 term included) to float32 once, updates m and v with
+    b1, 1 - b1, b2, 1 - b2, alpha_t and eps_t each rounded to float32 once per
+    step, and subtracts the float32 step from its float64 weight rows. The
+    parameters stay float64, and so do the forward pass and everything served
+    from them. Moments of another shape or dtype are a DataError.
 
     One helper runs this for the bias first, in place, and then for the
     touched rows in ascending blocks of about _ADAM_BLOCK_BYTES of gathered
@@ -447,7 +471,7 @@ def _adam_apply(
     keep1, take1, keep2, take2 = f32(b1), f32(1 - b1), f32(b2), f32(1 - b2)
     two_lam = 2.0 * config.reg_lambda
     per_block = _adam_block_rows(model.dim)
-    grad32, term = np.empty((2, per_block, model.dim), dtype=np.float32)
+    scratch, term = np.empty((2, per_block, model.dim), dtype=np.float32)
 
     def update(param, m, v, idx, grad) -> np.ndarray | None:
         """Step the rows idx of param by their gradient `grad`.
@@ -461,8 +485,12 @@ def _adam_apply(
         if two_lam > 0:  # the L2 term's gradient, from the rows the step writes back
             rows = param[idx]
             grad = grad + two_lam * rows
-        g, t = grad32[: len(grad)], term[: len(grad)]
-        np.copyto(g, grad, casting="same_kind")
+        # float32 rows are read as they are, others cast once into the scratch
+        s, t = scratch[: len(grad)], term[: len(grad)]
+        g = grad
+        if g.dtype != np.float32:
+            g = s
+            np.copyto(g, grad, casting="same_kind")
         m_rows = m[idx]
         m_rows *= keep1
         m_rows += np.multiply(g, take1, out=t)
@@ -472,8 +500,9 @@ def _adam_apply(
         np.multiply(g, take2, out=t)
         v_rows += np.multiply(t, g, out=t)
         v[idx] = v_rows
-        # the step alpha * m / (sqrt(v) + eps), in the scratch rows
-        step = np.multiply(m_rows, alpha, out=g)
+        # the step alpha * m / (sqrt(v) + eps), in the scratch rows, so that a
+        # float32 gradient read as it is stays unwritten
+        step = np.multiply(m_rows, alpha, out=s)
         denom = np.sqrt(v_rows, out=t)
         denom += eps
         step /= denom
@@ -527,7 +556,8 @@ def _plan_batches(
     `counts` holds the side-1 rows of all n pairs over their side-2 rows, and
     `text_ids` their `_text_ids`. A window takes its rows (each batch's side-1
     rows, then its side-2 rows) with one fancy index of `counts` and lays out
-    every batch's backward pass with one `backward_layouts` call; each batch's
+    every batch's backward pass with one `backward_layouts` call, its counts
+    cast to float32 once for the window (see `_Batch`); each batch's
     count matrix is then a contiguous row range of the window's arrays. A
     window ends once its batches hold _PLAN_WINDOW_ENTRIES count entries, so
     the plan keeps about that many entries twice (the rows and their layout)
@@ -543,7 +573,8 @@ def _plan_batches(
         rows = counts[np.concatenate([np.concatenate([idxs, idxs + n]) for idxs in window])]
         bounds = np.cumsum([0, *(2 * len(idxs) for idxs in window)])
         indptr = rows.indptr
-        for idxs, r0, r1, layout in zip(window, bounds, bounds[1:], backward_layouts(rows, bounds)):
+        layouts = backward_layouts(rows, bounds, np.float32)
+        for idxs, r0, r1, layout in zip(window, bounds, bounds[1:], layouts):
             e0, e1 = indptr[r0], indptr[r1]
             batch_counts = sparse.csr_matrix(
                 (rows.data[e0:e1], rows.indices[e0:e1], indptr[r0 : r1 + 1] - e0),

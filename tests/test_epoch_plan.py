@@ -33,7 +33,15 @@ from charngram.model import (
     embed_matrix,
     embed_matrix_grad,
 )
-from charngram.train import _DOMAIN_SAMPLING, _Batch, _encode_pairs, _rng, _step, _text_ids
+from charngram.train import (
+    _DOMAIN_SAMPLING,
+    _Batch,
+    _encode_pairs,
+    _plan_batches,
+    _rng,
+    _step,
+    _text_ids,
+)
 
 
 def _tocsr_layout(counts):
@@ -127,6 +135,38 @@ def test_embed_matrix_grad_is_byte_equal_to_the_tocsr_backward(case, activation,
                     embed_matrix_grad(block, values, upstream, model, layout)):
             assert [a.dtype for a in got] == [a.dtype for a in want]
             assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+@pytest.mark.parametrize("window", [None, 1])
+def test_planned_layouts_hold_float32_counts_equal_to_the_float64_ones(window, monkeypatch):
+    # the backward runs in float32 on planned batches; counts below 2^24 are
+    # exact in float32, so the layout holds the same numbers
+    if window is not None:
+        monkeypatch.setattr(sys.modules["charngram.train"], "_PLAN_WINDOW_ENTRIES", window)
+    dataset, vocab = _pairs()
+    config = TrainConfig(dim=6, batch_size=5, seed=11)
+    texts, counts = _encode_pairs(dataset.pairs, vocab, init_model(vocab, config))
+    text_ids = _text_ids(texts)
+    order = epoch_permutation(config.seed, 0, len(dataset), False)
+    slices = [order[s : s + 5] for s in range(0, len(dataset), 5)]
+    planned = list(_plan_batches(counts, text_ids, slices))
+    assert len(planned) == len(slices) == 5
+    for batch in planned:
+        touched, xt = batch.layout
+        ref_touched, ref_xt = _tocsr_layout(batch.counts)
+        assert batch.counts.dtype == ref_xt.dtype == np.float64
+        assert xt.dtype == np.float32
+        assert np.array_equal(touched, ref_touched)
+        assert xt.shape == ref_xt.shape
+        assert np.array_equal(xt.indptr, ref_xt.indptr)
+        assert np.array_equal(xt.indices, ref_xt.indices)
+        assert np.array_equal(xt.data.astype(np.float64), ref_xt.data)
+        # a layout handed to a batch in another dtype is cast the same way
+        given = _Batch(batch.counts, batch.text_ids, (ref_touched, ref_xt)).layout[1]
+        assert given.dtype == np.float32
+        for name in ("indptr", "indices", "data"):
+            assert getattr(given, name).tobytes() == getattr(xt, name).tobytes(), name
+        assert _Batch(batch.counts, batch.text_ids).layout is None
 
 
 def test_text_ids_are_equal_exactly_where_the_phrases_are():

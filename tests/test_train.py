@@ -27,6 +27,7 @@ from charngram import (
 from charngram.model import (
     COSINE_NORM_FLOOR,
     Model,
+    activation_grad,
     check_activation,
     embed_matrix,
     embed_matrix_grad,
@@ -41,6 +42,7 @@ from charngram.train import (
     _candidate_layout,
     _encode_pairs,
     _hinge,
+    _plan_batches,
     _rng,
     _step,
     _text_ids,
@@ -733,6 +735,94 @@ def test_batch_gradients_equal_the_route_without_shared_norms(small_vocab, sampl
     want = (loss, *embed_matrix_grad(batch.counts, values, d_values, model), negatives)
     assert got[0] == want[0]
     assert [a.tobytes() for a in got[1:]] == [a.tobytes() for a in want[1:]]
+
+
+@pytest.mark.parametrize("activation", ["linear", "tanh"])
+def test_planned_gradient_rows_are_the_float32_product(small_vocab, activation):
+    model = random_model(np.random.default_rng(31), small_vocab, dim=6, activation=activation)
+    config = TrainConfig(dim=6, batch_size=4, activation=activation)
+    texts, counts = _encode_pairs(
+        [("the cat", "black cat"), ("dogs bark", "bark loud"), ("fish swim", "deep fish"),
+         ("a cat sat", "the cat")], small_vocab, model)
+    (planned,) = _plan_batches(counts, _text_ids(texts), [np.arange(4)])
+    loss, grad_bias, touched, grad_rows, negatives = _batch_gradients(
+        planned, model, config, _rng(3, 1))
+    want = _batch_gradients(_Batch(planned.counts, planned.text_ids), model, config, _rng(3, 1))
+    # the forward, the picks, the loss and the bias gradient are the float64 route's
+    assert loss == want[0]
+    assert grad_bias.dtype == np.float64
+    assert [a.tobytes() for a in (grad_bias, touched, negatives)] == [
+        a.tobytes() for a in (want[1], want[2], want[4])]
+    assert grad_rows.dtype == np.float32 and want[3].dtype == np.float64
+    # the rows are the float32 product of the layout and d_pre rounded to
+    # float32, bit for bit
+    values = embed_matrix(planned.counts, model)
+    _, upstream = _hinge(values, negatives, config.margin)
+    d_pre = upstream * activation_grad(activation, values)
+    xt32 = planned.layout[1]
+    assert grad_rows.tobytes() == (xt32 @ d_pre.astype(np.float32)).tobytes()
+    # and within float32's error bound of the float64 route: an entry of row t
+    # sums the m_t products c * d of exact counts c, so rounding each d, each
+    # product and each partial sum errs by at most gamma(m_t + 1) * sum |c * d|
+    # with gamma(k) = k * u / (1 - k * u), u = 2^-24; the float64 route errs by
+    # at most gamma(m_t) at u = 2^-53
+    def gamma(k, u):
+        return k * u / (1 - k * u)
+    m_t = np.diff(xt32.indptr)[:, None]
+    scale = abs(xt32).astype(np.float64) @ np.abs(d_pre)
+    bound = (gamma(m_t + 1, 2.0**-24) + gamma(m_t, 2.0**-53)) * scale
+    assert np.all(np.abs(grad_rows - want[3]) <= bound)
+
+
+def test_the_audit_and_a_layout_less_backward_stay_float64(pair_vocab, monkeypatch):
+    # the audit checks the float64 formula; float32 rows would read about 1.5e-6
+    # in test_audit_linear_no_reg, past its 1e-6 bound
+    config = TrainConfig(dim=4, activation="tanh", batch_size=5, seed=3)
+    model = init_model(pair_vocab, config)
+    dtypes = []
+
+    def recording(*args):
+        grads = embed_matrix_grad(*args)
+        dtypes.append((grads[0].dtype, grads[2].dtype))
+        return grads
+
+    monkeypatch.setattr(sys.modules["charngram.train"], "embed_matrix_grad", recording)
+    finite_diff_audit(model, pair_vocab, PAIRS.pairs[:5], config)
+    assert dtypes == [(np.float64, np.float64)]
+    _, counts = _encode_pairs(PAIRS.pairs[:5], pair_vocab, model)
+    values = embed_matrix(counts, model)
+    grad_bias, _, grad_rows = embed_matrix_grad(counts, values, np.ones_like(values), model)
+    assert grad_bias.dtype == grad_rows.dtype == np.float64
+
+
+@pytest.mark.parametrize("reg_lambda", [0.0, 1e-3])
+def test_adam_reads_float32_gradient_rows_as_they_are_and_leaves_them_unwritten(reg_lambda):
+    # float32 rows step the model exactly as float64 rows holding the same
+    # numbers do, and neither argument is written
+    dim = 300
+    per_block = _adam_block_rows(dim)
+    rng = np.random.default_rng(29)
+    touched = 3 * np.arange(2 * per_block + 5)  # three blocks, the last one short
+    config = TrainConfig(dim=dim, reg_lambda=reg_lambda)
+    rows32 = rng.normal(size=(len(touched), dim)).astype(np.float32)
+    rows64 = rows32.astype(np.float64)
+    grad_bias = rng.normal(size=dim)
+    kept = [a.copy() for a in (rows32, rows64, grad_bias)]
+    stepped = []
+    for grad_rows in (rows32, rows64):
+        init = np.random.default_rng(30)
+        model = Model(weights=init.normal(size=(3 * len(touched), dim)),
+                      bias=init.normal(size=dim), activation="tanh", vocab_fingerprint=0)
+        adam = AdamState()
+        for _ in range(2):
+            _adam_apply(model, adam, config, grad_bias, touched, grad_rows)
+        stepped.append((model, adam))
+    assert [a.tobytes() for a in (rows32, rows64, grad_bias)] == [a.tobytes() for a in kept]
+    (model32, adam32), (model64, adam64) = stepped
+    assert model32.weights.tobytes() == model64.weights.tobytes()
+    assert model32.bias.tobytes() == model64.bias.tobytes()
+    for name in ("m_bias", "v_bias", "m_weights", "v_weights"):
+        assert getattr(adam32, name).tobytes() == getattr(adam64, name).tobytes()
 
 
 # --- config and curve --------------------------------------------------------
