@@ -1,14 +1,18 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 usage error (a bad flag or setting, or running out
-of memory), 2 data error (bad files or datasets), 3 numerical failure during
-training. Results go to stdout; progress, timing, and the effective
-configuration go to stderr, so stdout is reproducible for a fixed seed.
+of memory), 2 data error (bad files or datasets, or an output path that is
+not a regular file), 3 numerical failure during training, 130 after SIGINT
+and 143 after SIGTERM. A closed stdout pipe ends a command silently, by
+SIGPIPE, as it ends Unix tools. Results go to stdout; progress, timing, and
+the effective configuration go to stderr, so stdout is reproducible for a
+fixed seed.
 """
 
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
 import time
 from dataclasses import fields
@@ -403,8 +407,34 @@ def main(argv=None) -> int:
         return 1
 
 
+class _Terminated(BaseException):
+    """Raised by the SIGTERM handler, so that cleanup runs as for Ctrl-C."""
+
+
+def _terminate(signum, frame):
+    raise _Terminated
+
+
 def entry() -> None:
-    raise SystemExit(main(sys.argv[1:]))
+    """The `charngram` script: `main` with the process's signals handled.
+
+    A closed stdout pipe ends the command silently, by the default SIGPIPE
+    action, as it ends Unix tools (the shell reports 141). SIGINT and SIGTERM
+    end it with one line, exit 130 and 143; both arrive as exceptions, so a
+    half-written output file is removed first.
+    """
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
+    signal.signal(signal.SIGTERM, _terminate)
+    try:
+        code = main(sys.argv[1:])
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        code = 130
+    except _Terminated:
+        print("error: terminated", file=sys.stderr)
+        code = 143
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -13,9 +13,9 @@ bytes and row) still load: `load_model` is the one reader, and it rebuilds
 the version-2 n-gram table from the records, so both versions check the
 table's digest and build the vocabulary the same way. Parameters are stored
 at float32 and must be finite there; a file holding an inf or NaN is
-rejected, and so is saving one. In-memory training uses float64. Writes go
-through a temp file plus atomic rename so readers never observe a partial
-file.
+rejected, and so is saving one. In-memory training uses float64. Every write
+goes through `_atomic_write`, a temp file plus atomic rename, so readers never
+observe a partial file.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 import contextlib
 import os
 import re
+import stat
 import struct
 import tempfile
 from dataclasses import Field, dataclass, field, fields
@@ -87,15 +88,45 @@ def _read_text(path) -> str:
         raise DataError(f"{path}: not valid UTF-8 ({err})") from err
 
 
+def _output_mode(path) -> int:
+    """The permission bits a file written at `path` gets; DataError if a non-regular file is there.
+
+    A symlink counts as its final target. An existing regular file gives its
+    own bits, and no file gives 0o666 less the umask, as `open` would. A
+    target that is not a regular file (a directory, FIFO, socket or device)
+    is a DataError; it is looked at with `os.stat`, never opened.
+    """
+    try:
+        existing = os.stat(path).st_mode
+    except FileNotFoundError:
+        umask = os.umask(0)  # the only way to read it is to set it
+        os.umask(umask)
+        return 0o666 & ~umask
+    except OSError as err:
+        raise DataError(f"{path}: {err.strerror or err}") from err
+    if not stat.S_ISREG(existing):
+        raise DataError(f"{path}: not a regular file")
+    return stat.S_IMODE(existing)
+
+
 def _atomic_write(path, write: Callable[[BinaryIO], object]) -> None:
-    """Call `write` on a temp file beside `path`, sync it, then rename it over `path`."""
-    target = Path(path)
+    """Call `write` on a temp file beside `path`, sync it, then rename it over `path`.
+
+    The package's one way of writing a file. A symlink at `path` is followed:
+    the rename replaces its final target, and the link stays a link. The file
+    gets `_output_mode`'s permission bits, which refuses a target that is not
+    a regular file before any temp file is made. Any failure, an exception
+    raised by a signal handler included, removes the temp file.
+    """
+    mode = _output_mode(path)
+    target = Path(os.path.realpath(path))
     try:
         fd, tmp_name = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.")
     except OSError as err:
         raise DataError(f"{path}: {err.strerror or err}") from err
     try:
         with os.fdopen(fd, "wb") as handle:
+            os.chmod(tmp_name, mode)  # mkstemp makes it 0o600
             write(handle)
             handle.flush()
             os.fsync(handle.fileno())
@@ -477,7 +508,8 @@ class RunConfig:
         return out
 
     def validate_paths(self) -> None:
-        """Check every input exists and every output directory exists, up front."""
+        """Check every input exists and every output directory exists, up front,
+        and that no output names something other than a regular file."""
         for key in ("pairs", "vocab", "eval_pairs"):
             value = getattr(self, key)
             if value is not None and not Path(value).is_file():
@@ -486,6 +518,8 @@ class RunConfig:
             value = getattr(self, key)
             if value is not None and not Path(value).parent.is_dir():
                 raise DataError(f"output directory does not exist for {key}: {value}")
+            if value is not None:
+                _output_mode(value)
 
 
 def config_key(knob: Field) -> str:

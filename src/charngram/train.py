@@ -32,6 +32,9 @@ them in (see `_Batch`). Adam updates the bias and then the touched rows a
 cache-sized block at a time. Its moments and their arithmetic are float32,
 while the weights, the bias and its gradient, and everything the forward
 pass reads, stay float64 (see `_adam_apply`).
+
+A run's whole state between two steps is one `_Run`, which `train()` steps;
+a copy of it taken there continues bit for bit.
 """
 
 from __future__ import annotations
@@ -612,6 +615,70 @@ def init_model(vocab: NGramVocab, config: TrainConfig) -> Model:
     )
 
 
+@dataclass
+class _Run:
+    """The whole state of a training run between two steps.
+
+    The cursor is the epoch and `batch`, how many of that epoch's batches are
+    done; `rng` is the epoch's sampling stream, made at its first step. The
+    epoch's order is a pure function of (seed, epoch), and the plan of the
+    batches left is the same whatever window it starts at, so a copy of a
+    run taken between steps continues bit for bit as the run itself does.
+    """
+
+    config: TrainConfig
+    model: Model
+    adam: AdamState = field(default_factory=AdamState)
+    curve: TrainingCurve = field(default_factory=TrainingCurve)
+    epoch: int = 0
+    batch: int = 0
+    examples_seen: int = 0
+    rng: np.random.Generator | None = None
+    epoch_loss: float = 0.0
+    interval_loss: float = 0.0
+    interval_batches: int = 0
+
+    def steps(
+        self, counts: sparse.csr_matrix, text_ids: np.ndarray,
+        order_log: list[tuple[int, tuple[int, ...]]] | None = None,
+    ) -> Iterator[bool]:
+        """Train from the cursor to the end of the last epoch, on the pairs of
+        `_encode_pairs` and `_text_ids`; after each step, yield whether a
+        "train_loss" curve point fell there. `order_log` receives the order of
+        each epoch begun at its first batch."""
+        config, n = self.config, len(text_ids)
+        while self.epoch < config.epochs:
+            order = epoch_permutation(config.seed, self.epoch, n, config.curriculum)
+            if self.batch == 0:  # the epoch's first step: its stream and sums start afresh
+                self.rng = _rng(config.seed, _DOMAIN_SAMPLING, self.epoch)
+                self.epoch_loss = self.interval_loss = 0.0
+                self.interval_batches = 0
+                if order_log is not None:
+                    order_log.append((self.epoch, tuple(int(i) for i in order)))
+            slices = [order[s : s + config.batch_size] for s in range(0, n, config.batch_size)]
+            slices = [b for b in slices if len(b) >= 2]
+            every = max(1, round(len(slices) * config.eval_every)) if config.eval_every else 0
+            for batch in _plan_batches(counts, text_ids, slices[self.batch :]):
+                try:
+                    loss = _step(batch, self.model, config, self.adam, self.rng)
+                except NumericalError as err:
+                    raise NumericalError(f"epoch {self.epoch + 1}, batch {self.batch + 1}: {err}") from err
+                self.batch += 1
+                self.examples_seen += len(batch.text_ids)
+                self.epoch_loss += loss
+                self.interval_loss += loss
+                self.interval_batches += 1
+                point = every > 0 and self.batch % every == 0
+                if point:
+                    mean = self.interval_loss / self.interval_batches
+                    self.curve.add(self.examples_seen, "train_loss", mean)
+                    self.interval_loss, self.interval_batches = 0.0, 0
+                yield point
+            if slices:
+                self.curve.add(self.examples_seen, "epoch_mean_batch_loss", self.epoch_loss / len(slices))
+            self.epoch, self.batch = self.epoch + 1, 0
+
+
 def train(
     dataset: PairDataset,
     vocab: NGramVocab,
@@ -629,7 +696,9 @@ def train(
     when it is 0), and whatever metrics `eval_hook(model, examples_seen)`
     returns at those same points. Fully deterministic given config.seed. `order_log`, when passed,
     receives (epoch, consumed index order) tuples. With zero epochs the
-    pairs are not encoded, and the model returned is `init_model`'s.
+    pairs are not encoded, and the model returned is `init_model`'s. The
+    state of the run is one `_Run`, stepped here with the hook called at
+    each curve point.
     """
     config.validate()
     if len(dataset) == 0:
@@ -637,53 +706,15 @@ def train(
     if len(vocab) == 0:
         raise DataError("empty vocabulary")
 
-    model = init_model(vocab, config)
-    adam = AdamState()
-    curve = TrainingCurve()
-
+    run = _Run(config, init_model(vocab, config))
     if config.epochs:
-        texts, counts = _encode_pairs(dataset.pairs, vocab, model)
-        text_ids = _text_ids(texts)
-
-    n = len(dataset)
-    examples_seen = 0
-    for epoch in range(config.epochs):
-        order = epoch_permutation(config.seed, epoch, n, config.curriculum)
-        if order_log is not None:
-            order_log.append((epoch, tuple(int(i) for i in order)))
-        sample_rng = _rng(config.seed, _DOMAIN_SAMPLING, epoch)
-
-        starts = range(0, n, config.batch_size)
-        batch_slices = [order[s : s + config.batch_size] for s in starts]
-        batch_slices = [b for b in batch_slices if len(b) >= 2]
-        hook_interval = 0
-        if config.eval_every > 0:
-            hook_interval = max(1, round(len(batch_slices) * config.eval_every))
-
-        epoch_loss = 0.0
-        interval_loss = 0.0
-        interval_batches = 0
-        for bi, batch in enumerate(_plan_batches(counts, text_ids, batch_slices)):
-            try:
-                loss = _step(batch, model, config, adam, sample_rng)
-            except NumericalError as err:
-                raise NumericalError(f"epoch {epoch + 1}, batch {bi + 1}: {err}") from err
-            examples_seen += len(batch.text_ids)
-            epoch_loss += loss
-            interval_loss += loss
-            interval_batches += 1
-            if hook_interval and (bi + 1) % hook_interval == 0:
-                curve.add(examples_seen, "train_loss", interval_loss / interval_batches)
-                interval_loss = 0.0
-                interval_batches = 0
-                if eval_hook is not None:
-                    metrics = eval_hook(model, examples_seen)
-                    for name, value in (metrics or {}).items():
-                        curve.add(examples_seen, name, value)
-        if batch_slices:
-            curve.add(examples_seen, "epoch_mean_batch_loss", epoch_loss / len(batch_slices))
-
-    return model, adam, curve
+        texts, counts = _encode_pairs(dataset.pairs, vocab, run.model)
+        for point in run.steps(counts, _text_ids(texts), order_log):
+            if point and eval_hook is not None:
+                metrics = eval_hook(run.model, run.examples_seen)
+                for name, value in (metrics or {}).items():
+                    run.curve.add(run.examples_seen, name, value)
+    return run.model, run.adam, run.curve
 
 
 def finite_diff_audit(

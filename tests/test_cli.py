@@ -2,6 +2,7 @@ import contextlib
 import io
 import os
 import re
+import signal
 import struct
 import subprocess
 import sys
@@ -20,6 +21,7 @@ from charngram import (
 )
 from charngram.cli import main
 from charngram.io import config_key
+from charngram.synthetic import make_task, training_pairs
 
 from conftest import save_v1
 
@@ -498,13 +500,17 @@ def test_build_vocab_keeping_nothing_exits_2_and_writes_nothing(ws, tmp_path, ca
     assert not out.exists() and list(tmp_path.iterdir()) == []
 
 
+def _env() -> dict:
+    """The environment of a subprocess that imports this package."""
+    src = str(Path(charngram.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def _help_of_module(module: str) -> subprocess.CompletedProcess:
     """`python -m MODULE --help` in a subprocess that imports this package."""
-    src = str(Path(charngram.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run(
         [sys.executable, "-m", module, "--help"],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=_env(), timeout=120,
     )
 
 
@@ -519,6 +525,66 @@ def test_python_dash_m_charngram_cli_runs_the_command_line():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: charngram")
     assert "build-vocab" in proc.stdout
+
+
+# --- signals and a closed stdout, in a subprocess -----------------------------
+
+
+def _command(*argv, **kwargs) -> subprocess.Popen:
+    """`python -m charngram ARGV...` started in a subprocess, its output piped.
+
+    SIGINT is reset to its default first: a process started with it ignored
+    (as a background job of a script is) keeps ignoring it, so Python would
+    install no KeyboardInterrupt handler.
+    """
+    return subprocess.Popen(
+        [sys.executable, "-m", "charngram", *map(str, argv)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_env(),
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL), **kwargs,
+    )
+
+
+def test_a_closed_stdout_pipe_ends_embed_quietly(ws, tmp_path):
+    # 5,000 rows of 8 numbers are far more than a pipe holds, so the command
+    # is still writing when its reader goes, as under `embed ... | head -1`
+    texts = tmp_path / "texts.txt"
+    texts.write_text("the cat sat\n" * 5000)
+    with texts.open("rb") as stdin:
+        proc = _command("embed", "--model", ws / "model.bin", "--stdin", stdin=stdin)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.wait(timeout=120)
+    assert len(first.split(b"\t")) == 8
+    assert err == b""  # no traceback, no message
+    assert proc.returncode == -signal.SIGPIPE  # the shell reports 128 + 13 = 141
+
+
+@pytest.mark.parametrize(
+    "signum, code, message",
+    [(signal.SIGINT, 130, "error: interrupted"), (signal.SIGTERM, 143, "error: terminated")],
+)
+def test_a_signal_ends_train_with_one_line_and_no_file(tmp_path, signum, code, message):
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("".join(f"{a}\t{b}\n" for a, b in training_pairs(make_task(0)).pairs))
+    proc = _command(
+        "train", "--pairs", pairs, "--out", tmp_path / "m.bin", "--curve", tmp_path / "c.tsv",
+        "--dim", 8, "--batch", 10, "--epochs", 1_000_000,
+    )
+    try:
+        echo = proc.stderr.readline().decode()  # the configuration echo: the command has begun
+        proc.send_signal(signum)
+        out, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()  # a no-op once the command has ended
+        proc.wait()
+    assert echo == f"pairs={pairs}\n"
+    lines = (echo + err.decode()).splitlines()
+    assert proc.returncode == code, lines
+    assert lines[-1] == message
+    assert "Traceback" not in err.decode()
+    assert out == b""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pairs.tsv"]  # no model, curve or temp file
 
 
 @pytest.mark.parametrize("key, value", [("orders", "x"), ("orders", "0"), ("policy", "bogus")])

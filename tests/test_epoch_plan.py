@@ -7,6 +7,7 @@ batch, as the trainer did before it planned: a fancy row index per batch, a
 text-to-id dict per batch and a csc -> csr transpose per backward pass.
 """
 
+import copy
 import sys
 
 import numpy as np
@@ -36,6 +37,7 @@ from charngram.model import (
 from charngram.train import (
     _DOMAIN_SAMPLING,
     _Batch,
+    _Run,
     _encode_pairs,
     _plan_batches,
     _rng,
@@ -254,6 +256,53 @@ def test_train_is_byte_identical_to_per_batch_rebuilds(
     for name in ("m_bias", "v_bias", "m_weights", "v_weights"):
         assert getattr(adam, name).tobytes() == getattr(ref_adam, name).tobytes()
     assert curve.points == ref_curve.points
+
+
+def _assert_same_run(got, want):
+    """Two (model, adam, curve) results hold the same bytes, moments and curve."""
+    (model, adam, curve), (ref_model, ref_adam, ref_curve) = got, want
+    assert model.weights.tobytes() == ref_model.weights.tobytes()
+    assert model.bias.tobytes() == ref_model.bias.tobytes()
+    assert adam.step == ref_adam.step
+    for name in ("m_bias", "v_bias", "m_weights", "v_weights"):
+        assert getattr(adam, name).tobytes() == getattr(ref_adam, name).tobytes()
+    assert curve.points == ref_curve.points
+
+
+@pytest.mark.parametrize("stop", [3, 4, 5, 6, 13])
+@pytest.mark.parametrize("window", [None, 1])
+@pytest.mark.parametrize("sampling", ["max", "mix"])
+def test_a_run_copied_between_steps_continues_bit_for_bit(sampling, window, stop, monkeypatch):
+    # 23 pairs in batches of 5 make 5 batches an epoch, with a curve point
+    # every 2. Stopped after step 3 the run is inside epoch 1, after 4 on a
+    # curve point, after 5 past epoch 1's last batch (its epoch point not yet
+    # added), after 6 at epoch 2's first step, and after 13 inside epoch 3.
+    if window is not None:
+        monkeypatch.setattr(sys.modules["charngram.train"], "_PLAN_WINDOW_ENTRIES", window)
+    dataset, vocab = _pairs()
+    config = TrainConfig(dim=6, batch_size=5, epochs=3, seed=11, sampling=sampling,
+                         reg_lambda=1e-3, eval_every=0.4)
+    want = train(dataset, vocab, config)
+    # each epoch's last batch falls after its last curve point, and its loss
+    # must count towards no point of the next epoch
+    _assert_same_run(want, _train_reference(dataset, vocab, config))
+
+    run = _Run(config, init_model(vocab, config))
+    texts, counts = _encode_pairs(dataset.pairs, vocab, run.model)
+    text_ids = _text_ids(texts)
+    steps = run.steps(counts, text_ids)
+    points = [next(steps) for _ in range(stop)]
+    assert (run.epoch, run.batch) == ((stop - 1) // 5, (stop - 1) % 5 + 1)
+    snapshot = copy.deepcopy(run)
+    points += list(steps)
+    copied_points = list(snapshot.steps(counts, text_ids))
+
+    assert points[stop:] == copied_points
+    assert points == [b % 2 == 0 for _ in range(3) for b in range(1, 6)]
+    for finished in (run, snapshot):
+        assert (finished.epoch, finished.batch) == (3, 0)
+        _assert_same_run((finished.model, finished.adam, finished.curve), want)
+    assert run.adam.step == 15
 
 
 class _CountingSparse:

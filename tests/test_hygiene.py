@@ -1,6 +1,6 @@
 """Source hygiene: no module of the package imports a name it never uses or
-defines a private name nothing reads, and only the single-query path calls
-the per-text `encode`.
+defines a private name nothing reads, only the single-query path calls the
+per-text `encode`, and only `io._atomic_write` writes a file.
 
 `__init__.py` is exempt: its imports are the package's re-exports.
 """
@@ -82,6 +82,35 @@ def test_the_check_names_each_unread_private_name():
     assert _unread_private_names(sources) == ["a.py: _Gone", "a.py: _LEFT"]
 
 
+def _callers(sources: dict[str, str], picks) -> list[str]:
+    """Each function of `sources`, as `module: name`, holding a call that `picks(call, aliases)`.
+
+    `aliases` maps each name the module's imports bind to the dotted name it
+    stands for (`mv` -> `os.rename` after `from os import rename as mv`). A
+    call outside any function is named `module: <module>`.
+    """
+    callers = set()
+
+    def visit(node: ast.AST, module: str, scope: str, aliases: dict[str, str]) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        elif isinstance(node, ast.Call) and picks(node, aliases):
+            callers.add(f"{module}: {scope}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, scope, aliases)
+
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        aliases = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                aliases.update({a.asname: a.name for a in node.names if a.asname})
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                aliases.update({a.asname or a.name: f"{node.module}.{a.name}" for a in node.names})
+        visit(tree, module, "<module>", aliases)
+    return sorted(callers)
+
+
 # the single-query path; every batch goes through `encode_batch`
 PER_TEXT_ENCODE_CALLERS = ["neighbors.py: nearest_neighbors"]
 
@@ -92,20 +121,7 @@ def _per_text_encode_callers(sources: dict[str, str]) -> list[str]:
     A call outside any function is named `module: <module>`; `text.encode(...)`
     is a method call and not counted.
     """
-    callers = set()
-
-    def visit(node: ast.AST, module: str, scope: str) -> None:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            scope = node.name
-        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-            if node.func.id == "encode":
-                callers.add(f"{module}: {scope}")
-        for child in ast.iter_child_nodes(node):
-            visit(child, module, scope)
-
-    for module, source in sources.items():
-        visit(ast.parse(source), module, "<module>")
-    return sorted(callers)
+    return _callers(sources, lambda call, _: isinstance(call.func, ast.Name) and call.func.id == "encode")
 
 
 def test_only_the_single_query_path_calls_the_per_text_encode():
@@ -126,3 +142,73 @@ def test_the_check_names_each_per_text_encode_caller():
         "b.py": "def untouched(text):\n    return text.encode('utf-8')\n",
     }
     assert _per_text_encode_callers(sources) == ["a.py: <module>", "a.py: one"]
+
+
+# the one writer: symlinks, non-regular targets and file modes are its rules
+FILE_WRITERS = ["io.py: _atomic_write"]
+
+_WRITE_CALLS = {"tempfile.mkstemp", "os.replace", "os.rename"}
+_WRITE_METHODS = {"write_text", "write_bytes"}
+_OPEN_CALLS = {"open", "io.open", "os.fdopen"}  # their mode is the second argument
+
+
+def _writes(call: ast.Call, aliases: dict[str, str]) -> bool:
+    """Whether `call` makes, renames or writes a file.
+
+    That is a call of `tempfile.mkstemp`, `os.replace` or `os.rename` under
+    whatever name an import binds them to; of a `write_text` or `write_bytes`
+    method (`Path`'s); or of `open`, `io.open`, `os.fdopen` or an `.open`
+    method (`Path.open`, mode first) whose mode is not a str constant free of
+    "w", "a", "x" and "+".
+    """
+    func = call.func
+    name = None
+    if isinstance(func, ast.Name):
+        name = aliases.get(func.id, func.id)
+    elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+        name = f"{aliases.get(func.value.id, func.value.id)}.{func.attr}"
+    method = func.attr if isinstance(func, ast.Attribute) else None
+    if name in _WRITE_CALLS or method in _WRITE_METHODS:
+        return True
+    if name not in _OPEN_CALLS and method != "open":
+        return False
+    position = 1 if name in _OPEN_CALLS else 0
+    modes = [k.value for k in call.keywords if k.arg == "mode"] + call.args[position:position + 1]
+    if not modes:
+        return False  # read, the default
+    mode = modes[0]
+    return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and not set(mode.value) & set("wax+"))
+
+
+def test_only_the_atomic_writer_writes_files():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert _callers(sources, _writes) == FILE_WRITERS
+
+
+def test_the_check_names_each_file_writer():
+    sources = {
+        "a.py": (
+            "import os\n"
+            "import tempfile as tf\n"
+            "from os import rename as mv\n"
+            "from pathlib import Path\n"
+            "def keep(path):\n"
+            "    fd, name = tf.mkstemp()\n"
+            "    os.replace(name, path)\n"
+            "def move(a, b):\n"
+            "    mv(a, b)\n"
+            "def read(path):\n"
+            "    with open(path, 'rb') as f, Path(path).open() as g, open(path) as h:\n"
+            "        return f.read(), g, h, 'a'.replace('a', 'b'), os.fdopen(3, mode='r')\n"
+            "def dump(path, mode):\n"
+            "    open(path, mode=mode).close()\n"
+            "def note(path):\n"
+            "    Path(path).open('a').close()\n"
+            "Path('x').write_text('y')\n"
+        ),
+        "b.py": "def update(path):\n    return open(path, 'r+')\n",
+    }
+    assert _callers(sources, _writes) == [
+        "a.py: <module>", "a.py: dump", "a.py: keep", "a.py: move", "a.py: note", "b.py: update",
+    ]

@@ -633,3 +633,93 @@ def test_validate_paths(tmp_path):
     bad_out = RunConfig(pairs=str(pairs), out=str(tmp_path / "no_dir" / "model.bin"))
     with pytest.raises(DataError, match="output directory does not exist"):
         bad_out.validate_paths()
+
+
+# --- atomic writes -----------------------------------------------------------
+
+
+def _pairs_file(tmp_path):
+    path = tmp_path / "pairs.tsv"
+    path.write_text("the cat\ta cat\n")
+    return path
+
+
+def test_a_write_through_a_symlink_replaces_its_final_target(tmp_path, vocab):
+    # a chain of two links to a file, and a link to a file not there yet
+    real = tmp_path / "real.tsv"
+    real.write_text("old\n")
+    (tmp_path / "middle.tsv").symlink_to("real.tsv")
+    (tmp_path / "link.tsv").symlink_to("middle.tsv")
+    (tmp_path / "dangling.tsv").symlink_to("made.tsv")
+    save_vocab(vocab, tmp_path / "link.tsv")
+    save_vocab(vocab, tmp_path / "dangling.tsv")
+    for link in ("link.tsv", "middle.tsv", "dangling.tsv"):
+        assert (tmp_path / link).is_symlink()
+    assert os.readlink(tmp_path / "link.tsv") == "middle.tsv"
+    assert load_vocab(real).entries == load_vocab(tmp_path / "made.tsv").entries == vocab.entries
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "dangling.tsv", "link.tsv", "made.tsv", "middle.tsv", "real.tsv",
+    ]
+
+
+@pytest.mark.parametrize("kind", ["fifo", "directory", "link to a fifo"])
+def test_a_target_that_is_not_a_regular_file_is_refused_before_any_write(tmp_path, vocab, kind):
+    special = tmp_path / "special"
+    if kind == "directory":
+        special.mkdir()
+    else:
+        os.mkfifo(special)
+    out = special
+    if kind == "link to a fifo":
+        out = tmp_path / "out.tsv"
+        out.symlink_to("special")
+    before = sorted(tmp_path.iterdir())
+    for save in (lambda: save_vocab(vocab, out), lambda: save_curve(TrainingCurve(), out)):
+        with pytest.raises(DataError, match="not a regular file"):
+            save()
+    assert sorted(tmp_path.iterdir()) == before  # no temp file, nothing replaced
+    assert special.is_dir() if kind == "directory" else special.is_fifo()
+    rc = main(["build-vocab", "--input", str(_pairs_file(tmp_path)), "--out", str(out)])
+    assert rc == 2
+
+
+def test_train_refuses_an_output_that_is_not_a_regular_file_up_front(tmp_path, capsys):
+    os.mkfifo(tmp_path / "model.bin")
+    pairs = _pairs_file(tmp_path)
+    with pytest.raises(DataError, match="model.bin: not a regular file"):
+        RunConfig(pairs=str(pairs), out=str(tmp_path / "model.bin")).validate_paths()
+    rc = main(["train", "--pairs", str(pairs), "--out", str(tmp_path / "model.bin")])
+    assert rc == 2
+    assert "not a regular file" in capsys.readouterr().err
+
+
+def test_written_files_get_the_umask_mode_or_keep_their_own(tmp_path, vocab):
+    model = random_model(np.random.default_rng(0), vocab, 4)
+    kept = tmp_path / "kept.tsv"
+    kept.write_text("old\n")
+    kept.chmod(0o640)
+    old_umask = os.umask(0o022)
+    try:
+        save_model(model, vocab, tmp_path / "m.bin")
+        save_vocab(vocab, tmp_path / "v.tsv")
+        save_curve(TrainingCurve(), tmp_path / "c.tsv")
+        save_vocab(vocab, kept)
+        os.umask(0o077)
+        save_vocab(vocab, tmp_path / "private.tsv")
+    finally:
+        os.umask(old_umask)
+    modes = {p.name: p.stat().st_mode & 0o7777 for p in tmp_path.iterdir()}
+    assert modes == {
+        "m.bin": 0o644, "v.tsv": 0o644, "c.tsv": 0o644, "kept.tsv": 0o640, "private.tsv": 0o600,
+    }
+    assert load_vocab(kept).entries == vocab.entries
+
+
+def test_a_signal_raised_inside_a_write_leaves_no_temp_file(tmp_path):
+    def interrupted(handle):
+        handle.write(b"partial")
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        charngram_io._atomic_write(tmp_path / "out.tsv", interrupted)
+    assert list(tmp_path.iterdir()) == []
