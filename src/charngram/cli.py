@@ -42,7 +42,7 @@ from .io import (
 from .model import embed_matrix, encode_matrix, row_cosines
 from .neighbors import build_working_vocab, nearest_neighbors, ngram_neighbors
 from .train import TrainConfig, finite_diff_audit, train
-from .vocab import CASE_MODES, MinCount, TopKPerOrder, build_vocab, check_orders, normalize
+from .vocab import CASE_MODES, MinCount, TopKPerOrder, _encodable, build_vocab, check_orders, normalize
 
 
 # the training settings, by RunConfig field name
@@ -216,12 +216,25 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+def _check_utf8(named_texts) -> None:
+    """DataError naming the first of (name, text) whose text is not valid UTF-8."""
+    # under a POSIX locale, Python reads such stdin and argv bytes as lone surrogates
+    for name, text in named_texts:
+        if not _encodable(text):
+            raise DataError(f"{name}: not valid UTF-8")
+
+
 def _cmd_embed(args) -> int:
     model, vocab = _load_model(args)
     if args.stdin:
-        texts = [line.rstrip("\n") for line in sys.stdin]
+        try:  # under a strict UTF-8 locale, reading stdin raises instead
+            texts = [line.rstrip("\n") for line in sys.stdin]
+        except UnicodeDecodeError as err:
+            raise DataError(f"stdin: not valid UTF-8 ({err})") from err
+        _check_utf8((f"stdin:{i}", t) for i, t in enumerate(texts, start=1))
     elif args.text:
         texts = args.text
+        _check_utf8((f"argument {t!r}", t) for t in texts)
     else:
         raise UsageError("embed requires TEXT arguments or --stdin")
     counts = encode_matrix([normalize(t, model.input_case_mode) for t in texts], vocab, model)
@@ -232,6 +245,7 @@ def _cmd_embed(args) -> int:
 
 def _cmd_nn(args) -> int:
     model, vocab = _load_model(args)
+    _check_utf8((f"query {q!r}", q) for q in args.query)
     working = build_working_vocab(load_wordlist(args.wordlist), model, vocab)
     for query in args.query:
         for rank, (word, cos) in enumerate(

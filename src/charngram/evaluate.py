@@ -9,6 +9,7 @@ is normalized with the case mode of the model it is embedded by.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -22,10 +23,14 @@ from .vocab import NGramVocab, normalize
 # Item: (text1, text2, gold score).
 SimItem = tuple[str, str, float]
 
-# Bin layouts used by the out-of-vocabulary and max-length analyses. Bins may
-# overlap; every pair lands in every bin whose predicate matches.
-OOV_BINS = ("0", "1", "2", ">=1", ">=0")
-LENGTH_BINS = ("<=4", "5", "6", "7", "8", "9", "10", "11-15", "16-20", ">=21")
+# The paper's bins for the out-of-vocabulary and max-length analyses, as
+# (label, lo, hi) with both bounds inclusive. Bins may overlap; every pair
+# lands in every bin its key falls in.
+OOV_BINS = (("0", 0, 0), ("1", 1, 1), ("2", 2, 2), (">=1", 1, math.inf), (">=0", 0, math.inf))
+LENGTH_BINS = (
+    ("<=4", 0, 4), ("5", 5, 5), ("6", 6, 6), ("7", 7, 7), ("8", 8, 8), ("9", 9, 9),
+    ("10", 10, 10), ("11-15", 11, 15), ("16-20", 16, 20), (">=21", 21, math.inf),
+)
 
 
 @dataclass
@@ -127,8 +132,11 @@ def eval_sts(
     """Pearson's r per dataset, unweighted group means, and an overall mean.
 
     `grouping` maps dataset name to group name; ungrouped datasets still count
-    toward the overall "Average" entry.
+    toward the overall "Average" entry, so a group may not be named
+    "Average" (a DataError).
     """
+    if grouping and "Average" in grouping.values():
+        raise DataError("group 'Average' would be overwritten by the overall average")
     report = EvalReport()
     groups: dict[str, list[float]] = {}
     for ds in datasets:
@@ -147,30 +155,6 @@ def eval_sts(
     return report
 
 
-def _parse_bin_label(label: str):
-    """Turn a bin label into a predicate over a non-negative integer.
-
-    Supported shapes: "N" (exact), ">=N", "<=N", "A-B" (inclusive range).
-    Unicode comparison signs are accepted as aliases.
-    """
-    text = label.strip().replace("≥", ">=").replace("≤", "<=")
-    try:
-        if text.startswith(">="):
-            lo = int(text[2:])
-            return lambda k: k >= lo
-        if text.startswith("<="):
-            hi = int(text[2:])
-            return lambda k: k <= hi
-        if "-" in text and not text.startswith("-"):
-            a, b = text.split("-", 1)
-            lo, hi = int(a), int(b)
-            return lambda k: lo <= k <= hi
-        exact = int(text)
-        return lambda k: k == exact
-    except ValueError as err:
-        raise ValueError(f"bad bin label {label!r}") from err
-
-
 def oov_count(text1: str, text2: str, reference: ReferenceVocab) -> int:
     """Total case-folded whitespace tokens, across both texts, missing from `reference`."""
     tokens = text1.split() + text2.split()
@@ -184,39 +168,30 @@ def max_token_length(text1: str, text2: str) -> int:
 def binned_eval(
     model: Model,
     vocab: NGramVocab,
-    items,
+    datasets: Sequence[SimDataset],
     by: str,
     reference: ReferenceVocab | None = None,
-    bins: Sequence[str] | None = None,
 ) -> list[BinResult]:
-    """Pearson's r within each bin of pairs, binned by "oov" count or "length".
+    """Pearson's r within each of the paper's bins, by "oov" count or "length".
 
-    `items` is a SimDataset, a sequence of SimDatasets (pooled), or raw
-    (text1, text2, gold) tuples. Bins may overlap; a pair contributes to every
-    bin whose predicate matches its key. Bins whose correlation is undefined
-    (fewer than two pairs, or constant scores) are reported with
-    correlation=None rather than dropped, so population counts stay visible.
+    The pairs of all `datasets` are pooled. The bins are OOV_BINS or
+    LENGTH_BINS, in table order; they may overlap, and a pair contributes to
+    every bin its key falls in. Bins whose correlation is undefined (fewer
+    than two pairs, or constant scores) are reported with correlation=None
+    rather than dropped, so population counts stay visible.
     """
     if by == "oov":
         if reference is None or not reference.tokens:
             raise DataError("oov binning requires a non-empty reference vocabulary")
         key = lambda t1, t2: oov_count(t1, t2, reference)
-        labels = list(bins) if bins is not None else list(OOV_BINS)
+        table = OOV_BINS
     elif by == "length":
-        key = lambda t1, t2: max_token_length(t1, t2)
-        labels = list(bins) if bins is not None else list(LENGTH_BINS)
+        key = max_token_length
+        table = LENGTH_BINS
     else:
         raise ValueError(f"unknown binning {by!r}; expected 'oov' or 'length'")
 
-    if isinstance(items, SimDataset):
-        pool = list(items.items)
-    else:
-        pool = []
-        for entry in items:
-            if isinstance(entry, SimDataset):
-                pool.extend(entry.items)
-            else:
-                pool.append(entry)
+    pool = [item for dataset in datasets for item in dataset.items]
     if not pool:
         raise DataError("empty dataset")
 
@@ -225,9 +200,8 @@ def binned_eval(
     golds = [gold for _, _, gold in pool]
 
     results = []
-    for label in labels:
-        member = _parse_bin_label(label)
-        picked = [i for i, k in enumerate(keys) if member(k)]
+    for label, lo, hi in table:
+        picked = [i for i, k in enumerate(keys) if lo <= k <= hi]
         corr: float | None
         if len(picked) < 2:
             corr = None

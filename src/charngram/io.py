@@ -145,11 +145,13 @@ def _atomic_write_bytes(path, payload: bytes) -> None:
 
 def save_vocab(vocab: NGramVocab, path) -> None:
     """Write the vocabulary TSV: escaped n-gram, order, count, in entry order."""
+    if len(vocab) == 0:  # load_vocab would reject the file
+        raise DataError(f"{path}: empty vocabulary; nothing written")
     lines = [
         f"{escape_ngram(ngram)}\t{order}\t{count}"
         for ngram, order, count in vocab.entries
     ]
-    payload = ("\n".join(lines) + "\n" if lines else "").encode("utf-8")
+    payload = ("\n".join(lines) + "\n").encode("utf-8")
     _atomic_write_bytes(path, payload)
 
 
@@ -368,8 +370,8 @@ def load_pairs(path) -> PairDataset:
     return PairDataset(pairs)
 
 
-def load_simset(path, scale: tuple[float, float] = (0.0, 5.0), name: str | None = None) -> SimDataset:
-    """Read a similarity set: `text1<TAB>text2<TAB>gold` per line."""
+def load_simset(path, scale: tuple[float, float] = (0.0, 5.0)) -> SimDataset:
+    """Read a similarity set, `text1<TAB>text2<TAB>gold` per line, named by the file's stem."""
     lo, hi = scale
     items = []
     for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
@@ -387,7 +389,7 @@ def load_simset(path, scale: tuple[float, float] = (0.0, 5.0), name: str | None 
         items.append((parts[0], parts[1], gold))
     if not items:
         raise DataError(f"{path}: empty dataset")
-    return SimDataset(name=name or Path(path).stem, items=items, score_scale=scale)
+    return SimDataset(name=Path(path).stem, items=items, score_scale=scale)
 
 
 def load_wordlist(path) -> list[str]:
@@ -403,7 +405,7 @@ def load_reference_vocab(path) -> ReferenceVocab:
 
 
 def load_groups(path) -> dict[str, str]:
-    """Read `dataset<TAB>group` lines into a dataset -> group map."""
+    """Read `dataset<TAB>group` lines into a dataset -> group map, each dataset once."""
     out: dict[str, str] = {}
     for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         if not line.strip():
@@ -411,7 +413,10 @@ def load_groups(path) -> dict[str, str]:
         parts = line.split("\t")
         if len(parts) != 2:
             raise DataError(f"{path}:{lineno}: expected 2 tab-separated fields")
-        out[parts[0].strip()] = parts[1].strip()
+        name = parts[0].strip()
+        if name in out:
+            raise DataError(f"{path}:{lineno}: dataset {name!r} is already grouped")
+        out[name] = parts[1].strip()
     if not out:
         raise DataError(f"{path}: empty dataset")
     return out

@@ -72,6 +72,12 @@ _DOMAIN_SHUFFLE = 1
 _DOMAIN_SAMPLING = 2
 _DOMAIN_AUDIT = 3
 
+# Adam's decay rates and epsilon: the defaults of Kingma & Ba (2015), which
+# the paper trains with
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
 # Bytes per block of the Adam update: a block's gathered float32 m, v,
 # gradient and term rows and its float64 W and gradient rows, 32 bytes a
 # weight, stay in a typical per-core L2 cache.
@@ -108,7 +114,14 @@ class PairDataset:
 
 @dataclass
 class TrainConfig:
-    """Knobs for contrastive training; defaults follow the tuned similarity setup."""
+    """Knobs for contrastive training; defaults follow the tuned similarity setup.
+
+    Each field is a setting of the `train` command (see `io.RunConfig`).
+    Adam's beta1, beta2 and epsilon are not settings: they are the module
+    constants ADAM_BETA1, ADAM_BETA2 and ADAM_EPSILON. `validate` raises
+    ValueError for a value out of range, a float that is not finite, or a
+    `dim`, `batch_size`, `epochs` or `seed` that is not an int (a bool is not).
+    """
 
     dim: int = 300
     activation: str = "tanh"
@@ -121,18 +134,20 @@ class TrainConfig:
     seed: int = 0
     curriculum: bool = False
     case_mode: str = "lower"
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
     eval_every: float = 0.25
     negative_pool: str = "same-side"
 
     def validate(self) -> None:
         # every comparison with NaN is false, so the range checks below let it
         # through, and most of them let inf through
-        for name in ("margin", "reg_lambda", "learning_rate", "adam_epsilon", "eval_every"):
+        for name in ("margin", "reg_lambda", "learning_rate", "eval_every"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        # a float passes the range checks, and a bool is an int to Python
+        for name in ("dim", "batch_size", "epochs", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         check_activation(self.activation)
         check_case_mode(self.case_mode)
         if self.dim < 1:
@@ -149,17 +164,6 @@ class TrainConfig:
             raise ValueError(f"sampling must be one of {SAMPLING_MODES}")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-        if not 0 < self.adam_beta1 < 1 or not 0 < self.adam_beta2 < 1:
-            raise ValueError("Adam betas must lie in (0, 1)")
-        if self.adam_epsilon <= 0:
-            raise ValueError("adam_epsilon must be > 0")
-        # the Adam step divides by sqrt(v) + eps_t in float32, and eps_t is
-        # smallest at step 1; at 0 an untouched moment would divide 0 by 0
-        if not np.float32(self.adam_epsilon * math.sqrt(1.0 - self.adam_beta2)) > 0:
-            raise ValueError(
-                "adam_epsilon * sqrt(1 - adam_beta2) must stay above 0 in float32, "
-                f"got adam_epsilon {self.adam_epsilon}"
-            )
         # a curve point falls every round(batches * eval_every) batches of an
         # epoch, counted afresh each epoch, so above 1 no point ever falls
         if not 0 <= self.eval_every <= 1:
@@ -172,8 +176,9 @@ class TrainConfig:
 class AdamState:
     """Adam moments, allocated zero at the first step; rows no step touched stay zero.
 
-    The moments are float32, (d,) for the bias and (|V|, d) for the weights.
-    Every step gathers and scatters them for each touched row, and they only
+    The moments decay at the fixed rates ADAM_BETA1 and ADAM_BETA2, so the
+    state holds no setting. They are float32, (d,) for the bias and (|V|, d)
+    for the weights. Every step gathers and scatters them for each touched row, and they only
     scale the step, so float32's relative precision of about 6e-8 moves each
     update by no more than that. The gradient rows of a planned batch that
     feed them are float32 as well (see `_Batch`). The weights and bias they
@@ -245,9 +250,8 @@ def select_negatives(
     n = len(side1)
     if n < 2:
         raise DataError("cannot sample negatives")
-    if not isinstance(mode, str) or mode.lower() not in SAMPLING_MODES:
+    if mode not in SAMPLING_MODES:
         raise ValueError(f"sampling must be one of {SAMPLING_MODES}, got {mode!r}")
-    mode = mode.lower()
     if pool not in NEGATIVE_POOLS:
         raise ValueError(f"negative_pool must be one of {NEGATIVE_POOLS}")
 
@@ -369,10 +373,10 @@ def _hinge(
 class _Batch:
     """What one training step needs that does not depend on the weights.
 
-    The backward layout holds its counts as float32, which is exact for
-    counts below 2^24, so the step's backward builds the gradient rows in the
-    float32 that `_adam_apply` reads them in; a layout given in another dtype
-    is cast. Without a layout, `embed_matrix_grad` lays the counts out in
+    A planned batch's backward layout holds its counts as float32, which is
+    exact for counts below 2^24, so the step's backward builds the gradient
+    rows in the float32 that `_adam_apply` reads them in (`_plan_batches`
+    casts them). Without a layout, `embed_matrix_grad` lays the counts out in
     their own float64, and the gradient is the float64 formula that
     `finite_diff_audit` checks.
     """
@@ -380,14 +384,6 @@ class _Batch:
     counts: sparse.csr_matrix  # the side-1 rows over the side-2 rows
     text_ids: np.ndarray  # (n, 2) `_text_ids` of the pairs, for excluding negatives
     layout: tuple[np.ndarray, sparse.csr_matrix] | None = None  # `backward_layouts` of counts
-
-    def __post_init__(self):
-        if self.layout is not None and self.layout[1].dtype != np.float32:
-            touched, xt = self.layout
-            xt = sparse.csr_matrix(
-                (xt.data.astype(np.float32), xt.indices, xt.indptr), shape=xt.shape
-            )
-            object.__setattr__(self, "layout", (touched, xt))
 
 
 def _batch_gradients(
@@ -431,7 +427,8 @@ def _adam_apply(
     reads float32 gradient rows as they are when lambda is 0, and writes
     nothing into either argument.
 
-    The step uses the efficient form of Kingma & Ba (2015, section 2): the
+    The step uses the efficient form of Kingma & Ba (2015, section 2), with
+    b1, b2 and eps the constants ADAM_BETA1, ADAM_BETA2 and ADAM_EPSILON: the
     bias corrections fold into a step size alpha_t = lr * sqrt(1 - b2^t) /
     (1 - b1^t) and an epsilon eps_t = eps * sqrt(1 - b2^t), and each weight
     moves by alpha_t * m / (sqrt(v) + eps_t), the same update as
@@ -467,10 +464,10 @@ def _adam_apply(
     model.drop_row_norms()
     adam.step += 1
     f32 = np.float32
-    b1, b2 = config.adam_beta1, config.adam_beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     root_corr2 = math.sqrt(1.0 - b2**adam.step)
     alpha = f32(config.learning_rate * root_corr2 / (1.0 - b1**adam.step))
-    eps = f32(config.adam_epsilon * root_corr2)
+    eps = f32(ADAM_EPSILON * root_corr2)
     keep1, take1, keep2, take2 = f32(b1), f32(1 - b1), f32(b2), f32(1 - b2)
     two_lam = 2.0 * config.reg_lambda
     per_block = _adam_block_rows(model.dim)
@@ -638,14 +635,10 @@ class _Run:
     interval_loss: float = 0.0
     interval_batches: int = 0
 
-    def steps(
-        self, counts: sparse.csr_matrix, text_ids: np.ndarray,
-        order_log: list[tuple[int, tuple[int, ...]]] | None = None,
-    ) -> Iterator[bool]:
+    def steps(self, counts: sparse.csr_matrix, text_ids: np.ndarray) -> Iterator[bool]:
         """Train from the cursor to the end of the last epoch, on the pairs of
         `_encode_pairs` and `_text_ids`; after each step, yield whether a
-        "train_loss" curve point fell there. `order_log` receives the order of
-        each epoch begun at its first batch."""
+        "train_loss" curve point fell there."""
         config, n = self.config, len(text_ids)
         while self.epoch < config.epochs:
             order = epoch_permutation(config.seed, self.epoch, n, config.curriculum)
@@ -653,8 +646,6 @@ class _Run:
                 self.rng = _rng(config.seed, _DOMAIN_SAMPLING, self.epoch)
                 self.epoch_loss = self.interval_loss = 0.0
                 self.interval_batches = 0
-                if order_log is not None:
-                    order_log.append((self.epoch, tuple(int(i) for i in order)))
             slices = [order[s : s + config.batch_size] for s in range(0, n, config.batch_size)]
             slices = [b for b in slices if len(b) >= 2]
             every = max(1, round(len(slices) * config.eval_every)) if config.eval_every else 0
@@ -684,7 +675,6 @@ def train(
     vocab: NGramVocab,
     config: TrainConfig,
     eval_hook: EvalHook | None = None,
-    order_log: list[tuple[int, tuple[int, ...]]] | None = None,
 ) -> tuple[Model, AdamState, TrainingCurve]:
     """Train a fresh model on a paraphrase pair dataset.
 
@@ -694,11 +684,12 @@ def train(
     epoch ("epoch_mean_batch_loss"), the running mean since the previous
     curve point ("train_loss") every `eval_every` fraction of an epoch (none
     when it is 0), and whatever metrics `eval_hook(model, examples_seen)`
-    returns at those same points. Fully deterministic given config.seed. `order_log`, when passed,
-    receives (epoch, consumed index order) tuples. With zero epochs the
-    pairs are not encoded, and the model returned is `init_model`'s. The
-    state of the run is one `_Run`, stepped here with the hook called at
-    each curve point.
+    returns at those same points. Each epoch's order is
+    `epoch_permutation(config.seed, epoch, ...)`, and the run is fully
+    deterministic given config.seed. Adam runs with the constants
+    ADAM_BETA1, ADAM_BETA2 and ADAM_EPSILON. With zero epochs the pairs are
+    not encoded, and the model returned is `init_model`'s. The state of the
+    run is one `_Run`, stepped here with the hook called at each curve point.
     """
     config.validate()
     if len(dataset) == 0:
@@ -709,7 +700,7 @@ def train(
     run = _Run(config, init_model(vocab, config))
     if config.epochs:
         texts, counts = _encode_pairs(dataset.pairs, vocab, run.model)
-        for point in run.steps(counts, _text_ids(texts), order_log):
+        for point in run.steps(counts, _text_ids(texts)):
             if point and eval_hook is not None:
                 metrics = eval_hook(run.model, run.examples_seen)
                 for name, value in (metrics or {}).items():

@@ -8,12 +8,13 @@ results can be checked against an independent route.
 
 import math
 import struct
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from charngram import MinCount, Model, NGramVocab, TrainConfig, build_vocab, init_model
+from charngram import MinCount, Model, NGramVocab, TrainConfig, build_vocab, init_model, train
 from charngram.model import verify_binding
 
 # Filled by the acceptance suite; echoed after the run so the per-criterion
@@ -47,6 +48,26 @@ def random_model(rng: np.random.Generator, vocab: NGramVocab, dim: int,
         activation=activation,
         vocab_fingerprint=vocab.fingerprint,
     )
+
+
+def epoch_orders(monkeypatch, *train_args) -> list:
+    """(epoch, order) for each epoch `train(*train_args)` runs.
+
+    The orders are seen through a spy on `charngram.train.epoch_permutation`,
+    which the trainer calls once at the start of each epoch.
+    """
+    module = sys.modules["charngram.train"]
+    inner, orders = module.epoch_permutation, []
+
+    def spy(seed, epoch, n, curriculum):
+        order = inner(seed, epoch, n, curriculum)
+        orders.append((epoch, tuple(int(i) for i in order)))
+        return order
+
+    with monkeypatch.context() as patch:
+        patch.setattr(module, "epoch_permutation", spy)
+        train(*train_args)
+    return orders
 
 
 V1_HEADER = struct.Struct("<4sIIB3xQQ")  # magic, version, d, activation, fingerprint, |V|

@@ -298,7 +298,7 @@ def test_criterion_7_serialization(tmp_path):
 # --- criterion 8: determinism ------------------------------------------------
 
 
-def test_criterion_8_determinism(tmp_path):
+def test_criterion_8_determinism(tmp_path, monkeypatch):
     task = make_task(3, n_roots=10)
     dataset = training_pairs(task)
     vocab = build_vocab(
@@ -314,11 +314,9 @@ def test_criterion_8_determinism(tmp_path):
         files.append(path.read_bytes())
     identical = files[0] == files[1]
 
-    log_plain: list = []
-    log_curr: list = []
-    train(dataset, vocab, config, order_log=log_plain)
+    log_plain = conftest.epoch_orders(monkeypatch, dataset, vocab, config)
     curr_config = TrainConfig(**{**config.__dict__, "curriculum": True})
-    train(dataset, vocab, curr_config, order_log=log_curr)
+    log_curr = conftest.epoch_orders(monkeypatch, dataset, vocab, curr_config)
     first_differs = log_curr[0][1] == tuple(range(len(dataset))) != log_plain[0][1]
     rest_equal = all(
         log_plain[e][1] == log_curr[e][1] for e in range(1, config.epochs)

@@ -42,7 +42,14 @@ from charngram import (
 )
 from charngram import synthetic
 from charngram.cli import main
-from charngram.evaluate import _parse_bin_label, max_token_length, oov_count, pearson, spearman
+from charngram.evaluate import (
+    LENGTH_BINS,
+    OOV_BINS,
+    max_token_length,
+    oov_count,
+    pearson,
+    spearman,
+)
 from charngram.model import row_cosines, unit_rows
 from charngram.neighbors import _guarded_cosines, _rank
 
@@ -95,13 +102,13 @@ def _scores(model, vocab, items, mode):
     return row_cosines(values[0::2], values[1::2])
 
 
-def _binned_reference(model, vocab, items, mode, key, labels):
+def _binned_reference(model, vocab, items, mode, key, table):
     scores = _scores(model, vocab, items, mode)
     golds = [gold for _, _, gold in items]
     keys = [key(t1, t2) for t1, t2, _ in items]
     results = []
-    for label in labels:
-        picked = [i for i, k in enumerate(keys) if _parse_bin_label(label)(k)]
+    for label, lo, hi in table:
+        picked = [i for i, k in enumerate(keys) if lo <= k <= hi]
         try:
             corr = pearson([scores[i] for i in picked], [golds[i] for i in picked])
         except DataError:  # fewer than two pairs, or constant scores
@@ -132,15 +139,15 @@ def test_every_text_path_uses_the_model_case_mode(request, fixture, mode):
     assert eval_sts(model, vocab, [STS]).per_dataset == {
         "mixed": pearson(_scores(model, vocab, STS.items, mode), golds)
     }
-    length = binned_eval(model, vocab, STS, "length", bins=("<=1", "2", ">=1"))
+    length = binned_eval(model, vocab, [STS], "length")
     assert _as_tuples(length) == _binned_reference(
-        model, vocab, STS.items, mode, max_token_length, ("<=1", "2", ">=1")
+        model, vocab, STS.items, mode, max_token_length, LENGTH_BINS
     )
-    oov = binned_eval(model, vocab, STS, "oov", reference=REFERENCE, bins=("0", ">=1", ">=0"))
+    oov = binned_eval(model, vocab, [STS], "oov", reference=REFERENCE)
     assert _as_tuples(oov) == _binned_reference(
-        model, vocab, STS.items, mode, lambda a, b: oov_count(a, b, REFERENCE),
-        ("0", ">=1", ">=0"),
+        model, vocab, STS.items, mode, lambda a, b: oov_count(a, b, REFERENCE), OOV_BINS
     )
+    assert sum(r.correlation is not None for r in length + oov) >= 3
 
     wv = build_working_vocab(WORDS, model, vocab)
     padded = list(dict.fromkeys(normalize(w, mode) for w in WORDS))

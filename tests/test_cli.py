@@ -204,6 +204,21 @@ def test_eval_sts(ws, capsys):
     assert len(lines) == 4
 
 
+@pytest.mark.parametrize("groups, message", [
+    ("alpha\tnews\nbeta\tAverage\n", "error: group 'Average' would be overwritten"),
+    ("alpha\tnews\nbeta\tnews\nalpha\tweb\n", "groups.tsv:3: dataset 'alpha' is already grouped"),
+])
+def test_eval_sts_groups_that_would_lose_data_exit_2(ws, tmp_path, capsys, groups, message):
+    (tmp_path / "groups.tsv").write_text(groups)
+    rc = main([
+        "eval", "sts", "--model", str(ws / "model.bin"),
+        "--datasets", str(ws / "sts"), "--groups", str(tmp_path / "groups.tsv"),
+    ])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert message in err
+
+
 def test_eval_bins_length(ws, capsys):
     rc = main([
         "eval", "bins", "--model", str(ws / "model.bin"),
@@ -244,6 +259,38 @@ def test_embed_args_and_stdin(ws, capsys, monkeypatch):
     stdin_out, _ = capsys.readouterr()
     assert rc == 0
     assert stdin_out.splitlines()[0] == lines[0]  # same text, same vector
+
+
+def test_embed_and_nn_reject_text_that_is_not_utf8(ws, capsys, monkeypatch):
+    # under a POSIX locale Python reads a byte that is not UTF-8 as a lone surrogate
+    monkeypatch.setattr("sys.stdin", io.StringIO("the cat\n\udcff dog\n"))
+    assert main(["embed", "--model", str(ws / "model.bin"), "--stdin"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: stdin:2: not valid UTF-8\n"
+    assert main(["embed", "--model", str(ws / "model.bin"), "the cat", "\udcff"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: argument '\\udcff': not valid UTF-8\n"
+    assert main([
+        "nn", "--model", str(ws / "model.bin"), "--wordlist", str(ws / "words.txt"), "c\udcff",
+    ]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: query 'c\\udcff': not valid UTF-8\n"
+
+
+@pytest.mark.parametrize("errors, message", [
+    ("surrogateescape", b"error: stdin:2: not valid UTF-8\n"),
+    ("strict", b"error: stdin: not valid UTF-8 ('utf-8' codec can't decode byte 0xff"),
+])
+def test_embed_rejects_stdin_bytes_that_are_not_utf8(ws, errors, message):
+    # the POSIX locale reads stdin with surrogateescape, a UTF-8 locale strictly
+    proc = subprocess.run(
+        [sys.executable, "-m", "charngram", "embed", "--model", str(ws / "model.bin"), "--stdin"],
+        input=b"cat\n\xff dog\n", capture_output=True, timeout=120,
+        env=dict(_env(), PYTHONIOENCODING=f"utf-8:{errors}"),
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr.startswith(message)
 
 
 def test_nn_output_shape(ws, capsys):

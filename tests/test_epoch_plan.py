@@ -163,11 +163,6 @@ def test_planned_layouts_hold_float32_counts_equal_to_the_float64_ones(window, m
         assert np.array_equal(xt.indptr, ref_xt.indptr)
         assert np.array_equal(xt.indices, ref_xt.indices)
         assert np.array_equal(xt.data.astype(np.float64), ref_xt.data)
-        # a layout handed to a batch in another dtype is cast the same way
-        given = _Batch(batch.counts, batch.text_ids, (ref_touched, ref_xt)).layout[1]
-        assert given.dtype == np.float32
-        for name in ("indptr", "indices", "data"):
-            assert getattr(given, name).tobytes() == getattr(xt, name).tobytes(), name
         assert _Batch(batch.counts, batch.text_ids).layout is None
 
 
@@ -202,7 +197,9 @@ def _train_reference(dataset, vocab, config):
         interval_batches = 0
         for bi, idxs in enumerate(slices):
             batch = counts[np.concatenate([idxs, idxs + n])]
-            planned = _Batch(batch, _text_ids([texts[i] for i in idxs]), _tocsr_layout(batch))
+            touched, xt = _tocsr_layout(batch)  # in float32, as the plan lays it out
+            layout = (touched, xt.astype(np.float32))
+            planned = _Batch(batch, _text_ids([texts[i] for i in idxs]), layout)
             loss = _step(planned, model, config, adam, sample_rng)
             examples_seen += len(idxs)
             epoch_loss += loss

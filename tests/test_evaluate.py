@@ -18,7 +18,7 @@ from charngram import (
     pearson,
     spearman,
 )
-from charngram.evaluate import _parse_bin_label
+from charngram.evaluate import LENGTH_BINS, OOV_BINS
 from charngram.model import cosine
 
 from conftest import pearson_ref, random_model, spearman_ref
@@ -161,6 +161,14 @@ def test_eval_sts_groups_and_average(small_vocab):
     assert set(report.group_averages) == {"news", "Average"}
 
 
+def test_a_group_named_average_is_a_data_error(small_vocab):
+    # the overall mean is reported as "Average", and would overwrite the group's
+    model = random_model(np.random.default_rng(4), small_vocab, dim=6)
+    ds = SimDataset("alpha", [("the cat", "a cat", 4.0), ("deep fish", "loud dogs", 1.0)])
+    with pytest.raises(DataError, match="group 'Average'"):
+        eval_sts(model, small_vocab, [ds], grouping={"alpha": "Average"})
+
+
 def test_report_tsv_ordering():
     report = EvalReport(
         per_dataset={"zeta": 0.25, "alpha": 0.5},
@@ -178,17 +186,28 @@ def test_report_tsv_ordering():
 # --- binning -----------------------------------------------------------------
 
 
+def _label_holds(label: str, k: int) -> bool:
+    """Whether key k falls in the bin a label names: "N", ">=N", "<=N" or "A-B"."""
+    if label.startswith(">="):
+        return k >= int(label[2:])
+    if label.startswith("<="):
+        return k <= int(label[2:])
+    if "-" in label:
+        lo, hi = label.split("-")
+        return int(lo) <= k <= int(hi)
+    return k == int(label)
+
+
 def test_bin_label_shapes():
-    assert _parse_bin_label("3")(3) and not _parse_bin_label("3")(2)
-    assert _parse_bin_label(">=2")(2) and _parse_bin_label(">=2")(9)
-    assert not _parse_bin_label(">=2")(1)
-    assert _parse_bin_label("<=4")(0) and not _parse_bin_label("<=4")(5)
-    ranged = _parse_bin_label("11-15")
-    assert ranged(11) and ranged(15) and not ranged(10) and not ranged(16)
-    assert _parse_bin_label("≥21")(21)
-    assert _parse_bin_label("≤1")(1)
-    with pytest.raises(ValueError, match="bad bin label"):
-        _parse_bin_label("many")
+    # each bin of the paper's tables holds exactly the keys its label names
+    assert [label for label, _, _ in OOV_BINS] == ["0", "1", "2", ">=1", ">=0"]
+    assert [label for label, _, _ in LENGTH_BINS] == [
+        "<=4", "5", "6", "7", "8", "9", "10", "11-15", "16-20", ">=21"
+    ]
+    for label, lo, hi in OOV_BINS + LENGTH_BINS:
+        assert [lo <= k <= hi for k in range(40)] == [_label_holds(label, k) for k in range(40)]
+    # the length bins partition the lengths
+    assert all(sum(lo <= k <= hi for _, lo, hi in LENGTH_BINS) == 1 for k in range(40))
 
 
 def test_oov_count_and_token_length():
@@ -218,7 +237,7 @@ def oov_reference():
 def test_oov_bin_populations(small_vocab, oov_reference):
     model = random_model(np.random.default_rng(5), small_vocab, dim=6)
     results = binned_eval(
-        model, small_vocab, OOV_ITEMS, by="oov", reference=oov_reference
+        model, small_vocab, [SimDataset("pool", OOV_ITEMS)], by="oov", reference=oov_reference
     )
     counts = {r.label: r.n_pairs for r in results}
     assert counts == {"0": 2, "1": 2, "2": 1, ">=1": 4, ">=0": 6}
@@ -230,22 +249,25 @@ def test_oov_bin_populations(small_vocab, oov_reference):
         assert by_label[label].correlation is not None
 
 
-def test_binned_accepts_dataset_and_raw(small_vocab, oov_reference):
+def test_binned_eval_pools_its_datasets(small_vocab, oov_reference):
     model = random_model(np.random.default_rng(5), small_vocab, dim=6)
-    ds = SimDataset("pool", list(OOV_ITEMS))
-    a = binned_eval(model, small_vocab, ds, by="oov", reference=oov_reference)
-    b = binned_eval(model, small_vocab, OOV_ITEMS, by="oov", reference=oov_reference)
-    c = binned_eval(model, small_vocab, [ds], by="oov", reference=oov_reference)
-    assert a == b == c
+    pooled = binned_eval(
+        model, small_vocab, [SimDataset("pool", OOV_ITEMS)], by="oov", reference=oov_reference
+    )
+    split = [SimDataset("head", OOV_ITEMS[:2]), SimDataset("tail", OOV_ITEMS[2:])]
+    assert binned_eval(model, small_vocab, split, by="oov", reference=oov_reference) == pooled
 
 
 def test_degenerate_bin_reports_none(small_vocab, oov_reference):
     model = random_model(np.random.default_rng(6), small_vocab, dim=5)
-    items = [("dog pig", "hen cow", 2.0), ("pig hen", "cow dog", 2.0)]
-    (result,) = binned_eval(
-        model, small_vocab, items, by="oov", reference=oov_reference, bins=["4"]
+    # two pairs with two unknown tokens each, and the same gold
+    items = [("dog pig", "the cat", 2.0), ("pig hen", "cat sat", 2.0)]
+    results = binned_eval(
+        model, small_vocab, [SimDataset("flat", items)], by="oov", reference=oov_reference
     )
-    assert result == BinResult("4", 2, None)  # constant golds: correlation undefined
+    by_label = {r.label: r for r in results}
+    assert by_label["2"] == BinResult("2", 2, None)  # constant golds: correlation undefined
+    assert by_label["0"] == BinResult("0", 0, None)
 
 
 def test_length_binning(small_vocab):
@@ -255,7 +277,7 @@ def test_length_binning(small_vocab):
         ("one two", "three", 2.0),
         ("a b c d e f g h i j k l", "x", 3.0),
     ]
-    results = binned_eval(model, small_vocab, items, by="length")
+    results = binned_eval(model, small_vocab, [SimDataset("lengths", items)], by="length")
     counts = {r.label: r.n_pairs for r in results}
     assert counts["5"] == 1
     assert counts["<=4"] == 1
@@ -265,17 +287,18 @@ def test_length_binning(small_vocab):
 
 def test_binned_eval_errors(small_vocab, oov_reference):
     model = random_model(np.random.default_rng(8), small_vocab, dim=5)
+    pool = [SimDataset("pool", OOV_ITEMS)]
     with pytest.raises(DataError, match="reference"):
-        binned_eval(model, small_vocab, OOV_ITEMS, by="oov")
+        binned_eval(model, small_vocab, pool, by="oov")
     with pytest.raises(ValueError, match="unknown binning"):
-        binned_eval(model, small_vocab, OOV_ITEMS, by="size")
+        binned_eval(model, small_vocab, pool, by="size")
     with pytest.raises(DataError, match="empty dataset"):
         binned_eval(model, small_vocab, [], by="length")
     with pytest.raises(DataError, match="reference"):
         binned_eval(
             model,
             small_vocab,
-            OOV_ITEMS,
+            pool,
             by="oov",
             reference=ReferenceVocab(frozenset()),
         )

@@ -1,14 +1,18 @@
 """Source hygiene: no module of the package imports a name it never uses or
 defines a private name nothing reads, only the single-query path calls the
-per-text `encode`, and only `io._atomic_write` writes a file.
+per-text `encode`, only `io._atomic_write` writes a file, and every training
+setting is one the command line can set.
 
 `__init__.py` is exempt: its imports are the package's re-exports.
 """
 
 import ast
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+
+from charngram import RunConfig, TrainConfig
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "charngram"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -212,3 +216,9 @@ def test_the_check_names_each_file_writer():
     assert _callers(sources, _writes) == [
         "a.py: <module>", "a.py: dump", "a.py: keep", "a.py: move", "a.py: note", "b.py: update",
     ]
+
+
+def test_every_train_config_field_is_fed_by_a_run_config_knob():
+    # a field no knob feeds is a setting only Python callers can change
+    fed = {knob.metadata["feeds"] for knob in fields(RunConfig)}
+    assert [f.name for f in fields(TrainConfig) if f.name not in fed] == []

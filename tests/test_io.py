@@ -512,8 +512,6 @@ def test_load_simset(tmp_path):
     assert ds.name == "sim"
     assert ds.items == [("tiger", "cat", 7.35), ("book", "paper", 5.0)]
     assert ds.score_scale == (0.0, 10.0)
-    named = load_simset(path, scale=(0.0, 10.0), name="custom")
-    assert named.name == "custom"
 
 
 @pytest.mark.parametrize(
@@ -552,6 +550,22 @@ def test_load_groups(tmp_path):
     bad.write_text("no-tab-here\n")
     with pytest.raises(DataError, match="expected 2 tab-separated fields"):
         load_groups(bad)
+
+
+def test_load_groups_rejects_a_dataset_listed_twice(tmp_path):
+    path = tmp_path / "groups.tsv"
+    path.write_text("news2014\tnews\nforum-a\tforums\nnews2014\tforums\n")
+    with pytest.raises(DataError, match=r"groups\.tsv:3: dataset 'news2014' is already grouped"):
+        load_groups(path)
+
+
+def test_save_vocab_of_an_empty_vocabulary_is_a_data_error_and_writes_nothing(tmp_path):
+    # load_vocab would reject the file as an empty dataset
+    with pytest.warns(UserWarning, match="empty"):
+        empty = build_vocab(["q"], {4}, MinCount(9))
+    with pytest.raises(DataError, match="empty vocabulary"):
+        save_vocab(empty, tmp_path / "vocab.tsv")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_save_curve_format(tmp_path):

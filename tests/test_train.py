@@ -33,6 +33,9 @@ from charngram.model import (
     embed_matrix_grad,
 )
 from charngram.train import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPSILON,
     NEGATIVE_POOLS,
     SAMPLING_MODES,
     _Batch,
@@ -48,7 +51,7 @@ from charngram.train import (
     _text_ids,
 )
 
-from conftest import random_model
+from conftest import epoch_orders, random_model
 
 
 def _batch(texts, counts):
@@ -236,7 +239,7 @@ def test_max_matches_exhaustive_scan():
                 assert tuple(got[i][side]) == (best, side)
 
 
-@pytest.mark.parametrize("mode", [None, 3, "hardest"])
+@pytest.mark.parametrize("mode", [None, 3, "hardest", "MAX"])
 def test_bad_sampling_mode_is_a_value_error(mode):
     batch = _batch_from_vectors([_vec(0), _vec(1)], [_vec(2), _vec(3)])
     with pytest.raises(ValueError, match=re.escape(str(SAMPLING_MODES))):
@@ -416,10 +419,10 @@ def _adam_reference(model, adam, config, grad_bias, touched, grad_rows):
     grad_rows = grad_rows + 2.0 * lam * model.weights[touched]
     adam.step += 1
     f32 = np.float32
-    b1, b2 = config.adam_beta1, config.adam_beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     root_corr2 = math.sqrt(1.0 - b2**adam.step)
     alpha = f32(config.learning_rate * root_corr2 / (1.0 - b1**adam.step))
-    eps = f32(config.adam_epsilon * root_corr2)
+    eps = f32(ADAM_EPSILON * root_corr2)
     for param, m, v, idx, grad in (
         (model.bias, adam.m_bias, adam.v_bias, slice(None), grad_bias),
         (model.weights, adam.m_weights, adam.v_weights, touched, grad_rows),
@@ -523,10 +526,11 @@ def test_blocked_adam_names_lowest_bad_row_and_bias_first():
 
 
 def test_adam_steps_match_textbook_bias_correction():
-    # lr * m_hat / (sqrt(v_hat) + eps) with m_hat = m / (1 - b1^t), v_hat = v / (1 - b2^t)
+    # lr * m_hat / (sqrt(v_hat) + eps) with m_hat = m / (1 - b1^t), v_hat = v / (1 - b2^t),
+    # at Kingma & Ba's defaults
     dim, n_rows = 300, 400
     config = TrainConfig(dim=dim, learning_rate=0.01)
-    b1, b2, lr, eps = 0.9, 0.999, config.learning_rate, config.adam_epsilon
+    b1, b2, lr, eps = 0.9, 0.999, config.learning_rate, 1e-8
     rng = np.random.default_rng(21)
     start = rng.normal(size=(n_rows, dim))
     model = Model(weights=start.copy(), bias=np.zeros(dim), activation="tanh",
@@ -570,7 +574,7 @@ def test_first_adam_step_leaves_exact_moments():
     # the update's in-place arithmetic must run on copies, never on the moments
     dim = 300
     config = TrainConfig(dim=dim)
-    b1, b2 = config.adam_beta1, config.adam_beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     rng = np.random.default_rng(22)
     model = Model(weights=rng.normal(size=(200, dim)), bias=rng.normal(size=dim),
                   activation="tanh", vocab_fingerprint=0)
@@ -843,7 +847,7 @@ def test_config_rejects_relu():
         {"epochs": -1},
         {"learning_rate": 0.0},
         {"reg_lambda": -1e-6},
-        {"adam_beta1": 1.0},
+        {"dim": 2.5},
         {"eval_every": -0.5},
         {"eval_every": 1.5},
         {"eval_every": 3.0},
@@ -854,11 +858,13 @@ def test_config_rejects_relu():
         {"reg_lambda": math.inf},
         {"learning_rate": math.nan},
         {"learning_rate": math.inf},
-        {"adam_epsilon": math.nan},
-        {"adam_epsilon": math.inf},
-        {"adam_epsilon": 1e-50},  # rounds to 0 in the float32 step
+        {"epochs": 1.5},  # once trained two epochs
+        {"batch_size": 2.5},
+        {"seed": 1.5},
         {"eval_every": math.nan},
         {"eval_every": math.inf},
+        {"dim": True},  # a bool is an int to Python, but not a count
+        {"epochs": np.float64(1.0)},
     ],
 )
 def test_config_validation_errors(kwargs):
@@ -947,18 +953,12 @@ def test_epoch_permutation_properties():
     assert np.array_equal(epoch_permutation(9, 3, 20, True), epoch_permutation(9, 3, 20, False))
 
 
-def test_curriculum_changes_only_first_epoch(pair_vocab):
+def test_curriculum_changes_only_first_epoch(pair_vocab, monkeypatch):
     config = TrainConfig(dim=4, batch_size=3, epochs=3, seed=6)
-    log_plain: list = []
-    log_curr: list = []
-    train(PAIRS, pair_vocab, config)  # warm call, no log
-    train(PAIRS, pair_vocab, TrainConfig(**{**config.__dict__}), order_log=log_plain)
-    train(
-        PAIRS,
-        pair_vocab,
-        TrainConfig(**{**config.__dict__, "curriculum": True}),
-        order_log=log_curr,
-    )
+    train(PAIRS, pair_vocab, config)  # warm call, not watched
+    log_plain = epoch_orders(monkeypatch, PAIRS, pair_vocab, config)
+    log_curr = epoch_orders(monkeypatch, PAIRS, pair_vocab, replace(config, curriculum=True))
+    assert [epoch for epoch, _ in log_plain] == [epoch for epoch, _ in log_curr] == [0, 1, 2]
     assert log_curr[0][1] == tuple(range(len(PAIRS)))
     assert log_plain[0][1] != log_curr[0][1]
     for epoch in (1, 2):
