@@ -133,10 +133,14 @@ def eval_sts(
 
     `grouping` maps dataset name to group name; ungrouped datasets still count
     toward the overall "Average" entry, so a group may not be named
-    "Average" (a DataError).
+    "Average" (a DataError). Grouping a dataset that is not among `datasets`
+    is a DataError naming it, so a misspelt name cannot drop its group.
     """
     if grouping and "Average" in grouping.values():
         raise DataError("group 'Average' would be overwritten by the overall average")
+    unknown = sorted(set(grouping or ()) - {ds.name for ds in datasets})
+    if unknown:
+        raise DataError(f"grouped dataset {unknown[0]!r} is not among the datasets")
     report = EvalReport()
     groups: dict[str, list[float]] = {}
     for ds in datasets:

@@ -215,32 +215,41 @@ def preactivation(cv: CountVector, model: Model) -> np.ndarray:
     return pre
 
 
-def _count_csr(arrays: tuple[np.ndarray, np.ndarray, np.ndarray], model: Model) -> sparse.csr_matrix:
+def _count_sparse(
+    layout: type, arrays: tuple[np.ndarray, np.ndarray, np.ndarray], shape: tuple[int, int]
+) -> sparse.spmatrix:
+    """The `layout` (csr_matrix or csc_matrix) of shape `shape` over (indptr, indices, data)."""
     indptr, indices, data = arrays
-    _check_rows(indices, model)
     # SciPy keeps int32 index arrays where the shape and nnz allow; handing
     # them over as int32 spares its scan and copy of int64 ones
-    if max(len(indptr), len(data), model.vocab_size) <= np.iinfo(np.int32).max:
+    if max(len(indptr), len(data), *shape) <= np.iinfo(np.int32).max:
         indptr = indptr.astype(np.int32, copy=False)
         indices = indices.astype(np.int32, copy=False)
-    return sparse.csr_matrix((data, indices, indptr), shape=(len(indptr) - 1, model.vocab_size))
+    return layout((data, indices, indptr), shape=shape)
 
 
 def count_matrix(cvs: Sequence[CountVector], model: Model) -> sparse.csr_matrix:
     """Stack count vectors as the rows of a CSR (len(cvs), |V|) matrix."""
-    return _count_csr(_stack_counts(cvs), model)
+    arrays = _stack_counts(cvs)
+    _check_rows(arrays[1], model)
+    return _count_sparse(sparse.csr_matrix, arrays, (len(cvs), model.vocab_size))
 
 
-def encode_matrix(seqs: Sequence[str], vocab: NGramVocab, model: Model) -> sparse.csr_matrix:
-    """The count matrix of normalized sequences: `count_matrix` of their `encode`
-    count vectors, with the same arrays, computed by `encode_batch` in one pass.
+def encode_matrix(seqs: Sequence[str], vocab: NGramVocab, model: Model) -> sparse.csc_matrix:
+    """The CSC count matrix of normalized sequences: `count_matrix(...).tocsc()`
+    of their `encode` count vectors, with the same arrays and index dtypes,
+    computed by `encode_batch` in one pass.
 
-    DataError unless `model` was built against `vocab` (`verify_binding`)."""
+    A product with it reads each weight row once per batch and sums each
+    row's terms in ascending column order, so a row's embedding does not
+    depend on its batch. DataError unless `model` was built against `vocab`
+    (`verify_binding`)."""
     verify_binding(model, vocab)
-    return _count_csr(encode_batch(seqs, vocab), model)
+    shape = (len(seqs), model.vocab_size)
+    return _count_sparse(sparse.csc_matrix, encode_batch(seqs, vocab), shape)
 
 
-def embed_matrix(counts: sparse.csr_matrix, model: Model) -> np.ndarray:
+def embed_matrix(counts: sparse.spmatrix, model: Model) -> np.ndarray:
     """Embed every row of a count matrix: h(X @ W + b); empty rows give h(bias)."""
     return apply_activation(model.activation, counts @ model.weights + model.bias)
 

@@ -533,11 +533,12 @@ def _adam_apply(
 def _encode_pairs(
     pairs: Sequence[tuple[str, str]], vocab: NGramVocab, model: Model
 ) -> tuple[list[tuple[str, str]], sparse.csr_matrix]:
-    """Texts normalized in the model's case mode, and the count matrix of side 1 over side 2."""
+    """Texts normalized in the model's case mode, and the count matrix of side 1 over
+    side 2, as CSR with each row's columns ascending, so the plan can take rows."""
     case_mode = model.input_case_mode
     texts = [(normalize(a, case_mode), normalize(b, case_mode)) for a, b in pairs]
     seqs = [t for t, _ in texts] + [t for _, t in texts]
-    return texts, encode_matrix(seqs, vocab, model)
+    return texts, encode_matrix(seqs, vocab, model).tocsr()
 
 
 def _step(

@@ -4,8 +4,8 @@ A text is normalized into a space-padded character sequence, every contiguous
 character window of the configured orders is extracted (windows spanning word
 boundaries included), and a vocabulary maps the surviving n-grams to dense
 indices. Sequences are then encoded as sparse index -> count maps, one at a
-time (`encode`), or a batch at a time as the arrays of a CSR count matrix
-(`encode_batch`).
+time (`encode`), or a batch at a time as the arrays of a column-major (CSC)
+count matrix (`encode_batch`).
 
 A batch, the corpus `build_vocab` counts and a vocabulary's key table go
 through one array pass over their joined code points (`_window_keys`): each
@@ -450,38 +450,37 @@ def _stack_counts(cvs: Sequence[CountVector]) -> tuple[np.ndarray, np.ndarray, n
 def encode_batch(
     seqs: Sequence[CharSeq], vocab: NGramVocab
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The CSR arrays (indptr, indices, data) of `encode` applied to every sequence.
+    """The CSC arrays (indptr, indices, data) of the count matrix whose row i is
+    `encode(seqs[i], vocab)`: the arrays of `count_matrix(...).tocsc()`.
 
-    Each row lists its indices in the order `encode` first meets them, with
-    their counts as float64, so the arrays equal those of the stacked count
-    vectors and a product with the matrix sums in the same order. The batch
-    is encoded in one array pass against `vocab.key_table()`, built at the
-    first call and kept, for any alphabet: its windows are keyed with the
+    `indptr` has len(vocab) + 1 offsets, and each column lists the rows that
+    hold its n-gram in ascending order, with their counts as float64. The
+    batch is encoded in one array pass against `vocab.key_table()`, built at
+    the first call and kept, for any alphabet: its windows are keyed with the
     table's base and re-ranks, so a window's key is that of the vocabulary
     n-gram equal to it, if any. For a single text `encode` is faster: the
-    array pass has a fixed cost of several array operations per order.
+    array pass has a fixed cost of several array operations per order, and
+    the offsets one of O(len(vocab)).
     """
     alphabet, reranks, tables = vocab.key_table()
     _, points, ends = _code_points(seqs)
     # each character's rank in the vocabulary's alphabet, 0 outside it
     chars, char_at = np.unique(points, return_inverse=True)
     ranks = (_lookup(alphabet, chars, -1) + 1)[char_at]
-    row_of = np.repeat(np.arange(len(seqs)), np.diff(ends, prepend=0))
-    # each in-vocabulary window as one cell, row * |V| + index, order by order
-    width = len(vocab)
+    rows = len(seqs)
+    row_of = np.repeat(np.arange(rows), np.diff(ends, prepend=0))
+    # each in-vocabulary window as one cell, index * rows + row: sorted, column-major
     hits = [np.empty(0, dtype=np.intp)]
     for n, starts, keys in _window_keys(ranks, ends, tuple(tables), len(alphabet) + 1, reranks):
         table_keys, table_index = tables[n]
         distinct, key_at = np.unique(keys, return_inverse=True)
         at = _lookup(table_keys, distinct, -1)[key_at]
         hit = at >= 0
-        hits.append(row_of[starts[hit]] * width + table_index[at[hit]])
-    hits = np.concatenate(hits)
-    # each distinct cell with its count and its first window; windows run order
-    # by order, so within a row the earlier window is the one `encode` meets first
-    cells, first, tally = _tally(hits)
-    cell_rows = cells // width
-    met = np.argsort(cell_rows * len(hits) + first)
-    indptr = np.zeros(len(seqs) + 1, dtype=np.intp)
-    np.cumsum(np.bincount(cell_rows, minlength=len(seqs)), out=indptr[1:])
-    return indptr, (cells - cell_rows * width)[met], tally[met].astype(np.float64)
+        hits.append(table_index[at[hit]] * rows + row_of[starts[hit]])
+    cells = np.sort(np.concatenate(hits))
+    # a run of equal cells is one entry, counted by its length
+    runs = np.flatnonzero(np.diff(cells, prepend=-1))
+    columns, row_at = np.divmod(cells[runs], rows)
+    indptr = np.zeros(len(vocab) + 1, dtype=np.intp)
+    np.cumsum(np.bincount(columns, minlength=len(vocab)), out=indptr[1:])
+    return indptr, row_at, np.diff(runs, append=len(cells)).astype(np.float64)

@@ -207,6 +207,9 @@ def test_eval_sts(ws, capsys):
 @pytest.mark.parametrize("groups, message", [
     ("alpha\tnews\nbeta\tAverage\n", "error: group 'Average' would be overwritten"),
     ("alpha\tnews\nbeta\tnews\nalpha\tweb\n", "groups.tsv:3: dataset 'alpha' is already grouped"),
+    # a misspelt dataset name would drop its group from the report
+    ("alpha\tnews\nbeta\tnews\nalhpa\tforum\n",
+     "error: grouped dataset 'alhpa' is not among the datasets"),
 ])
 def test_eval_sts_groups_that_would_lose_data_exit_2(ws, tmp_path, capsys, groups, message):
     (tmp_path / "groups.tsv").write_text(groups)

@@ -1,7 +1,7 @@
 """The array pass against its per-text oracles.
 
-`encode_batch` must give the arrays of `count_matrix` over per-text `encode`
-count vectors, and `build_vocab` the entries of a `Counter` over `_windows`,
+`encode_batch` must give the arrays of `count_matrix(...).tocsc()` over
+per-text `encode` count vectors, and `build_vocab` the entries of a `Counter` over `_windows`,
 for any text: astral characters, NUL, lone surrogates, characters outside the
 vocabulary, empty texts and texts shorter than every order. A vocabulary
 that would keep a lone surrogate is a DataError. Past a 63-bit key, counting,
@@ -34,6 +34,7 @@ from charngram import (
     build_vocab,
     build_working_vocab,
     count_matrix,
+    embed_matrix,
     encode,
     encode_batch,
     encode_matrix,
@@ -50,7 +51,7 @@ from charngram import (
 from charngram import cli, synthetic
 from charngram.io import escape_ngram
 from charngram.train import _encode_pairs
-from charngram.vocab import _stack_counts, _windows, normalize
+from charngram.vocab import _windows, normalize
 
 # characters that stress the packing: NUL, lone surrogates, astral ones, the
 # highest code point, a combining mark
@@ -106,14 +107,16 @@ def _build(corpus, orders, policy, case_mode="lower"):
 
 def _assert_batch_equals_loop(seqs, vocab):
     cvs = [encode(seq, vocab) for seq in seqs]
-    for got, want in zip(encode_batch(seqs, vocab), _stack_counts(cvs)):
-        assert got.dtype == want.dtype
-        assert np.array_equal(got, want)
     model = Model(weights=np.zeros((len(vocab), 1)), bias=np.zeros(1), activation="linear",
                   vocab_fingerprint=vocab.fingerprint)
-    got, want = encode_matrix(seqs, vocab, model), count_matrix(cvs, model)
-    assert got.shape == want.shape
-    for name in ("indptr", "indices", "data"):
+    want = count_matrix(cvs, model).tocsc()
+    names = ("indptr", "indices", "data")
+    for name, got in zip(names, encode_batch(seqs, vocab)):
+        assert got.dtype == (np.float64 if name == "data" else np.intp)
+        assert np.array_equal(got, getattr(want, name))
+    got = encode_matrix(seqs, vocab, model)
+    assert got.format == "csc" and got.shape == want.shape
+    for name in names:
         assert getattr(got, name).dtype == getattr(want, name).dtype
         assert np.array_equal(getattr(got, name), getattr(want, name))
 
@@ -137,13 +140,37 @@ def vocabularies(draw):
 @settings(max_examples=300, deadline=None)
 @given(vocabularies(), st.lists(SEQS, max_size=12))
 # a later row whose windows repeat many times: each row's cells must stay in
-# that row, in first-met order
+# that row, in their columns
 @example(NGramVocab([("a", 1, 1), ("ab", 2, 1)]), ["ab", "a" * 50])
 def test_batch_encode_equals_per_text_encode(vocab, seqs):
     for limit in KEY_LIMITS:
         with mock.patch("charngram.vocab._KEY_LIMIT", limit):
             vocab._keys = None  # the key table is rebuilt under this limit
             _assert_batch_equals_loop(seqs, vocab)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    vocabularies(),
+    st.lists(SEQS, max_size=12),
+    st.integers(1, 4),
+    st.sampled_from(["linear", "tanh"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_a_batch_embedding_does_not_depend_on_its_batch(vocab, seqs, dim, activation, seed):
+    # weights over many magnitudes, so that summing a row's terms in another
+    # order would move its bits
+    rng = np.random.default_rng(seed)
+    weights = rng.standard_normal((len(vocab), dim)) * 10.0 ** rng.uniform(-8, 8, (len(vocab), 1))
+    model = Model(weights=weights, bias=rng.standard_normal(dim), activation=activation,
+                  vocab_fingerprint=vocab.fingerprint)
+    values = embed_matrix(encode_matrix(seqs, vocab, model), model)
+    by_rows = count_matrix([encode(seq, vocab) for seq in seqs], model)
+    by_rows.sort_indices()
+    assert values.tobytes() == embed_matrix(by_rows, model).tobytes()
+    for seq, row in zip(seqs, values):
+        alone = embed_matrix(encode_matrix([seq], vocab, model), model)
+        assert row.tobytes() == alone[0].tobytes()
 
 
 @settings(max_examples=200, deadline=None)
@@ -344,5 +371,9 @@ def test_pair_dataset_encoding_is_the_per_text_count_matrix():
     texts, counts = _encode_pairs(pairs.pairs, vocab, model)
     seqs = [a for a, _ in texts] + [b for _, b in texts]
     want = count_matrix([encode(seq, vocab) for seq in seqs], model)
-    assert (counts != want).nnz == 0
-    assert np.array_equal(counts.indices, want.indices)
+    want.sort_indices()
+    # the plan takes rows, so training gets CSR, each row's columns ascending
+    assert counts.format == "csr" and counts.has_sorted_indices
+    for name in ("indptr", "indices", "data"):
+        assert getattr(counts, name).dtype == getattr(want, name).dtype
+        assert np.array_equal(getattr(counts, name), getattr(want, name))

@@ -303,8 +303,9 @@ def test_a_run_copied_between_steps_continues_bit_for_bit(sampling, window, stop
 
 
 class _CountingSparse:
-    """scipy.sparse, counting the `csr_matrix` constructions made through it
-    and recording the dtypes of the index arrays they are handed."""
+    """scipy.sparse, counting the `csr_matrix` and `csc_matrix` constructions
+    made through it and recording the dtypes of the index arrays they are
+    handed."""
 
     def __init__(self):
         self.made = 0
@@ -313,17 +314,24 @@ class _CountingSparse:
     def __getattr__(self, name):
         return getattr(sparse, name)
 
-    def csr_matrix(self, arg, *args, **kwargs):
+    def _count(self, layout, arg, *args, **kwargs):
         self.made += 1
         if isinstance(arg, tuple) and len(arg) == 3:  # (data, indices, indptr)
             self.index_dtypes |= {np.asarray(a).dtype for a in arg[1:]}
-        return sparse.csr_matrix(arg, *args, **kwargs)
+        return layout(arg, *args, **kwargs)
+
+    def csr_matrix(self, arg, *args, **kwargs):
+        return self._count(sparse.csr_matrix, arg, *args, **kwargs)
+
+    def csc_matrix(self, arg, *args, **kwargs):
+        return self._count(sparse.csc_matrix, arg, *args, **kwargs)
 
 
 @pytest.mark.parametrize("window", [None, 1])
 def test_scipy_constructions_per_train_call(window, monkeypatch):
-    # One for the encoded dataset, then two per batch: its rows and its
-    # backward layout. A SciPy matrix built per step for anything else (such
+    # One for the encoded dataset (its CSC matrix; the CSR the plan takes
+    # rows of is SciPy's own conversion), then two per batch: its rows and
+    # its backward layout. A SciPy matrix built per step for anything else (such
     # as summing the hinge terms) is per-call overhead that shows at small
     # batches. SciPy's own row index per window is not made through these
     # modules and is not counted.

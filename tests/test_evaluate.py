@@ -161,6 +161,13 @@ def test_eval_sts_groups_and_average(small_vocab):
     assert set(report.group_averages) == {"news", "Average"}
 
 
+def test_a_grouped_dataset_not_among_the_datasets_is_a_data_error(small_vocab):
+    model = random_model(np.random.default_rng(4), small_vocab, dim=6)
+    ds = SimDataset("alpha", [("the cat", "a cat", 4.0), ("deep fish", "loud dogs", 1.0)])
+    with pytest.raises(DataError, match="grouped dataset 'alhpa' is not among the datasets"):
+        eval_sts(model, small_vocab, [ds], grouping={"alpha": "news", "alhpa": "forum"})
+
+
 def test_a_group_named_average_is_a_data_error(small_vocab):
     # the overall mean is reported as "Average", and would overwrite the group's
     model = random_model(np.random.default_rng(4), small_vocab, dim=6)
