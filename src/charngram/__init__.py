@@ -41,7 +41,6 @@ from .model import (
     Model,
     apply_activation,
     cosine,
-    count_matrix,
     embed,
     embed_matrix,
     encode_matrix,
@@ -103,7 +102,6 @@ __all__ = [
     "build_vocab",
     "build_working_vocab",
     "cosine",
-    "count_matrix",
     "embed",
     "embed_matrix",
     "encode",

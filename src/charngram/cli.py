@@ -42,7 +42,7 @@ from .io import (
 from .model import embed_matrix, encode_matrix, row_cosines
 from .neighbors import build_working_vocab, nearest_neighbors, ngram_neighbors
 from .train import TrainConfig, finite_diff_audit, train
-from .vocab import CASE_MODES, MinCount, TopKPerOrder, _encodable, build_vocab, check_orders, normalize
+from .vocab import CASE_MODES, MinCount, TopKPerOrder, _encodable, build_vocab, check_orders
 
 
 # the training settings, by RunConfig field name
@@ -149,8 +149,7 @@ def _cmd_train(args) -> int:
         def hook(model, examples_seen):
             nonlocal dev_counts
             if dev_counts is None:  # built once, at the first curve point
-                seqs = [normalize(t, model.input_case_mode) for t in dev_texts]
-                dev_counts = encode_matrix(seqs, vocab, model)
+                dev_counts = encode_matrix(dev_texts, vocab, model)
             values = embed_matrix(dev_counts, model)
             return {"dev_mean_cosine": float(np.mean(row_cosines(values[0::2], values[1::2])))}
 
@@ -237,7 +236,7 @@ def _cmd_embed(args) -> int:
         _check_utf8((f"argument {t!r}", t) for t in texts)
     else:
         raise UsageError("embed requires TEXT arguments or --stdin")
-    counts = encode_matrix([normalize(t, model.input_case_mode) for t in texts], vocab, model)
+    counts = encode_matrix(texts, vocab, model)
     for row in embed_matrix(counts, model):
         print("\t".join(f"{x:.9g}" for x in row))
     return 0

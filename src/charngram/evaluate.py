@@ -18,7 +18,7 @@ from scipy import stats
 
 from .errors import DataError
 from .model import Model, embed_matrix, encode_matrix, row_cosines
-from .vocab import NGramVocab, normalize
+from .vocab import NGramVocab
 
 # Item: (text1, text2, gold score).
 SimItem = tuple[str, str, float]
@@ -88,31 +88,32 @@ class EvalReport:
         return lines
 
 
-def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Product-moment correlation; errors on mismatched or constant input."""
+def _correlation_input(
+    xs: Sequence[float], ys: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Two float64 vectors to correlate; DataError on mismatched or constant input."""
     x = np.asarray(xs, dtype=np.float64)
     y = np.asarray(ys, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1:
         raise DataError("correlation requires two equal-length vectors")
     if x.size < 2 or np.ptp(x) == 0 or np.ptp(y) == 0:
         raise DataError("degenerate input")
-    return float(stats.pearsonr(x, y)[0])
+    return x, y
+
+
+def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
+    """Product-moment correlation; errors on mismatched or constant input."""
+    return float(stats.pearsonr(*_correlation_input(xs, ys))[0])
 
 
 def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Rank correlation: Pearson over average ranks (ties share mean rank)."""
-    x = np.asarray(xs, dtype=np.float64)
-    y = np.asarray(ys, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise DataError("correlation requires two equal-length vectors")
-    if x.size < 2 or np.ptp(x) == 0 or np.ptp(y) == 0:
-        raise DataError("degenerate input")
-    return float(stats.spearmanr(x, y)[0])
+    return float(stats.spearmanr(*_correlation_input(xs, ys))[0])
 
 
 def _pair_scores(model: Model, vocab: NGramVocab, items: Sequence[SimItem]) -> np.ndarray:
-    seqs = [normalize(t, model.input_case_mode) for item in items for t in item[:2]]
-    values = embed_matrix(encode_matrix(seqs, vocab, model), model)
+    texts = [t for item in items for t in item[:2]]
+    values = embed_matrix(encode_matrix(texts, vocab, model), model)
     return row_cosines(values[0::2], values[1::2])
 
 

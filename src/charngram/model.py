@@ -16,7 +16,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import DataError
-from .vocab import CountVector, NGramVocab, _stack_counts, check_case_mode, encode_batch
+from .vocab import CountVector, NGramVocab, check_case_mode, encode_batch, normalize
 
 ACTIVATIONS = ("linear", "tanh")
 
@@ -199,54 +199,37 @@ class Embedding:
     oov_fallback: bool  # True when no n-gram matched; values = h(bias)
 
 
-def _check_rows(rows: np.ndarray, model: Model) -> None:
-    if rows.size and (rows.min() < 0 or rows.max() >= model.vocab_size):
-        raise DataError("vocab/model mismatch")
-
-
 def preactivation(cv: CountVector, model: Model) -> np.ndarray:
     """bias + sum over cv of count * weights[row], before the nonlinearity."""
     pre = model.bias.copy()
     if cv:
         rows = np.fromiter(cv.keys(), dtype=np.intp, count=len(cv))
-        _check_rows(rows, model)
+        if rows.min() < 0 or rows.max() >= model.vocab_size:
+            raise DataError("vocab/model mismatch")
         counts = np.fromiter(cv.values(), dtype=np.float64, count=len(cv))
         pre += counts @ model.weights[rows]
     return pre
 
 
-def _count_sparse(
-    layout: type, arrays: tuple[np.ndarray, np.ndarray, np.ndarray], shape: tuple[int, int]
-) -> sparse.spmatrix:
-    """The `layout` (csr_matrix or csc_matrix) of shape `shape` over (indptr, indices, data)."""
-    indptr, indices, data = arrays
-    # SciPy keeps int32 index arrays where the shape and nnz allow; handing
-    # them over as int32 spares its scan and copy of int64 ones
-    if max(len(indptr), len(data), *shape) <= np.iinfo(np.int32).max:
-        indptr = indptr.astype(np.int32, copy=False)
-        indices = indices.astype(np.int32, copy=False)
-    return layout((data, indices, indptr), shape=shape)
+def encode_matrix(texts: Sequence[str], vocab: NGramVocab, model: Model) -> sparse.csc_matrix:
+    """The CSC (len(texts), |V|) count matrix of raw texts, computed by `encode_batch`
+    in one pass after normalizing each text in `model.input_case_mode`.
 
-
-def count_matrix(cvs: Sequence[CountVector], model: Model) -> sparse.csr_matrix:
-    """Stack count vectors as the rows of a CSR (len(cvs), |V|) matrix."""
-    arrays = _stack_counts(cvs)
-    _check_rows(arrays[1], model)
-    return _count_sparse(sparse.csr_matrix, arrays, (len(cvs), model.vocab_size))
-
-
-def encode_matrix(seqs: Sequence[str], vocab: NGramVocab, model: Model) -> sparse.csc_matrix:
-    """The CSC count matrix of normalized sequences: `count_matrix(...).tocsc()`
-    of their `encode` count vectors, with the same arrays and index dtypes,
-    computed by `encode_batch` in one pass.
-
-    A product with it reads each weight row once per batch and sums each
-    row's terms in ascending column order, so a row's embedding does not
+    Row i holds the counts of `encode(normalize(texts[i], model.input_case_mode), vocab)`;
+    `normalize` is idempotent, so text already normalized in that mode gives the
+    same matrix. A product with it reads each weight row once per batch and sums
+    each row's terms in ascending column order, so a row's embedding does not
     depend on its batch. DataError unless `model` was built against `vocab`
     (`verify_binding`)."""
     verify_binding(model, vocab)
-    shape = (len(seqs), model.vocab_size)
-    return _count_sparse(sparse.csc_matrix, encode_batch(seqs, vocab), shape)
+    case_mode = model.input_case_mode
+    indptr, indices, data = encode_batch([normalize(t, case_mode) for t in texts], vocab)
+    # SciPy keeps int32 index arrays where the shape and nnz allow; handing
+    # them over as int32 spares its scan and copy of int64 ones
+    if max(len(indptr), len(data), len(texts)) <= np.iinfo(np.int32).max:
+        indptr = indptr.astype(np.int32, copy=False)
+        indices = indices.astype(np.int32, copy=False)
+    return sparse.csc_matrix((data, indices, indptr), shape=(len(texts), model.vocab_size))
 
 
 def embed_matrix(counts: sparse.spmatrix, model: Model) -> np.ndarray:

@@ -16,11 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DataError
 from .evaluate import SimDataset
 from .model import Model, embed_matrix, encode_matrix, unit_rows
 from .neighbors import build_working_vocab, nearest_neighbors
 from .train import PairDataset, TrainConfig, TrainingCurve, train
-from .vocab import NGramVocab, TopKPerOrder, build_vocab, normalize
+from .vocab import NGramVocab, TopKPerOrder, build_vocab
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 _SUFFIXES = ("s", "es", "ed", "ing", "er", "ly", "ness", "ment", "tion", "able")
@@ -138,10 +139,12 @@ def similarity_set(task: SyntheticTask) -> SimDataset:
 
     Same-root held-out pairs score 5, an equal number of cross-root pairs
     score 0. Pairing root r with root r+1 keeps the set balanced and
-    deterministic.
+    deterministic. DataError for a task of one root, which has no cross-root pair.
     """
     items = []
     n = len(task.heldout_words)
+    if n < 2:
+        raise DataError("a similarity set needs held-out words of at least two roots")
     for r, words in enumerate(task.heldout_words):
         for i in range(len(words)):
             for j in range(i + 1, len(words)):
@@ -175,15 +178,18 @@ def cosine_gap(model: Model, vocab: NGramVocab, task: SyntheticTask) -> float:
     """Mean held-out same-root cosine minus mean held-out cross-root cosine.
 
     The cross-root mean is taken over every cross-root pair of held-out
-    words rather than a sample, so the statistic is deterministic.
+    words rather than a sample, so the statistic is deterministic. DataError
+    when the held-out words hold no same-root pair (one held out per root) or
+    no cross-root pair (one root).
     """
     words = [w for ws in task.heldout_words for w in ws]
     roots = np.repeat(np.arange(len(task.heldout_words)), [len(ws) for ws in task.heldout_words])
-    counts = encode_matrix([normalize(w, model.input_case_mode) for w in words], vocab, model)
-    units = unit_rows(embed_matrix(counts, model))
+    units = unit_rows(embed_matrix(encode_matrix(words, vocab, model), model))
     i, j = np.triu_indices(len(words), k=1)
-    cosines = np.einsum("ij,ij->i", units[i], units[j])
     same = roots[i] == roots[j]
+    if same.all() or not same.any():
+        raise DataError("the held-out words need a same-root pair and a cross-root pair")
+    cosines = np.einsum("ij,ij->i", units[i], units[j])
     return float(np.mean(cosines[same]) - np.mean(cosines[~same]))
 
 

@@ -24,7 +24,7 @@ import hashlib
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
@@ -435,23 +435,12 @@ def encode(seq: CharSeq, vocab: NGramVocab) -> CountVector:
     return cv
 
 
-def _stack_counts(cvs: Sequence[CountVector]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The CSR arrays (indptr, indices, data) of count vectors stacked as rows."""
-    indptr = np.zeros(len(cvs) + 1, dtype=np.intp)
-    np.cumsum([len(cv) for cv in cvs], out=indptr[1:])
-    nnz = int(indptr[-1])
-    indices = np.fromiter(chain.from_iterable(cvs), dtype=np.intp, count=nnz)
-    data = np.fromiter(
-        chain.from_iterable(cv.values() for cv in cvs), dtype=np.float64, count=nnz
-    )
-    return indptr, indices, data
-
-
 def encode_batch(
     seqs: Sequence[CharSeq], vocab: NGramVocab
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The CSC arrays (indptr, indices, data) of the count matrix whose row i is
-    `encode(seqs[i], vocab)`: the arrays of `count_matrix(...).tocsc()`.
+    `encode(seqs[i], vocab)`, for sequences as given: the caller normalizes them
+    (`model.encode_matrix` does, in its model's case mode).
 
     `indptr` has len(vocab) + 1 offsets, and each column lists the rows that
     hold its n-gram in ascending order, with their counts as float64. The

@@ -9,10 +9,12 @@ results can be checked against an independent route.
 import math
 import struct
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from charngram import MinCount, Model, NGramVocab, TrainConfig, build_vocab, init_model, train
 from charngram.model import verify_binding
@@ -141,3 +143,15 @@ def dense_embed_ref(cv, model: Model) -> np.ndarray:
     if model.activation == "linear":
         return pre
     return np.tanh(pre)
+
+
+def count_matrix(cvs, model: Model) -> sparse.csr_matrix:
+    """Count vectors stacked as the rows of a CSR (len(cvs), |V|) matrix, in each
+    vector's key order, with the index dtypes SciPy chooses: the per-text oracle
+    that `encode_batch` and `encode_matrix` are compared with (after `tocsc()`)."""
+    indptr = np.zeros(len(cvs) + 1, dtype=np.intp)
+    np.cumsum([len(cv) for cv in cvs], out=indptr[1:])
+    nnz = int(indptr[-1])
+    indices = np.fromiter(chain.from_iterable(cvs), dtype=np.intp, count=nnz)
+    data = np.fromiter(chain.from_iterable(cv.values() for cv in cvs), dtype=np.float64, count=nnz)
+    return sparse.csr_matrix((data, indices, indptr), shape=(len(cvs), model.vocab_size))

@@ -21,7 +21,6 @@ from charngram import (
     TrainConfig,
     build_vocab,
     cosine,
-    count_matrix,
     embed,
     embed_matrix,
     encode,
@@ -47,7 +46,7 @@ from charngram.synthetic import (
 from charngram.train import PairDataset, _rng, select_negatives
 
 import conftest
-from conftest import dense_embed_ref, pearson_ref, random_model, spearman_ref
+from conftest import count_matrix, dense_embed_ref, pearson_ref, random_model, spearman_ref
 
 
 def record(num: int, desc: str, ok: bool, detail: str):

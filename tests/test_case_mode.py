@@ -1,8 +1,9 @@
 """A model is the one record of how its input text is normalized.
 
-Every path that turns text into a model's input (evaluation, the working
-vocabulary and its queries, training and the gradient audit, the synthetic
-cosine gap, the `embed` command) normalizes it with `Model.input_case_mode`:
+Every path that turns text into a model's input (`encode_matrix`,
+evaluation, the working vocabulary and its queries, training and the gradient
+audit, the synthetic cosine gap, the `embed` command) normalizes it with
+`Model.input_case_mode`:
 the case mode the model records, or "lower" for a version-1 file that records
 none. The references below normalize by hand with an explicit mode.
 """

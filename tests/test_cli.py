@@ -17,13 +17,13 @@ from hypothesis import given, settings, strategies as st
 
 import charngram
 from charngram import (
-    RunConfig, count_matrix, embed_matrix, encode, load_model, load_vocab, normalize,
+    RunConfig, embed_matrix, encode, load_model, load_vocab, normalize,
 )
 from charngram.cli import main
 from charngram.io import config_key
 from charngram.synthetic import make_task, training_pairs
 
-from conftest import save_v1
+from conftest import count_matrix, save_v1
 
 PAIRS = """\
 the cat sat\ta cat sat down

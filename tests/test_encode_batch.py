@@ -1,7 +1,9 @@
 """The array pass against its per-text oracles.
 
-`encode_batch` must give the arrays of `count_matrix(...).tocsc()` over
-per-text `encode` count vectors, and `build_vocab` the entries of a `Counter` over `_windows`,
+`encode_batch` must give the arrays of `count_matrix(...).tocsc()` (the
+oracle in conftest) over per-text `encode` count vectors, `encode_matrix` the
+same matrix over each raw text normalized in its model's case mode, and
+`build_vocab` the entries of a `Counter` over `_windows`,
 for any text: astral characters, NUL, lone surrogates, characters outside the
 vocabulary, empty texts and texts shorter than every order. A vocabulary
 that would keep a lone surrogate is a DataError. Past a 63-bit key, counting,
@@ -33,7 +35,6 @@ from charngram import (
     binned_eval,
     build_vocab,
     build_working_vocab,
-    count_matrix,
     embed_matrix,
     encode,
     encode_batch,
@@ -52,6 +53,8 @@ from charngram import cli, synthetic
 from charngram.io import escape_ngram
 from charngram.train import _encode_pairs
 from charngram.vocab import _windows, normalize
+
+from conftest import count_matrix
 
 # characters that stress the packing: NUL, lone surrogates, astral ones, the
 # highest code point, a combining mark
@@ -75,6 +78,12 @@ VOCAB_TEXTS = st.text(
 )
 POLICIES = st.one_of(
     st.integers(1, 3).map(MinCount), st.integers(1, 6).map(TopKPerOrder)
+)
+# raw texts: mixed case, whitespace runs of several kinds, no boundary padding
+RAW_TEXTS = st.text(
+    st.one_of(st.sampled_from(["a", "b", "A", "B", " ", "\t", "\n", "\u3000", *ODD]),
+              st.characters()),
+    max_size=12,
 )
 # packed-key limits that force re-ranking at many widths, and the real one;
 # patched with a context manager, as Hypothesis rejects function-scoped fixtures
@@ -105,20 +114,30 @@ def _build(corpus, orders, policy, case_mode="lower"):
         return build_vocab(corpus, orders, policy, case_mode=case_mode)
 
 
-def _assert_batch_equals_loop(seqs, vocab):
-    cvs = [encode(seq, vocab) for seq in seqs]
-    model = Model(weights=np.zeros((len(vocab), 1)), bias=np.zeros(1), activation="linear",
-                  vocab_fingerprint=vocab.fingerprint)
-    want = count_matrix(cvs, model).tocsc()
-    names = ("indptr", "indices", "data")
-    for name, got in zip(names, encode_batch(seqs, vocab)):
-        assert got.dtype == (np.float64 if name == "data" else np.intp)
-        assert np.array_equal(got, getattr(want, name))
-    got = encode_matrix(seqs, vocab, model)
+def _zero_model(vocab, case_mode=None):
+    return Model(weights=np.zeros((len(vocab), 1)), bias=np.zeros(1), activation="linear",
+                 vocab_fingerprint=vocab.fingerprint, case_mode=case_mode)
+
+
+def _assert_encode_matrix_equals_loop(texts, vocab, model):
+    """`encode_matrix` has the arrays and index dtypes of the per-text oracle over
+    the texts normalized in the model's case mode."""
+    seqs = [normalize(text, model.input_case_mode) for text in texts]
+    want = count_matrix([encode(seq, vocab) for seq in seqs], model).tocsc()
+    got = encode_matrix(texts, vocab, model)
     assert got.format == "csc" and got.shape == want.shape
-    for name in names:
+    for name in ("indptr", "indices", "data"):
         assert getattr(got, name).dtype == getattr(want, name).dtype
         assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
+def _assert_batch_equals_loop(seqs, vocab):
+    model = _zero_model(vocab)
+    want = count_matrix([encode(seq, vocab) for seq in seqs], model).tocsc()
+    for name, got in zip(("indptr", "indices", "data"), encode_batch(seqs, vocab)):
+        assert got.dtype == (np.float64 if name == "data" else np.intp)
+        assert np.array_equal(got, getattr(want, name))
+    _assert_encode_matrix_equals_loop(seqs, vocab, model)
 
 
 @st.composite
@@ -165,12 +184,24 @@ def test_a_batch_embedding_does_not_depend_on_its_batch(vocab, seqs, dim, activa
     model = Model(weights=weights, bias=rng.standard_normal(dim), activation=activation,
                   vocab_fingerprint=vocab.fingerprint)
     values = embed_matrix(encode_matrix(seqs, vocab, model), model)
-    by_rows = count_matrix([encode(seq, vocab) for seq in seqs], model)
+    by_rows = count_matrix([encode(normalize(seq, model.input_case_mode), vocab) for seq in seqs],
+                           model)
     by_rows.sort_indices()
     assert values.tobytes() == embed_matrix(by_rows, model).tobytes()
     for seq, row in zip(seqs, values):
         alone = embed_matrix(encode_matrix([seq], vocab, model), model)
         assert row.tobytes() == alone[0].tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(vocabularies(), st.lists(RAW_TEXTS, max_size=12))
+# a preserve-mode vocabulary whose n-grams need the case kept, the whitespace
+# collapsed and the boundary spaces added
+@example(NGramVocab([(" T", 2, 1), ("e C", 3, 1), ("t ", 2, 1), ("e c", 3, 1)]),
+         ["The\t\tCat", "the  cat", "", "THE CAT"])
+def test_encode_matrix_normalizes_raw_text_in_the_model_case_mode(vocab, texts):
+    for case_mode in ("lower", "preserve"):
+        _assert_encode_matrix_equals_loop(texts, vocab, _zero_model(vocab, case_mode))
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,7 +1,8 @@
 """Source hygiene: no module of the package imports a name it never uses or
 defines a private name nothing reads, only the single-query path calls the
-per-text `encode`, only `io._atomic_write` writes a file, and every training
-setting is one the command line can set.
+per-text `encode`, the case rule is applied in a few named places, only
+`io._atomic_write` writes a file, and every training setting is one the
+command line can set.
 
 `__init__.py` is exempt: its imports are the package's re-exports.
 """
@@ -118,19 +119,31 @@ def _callers(sources: dict[str, str], picks) -> list[str]:
 # the single-query path; every batch goes through `encode_batch`
 PER_TEXT_ENCODE_CALLERS = ["neighbors.py: nearest_neighbors"]
 
+# the batch door, the single query, the two that need each text's normalized
+# form (de-duplication, phrase identity), and the corpus count
+NORMALIZE_CALLERS = [
+    "model.py: encode_matrix",
+    "neighbors.py: build_working_vocab",
+    "neighbors.py: nearest_neighbors",
+    "train.py: _encode_pairs",
+    "vocab.py: build_vocab",
+]
 
-def _per_text_encode_callers(sources: dict[str, str]) -> list[str]:
-    """Each function of `sources`, as `module: name`, that calls `encode` by name.
 
-    A call outside any function is named `module: <module>`; `text.encode(...)`
-    is a method call and not counted.
+def _callers_by_name(sources: dict[str, str], name: str) -> list[str]:
+    """Each function of `sources`, as `module: name`, that calls `name` by name.
+
+    A call outside any function is named `module: <module>`; a method call
+    such as `text.encode(...)` is not counted.
     """
-    return _callers(sources, lambda call, _: isinstance(call.func, ast.Name) and call.func.id == "encode")
+    return _callers(
+        sources, lambda call, _: isinstance(call.func, ast.Name) and call.func.id == name
+    )
 
 
 def test_only_the_single_query_path_calls_the_per_text_encode():
     sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
-    assert _per_text_encode_callers(sources) == PER_TEXT_ENCODE_CALLERS
+    assert _callers_by_name(sources, "encode") == PER_TEXT_ENCODE_CALLERS
 
 
 def test_the_check_names_each_per_text_encode_caller():
@@ -145,7 +158,28 @@ def test_the_check_names_each_per_text_encode_caller():
         ),
         "b.py": "def untouched(text):\n    return text.encode('utf-8')\n",
     }
-    assert _per_text_encode_callers(sources) == ["a.py: <module>", "a.py: one"]
+    assert _callers_by_name(sources, "encode") == ["a.py: <module>", "a.py: one"]
+
+
+def test_only_the_named_functions_normalize_text():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert _callers_by_name(sources, "normalize") == NORMALIZE_CALLERS
+
+
+def test_the_check_names_each_normalize_caller():
+    sources = {
+        "a.py": (
+            "import unicodedata\n"
+            "from .vocab import normalize\n"
+            "def scores(texts, model):\n"
+            "    return [normalize(t, model.input_case_mode) for t in texts]\n"
+            "def folded(text):\n"
+            "    return unicodedata.normalize('NFC', text)\n"
+            "BLANK = normalize('')\n"
+        ),
+        "b.py": "def untouched(path):\n    return path.normalize()\n",
+    }
+    assert _callers_by_name(sources, "normalize") == ["a.py: <module>", "a.py: scores"]
 
 
 # the one writer: symlinks, non-regular targets and file modes are its rules

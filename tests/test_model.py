@@ -11,7 +11,6 @@ from charngram import (
     Model,
     NGramVocab,
     cosine,
-    count_matrix,
     embed,
     embed_matrix,
     encode,
@@ -27,7 +26,7 @@ from charngram.model import (
     embed_matrix_grad,
 )
 
-from conftest import dense_embed_ref, random_model
+from conftest import count_matrix, dense_embed_ref, random_model
 
 
 def _bare_model(weights, bias, activation="linear"):
@@ -60,9 +59,6 @@ def test_embed_out_of_range_row():
         embed({5: 1}, m)
     with pytest.raises(DataError, match="vocab/model mismatch"):
         preactivation({-1: 1}, m)
-    for bad in ({5: 1}, {-1: 1}):
-        with pytest.raises(DataError, match="vocab/model mismatch"):
-            count_matrix([{0: 1}, bad], m)
 
 
 def test_activation_ranges():

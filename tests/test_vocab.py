@@ -1,9 +1,10 @@
 import hashlib
+import sys
 import warnings
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from charngram import DataError, MinCount, NGramVocab, TopKPerOrder, build_vocab, encode
 from charngram.vocab import extract_ngrams, ngram_table, normalize, table_fingerprint
@@ -32,6 +33,17 @@ def test_normalize_case_modes():
 def test_normalize_idempotent(text):
     once = normalize(text)
     assert normalize(once) == once
+
+
+@pytest.mark.parametrize("case_mode", ["lower", "preserve"])
+@given(st.text(st.one_of(st.sampled_from(" \t\n\u3000AaΣσςİ\ud800"), st.characters()),
+               max_size=40))
+# every code point, in one text
+@example(text="".join(map(chr, range(sys.maxunicode + 1))))
+def test_normalize_is_idempotent_in_both_modes(case_mode, text):
+    # encode_matrix normalizes text its callers may have normalized already
+    once = normalize(text, case_mode)
+    assert normalize(once, case_mode) == once
 
 
 @given(texts)
