@@ -237,55 +237,30 @@ def embed_matrix(counts: sparse.spmatrix, model: Model) -> np.ndarray:
     return apply_activation(model.activation, counts @ model.weights + model.bias)
 
 
-def backward_layouts(
-    counts: sparse.csr_matrix,
-    row_bounds: Sequence[int] | np.ndarray,
-    dtype: np.dtype | type | None = None,
-) -> list[tuple[np.ndarray, sparse.csr_matrix]]:
-    """The backward layout of each row block [row_bounds[b], row_bounds[b + 1]) of `counts`.
+def column_layout(
+    counts: sparse.csc_matrix, dtype: np.dtype | type
+) -> tuple[np.ndarray, sparse.csr_matrix]:
+    """The backward layout (touched, X[:, touched]^T) of a CSC count matrix X.
 
-    Block b's layout is (touched, X_b[:, touched]^T): the sorted columns present
-    in the block's rows X_b, and the CSR matrix whose row t lists the entries of
-    column touched[t], indexed by their row within the block, in row order (and
-    in stored order within a row). Those are the arrays scipy's csc -> csr
-    conversion of X_b[:, touched]^T gives, so products with it are bit-identical.
-    Each block's entries are put in that order by one sort of (column, entry
-    position) keys packed into int64, the same order as a stable argsort of the
-    columns; blocks may be empty. The layout's index arrays take the dtype of
-    `counts.indices`, int32 wherever SciPy chose it, and its counts `dtype`,
-    the dtype of `counts` when None.
+    `touched` is the sorted columns that hold an entry. Row t of the CSR
+    matrix X[:, touched]^T lists column touched[t]'s entries as `counts`
+    stores them (rows ascending, as SciPy's conversions leave them): the
+    arrays SciPy's csc -> csr conversion of that transpose gives, so products
+    with it are bit-identical. The layout shares the row-index array of
+    `counts`, and so its index dtype (int32 wherever SciPy chose it), and
+    holds its counts cast to `dtype`.
     """
-    indptr, indices = counts.indptr, counts.indices
-    data = counts.data.astype(counts.dtype if dtype is None else dtype, copy=False)
-    row_bounds = np.asarray(row_bounds, dtype=np.intp)
-    entry_bounds = indptr[row_bounds]
-    block_rows = np.diff(row_bounds)
-    local_row = np.arange(counts.shape[0]) - np.repeat(row_bounds[:-1], block_rows)
-    entry_row = np.repeat(local_row.astype(indices.dtype), np.diff(indptr))
-    layouts = []
-    for b, (e0, e1) in enumerate(zip(entry_bounds, entry_bounds[1:])):
-        # a column (below |V| < 2^31) and a position in the block (below 2^32
-        # entries) fit one int64 key; position order breaks ties as a stable
-        # sort would
-        shift = int(e1 - e0).bit_length()
-        keys = np.sort((indices[e0:e1].astype(np.int64) << shift) | np.arange(e1 - e0))
-        order = keys & ((1 << shift) - 1)
-        columns = keys >> shift
-        # where a column's run of entries starts, and the end of the last run
-        new = np.ones(len(keys) + 1, dtype=bool)
-        new[1:-1] = columns[1:] != columns[:-1]
-        xt_indptr = np.flatnonzero(new).astype(indices.dtype, copy=False)
-        starts = xt_indptr[:-1]
-        xt = sparse.csr_matrix(
-            (data[e0:e1][order], entry_row[e0:e1][order], xt_indptr),
-            shape=(len(starts), block_rows[b]),
-        )
-        layouts.append((columns[starts], xt))
-    return layouts
+    indptr = counts.indptr
+    touched = np.flatnonzero(np.diff(indptr))
+    # where each touched column's entries start, and where the last one's end
+    offsets = np.append(indptr[touched], indptr[-1])
+    data = counts.data.astype(dtype, copy=False)
+    xt = sparse.csr_matrix((data, counts.indices, offsets), shape=(len(touched), counts.shape[0]))
+    return touched, xt
 
 
 def embed_matrix_grad(
-    counts: sparse.csr_matrix,
+    counts: sparse.spmatrix,
     values: np.ndarray,
     upstream: np.ndarray,
     model: Model,
@@ -295,14 +270,14 @@ def embed_matrix_grad(
 
     Returns (d loss / d bias, touched rows, d loss / d weights[touched rows]),
     where the touched rows are the sorted columns present in `counts`.
-    `layout` is the one block of `backward_layouts` covering all of `counts`;
-    it is computed, in the dtype of `counts`, when not given. The bias
+    `layout` is `column_layout` of `counts` as CSC; when not given, it is
+    read off `sparse.csc_matrix(counts)` in the dtype of `counts`. The bias
     gradient is float64; the rows' gradient is the product X_touched^T @ d_pre
     in the layout's dtype, so a float32 layout gives float32 rows and a
     float64 layout the float64 formula.
     """
     if layout is None:
-        (layout,) = backward_layouts(counts, (0, counts.shape[0]))
+        layout = column_layout(sparse.csc_matrix(counts), counts.dtype)
     touched, xt = layout
     d_pre = upstream * activation_grad(model.activation, values)
     # past float32's range a value casts to inf, which the Adam step reports

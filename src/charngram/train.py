@@ -12,15 +12,18 @@ side-2 texts, so each step runs one forward pass h(X @ W + b) over 2n rows,
 and its backward pass is X^T times the gradient at the pre-activations.
 
 What a step needs that does not depend on the weights is planned before the
-epoch's first step: every batch's count rows come from one fancy row index,
-every batch's backward layout (its touched rows and X_touched^T) from one
-`backward_layouts` call, and the integer ids that exclude string-equal
-negatives are made once per dataset. A step then does only the work that
-depends on the weights, with the same arithmetic in the same order as
-building each batch on its own. The plan covers a window of batches holding
-about _PLAN_WINDOW_ENTRIES count entries at a time, so beside the dataset's
-count matrix it keeps about two copies of that many entries (the rows and
-their layout), however large the dataset.
+first step of each window of batches: the window's count rows come from one
+fancy row index of the dataset's CSR matrix, each batch's rows are converted
+to CSC, so its forward reads each touched weight row once, and its backward
+layout (its touched rows and X_touched^T) is read off those columns by
+`column_layout`. The integer ids that exclude string-equal negatives are made
+once per dataset. A step then does only the work that depends on the
+weights, with the same arithmetic in the same order as building each batch
+on its own. A window holds about _PLAN_WINDOW_ENTRIES count entries, so
+beside the dataset's count matrix the plan keeps the window's batches and
+the float32 counts of their layouts, which share the batches' row indices
+(and, while it plans a window, the window's CSR rows), however large the
+dataset.
 
 The step itself builds no SciPy matrix. Negative selection reads the masks
 of allowed candidates from a cache keyed by the batch size and the pool,
@@ -51,8 +54,8 @@ from .errors import DataError, NumericalError
 from .model import (
     COSINE_NORM_FLOOR,
     Model,
-    backward_layouts,
     check_activation,
+    column_layout,
     embed_matrix,
     embed_matrix_grad,
     encode_matrix,
@@ -373,17 +376,18 @@ def _hinge(
 class _Batch:
     """What one training step needs that does not depend on the weights.
 
-    A planned batch's backward layout holds its counts as float32, which is
-    exact for counts below 2^24, so the step's backward builds the gradient
-    rows in the float32 that `_adam_apply` reads them in (`_plan_batches`
-    casts them). Without a layout, `embed_matrix_grad` lays the counts out in
-    their own float64, and the gradient is the float64 formula that
-    `finite_diff_audit` checks.
+    A planned batch's counts are a `csc_matrix`, and its backward layout is
+    `column_layout` of them with the counts as float32, which is exact for
+    counts below 2^24, so the step's backward builds the gradient rows in the
+    float32 that `_adam_apply` reads them in. Without a layout (the audit's
+    batch, whose counts are `_encode_pairs`' CSR), `embed_matrix_grad` lays
+    the counts out in their own float64, and the gradient is the float64
+    formula that `finite_diff_audit` checks.
     """
 
-    counts: sparse.csr_matrix  # the side-1 rows over the side-2 rows
+    counts: sparse.spmatrix  # the side-1 rows over the side-2 rows
     text_ids: np.ndarray  # (n, 2) `_text_ids` of the pairs, for excluding negatives
-    layout: tuple[np.ndarray, sparse.csr_matrix] | None = None  # `backward_layouts` of counts
+    layout: tuple[np.ndarray, sparse.csr_matrix] | None = None  # `column_layout` of counts
 
 
 def _batch_gradients(
@@ -554,15 +558,17 @@ def _plan_batches(
 ) -> Iterator[_Batch]:
     """The `_Batch` of each batch of pair indices, planned a window of batches at a time.
 
-    `counts` holds the side-1 rows of all n pairs over their side-2 rows, and
-    `text_ids` their `_text_ids`. A window takes its rows (each batch's side-1
-    rows, then its side-2 rows) with one fancy index of `counts` and lays out
-    every batch's backward pass with one `backward_layouts` call, its counts
-    cast to float32 once for the window (see `_Batch`); each batch's
-    count matrix is then a contiguous row range of the window's arrays. A
-    window ends once its batches hold _PLAN_WINDOW_ENTRIES count entries, so
-    the plan keeps about that many entries twice (the rows and their layout)
-    besides `counts`, whatever the dataset size.
+    `counts` holds the side-1 rows of all n pairs over their side-2 rows, as
+    `_encode_pairs` gives them, and `text_ids` their `_text_ids`. A window
+    takes its rows (each batch's side-1 rows, then its side-2 rows) with one
+    fancy index of `counts`. Before the window's first step, each batch's
+    rows, a contiguous row range of the window's arrays, are converted to a
+    `csc_matrix` by SciPy's `tocsc`, and its backward layout is read off
+    those columns by `column_layout`, with the counts as float32 (see
+    `_Batch`); the window's CSR rows are then dropped. A window ends once its
+    batches hold _PLAN_WINDOW_ENTRIES count entries, so besides `counts` the
+    plan keeps about that many entries, with their float32 copy, whatever
+    the dataset size.
     """
     n = len(text_ids)
     row_nnz = np.diff(counts.indptr)
@@ -574,14 +580,18 @@ def _plan_batches(
         rows = counts[np.concatenate([np.concatenate([idxs, idxs + n]) for idxs in window])]
         bounds = np.cumsum([0, *(2 * len(idxs) for idxs in window)])
         indptr = rows.indptr
-        layouts = backward_layouts(rows, bounds, np.float32)
-        for idxs, r0, r1, layout in zip(window, bounds, bounds[1:], layouts):
+        planned = []
+        for idxs, r0, r1 in zip(window, bounds, bounds[1:]):
             e0, e1 = indptr[r0], indptr[r1]
             batch_counts = sparse.csr_matrix(
                 (rows.data[e0:e1], rows.indices[e0:e1], indptr[r0 : r1 + 1] - e0),
                 shape=(r1 - r0, rows.shape[1]),
+            ).tocsc()
+            planned.append(
+                _Batch(batch_counts, text_ids[idxs], column_layout(batch_counts, np.float32))
             )
-            yield _Batch(batch_counts, text_ids[idxs], layout)
+        del rows, indptr
+        yield from planned
 
 
 def epoch_permutation(seed: int, epoch: int, n: int, curriculum: bool) -> np.ndarray:
@@ -689,12 +699,16 @@ def train(
     `epoch_permutation(config.seed, epoch, ...)`, and the run is fully
     deterministic given config.seed. Adam runs with the constants
     ADAM_BETA1, ADAM_BETA2 and ADAM_EPSILON. With zero epochs the pairs are
-    not encoded, and the model returned is `init_model`'s. The state of the
-    run is one `_Run`, stepped here with the hook called at each curve point.
+    not encoded, and the model returned is `init_model`'s; with any more, a
+    dataset of one pair is a DataError, as its only batch would be dropped.
+    The state of the run is one `_Run`, stepped here with the hook called at
+    each curve point.
     """
     config.validate()
     if len(dataset) == 0:
         raise DataError("empty dataset")
+    if config.epochs > 0 and len(dataset) < 2:
+        raise DataError("need at least 2 pairs to train: negatives come from the batch")
     if len(vocab) == 0:
         raise DataError("empty vocabulary")
 

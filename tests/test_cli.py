@@ -359,6 +359,22 @@ def test_missing_input_file_exits_2(ws, tmp_path, capsys):
     assert rc == 2
 
 
+def test_training_on_one_pair_exits_2_and_writes_nothing(ws, tmp_path, capsys):
+    one = tmp_path / "one.tsv"
+    one.write_text(PAIRS.splitlines()[0] + "\n", encoding="utf-8")
+    rc = main([
+        "train", "--pairs", str(one), "--out", str(tmp_path / "m.bin"), "--dim", "8",
+        "--epochs", "3", "--curve", str(tmp_path / "c.tsv"),
+    ])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: need at least 2 pairs to train: negatives come from the batch"
+    ]
+    assert out == ""
+    assert not (tmp_path / "m.bin").exists() and not (tmp_path / "c.tsv").exists()
+
+
 def test_corrupt_model_exits_2(ws, tmp_path, capsys):
     bad = tmp_path / "bad.bin"
     bad.write_bytes(b"JUNKJUNKJUNK" + b"\x00" * 40)

@@ -1,9 +1,10 @@
 """The epoch plan: batches laid out once per window, bit-identical to per-step rebuilds.
 
-`train` takes each window's batch rows with one fancy index, lays out every
-batch's backward pass with one `backward_layouts` call and gives each phrase
-an integer id once per dataset. The references here rebuild all three per
-batch, as the trainer did before it planned: a fancy row index per batch, a
+`train` takes each window's batch rows with one fancy index, converts each
+batch to CSC before the window's first step, reads its backward layout off
+those columns with `column_layout`, and gives each phrase an integer id once
+per dataset. The references here rebuild all three per batch, as the trainer
+did before it planned: a fancy row index per batch (a CSR forward), a
 text-to-id dict per batch and a csc -> csr transpose per backward pass.
 """
 
@@ -23,6 +24,7 @@ from charngram import (
     TrainConfig,
     TrainingCurve,
     build_vocab,
+    encode_matrix,
     epoch_permutation,
     init_model,
     train,
@@ -30,7 +32,7 @@ from charngram import (
 from charngram.model import (
     Model,
     activation_grad,
-    backward_layouts,
+    column_layout,
     embed_matrix,
     embed_matrix_grad,
 )
@@ -44,6 +46,8 @@ from charngram.train import (
     _step,
     _text_ids,
 )
+
+from conftest import random_model
 
 
 def _tocsr_layout(counts):
@@ -69,19 +73,6 @@ def _embed_matrix_grad_reference(counts, values, upstream, model):
 # --- the planner ------------------------------------------------------------
 
 
-def _assert_layouts_equal_per_block(counts, bounds):
-    layouts = backward_layouts(counts, bounds)
-    assert len(layouts) == len(bounds) - 1
-    for (touched, xt), r0, r1 in zip(layouts, bounds, bounds[1:]):
-        block = counts[r0:r1]
-        ref_touched, ref_xt = _tocsr_layout(block)
-        assert np.array_equal(touched, np.unique(block.indices))
-        assert np.array_equal(touched, ref_touched)
-        assert xt.shape == ref_xt.shape
-        for name in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(xt, name), getattr(ref_xt, name)), name
-
-
 @st.composite
 def _blocked_counts(draw):
     n_cols = draw(st.integers(1, 10))
@@ -97,27 +88,47 @@ def _blocked_counts(draw):
     return counts, [0, *sorted(cuts), len(rows)]
 
 
+def _assert_layouts_equal_per_block(counts, bounds, dtype):
+    layouts = []
+    for r0, r1 in zip(bounds, bounds[1:]):
+        block = counts[r0:r1]
+        touched, xt = column_layout(block.tocsc(), dtype)
+        ref_touched, ref_xt = _tocsr_layout(block)
+        assert touched.dtype == ref_touched.dtype
+        assert np.array_equal(touched, np.unique(block.indices))
+        assert np.array_equal(touched, ref_touched)
+        assert xt.shape == ref_xt.shape
+        assert xt.dtype == dtype
+        for name in ("indptr", "indices"):
+            got, want = getattr(xt, name), getattr(ref_xt, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        assert np.array_equal(xt.data, ref_xt.data.astype(dtype))
+        layouts.append((touched, xt))
+    return layouts
+
+
 @settings(max_examples=200, deadline=None)
-@given(_blocked_counts())
-def test_backward_layouts_equal_unique_and_tocsr_per_block(case):
-    # rows may be empty, unsorted or hold one column twice; blocks may be empty
-    _assert_layouts_equal_per_block(*case)
+@given(_blocked_counts(), st.sampled_from([np.float64, np.float32]))
+def test_backward_layouts_equal_unique_and_tocsr_per_block(case, dtype):
+    # column_layout of each block's CSC against the tocsr oracle: rows may be
+    # empty, unsorted or hold one column twice; blocks may be empty or have no
+    # rows, and most columns of a block are empty
+    _assert_layouts_equal_per_block(*case, dtype)
 
 
 def test_backward_layouts_edge_blocks():
-    # an all-empty block, a single-column block, a zero-row block and a block
-    # whose rows repeat one column between them
+    # an all-empty block, a single-column block, a zero-row block, a block
+    # whose rows repeat one column between them and a one-entry block
     rows = [[], [], [3], [3], [], [0, 5], [5, 0], [2]]
     indptr = np.cumsum([0, *map(len, rows)])
     counts = sparse.csr_matrix(
         (np.arange(1.0, indptr[-1] + 1), np.array(sum(rows, []), dtype=np.int32), indptr),
         shape=(len(rows), 6),
     )
-    bounds = [0, 2, 4, 4, 7, 8]
-    _assert_layouts_equal_per_block(counts, bounds)
-    layouts = backward_layouts(counts, bounds)
-    assert [t.tolist() for t, _ in layouts] == [[], [3], [], [0, 5], [2]]
-    assert layouts[0][1].shape == (0, 2) and layouts[2][1].shape == (0, 0)
+    for dtype in (np.float64, np.float32):
+        layouts = _assert_layouts_equal_per_block(counts, [0, 2, 4, 4, 7, 8], dtype)
+        assert [t.tolist() for t, _ in layouts] == [[], [3], [], [0, 5], [2]]
+        assert layouts[0][1].shape == (0, 2) and layouts[2][1].shape == (0, 0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -127,9 +138,9 @@ def test_embed_matrix_grad_is_byte_equal_to_the_tocsr_backward(case, activation,
     rng = np.random.default_rng(seed)
     model = Model(weights=rng.normal(size=(counts.shape[1], 3)), bias=rng.normal(size=3),
                   activation=activation, vocab_fingerprint=0)
-    layouts = backward_layouts(counts, bounds)
-    for layout, r0, r1 in zip(layouts, bounds, bounds[1:]):
+    for r0, r1 in zip(bounds, bounds[1:]):
         block = counts[r0:r1]
+        layout = column_layout(block.tocsc(), block.dtype)
         values = embed_matrix(block, model)
         upstream = rng.normal(size=values.shape)
         want = _embed_matrix_grad_reference(block, values, upstream, model)
@@ -139,6 +150,17 @@ def test_embed_matrix_grad_is_byte_equal_to_the_tocsr_backward(case, activation,
             assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
+def _planned(dataset, vocab, config):
+    """The plan of the first epoch, with the normalized texts and the count matrix."""
+    texts, counts = _encode_pairs(dataset.pairs, vocab, init_model(vocab, config))
+    order = epoch_permutation(config.seed, 0, len(dataset), False)
+    bs = config.batch_size
+    slices = [order[s : s + bs] for s in range(0, len(dataset), bs)]
+    planned = list(_plan_batches(counts, _text_ids(texts), slices))
+    assert len(planned) == len(slices) == 5
+    return texts, counts, slices, planned
+
+
 @pytest.mark.parametrize("window", [None, 1])
 def test_planned_layouts_hold_float32_counts_equal_to_the_float64_ones(window, monkeypatch):
     # the backward runs in float32 on planned batches; counts below 2^24 are
@@ -146,16 +168,10 @@ def test_planned_layouts_hold_float32_counts_equal_to_the_float64_ones(window, m
     if window is not None:
         monkeypatch.setattr(sys.modules["charngram.train"], "_PLAN_WINDOW_ENTRIES", window)
     dataset, vocab = _pairs()
-    config = TrainConfig(dim=6, batch_size=5, seed=11)
-    texts, counts = _encode_pairs(dataset.pairs, vocab, init_model(vocab, config))
-    text_ids = _text_ids(texts)
-    order = epoch_permutation(config.seed, 0, len(dataset), False)
-    slices = [order[s : s + 5] for s in range(0, len(dataset), 5)]
-    planned = list(_plan_batches(counts, text_ids, slices))
-    assert len(planned) == len(slices) == 5
+    *_, planned = _planned(dataset, vocab, TrainConfig(dim=6, batch_size=5, seed=11))
     for batch in planned:
         touched, xt = batch.layout
-        ref_touched, ref_xt = _tocsr_layout(batch.counts)
+        ref_touched, ref_xt = _tocsr_layout(batch.counts.tocsr())
         assert batch.counts.dtype == ref_xt.dtype == np.float64
         assert xt.dtype == np.float32
         assert np.array_equal(touched, ref_touched)
@@ -164,6 +180,29 @@ def test_planned_layouts_hold_float32_counts_equal_to_the_float64_ones(window, m
         assert np.array_equal(xt.indices, ref_xt.indices)
         assert np.array_equal(xt.data.astype(np.float64), ref_xt.data)
         assert _Batch(batch.counts, batch.text_ids).layout is None
+
+
+@pytest.mark.parametrize("window", [None, 1])
+def test_planned_batches_are_column_major_with_the_rows_forward(window, monkeypatch):
+    # each batch is the CSC of its rows, converted before the window's first
+    # step; its forward has the bits of the same rows' CSR product and of the
+    # batch's texts encoded afresh, and its layout reads the same row indices
+    if window is not None:
+        monkeypatch.setattr(sys.modules["charngram.train"], "_PLAN_WINDOW_ENTRIES", window)
+    dataset, vocab = _pairs()
+    config = TrainConfig(dim=6, batch_size=5, seed=11)
+    texts, counts, slices, planned = _planned(dataset, vocab, config)
+    model = random_model(np.random.default_rng(7), vocab, dim=6)
+    n = len(dataset)
+    for idxs, batch in zip(slices, planned):
+        assert isinstance(batch.counts, sparse.csc_matrix)
+        assert batch.counts.indices.dtype == batch.counts.indptr.dtype == np.int32
+        assert np.shares_memory(batch.layout[1].indices, batch.counts.indices)
+        forward = embed_matrix(batch.counts, model).tobytes()
+        assert forward == embed_matrix(counts[np.concatenate([idxs, idxs + n])], model).tobytes()
+        batch_texts = [texts[i][0] for i in idxs] + [texts[i][1] for i in idxs]
+        encoded = encode_matrix(batch_texts, vocab, model)
+        assert forward == embed_matrix(encoded, model).tobytes()
 
 
 def test_text_ids_are_equal_exactly_where_the_phrases_are():
@@ -333,8 +372,8 @@ def test_scipy_constructions_per_train_call(window, monkeypatch):
     # rows of is SciPy's own conversion), then two per batch: its rows and
     # its backward layout. A SciPy matrix built per step for anything else (such
     # as summing the hinge terms) is per-call overhead that shows at small
-    # batches. SciPy's own row index per window is not made through these
-    # modules and is not counted.
+    # batches. SciPy's own row index per window and its `tocsc` of each
+    # batch are not made through these modules and are not counted.
     counter = _CountingSparse()
     for module in ("charngram.train", "charngram.model"):
         monkeypatch.setattr(sys.modules[module], "sparse", counter)

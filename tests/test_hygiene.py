@@ -1,8 +1,8 @@
 """Source hygiene: no module of the package imports a name it never uses or
 defines a private name nothing reads, only the single-query path calls the
 per-text `encode`, the case rule is applied in a few named places, only
-`io._atomic_write` writes a file, and every training setting is one the
-command line can set.
+`io._atomic_write` writes a file, SciPy matrices are made in a few named
+places, and every training setting is one the command line can set.
 
 `__init__.py` is exempt: its imports are the package's re-exports.
 """
@@ -190,6 +190,18 @@ _WRITE_METHODS = {"write_text", "write_bytes"}
 _OPEN_CALLS = {"open", "io.open", "os.fdopen"}  # their mode is the second argument
 
 
+def _dotted(func: ast.expr, aliases: dict[str, str]) -> str | None:
+    """The dotted name a call's function stands for, its first part resolved
+    through `aliases`, or None when it is not a chain of names."""
+    parts = []
+    while isinstance(func, ast.Attribute):
+        parts.append(func.attr)
+        func = func.value
+    if not isinstance(func, ast.Name):
+        return None
+    return ".".join([aliases.get(func.id, func.id), *reversed(parts)])
+
+
 def _writes(call: ast.Call, aliases: dict[str, str]) -> bool:
     """Whether `call` makes, renames or writes a file.
 
@@ -200,11 +212,7 @@ def _writes(call: ast.Call, aliases: dict[str, str]) -> bool:
     "w", "a", "x" and "+".
     """
     func = call.func
-    name = None
-    if isinstance(func, ast.Name):
-        name = aliases.get(func.id, func.id)
-    elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
-        name = f"{aliases.get(func.value.id, func.value.id)}.{func.attr}"
+    name = _dotted(func, aliases)
     method = func.attr if isinstance(func, ast.Attribute) else None
     if name in _WRITE_CALLS or method in _WRITE_METHODS:
         return True
@@ -249,6 +257,66 @@ def test_the_check_names_each_file_writer():
     }
     assert _callers(sources, _writes) == [
         "a.py: <module>", "a.py: dump", "a.py: keep", "a.py: move", "a.py: note", "b.py: update",
+    ]
+
+
+# the batch door, the backward layout and its float64 route for the audit,
+# the dataset's CSR copy, and the plan's batches: a training step makes none
+SPARSE_BUILDERS = [
+    "model.py: column_layout",
+    "model.py: embed_matrix_grad",
+    "model.py: encode_matrix",
+    "train.py: _encode_pairs",
+    "train.py: _plan_batches",
+]
+
+_SPARSE_CALLS = {"scipy.sparse.csr_matrix", "scipy.sparse.csc_matrix"}
+
+
+def _builds_sparse(call: ast.Call, aliases: dict[str, str]) -> bool:
+    """Whether `call` makes a SciPy matrix.
+
+    That is a call of `scipy.sparse.csr_matrix` or `csc_matrix` under
+    whatever name an import binds them or the module to, or of a `.tocsr()`
+    or `.tocsc()` method. Indexing a matrix (`counts[rows]`) makes one too,
+    but it is not a call and is not seen.
+    """
+    func = call.func
+    return _dotted(func, aliases) in _SPARSE_CALLS or (
+        isinstance(func, ast.Attribute) and func.attr in ("tocsr", "tocsc")
+    )
+
+
+def test_only_the_named_functions_make_scipy_matrices():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert _callers(sources, _builds_sparse) == SPARSE_BUILDERS
+
+
+def test_the_check_names_each_scipy_matrix_maker():
+    sources = {
+        "a.py": (
+            "import scipy\n"
+            "import scipy.sparse as ss\n"
+            "from scipy import sparse\n"
+            "from scipy.sparse import csc_matrix as C\n"
+            "def rows(x):\n"
+            "    return sparse.csr_matrix(x)\n"
+            "def cols(x):\n"
+            "    return ss.csc_matrix(x), C(x)\n"
+            "def full(x):\n"
+            "    return scipy.sparse.csr_matrix(x)\n"
+            "def convert(x):\n"
+            "    return x.tocsc()\n"
+            "def picked(x, i):\n"
+            "    return x[i], sparse.coo_matrix(x), x.tocoo(), sparse.issparse(x)\n"
+            "def typed(x) -> sparse.csr_matrix:\n"
+            "    return x\n"
+            "EMPTY = sparse.csc_matrix((0, 0))\n"
+        ),
+        "b.py": "def flip(x):\n    return x.T.tocsr()\n",
+    }
+    assert _callers(sources, _builds_sparse) == [
+        "a.py: <module>", "a.py: cols", "a.py: convert", "a.py: full", "a.py: rows", "b.py: flip",
     ]
 
 

@@ -935,6 +935,20 @@ def test_train_empty_inputs(pair_vocab):
         train(PAIRS, empty_vocab, config)
 
 
+def test_training_on_one_pair_is_a_data_error(pair_vocab):
+    # its only batch would hold one pair, which has no negative, and be dropped
+    one = PairDataset(PAIRS.pairs[:1])
+    for epochs in (1, 3):
+        config = TrainConfig(dim=4, batch_size=2, epochs=epochs)
+        with pytest.raises(DataError, match="need at least 2 pairs to train"):
+            train(one, pair_vocab, config)
+    # no epoch, no batch: the set-up call that returns `init_model`'s model
+    config = TrainConfig(dim=4, batch_size=2, epochs=0)
+    model, adam, curve = train(one, pair_vocab, config)
+    assert model.weights.tobytes() == init_model(pair_vocab, config).weights.tobytes()
+    assert adam.step == 0 and curve.points == []
+
+
 def test_short_final_batch_dropped(pair_vocab):
     # 7 pairs, batch 3 -> batches of 3 and 3; the trailing singleton is dropped
     config = TrainConfig(dim=4, batch_size=3, epochs=1, seed=1, eval_every=0.0)
