@@ -71,7 +71,6 @@ from .vocab import (
     build_vocab,
     encode,
     encode_batch,
-    extract_ngrams,
     normalize,
 )
 
@@ -110,7 +109,6 @@ __all__ = [
     "epoch_permutation",
     "eval_sts",
     "eval_word_sim",
-    "extract_ngrams",
     "finite_diff_audit",
     "init_model",
     "load_groups",

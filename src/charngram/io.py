@@ -405,7 +405,8 @@ def load_reference_vocab(path) -> ReferenceVocab:
 
 
 def load_groups(path) -> dict[str, str]:
-    """Read `dataset<TAB>group` lines into a dataset -> group map, each dataset once."""
+    """Read `dataset<TAB>group` lines into a dataset -> group map, each dataset
+    once; a dataset or group name that is empty once stripped is a DataError."""
     out: dict[str, str] = {}
     for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         if not line.strip():
@@ -413,10 +414,12 @@ def load_groups(path) -> dict[str, str]:
         parts = line.split("\t")
         if len(parts) != 2:
             raise DataError(f"{path}:{lineno}: expected 2 tab-separated fields")
-        name = parts[0].strip()
+        name, group = (part.strip() for part in parts)
+        if not name or not group:
+            raise DataError(f"{path}:{lineno}: empty {'group' if name else 'dataset'} name")
         if name in out:
             raise DataError(f"{path}:{lineno}: dataset {name!r} is already grouped")
-        out[name] = parts[1].strip()
+        out[name] = group
     if not out:
         raise DataError(f"{path}: empty dataset")
     return out
@@ -533,9 +536,11 @@ def config_key(knob: Field) -> str:
 
 
 def load_run_config(path) -> RunConfig:
-    """Parse `key=value` lines; blank lines and #-comments are skipped; unknown keys are rejected."""
+    """Parse `key=value` lines; blank lines and #-comments are skipped; an unknown
+    key, or a key given twice, is rejected."""
     cfg = RunConfig()
     knobs = {config_key(f): f for f in fields(RunConfig)}
+    seen: dict[str, int] = {}  # key -> the line that set it
     for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -546,6 +551,9 @@ def load_run_config(path) -> RunConfig:
         key = key.strip()
         if key not in knobs:
             raise DataError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in seen:
+            raise DataError(f"{path}:{lineno}: config key {key!r} already set on line {seen[key]}")
+        seen[key] = lineno
         try:
             value = knobs[key].metadata["parse"](raw.strip())
         except ValueError as err:

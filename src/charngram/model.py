@@ -260,24 +260,20 @@ def column_layout(
 
 
 def embed_matrix_grad(
-    counts: sparse.spmatrix,
     values: np.ndarray,
     upstream: np.ndarray,
     model: Model,
-    layout: tuple[np.ndarray, sparse.csr_matrix] | None = None,
+    layout: tuple[np.ndarray, sparse.csr_matrix],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Backpropagate `upstream` (d loss / d values) through values = embed_matrix(counts).
+    """Backpropagate `upstream` (d loss / d values) through values = embed_matrix(X).
 
-    Returns (d loss / d bias, touched rows, d loss / d weights[touched rows]),
-    where the touched rows are the sorted columns present in `counts`.
-    `layout` is `column_layout` of `counts` as CSC; when not given, it is
-    read off `sparse.csc_matrix(counts)` in the dtype of `counts`. The bias
+    `layout` is `column_layout` of the CSC count matrix X. Returns (d loss /
+    d bias, touched rows, d loss / d weights[touched rows]), where the
+    touched rows are the layout's, the sorted columns present in X. The bias
     gradient is float64; the rows' gradient is the product X_touched^T @ d_pre
     in the layout's dtype, so a float32 layout gives float32 rows and a
     float64 layout the float64 formula.
     """
-    if layout is None:
-        layout = column_layout(sparse.csc_matrix(counts), counts.dtype)
     touched, xt = layout
     d_pre = upstream * activation_grad(model.activation, values)
     # past float32's range a value casts to inf, which the Adam step reports

@@ -25,6 +25,9 @@ the float32 counts of their layouts, which share the batches' row indices
 (and, while it plans a window, the window's CSR rows), however large the
 dataset.
 
+The gradient audit runs the same batch form: `finite_diff_audit` plans its
+pairs as one batch and swaps in the layout with the counts as float64.
+
 The step itself builds no SciPy matrix. Negative selection reads the masks
 of allowed candidates from a cache keyed by the batch size and the pool,
 and scores both sides in one batched product. The hinge sums each row's
@@ -44,7 +47,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -376,18 +379,17 @@ def _hinge(
 class _Batch:
     """What one training step needs that does not depend on the weights.
 
-    A planned batch's counts are a `csc_matrix`, and its backward layout is
-    `column_layout` of them with the counts as float32, which is exact for
-    counts below 2^24, so the step's backward builds the gradient rows in the
-    float32 that `_adam_apply` reads them in. Without a layout (the audit's
-    batch, whose counts are `_encode_pairs`' CSR), `embed_matrix_grad` lays
-    the counts out in their own float64, and the gradient is the float64
-    formula that `finite_diff_audit` checks.
+    Batches come from `_plan_batches` alone. Their counts are a `csc_matrix`,
+    and their backward layout is `column_layout` of them with the counts as
+    float32, which is exact for counts below 2^24, so the step's backward
+    builds the gradient rows in the float32 that `_adam_apply` reads them in.
+    `finite_diff_audit` swaps in the layout with the counts as float64, so
+    the gradient it checks is the float64 formula.
     """
 
-    counts: sparse.spmatrix  # the side-1 rows over the side-2 rows
+    counts: sparse.csc_matrix  # the side-1 rows over the side-2 rows
     text_ids: np.ndarray  # (n, 2) `_text_ids` of the pairs, for excluding negatives
-    layout: tuple[np.ndarray, sparse.csr_matrix] | None = None  # `column_layout` of counts
+    layout: tuple[np.ndarray, sparse.csr_matrix]  # `column_layout` of counts
 
 
 def _batch_gradients(
@@ -396,8 +398,8 @@ def _batch_gradients(
     """One forward pass, negative selection, and the analytic gradient of the batch loss.
 
     Returns (loss, d bias, touched rows, d weights[touched rows], negatives).
-    The bias gradient is float64, and the rows' gradient float32 when the
-    batch has a layout and float64 when it has none (see `_Batch`). Neither
+    The bias gradient is float64, and the rows' gradient is in the dtype of
+    the batch's layout: float32 for a step, float64 for the audit. Neither
     the loss nor the gradient includes the L2 term; `_adam_apply` adds its
     gradient.
     """
@@ -409,9 +411,7 @@ def _batch_gradients(
         pool=config.negative_pool, text_ids=batch.text_ids, norms=norms,
     )
     loss, d_values = _hinge(values, negatives, config.margin, norms=norms)
-    grad_bias, touched, grad_rows = embed_matrix_grad(
-        batch.counts, values, d_values, model, batch.layout
-    )
+    grad_bias, touched, grad_rows = embed_matrix_grad(values, d_values, model, batch.layout)
     return loss, grad_bias, touched, grad_rows, negatives
 
 
@@ -732,7 +732,10 @@ def finite_diff_audit(
 ) -> float:
     """Worst guarded relative error between analytic and central-difference gradients.
 
-    Negative selections are made once and frozen; both routes then see the
+    The pairs are one batch, planned as a training step's is (`_plan_batches`),
+    with its layout's counts in float64, so the analytic gradient is the
+    float64 formula of the step's own forward and backward. Negative
+    selections are made once and frozen; both routes then see the
     same piecewise-smooth objective: mean hinge loss plus lambda times the
     squared norm of the touched parameters (bias and every weight row present
     in the batch's count vectors). The relative error for a coordinate is
@@ -746,15 +749,17 @@ def finite_diff_audit(
         raise ValueError(f"step must be finite and > 0, got {step}")
     model.drop_row_norms()  # central differences write into the weights
     texts, counts = _encode_pairs(sample_batch, vocab, model)
+    (batch,) = _plan_batches(counts, _text_ids(texts), [np.arange(len(texts))])
+    batch = replace(batch, layout=column_layout(batch.counts, np.float64))
     _, grad_bias, touched, grad_rows, negatives = _batch_gradients(
-        _Batch(counts, _text_ids(texts)), model, config, _rng(config.seed, _DOMAIN_AUDIT)
+        batch, model, config, _rng(config.seed, _DOMAIN_AUDIT)
     )
     if config.reg_lambda > 0:  # the L2 term, as `_adam_apply` adds it
         grad_bias += 2.0 * config.reg_lambda * model.bias
         grad_rows += 2.0 * config.reg_lambda * model.weights[touched]
 
     def objective() -> float:
-        loss, _ = _hinge(embed_matrix(counts, model), negatives, config.margin)
+        loss, _ = _hinge(embed_matrix(batch.counts, model), negatives, config.margin)
         rows = model.weights[touched]
         return loss + config.reg_lambda * (
             float(np.dot(model.bias, model.bias)) + float(np.sum(rows * rows))

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import hashlib
 import warnings
-from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter
@@ -88,23 +87,6 @@ def check_orders(orders: Iterable[int]) -> tuple[int, ...]:
     return out
 
 
-def _windows(seq: CharSeq, orders: tuple[int, ...]) -> list[str]:
-    """Every contiguous window of `seq` of each length in `orders`, order by order."""
-    out: list[str] = []
-    for n in orders:
-        out += [seq[i : i + n] for i in range(len(seq) - n + 1)]
-    return out
-
-
-def extract_ngrams(seq: CharSeq, orders: Iterable[int]) -> Counter:
-    """Count every contiguous substring of `seq` whose length is in `orders`.
-
-    Substrings spanning word boundaries (containing internal spaces) are
-    included. For a single order n the counts sum to max(0, len(seq) - n + 1).
-    """
-    return Counter(_windows(seq, check_orders(orders)))
-
-
 def _code_points(seqs: Sequence[str]) -> tuple[str, np.ndarray, np.ndarray]:
     """The texts joined, the code point of each of its characters, and where each text ends."""
     joined = "".join(seqs)
@@ -130,14 +112,14 @@ def _window_keys(
 
     `ranks` holds the rank, below `base`, of each character of the joined
     texts, and `ends` the offset where each text ends. Starts ascend, so the
-    windows of one text come in the order `_windows` meets them, order by
-    order. A key packs its window's characters; where the next character
-    would overflow 63 bits, the keys of width w so far are first replaced by
-    their positions in `reranks[w]`, sorted distinct keys (one past the last
-    for a key not there). A missing width is filled with the texts' own
-    distinct keys, so keys of one order sort as their windows do. The widths
-    re-ranked depend only on `base` and `reranks`, so a window keyed with a
-    vocabulary's (`NGramVocab.key_table`) gets its n-gram's key if it is one.
+    windows of one text come in text order, order by order. A key packs its
+    window's characters; where the next character would overflow 63 bits,
+    the keys of width w so far are first replaced by their positions in
+    `reranks[w]`, sorted distinct keys (one past the last for a key not
+    there). A missing width is filled with the texts' own distinct keys, so
+    keys of one order sort as their windows do. The widths re-ranked depend
+    only on `base` and `reranks`, so a window keyed with a vocabulary's
+    (`NGramVocab.key_table`) gets its n-gram's key if it is one.
     """
     limit = np.repeat(ends, np.diff(ends, prepend=0))  # the end of each position's text
     keys = ranks.astype(np.int64)
@@ -423,7 +405,8 @@ def encode(seq: CharSeq, vocab: NGramVocab) -> CountVector:
     """Map a normalized sequence to sparse {index: count} over `vocab`.
 
     N-grams absent from the vocabulary are dropped; the result may be empty.
-    Keys appear in the order `extract_ngrams` first meets their n-grams.
+    Keys appear in the order their n-grams first occur, scanning the windows
+    of each order (ascending) from the start of `seq`.
     """
     cv: CountVector = {}
     index = vocab.index

@@ -17,7 +17,7 @@ import pytest
 from scipy import sparse
 
 from charngram import MinCount, Model, NGramVocab, TrainConfig, build_vocab, init_model, train
-from charngram.model import verify_binding
+from charngram.model import column_layout, verify_binding
 
 # Filled by the acceptance suite; echoed after the run so the per-criterion
 # verdict lines are visible even when pytest captures test output.
@@ -155,3 +155,19 @@ def count_matrix(cvs, model: Model) -> sparse.csr_matrix:
     indices = np.fromiter(chain.from_iterable(cvs), dtype=np.intp, count=nnz)
     data = np.fromiter(chain.from_iterable(cv.values() for cv in cvs), dtype=np.float64, count=nnz)
     return sparse.csr_matrix((data, indices, indptr), shape=(len(cvs), model.vocab_size))
+
+
+def float64_layout(counts) -> tuple:
+    """`column_layout` of a count matrix of any sparse format, with its counts
+    in their own dtype: the layout under which a batch's backward is the
+    float64 formula that the gradient audit checks."""
+    return column_layout(sparse.csc_matrix(counts), counts.dtype)
+
+
+def windows(seq: str, orders) -> list:
+    """Every contiguous window of `seq` of each length in `orders` (ascending),
+    order by order: the per-character oracle of n-gram extraction."""
+    out = []
+    for n in sorted(set(orders)):
+        out += [seq[i : i + n] for i in range(len(seq) - n + 1)]
+    return out

@@ -207,6 +207,8 @@ def test_eval_sts(ws, capsys):
 @pytest.mark.parametrize("groups, message", [
     ("alpha\tnews\nbeta\tAverage\n", "error: group 'Average' would be overwritten"),
     ("alpha\tnews\nbeta\tnews\nalpha\tweb\n", "groups.tsv:3: dataset 'alpha' is already grouped"),
+    # an empty group would print a line whose first field is empty
+    ("alpha\tnews\nbeta\t \n", "groups.tsv:2: empty group name"),
     # a misspelt dataset name would drop its group from the report
     ("alpha\tnews\nbeta\tnews\nalhpa\tforum\n",
      "error: grouped dataset 'alhpa' is not among the datasets"),

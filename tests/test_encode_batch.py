@@ -3,7 +3,7 @@
 `encode_batch` must give the arrays of `count_matrix(...).tocsc()` (the
 oracle in conftest) over per-text `encode` count vectors, `encode_matrix` the
 same matrix over each raw text normalized in its model's case mode, and
-`build_vocab` the entries of a `Counter` over `_windows`,
+`build_vocab` the entries of a `Counter` over conftest's `windows`,
 for any text: astral characters, NUL, lone surrogates, characters outside the
 vocabulary, empty texts and texts shorter than every order. A vocabulary
 that would keep a lone surrogate is a DataError. Past a 63-bit key, counting,
@@ -52,9 +52,9 @@ from charngram import (
 from charngram import cli, synthetic
 from charngram.io import escape_ngram
 from charngram.train import _encode_pairs
-from charngram.vocab import _windows, normalize
+from charngram.vocab import normalize
 
-from conftest import count_matrix
+from conftest import count_matrix, windows
 
 # characters that stress the packing: NUL, lone surrogates, astral ones, the
 # highest code point, a combining mark
@@ -94,7 +94,7 @@ def _build_vocab_ref(corpus, orders, policy, case_mode):
     """Count every window text by text, select, and sort by (order, -count, n-gram)."""
     counts = Counter()
     for text in corpus:
-        counts.update(_windows(normalize(text, case_mode), tuple(sorted(set(orders)))))
+        counts.update(windows(normalize(text, case_mode), orders))
     if isinstance(policy, MinCount):
         kept = [(ngram, c) for ngram, c in counts.items() if c >= policy.min_count]
     else:

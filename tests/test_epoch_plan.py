@@ -144,10 +144,9 @@ def test_embed_matrix_grad_is_byte_equal_to_the_tocsr_backward(case, activation,
         values = embed_matrix(block, model)
         upstream = rng.normal(size=values.shape)
         want = _embed_matrix_grad_reference(block, values, upstream, model)
-        for got in (embed_matrix_grad(block, values, upstream, model),
-                    embed_matrix_grad(block, values, upstream, model, layout)):
-            assert [a.dtype for a in got] == [a.dtype for a in want]
-            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        got = embed_matrix_grad(values, upstream, model, layout)
+        assert [a.dtype for a in got] == [a.dtype for a in want]
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 def _planned(dataset, vocab, config):
@@ -179,7 +178,8 @@ def test_planned_layouts_hold_float32_counts_equal_to_the_float64_ones(window, m
         assert np.array_equal(xt.indptr, ref_xt.indptr)
         assert np.array_equal(xt.indices, ref_xt.indices)
         assert np.array_equal(xt.data.astype(np.float64), ref_xt.data)
-        assert _Batch(batch.counts, batch.text_ids).layout is None
+        with pytest.raises(TypeError):  # a batch has a layout
+            _Batch(batch.counts, batch.text_ids)
 
 
 @pytest.mark.parametrize("window", [None, 1])

@@ -260,11 +260,10 @@ def test_the_check_names_each_file_writer():
     ]
 
 
-# the batch door, the backward layout and its float64 route for the audit,
-# the dataset's CSR copy, and the plan's batches: a training step makes none
+# the batch door, the backward layout, the dataset's CSR copy, and the plan's
+# batches, which the gradient audit runs too: a training step makes none
 SPARSE_BUILDERS = [
     "model.py: column_layout",
-    "model.py: embed_matrix_grad",
     "model.py: encode_matrix",
     "train.py: _encode_pairs",
     "train.py: _plan_batches",
@@ -318,6 +317,12 @@ def test_the_check_names_each_scipy_matrix_maker():
     assert _callers(sources, _builds_sparse) == [
         "a.py: <module>", "a.py: cols", "a.py: convert", "a.py: full", "a.py: rows", "b.py: flip",
     ]
+
+
+def test_only_the_planner_makes_training_batches():
+    # training and the gradient audit run one batch form, the planned one
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert _callers_by_name(sources, "_Batch") == ["train.py: _plan_batches"]
 
 
 def test_every_train_config_field_is_fed_by_a_run_config_knob():

@@ -559,6 +559,19 @@ def test_load_groups_rejects_a_dataset_listed_twice(tmp_path):
         load_groups(path)
 
 
+@pytest.mark.parametrize("content, match", [
+    ("news2014\tnews\nforum-a\t \n", r"groups\.tsv:2: empty group name"),
+    ("news2014\tnews\n \tforums\n", r"groups\.tsv:2: empty dataset name"),
+    ("\tnews\n", r"groups\.tsv:1: empty dataset name"),
+])
+def test_load_groups_rejects_an_empty_name(tmp_path, content, match):
+    # an empty group would be reported under an empty first field
+    path = tmp_path / "groups.tsv"
+    path.write_text(content)
+    with pytest.raises(DataError, match=match):
+        load_groups(path)
+
+
 def test_save_vocab_of_an_empty_vocabulary_is_a_data_error_and_writes_nothing(tmp_path):
     # load_vocab would reject the file as an empty dataset
     with pytest.warns(UserWarning, match="empty"):
@@ -614,6 +627,8 @@ def test_run_config_parsing(tmp_path):
         ("dim fifty\n", r":1: expected key=value"),
         ("dim=fifty\n", r":1: bad value for dim"),
         ("curriculum=maybe\n", r"bad value for curriculum: bad boolean 'maybe'"),
+        ("dim=10\ndim=20\n", r":2: config key 'dim' already set on line 1"),
+        ("lambda=1e-4\n# again\n lambda = 0\n", r":3: config key 'lambda' already set on line 1"),
     ],
 )
 def test_run_config_errors(tmp_path, content, match):

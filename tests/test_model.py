@@ -26,7 +26,7 @@ from charngram.model import (
     embed_matrix_grad,
 )
 
-from conftest import count_matrix, dense_embed_ref, random_model
+from conftest import count_matrix, dense_embed_ref, float64_layout, random_model
 
 
 def _bare_model(weights, bias, activation="linear"):
@@ -134,7 +134,7 @@ def test_cosine_symmetry_and_scale_invariance(v, alpha):
 def _embed_gradient(cvs, model, upstream):
     counts = count_matrix(cvs, model)
     values = embed_matrix(counts, model)
-    return embed_matrix_grad(counts, values, np.atleast_2d(upstream), model)
+    return embed_matrix_grad(values, np.atleast_2d(upstream), model, float64_layout(counts))
 
 
 def test_embed_gradient_worked_examples():
@@ -166,7 +166,7 @@ def test_embed_gradient_matches_dense_transpose_product():
     model = _bare_model(rng.normal(size=(12, 6)), rng.normal(size=6), "tanh")
     values = embed_matrix(counts, model)
     upstream = rng.normal(size=values.shape)
-    db, touched, drows = embed_matrix_grad(counts, values, upstream, model)
+    db, touched, drows = embed_matrix_grad(values, upstream, model, float64_layout(counts))
     d_pre = upstream * (1.0 - values * values)
     assert touched.tolist() == [0, 2, 4, 7, 9, 11]
     assert np.allclose(drows, (counts.toarray().T @ d_pre)[touched], rtol=1e-13, atol=0)

@@ -27,7 +27,7 @@ from charngram.model import _NORM_BLOCK_ENTRIES, _UNIT_NORM_LIMIT, COSINE_NORM_F
 from charngram.neighbors import _guarded_cosines, _rank, _row_dots, _row_norms, _screen
 from charngram.train import _Batch, _encode_pairs, _step, _text_ids
 
-from conftest import random_model
+from conftest import float64_layout, random_model
 
 WORDS = ["cat", "cats", "catalog", "dog", "dogs", "bark", "fish", "deep", "loud"]
 
@@ -378,7 +378,8 @@ def test_ngram_query_after_a_training_step_sees_the_new_weights(wide_vocab):
     before = ngram_neighbors("at ", model, wide_vocab, k=6)
     pairs = [("cat", "cats"), ("dog", "dogs"), ("fish", "deep")]
     texts, counts = _encode_pairs(pairs, wide_vocab, model)
-    _step(_Batch(counts, _text_ids(texts)), model, config, AdamState(), np.random.default_rng(0))
+    batch = _Batch(counts, _text_ids(texts), float64_layout(counts))
+    _step(batch, model, config, AdamState(), np.random.default_rng(0))
     after = ngram_neighbors("at ", model, wide_vocab, k=6)
     assert _bits(after) == _bits(_ngram_scan("at ", model, wide_vocab, 6))
     assert after != before

@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from charngram import (
     AdamState,
@@ -29,6 +30,7 @@ from charngram.model import (
     Model,
     activation_grad,
     check_activation,
+    column_layout,
     embed_matrix,
     embed_matrix_grad,
 )
@@ -51,12 +53,13 @@ from charngram.train import (
     _text_ids,
 )
 
-from conftest import epoch_orders, random_model
+from conftest import epoch_orders, float64_layout, random_model
 
 
 def _batch(texts, counts):
-    """One training batch of the pairs `texts` with count matrix `counts`."""
-    return _Batch(counts, _text_ids(texts))
+    """One batch of the pairs `texts` with count matrix `counts`, whose backward
+    is the float64 formula."""
+    return _Batch(counts, _text_ids(texts), float64_layout(counts))
 
 
 def _vec(angle):
@@ -736,7 +739,7 @@ def test_batch_gradients_equal_the_route_without_shared_norms(small_vocab, sampl
     negatives = select_negatives(values[:4], values[4:], sampling, _rng(2, 17),
                                  text_ids=batch.text_ids)
     loss, d_values = _hinge(values, negatives, config.margin)
-    want = (loss, *embed_matrix_grad(batch.counts, values, d_values, model), negatives)
+    want = (loss, *embed_matrix_grad(values, d_values, model, batch.layout), negatives)
     assert got[0] == want[0]
     assert [a.tobytes() for a in got[1:]] == [a.tobytes() for a in want[1:]]
 
@@ -751,7 +754,8 @@ def test_planned_gradient_rows_are_the_float32_product(small_vocab, activation):
     (planned,) = _plan_batches(counts, _text_ids(texts), [np.arange(4)])
     loss, grad_bias, touched, grad_rows, negatives = _batch_gradients(
         planned, model, config, _rng(3, 1))
-    want = _batch_gradients(_Batch(planned.counts, planned.text_ids), model, config, _rng(3, 1))
+    float64 = replace(planned, layout=float64_layout(planned.counts))
+    want = _batch_gradients(float64, model, config, _rng(3, 1))
     # the forward, the picks, the loss and the bias gradient are the float64 route's
     assert loss == want[0]
     assert grad_bias.dtype == np.float64
@@ -778,7 +782,7 @@ def test_planned_gradient_rows_are_the_float32_product(small_vocab, activation):
     assert np.all(np.abs(grad_rows - want[3]) <= bound)
 
 
-def test_the_audit_and_a_layout_less_backward_stay_float64(pair_vocab, monkeypatch):
+def test_the_audit_backward_stays_float64(pair_vocab, monkeypatch):
     # the audit checks the float64 formula; float32 rows would read about 1.5e-6
     # in test_audit_linear_no_reg, past its 1e-6 bound
     config = TrainConfig(dim=4, activation="tanh", batch_size=5, seed=3)
@@ -793,10 +797,35 @@ def test_the_audit_and_a_layout_less_backward_stay_float64(pair_vocab, monkeypat
     monkeypatch.setattr(sys.modules["charngram.train"], "embed_matrix_grad", recording)
     finite_diff_audit(model, pair_vocab, PAIRS.pairs[:5], config)
     assert dtypes == [(np.float64, np.float64)]
-    _, counts = _encode_pairs(PAIRS.pairs[:5], pair_vocab, model)
-    values = embed_matrix(counts, model)
-    grad_bias, _, grad_rows = embed_matrix_grad(counts, values, np.ones_like(values), model)
-    assert grad_bias.dtype == grad_rows.dtype == np.float64
+
+
+def test_the_audit_runs_the_planned_batch_with_a_float64_layout(pair_vocab, monkeypatch):
+    # the audit's batch is the one batch `_plan_batches` makes of its pairs,
+    # as a training step gets it, with the layout's counts in float64
+    config = TrainConfig(dim=4, batch_size=5, seed=3)
+    model = init_model(pair_vocab, config)
+    batches = []
+
+    def recording(batch, *args):
+        batches.append(batch)
+        return _batch_gradients(batch, *args)
+
+    monkeypatch.setattr(sys.modules["charngram.train"], "_batch_gradients", recording)
+    finite_diff_audit(model, pair_vocab, PAIRS.pairs[:5], config)
+    (batch,) = batches
+    texts, counts = _encode_pairs(PAIRS.pairs[:5], pair_vocab, model)
+    (planned,) = _plan_batches(counts, _text_ids(texts), [np.arange(5)])
+    assert isinstance(batch.counts, sparse.csc_matrix)
+    assert batch.counts.shape == planned.counts.shape
+    assert batch.text_ids.tobytes() == planned.text_ids.tobytes()
+    touched, xt = batch.layout
+    want_touched, want_xt = column_layout(batch.counts, np.float64)
+    assert xt.dtype == np.float64
+    assert touched.tobytes() == want_touched.tobytes()
+    for got, want in ((batch.counts, planned.counts), (xt, want_xt)):
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 @pytest.mark.parametrize("reg_lambda", [0.0, 1e-3])

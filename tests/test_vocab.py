@@ -7,7 +7,9 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from charngram import DataError, MinCount, NGramVocab, TopKPerOrder, build_vocab, encode
-from charngram.vocab import extract_ngrams, ngram_table, normalize, table_fingerprint
+from charngram.vocab import ngram_table, normalize, table_fingerprint
+
+from conftest import windows
 
 texts = st.text(
     alphabet=st.characters(codec="utf-8", exclude_categories=("Cs",)), max_size=40
@@ -53,53 +55,55 @@ def test_normalize_shape(text):
     assert "  " not in out or out == "  "
 
 
+def _extracted(seq, orders):
+    """The n-grams of a normalized `seq` and their counts, in first-seen order, as
+    `encode` gives them against the vocabulary `build_vocab` counts from `seq`
+    alone; the vocabulary's counts must be the same."""
+    assert normalize(seq, "preserve") == seq  # what `build_vocab` counts
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a text shorter than every order keeps nothing
+        vocab = build_vocab([seq], orders, MinCount(1), case_mode="preserve")
+    grams = Counter({vocab.entries[row][0]: count for row, count in encode(seq, vocab).items()})
+    assert grams == Counter({ngram: count for ngram, _, count in vocab.entries})
+    return grams
+
+
 def test_extract_enumeration():
-    assert extract_ngrams(" ab ", {2}) == Counter({" a": 1, "ab": 1, "b ": 1})
-    assert extract_ngrams(" a a ", {2}) == Counter({" a": 2, "a ": 2})
-    assert extract_ngrams(" ab ", {2, 3}) == Counter(
+    assert _extracted(" ab ", {2}) == Counter({" a": 1, "ab": 1, "b ": 1})
+    assert _extracted(" a a ", {2}) == Counter({" a": 2, "a ": 2})
+    assert _extracted(" ab ", {2, 3}) == Counter(
         {" a": 1, "ab": 1, "b ": 1, " ab": 1, "ab ": 1}
     )
 
 
 def test_extract_crosses_word_boundaries():
-    grams = extract_ngrams(normalize("a b"), {3})
+    grams = _extracted(normalize("a b"), {3})
     assert "a b" in grams  # internal space included
 
 
 def test_extract_order_longer_than_seq():
-    assert extract_ngrams("  ", {5}) == Counter()
+    assert _extracted("  ", {5}) == Counter()
+    assert encode("  ", NGramVocab([("  ab ", 5, 1)])) == {}
 
 
 def test_extract_rejects_bad_orders():
-    with pytest.raises(ValueError):
-        extract_ngrams(" ab ", set())
-    with pytest.raises(ValueError):
-        extract_ngrams(" ab ", {0})
-    with pytest.raises(ValueError):
-        extract_ngrams(" ab ", {300})
+    for orders in (set(), {0}, {300}):
+        with pytest.raises(ValueError):
+            build_vocab([" ab "], orders, MinCount(1))
 
 
 @given(texts, st.integers(min_value=1, max_value=6))
 def test_extract_count_sum(text, n):
     seq = normalize(text)
-    total = sum(extract_ngrams(seq, {n}).values())
+    total = sum(_extracted(seq, {n}).values())
     assert total == max(0, len(seq) - n + 1)
-
-
-def _extract_ref(seq, orders):
-    """One increment per window, order by order: the per-character reference."""
-    counts = Counter()
-    for n in sorted(set(orders)):
-        for i in range(len(seq) - n + 1):
-            counts[seq[i : i + n]] += 1
-    return counts
 
 
 @given(texts, st.sets(st.integers(min_value=1, max_value=6), min_size=1))
 def test_extract_equals_the_per_window_reference(text, orders):
     seq = normalize(text, "preserve")
-    got = extract_ngrams(seq, orders)
-    want = _extract_ref(seq, orders)
+    got = _extracted(seq, orders)
+    want = Counter(windows(seq, orders))  # one increment per window, order by order
     assert got == want
     assert list(got) == list(want)  # first-seen order too
 
@@ -112,7 +116,7 @@ def test_build_vocab_equals_merging_per_text_counts(corpus, policy):
     orders = (1, 2, 3)
     counts = Counter()
     for text in corpus:
-        counts.update(_extract_ref(normalize(text), orders))
+        counts.update(windows(normalize(text), orders))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # a policy may keep nothing
         vocab = build_vocab(corpus, orders, policy)
@@ -300,6 +304,6 @@ def test_build_then_encode_counts_match_extraction(corpus):
     vocab = build_vocab(corpus, {2}, MinCount(1))
     seq = normalize(corpus[0])
     cv = encode(seq, vocab)
-    grams = extract_ngrams(seq, {2})
+    grams = Counter(windows(seq, {2}))
     for row, count in cv.items():
         assert grams[vocab.entries[row][0]] == count
