@@ -742,6 +742,9 @@ def finite_diff_audit(
     |analytic - numeric| / max(|analytic|, |numeric|, 1e-3); the floor keeps
     near-zero coordinates from amplifying finite-difference noise, which is
     orders of magnitude below the floor at this step size.
+
+    A batch whose analytic gradient is exactly zero, every hinge term inactive
+    and lambda 0, would check nothing: it is a DataError.
     """
     if len(sample_batch) < 2:
         raise DataError("cannot sample negatives")
@@ -757,6 +760,9 @@ def finite_diff_audit(
     if config.reg_lambda > 0:  # the L2 term, as `_adam_apply` adds it
         grad_bias += 2.0 * config.reg_lambda * model.bias
         grad_rows += 2.0 * config.reg_lambda * model.weights[touched]
+    if not (grad_bias.any() or grad_rows.any()):
+        raise DataError("no hinge term is active and the gradient is zero: "
+                        "the audit would check nothing")
 
     def objective() -> float:
         loss, _ = _hinge(embed_matrix(batch.counts, model), negatives, config.margin)

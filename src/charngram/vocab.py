@@ -16,6 +16,10 @@ point. A key must fit in 63 bits: with A ranks, orders up to n need
 A**n <= 2**63. Past that, whenever the next character would overflow them,
 the keys are replaced by their ranks among distinct keys: counting and the
 key table re-rank against their own, a batch against the key table's.
+
+A batch finds the entry of each window through the key table: one slot per
+possible key for an order whose key range is at most `_SLOT_LIMIT`, so one
+array gather; a binary search over the order's sorted keys otherwise.
 """
 
 from __future__ import annotations
@@ -52,6 +56,10 @@ _ORDER_BYTES = [bytes((order,)) for order in range(MAX_ORDER + 1)]
 # Packed window keys are int64: a key of order n over A ranks fits when A**n
 # does not exceed this.
 _KEY_LIMIT = 2**63
+
+# A vocabulary order whose key range A**n does not exceed this is looked up
+# through a slot per key (`NGramVocab.key_table`): at most 8 or 16 MiB.
+_SLOT_LIMIT = 2**22
 
 
 def check_case_mode(case_mode: str) -> str:
@@ -326,26 +334,39 @@ class NGramVocab:
         return self._table
 
     def key_table(self) -> tuple[np.ndarray, dict, dict]:
-        """The keys of the entries, per order, sorted, built once for `encode_batch`.
+        """The keys of the entries, per order, built once for `encode_batch`.
 
         Returns (alphabet, reranks, tables): the sorted code points of the
         entries; the re-ranks `_window_keys` made keying the entries, one text
-        per entry, with base len(alphabet) + 1; and per order with entries the
-        sorted keys, each entry's one window of its order, and their entry
-        indices. A character's rank is 1 + its position in the alphabet, so
-        rank 0 is free for characters outside it.
+        per entry, with base len(alphabet) + 1; and per order with entries its
+        lookup table. A character's rank is 1 + its position in the alphabet,
+        so rank 0 is free for characters outside it.
+
+        An order n whose key range base**n is at most `_SLOT_LIMIT` gets a
+        direct-address array of base**n slots, each holding the index of the
+        entry with that key, or -1: int16 below 2**15 entries, else int32, so
+        at most 8 or 16 MiB per order (order 4 over 27 characters takes 1.2 or
+        2.5 MB). Every key of such an order is below base**n, re-ranked or
+        not: a rank among distinct keys is below their count. Any other order
+        gets its entries' keys, sorted, and their entry indices.
         """
         if self._keys is None:
             _, points, ends = _code_points(list(map(itemgetter(0), self.entries)))
             alphabet, ranks = np.unique(points, return_inverse=True)
             orders = np.diff(ends, prepend=0)  # an n-gram's length is its order
+            base = len(alphabet) + 1
+            slot_type = np.int16 if len(self) < 2**15 else np.int32
             reranks, tables = {}, {}
             present = np.unique(orders).tolist()
-            for n, starts, keys in _window_keys(ranks + 1, ends, present, len(alphabet) + 1, reranks):
+            for n, starts, keys in _window_keys(ranks + 1, ends, present, base, reranks):
                 of_order = np.flatnonzero(orders == n)
                 keys = keys[np.searchsorted(starts, ends[of_order] - n)]
-                by_key = np.argsort(keys)
-                tables[n] = (keys[by_key], of_order[by_key])
+                if base**n <= _SLOT_LIMIT:
+                    tables[n] = np.full(base**n, -1, dtype=slot_type)
+                    tables[n][keys] = of_order
+                else:
+                    by_key = np.argsort(keys)
+                    tables[n] = (keys[by_key], of_order[by_key])
             self._keys = (alphabet, reranks, tables)
         return self._keys
 
@@ -430,9 +451,11 @@ def encode_batch(
     batch is encoded in one array pass against `vocab.key_table()`, built at
     the first call and kept, for any alphabet: its windows are keyed with the
     table's base and re-ranks, so a window's key is that of the vocabulary
-    n-gram equal to it, if any. For a single text `encode` is faster: the
-    array pass has a fixed cost of several array operations per order, and
-    the offsets one of O(len(vocab)).
+    n-gram equal to it, if any. An order with slots finds its windows' entries
+    in one gather; any other order sorts its distinct keys and binary-searches
+    them in the table's. For a single text `encode` is faster: the array pass
+    has a fixed cost of several array operations per order, and the offsets
+    one of O(len(vocab)).
     """
     alphabet, reranks, tables = vocab.key_table()
     _, points, ends = _code_points(seqs)
@@ -444,11 +467,17 @@ def encode_batch(
     # each in-vocabulary window as one cell, index * rows + row: sorted, column-major
     hits = [np.empty(0, dtype=np.intp)]
     for n, starts, keys in _window_keys(ranks, ends, tuple(tables), len(alphabet) + 1, reranks):
-        table_keys, table_index = tables[n]
-        distinct, key_at = np.unique(keys, return_inverse=True)
-        at = _lookup(table_keys, distinct, -1)[key_at]
-        hit = at >= 0
-        hits.append(table_index[at[hit]] * rows + row_of[starts[hit]])
+        if isinstance(tables[n], np.ndarray):  # one slot per key
+            slot = tables[n][keys]
+            hit = slot >= 0
+            entry = slot[hit].astype(np.intp)
+        else:
+            table_keys, table_index = tables[n]
+            distinct, key_at = np.unique(keys, return_inverse=True)
+            at = _lookup(table_keys, distinct, -1)[key_at]
+            hit = at >= 0
+            entry = table_index[at[hit]]
+        hits.append(entry * rows + row_of[starts[hit]])
     cells = np.sort(np.concatenate(hits))
     # a run of equal cells is one entry, counted by its length
     runs = np.flatnonzero(np.diff(cells, prepend=-1))

@@ -531,6 +531,20 @@ def test_audit_grad_batch_below_2_exits_1_before_reading_pairs(ws, tmp_path, cap
     assert stdout == ""
 
 
+def test_audit_grad_with_no_active_hinge_exits_2(ws, tmp_path, capsys):
+    # phrases paired with themselves, a tiny margin and no L2 term: the
+    # gradient is exactly zero, so there would be nothing to check
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("the cat sat\tthe cat sat\ndogs run fast\tdogs run fast\n"
+                     "birds sing\tbirds sing\nfish swim\tfish swim\n")
+    rc = main(["audit-grad", "--model", str(ws / "model.bin"), "--pairs", str(pairs),
+               "--margin", "0.001", "--lambda", "0"])
+    stdout, err = capsys.readouterr()
+    assert rc == 2
+    assert err.splitlines()[-1].startswith("error: no hinge term is active")
+    assert stdout == ""
+
+
 def test_audit_grad_on_a_single_pair_exits_2(ws, tmp_path, capsys):
     pairs = tmp_path / "pairs.tsv"
     pairs.write_text("the cat\ta cat\n")

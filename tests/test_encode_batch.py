@@ -9,11 +9,14 @@ vocabulary, empty texts and texts shorter than every order. A vocabulary
 that would keep a lone surrogate is a DataError. Past a 63-bit key, counting,
 the key table and batch encoding all re-rank their keys; both property tests
 also run under small key limits, which force re-ranking at many widths, and
-must agree there too.
+must agree there too. Batch encoding looks an order's windows up in slots or
+in sorted keys, by the order's key range; it runs under a small slot limit
+and the real one.
 """
 
 import contextlib
 import io
+import itertools
 import re
 import warnings
 from collections import Counter
@@ -52,7 +55,7 @@ from charngram import (
 from charngram import cli, synthetic
 from charngram.io import escape_ngram
 from charngram.train import _encode_pairs
-from charngram.vocab import normalize
+from charngram.vocab import _SLOT_LIMIT, normalize
 
 from conftest import count_matrix, windows
 
@@ -88,6 +91,8 @@ RAW_TEXTS = st.text(
 # packed-key limits that force re-ranking at many widths, and the real one;
 # patched with a context manager, as Hypothesis rejects function-scoped fixtures
 KEY_LIMITS = [2**3, 2**10, 2**20, 2**63]
+# slot limits under which some orders take the slots and others the sorted keys
+SLOT_LIMITS = [2**6, _SLOT_LIMIT]
 
 
 def _build_vocab_ref(corpus, orders, policy, case_mode):
@@ -163,9 +168,11 @@ def vocabularies(draw):
 @example(NGramVocab([("a", 1, 1), ("ab", 2, 1)]), ["ab", "a" * 50])
 def test_batch_encode_equals_per_text_encode(vocab, seqs):
     for limit in KEY_LIMITS:
-        with mock.patch("charngram.vocab._KEY_LIMIT", limit):
-            vocab._keys = None  # the key table is rebuilt under this limit
-            _assert_batch_equals_loop(seqs, vocab)
+        for slot_limit in SLOT_LIMITS:
+            with mock.patch("charngram.vocab._KEY_LIMIT", limit), \
+                    mock.patch("charngram.vocab._SLOT_LIMIT", slot_limit):
+                vocab._keys = None  # the key table is rebuilt under these limits
+                _assert_batch_equals_loop(seqs, vocab)
 
 
 @settings(max_examples=200, deadline=None)
@@ -255,16 +262,43 @@ def test_a_key_of_exactly_63_bits_is_packed(order, packed):
     _assert_batch_equals_loop([normalize(t) for t in corpus] + ["a" * 45, " a "], vocab)
 
 
+@pytest.mark.parametrize("slot_limit, direct", [(3**4, True), (3**4 - 1, False)])
+def test_an_order_whose_key_range_is_the_slot_limit_takes_the_slots(slot_limit, direct):
+    # two characters: the vocabulary's base is 3, so order 4 has 3**4 keys
+    corpus = ["a" * 9, "a a aa aaa", "aaaa a"]
+    with mock.patch("charngram.vocab._SLOT_LIMIT", slot_limit):
+        vocab = _build(corpus, (2, 4), MinCount(1))
+        tables = vocab.key_table()[2]
+    assert isinstance(tables[2], np.ndarray) and len(tables[2]) == 3**2
+    assert isinstance(tables[4], np.ndarray) == direct
+    if direct:
+        assert len(tables[4]) == 3**4
+    else:
+        of_order = sum(order == 4 for _, order, _ in vocab.entries)
+        assert [len(part) for part in tables[4]] == [of_order, of_order]
+    _assert_batch_equals_loop([normalize(t) for t in corpus] + ["a" * 12, " a ", "b"], vocab)
+
+
 def test_key_table_is_built_once_and_not_by_loading(tmp_path):
-    vocab = build_vocab(["the cat sat", "a dog"], (2, 3), MinCount(1))
-    model = init_model(vocab, TrainConfig(dim=3))
-    save_model(model, vocab, tmp_path / "m.bin")
-    loaded = load_model(tmp_path / "m.bin")[1]
-    assert loaded._keys is None
-    encode_batch([" cat "], loaded)
-    table = loaded._keys
-    encode_batch([" dog "], loaded)
-    assert loaded._keys is table
+    # order-3 n-grams over 40 characters (base 41, 41**3 slots), on each side
+    # of 2**15 entries: int16 slots below it, int32 from there
+    chars = [chr(ord("0") + i) for i in range(40)]
+    ngrams = ["".join(t) for t in itertools.islice(itertools.product(chars, repeat=3), 2**15)]
+    for size, dtype in ((2**15 - 1, np.int16), (2**15, np.int32)):
+        vocab = NGramVocab([(ngram, 3, 1) for ngram in ngrams[size - 1 :: -1]])
+        save_model(_zero_model(vocab), vocab, tmp_path / "m.bin")
+        loaded = load_model(tmp_path / "m.bin")[1]
+        assert loaded._keys is None
+        # the last entry and the first come back through the slots
+        indptr, indices, _ = encode_batch([ngrams[0], ngrams[size - 1]], loaded)
+        assert list(np.flatnonzero(np.diff(indptr))) == [0, size - 1]
+        assert list(indices) == [1, 0]
+        table = loaded._keys
+        slots = table[2][3]
+        assert slots.dtype == dtype and len(slots) == 41**3
+        assert np.count_nonzero(slots >= 0) == size and slots.max() == size - 1
+        encode_batch([ngrams[1]], loaded)
+        assert loaded._keys is table and table[2][3] is slots
 
 
 def test_a_model_with_fewer_rows_than_its_vocabulary_is_a_mismatch_at_every_batch_site(

@@ -1059,6 +1059,19 @@ def test_audit_tanh_with_reg(pair_vocab):
     assert worst < 1e-4
 
 
+def test_audit_of_a_batch_with_no_active_hinge_is_a_data_error(pair_vocab):
+    # each phrase paired with itself: cos(x1, x2) = 1, and no negative comes
+    # within the margin of it, so every hinge term is inactive
+    pairs = [(a, a) for a, _ in PAIRS.pairs[:4]]
+    config = TrainConfig(dim=4, batch_size=4, seed=3, margin=1e-3, reg_lambda=0.0)
+    model = init_model(pair_vocab, config)
+    with pytest.raises(DataError, match="no hinge term is active"):
+        finite_diff_audit(model, pair_vocab, pairs, config)
+    # with lambda > 0 the L2 term is still checked
+    config = replace(config, reg_lambda=1e-4)
+    assert finite_diff_audit(model, pair_vocab, pairs, config) < 1e-6
+
+
 def test_audit_restores_parameters(pair_vocab):
     config = TrainConfig(dim=4, activation="tanh", batch_size=5, seed=5, reg_lambda=1e-5)
     model = init_model(pair_vocab, config)
