@@ -245,6 +245,12 @@ def _cmd_embed(args) -> int:
 def _cmd_nn(args) -> int:
     model, vocab = _load_model(args)
     _check_utf8((f"query {q!r}", q) for q in args.query)
+    # each output line echoes its query as its first TSV field
+    for query in args.query:
+        if not query.split():
+            raise DataError(f"query {query!r}: empty")
+        if "\t" in query or query.splitlines() != [query]:
+            raise DataError(f"query {query!r}: holds a tab or a line break")
     working = build_working_vocab(load_wordlist(args.wordlist), model, vocab)
     for query in args.query:
         for rank, (word, cos) in enumerate(

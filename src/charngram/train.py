@@ -11,19 +11,20 @@ A batch of n pairs is one count matrix stacking the side-1 texts over the
 side-2 texts, so each step runs one forward pass h(X @ W + b) over 2n rows,
 and its backward pass is X^T times the gradient at the pre-activations.
 
-What a step needs that does not depend on the weights is planned before the
-first step of each window of batches: the window's count rows come from one
-fancy row index of the dataset's CSR matrix, each batch's rows are converted
-to CSC, so its forward reads each touched weight row once, and its backward
-layout (its touched rows and X_touched^T) is read off those columns by
-`column_layout`. The integer ids that exclude string-equal negatives are made
-once per dataset. A step then does only the work that depends on the
-weights, with the same arithmetic in the same order as building each batch
-on its own. A window holds about _PLAN_WINDOW_ENTRIES count entries, so
-beside the dataset's count matrix the plan keeps the window's batches and
-the float32 counts of their layouts, which share the batches' row indices
-(and, while it plans a window, the window's CSR rows), however large the
-dataset.
+The dataset is a phrase table (`_encode_pairs`): one count row per distinct
+normalized phrase, and per pair the row numbers of its two phrases, which
+are also the ids that exclude string-equal negatives. What a step needs that
+does not depend on the weights is planned before the first step of each
+window of batches: the window's count rows come from one fancy row index of
+the phrase table, each batch's rows are converted to CSC, so its forward
+reads each touched weight row once, and its backward layout (its touched
+rows and X_touched^T) is read off those columns by `column_layout`. A step
+then does only the work that depends on the weights, with the same
+arithmetic in the same order as building each batch on its own. A window
+holds about _PLAN_WINDOW_ENTRIES count entries, so beside the phrase table
+the plan keeps the window's batches and the float32 counts of their
+layouts, which share the batches' row indices (and, while it plans a
+window, the window's CSR rows), however large the dataset.
 
 The gradient audit runs the same batch form: `finite_diff_audit` plans its
 pairs as one batch and swaps in the layout with the counts as float64.
@@ -212,13 +213,6 @@ class TrainingCurve:
         self.points.append((examples_seen, metric, float(value)))
 
 
-def _text_ids(texts: Sequence[tuple[str, str]]) -> np.ndarray:
-    """(n, 2) integer ids of the phrases of n pairs, equal exactly where the phrases are."""
-    ids: dict[str, int] = {}
-    rows = [[ids.setdefault(t, len(ids)) for t in pair] for pair in texts]
-    return np.array(rows, dtype=np.intp).reshape(len(texts), 2)
-
-
 def select_negatives(
     side1: np.ndarray,
     side2: np.ndarray,
@@ -246,10 +240,10 @@ def select_negatives(
     ...), with one `rng.random()` per coin and one `rng.integers()` per
     uniform draw; plain MAX never touches the rng.
 
-    When `text_ids` (the `_text_ids` of the pairs' normalized phrases) is
-    given, candidates string-equal to either phrase of the current pair are
-    excluded, falling back to all other-pair candidates if that empties the
-    pool; the trainer passes the ids it made once per dataset. `norms`, when
+    When `text_ids` is given, (n, 2) ids equal exactly where the pairs'
+    normalized phrases are (the trainer's phrase-table rows), candidates
+    string-equal to either phrase of the current pair are excluded, falling
+    back to all other-pair candidates if that empties the pool. `norms`, when
     given, must be the row norms of the stacked (2n, d) embeddings,
     `np.linalg.norm(values, axis=1)`; the trainer shares them with `_hinge`.
     """
@@ -388,7 +382,7 @@ class _Batch:
     """
 
     counts: sparse.csc_matrix  # the side-1 rows over the side-2 rows
-    text_ids: np.ndarray  # (n, 2) `_text_ids` of the pairs, for excluding negatives
+    text_ids: np.ndarray  # (n, 2) phrase-table rows of the pairs, for excluding negatives
     layout: tuple[np.ndarray, sparse.csr_matrix]  # `column_layout` of counts
 
 
@@ -536,13 +530,15 @@ def _adam_apply(
 
 def _encode_pairs(
     pairs: Sequence[tuple[str, str]], vocab: NGramVocab, model: Model
-) -> tuple[list[tuple[str, str]], sparse.csr_matrix]:
-    """Texts normalized in the model's case mode, and the count matrix of side 1 over
-    side 2, as CSR with each row's columns ascending, so the plan can take rows."""
+) -> tuple[sparse.csr_matrix, np.ndarray]:
+    """The phrase table of `pairs`: the CSR count matrix, each row's columns ascending,
+    of their distinct phrases normalized in the model's case mode, in first-occurrence
+    order (pair 0 side 1, pair 0 side 2, ...); and the (n, 2) rows of each pair's phrases."""
     case_mode = model.input_case_mode
-    texts = [(normalize(a, case_mode), normalize(b, case_mode)) for a, b in pairs]
-    seqs = [t for t, _ in texts] + [t for _, t in texts]
-    return texts, encode_matrix(seqs, vocab, model).tocsr()
+    rows: dict[str, int] = {}
+    ids = [rows.setdefault(normalize(t, case_mode), len(rows)) for pair in pairs for t in pair]
+    text_ids = np.array(ids, dtype=np.intp).reshape(len(pairs), 2)
+    return encode_matrix(list(rows), vocab, model).tocsr(), text_ids
 
 
 def _step(
@@ -558,10 +554,10 @@ def _plan_batches(
 ) -> Iterator[_Batch]:
     """The `_Batch` of each batch of pair indices, planned a window of batches at a time.
 
-    `counts` holds the side-1 rows of all n pairs over their side-2 rows, as
-    `_encode_pairs` gives them, and `text_ids` their `_text_ids`. A window
-    takes its rows (each batch's side-1 rows, then its side-2 rows) with one
-    fancy index of `counts`. Before the window's first step, each batch's
+    `counts` and `text_ids` are the phrase table and the pairs' row numbers
+    in it, as `_encode_pairs` gives them. A window takes its rows (each
+    batch's side-1 rows, then its side-2 rows) with one fancy index of
+    `counts` by those numbers. Before the window's first step, each batch's
     rows, a contiguous row range of the window's arrays, are converted to a
     `csc_matrix` by SciPy's `tocsc`, and its backward layout is read off
     those columns by `column_layout`, with the counts as float32 (see
@@ -570,14 +566,12 @@ def _plan_batches(
     plan keeps about that many entries, with their float32 copy, whatever
     the dataset size.
     """
-    n = len(text_ids)
-    row_nnz = np.diff(counts.indptr)
-    pair_nnz = row_nnz[:n] + row_nnz[n:]
+    pair_nnz = np.diff(counts.indptr)[text_ids].sum(axis=1)
     window_of = np.cumsum([pair_nnz[idxs].sum() for idxs in batches]) // _PLAN_WINDOW_ENTRIES
     starts = np.flatnonzero(np.diff(window_of, prepend=-1))
     for w0, w1 in zip(starts, [*starts[1:], len(batches)]):
         window = batches[w0:w1]
-        rows = counts[np.concatenate([np.concatenate([idxs, idxs + n]) for idxs in window])]
+        rows = counts[np.concatenate([text_ids[idxs].T.ravel() for idxs in window])]
         bounds = np.cumsum([0, *(2 * len(idxs) for idxs in window)])
         indptr = rows.indptr
         planned = []
@@ -647,9 +641,9 @@ class _Run:
     interval_batches: int = 0
 
     def steps(self, counts: sparse.csr_matrix, text_ids: np.ndarray) -> Iterator[bool]:
-        """Train from the cursor to the end of the last epoch, on the pairs of
-        `_encode_pairs` and `_text_ids`; after each step, yield whether a
-        "train_loss" curve point fell there."""
+        """Train from the cursor to the end of the last epoch, on the phrase
+        table and row numbers of `_encode_pairs`; after each step, yield
+        whether a "train_loss" curve point fell there."""
         config, n = self.config, len(text_ids)
         while self.epoch < config.epochs:
             order = epoch_permutation(config.seed, self.epoch, n, config.curriculum)
@@ -714,8 +708,7 @@ def train(
 
     run = _Run(config, init_model(vocab, config))
     if config.epochs:
-        texts, counts = _encode_pairs(dataset.pairs, vocab, run.model)
-        for point in run.steps(counts, _text_ids(texts)):
+        for point in run.steps(*_encode_pairs(dataset.pairs, vocab, run.model)):
             if point and eval_hook is not None:
                 metrics = eval_hook(run.model, run.examples_seen)
                 for name, value in (metrics or {}).items():
@@ -751,8 +744,8 @@ def finite_diff_audit(
     if not 0 < step < math.inf:
         raise ValueError(f"step must be finite and > 0, got {step}")
     model.drop_row_norms()  # central differences write into the weights
-    texts, counts = _encode_pairs(sample_batch, vocab, model)
-    (batch,) = _plan_batches(counts, _text_ids(texts), [np.arange(len(texts))])
+    counts, text_ids = _encode_pairs(sample_batch, vocab, model)
+    (batch,) = _plan_batches(counts, text_ids, [np.arange(len(text_ids))])
     batch = replace(batch, layout=column_layout(batch.counts, np.float64))
     _, grad_bias, touched, grad_rows, negatives = _batch_gradients(
         batch, model, config, _rng(config.seed, _DOMAIN_AUDIT)

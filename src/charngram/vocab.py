@@ -250,36 +250,31 @@ def _parse_table(table: bytes, count: int) -> list[tuple[str, int, int]]:
 class NGramVocab:
     """Ordered n-gram -> index map with per-entry order and corpus count.
 
-    `entries` is the canonical list of (ngram, order, corpus_count) tuples;
-    `index` maps each n-gram to its position in `entries`. Vocabularies built
-    by `build_vocab` are sorted by (order asc, count desc, n-gram code points
-    asc); vocabularies reconstructed from files keep their stored order.
+    `entries` is the canonical list of (ngram, order, corpus_count) tuples,
+    `index` maps each n-gram to its position in it, and `orders` holds the
+    entries' orders; equal entries make equal vocabularies. `build_vocab`
+    sorts entries by (order asc, count desc, n-gram code points asc); files
+    keep their stored order.
     """
 
     __slots__ = ("entries", "index", "orders", "_table", "_fingerprint", "_keys")
 
-    def __init__(self, entries: list[tuple[str, int, int]], orders: Iterable[int] | None = None):
+    def __init__(self, entries: list[tuple[str, int, int]]):
         self.entries = list(entries)
         ngrams = list(map(itemgetter(0), self.entries))
         entry_orders = list(map(itemgetter(1), self.entries))
-        present = frozenset(entry_orders)
+        self.orders = frozenset(entry_orders)
         self.index: dict[str, int] = dict(zip(ngrams, range(len(ngrams))))
         # whole-column checks; the entry loop runs only to name the first bad entry
         if self.entries and not (
             len(self.index) == len(ngrams)
             and list(map(len, ngrams)) == entry_orders
-            and 1 <= min(present)
-            and max(present) <= MAX_ORDER
+            and 1 <= min(self.orders)
+            and max(self.orders) <= MAX_ORDER
             and min(map(itemgetter(2), self.entries)) >= 0
             and _encodable("".join(ngrams))
         ):
             self._check_entries()
-        if orders is None:
-            self.orders = present
-        else:
-            self.orders = frozenset(check_orders(orders))
-            if not present <= self.orders:
-                raise DataError("vocabulary contains entries outside the declared orders")
         self._table: bytes | None = None
         self._fingerprint: int | None = None
         self._keys: tuple[np.ndarray, dict, dict] | None = None  # `key_table()`, built once
@@ -324,7 +319,7 @@ class NGramVocab:
     def __eq__(self, other) -> bool:
         if not isinstance(other, NGramVocab):
             return NotImplemented
-        return self.entries == other.entries and self.orders == other.orders
+        return self.entries == other.entries
 
     @property
     def table(self) -> bytes:
@@ -396,7 +391,8 @@ def build_vocab(
     order of the corpus stream and the tie-break is total, so the result is
     deterministic. An empty corpus is an error, and so is a kept n-gram that
     UTF-8 cannot encode (one holding a lone surrogate); a policy that filters
-    out every n-gram yields an empty vocabulary with a warning.
+    out every n-gram yields an empty vocabulary with a warning, and an order
+    that keeps no n-gram is not among the vocabulary's `orders`.
 
     The corpus is counted in one array pass (see the module docstring).
     """
@@ -419,7 +415,7 @@ def build_vocab(
         entries += zip(ngrams_at(kept), repeat(n), counts[kept].tolist())
     if not entries:
         warnings.warn("vocabulary policy removed every n-gram; vocabulary is empty")
-    return NGramVocab(entries, orders=orders)
+    return NGramVocab(entries)
 
 
 def encode(seq: CharSeq, vocab: NGramVocab) -> CountVector:

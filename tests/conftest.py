@@ -18,6 +18,7 @@ from scipy import sparse
 
 from charngram import MinCount, Model, NGramVocab, TrainConfig, build_vocab, init_model, train
 from charngram.model import column_layout, verify_binding
+from charngram.train import _encode_pairs
 
 # Filled by the acceptance suite; echoed after the run so the per-criterion
 # verdict lines are visible even when pytest captures test output.
@@ -155,6 +156,22 @@ def count_matrix(cvs, model: Model) -> sparse.csr_matrix:
     indices = np.fromiter(chain.from_iterable(cvs), dtype=np.intp, count=nnz)
     data = np.fromiter(chain.from_iterable(cv.values() for cv in cvs), dtype=np.float64, count=nnz)
     return sparse.csr_matrix((data, indices, indptr), shape=(len(cvs), model.vocab_size))
+
+
+def stacked_pairs(pairs, vocab: NGramVocab, model: Model) -> tuple:
+    """The count matrix of the pairs' side-1 phrases over their side-2 phrases,
+    2n CSR rows, and the (n, 2) rows of `_encode_pairs`' phrase table they
+    were taken from: a batch of all the pairs in the stacked form a step reads."""
+    counts, text_ids = _encode_pairs(pairs, vocab, model)
+    return counts[text_ids.T.ravel()], text_ids
+
+
+def phrase_ids(texts) -> np.ndarray:
+    """(n, 2) integer ids of the phrases of n pairs, from a dict made for them
+    alone: equal exactly where the phrases are."""
+    ids: dict = {}
+    rows = [[ids.setdefault(t, len(ids)) for t in pair] for pair in texts]
+    return np.array(rows, dtype=np.intp).reshape(len(texts), 2)
 
 
 def float64_layout(counts) -> tuple:

@@ -54,7 +54,7 @@ from charngram.evaluate import (
 from charngram.model import row_cosines, unit_rows
 from charngram.neighbors import _guarded_cosines, _rank
 
-from conftest import save_v1
+from conftest import count_matrix, save_v1
 
 PAIRS = [
     ("The Cat sat", "the CAT sat"),
@@ -195,13 +195,17 @@ def test_training_and_the_audit_encode_in_the_model_case_mode(preserve, monkeypa
     real = train_mod._encode_pairs
 
     def spy(pairs, vocab, model):
-        texts, counts = real(pairs, vocab, model)
-        seen.append(texts)
-        return texts, counts
+        counts, text_ids = real(pairs, vocab, model)
+        seen.append((counts.toarray().tolist(), text_ids.tolist()))
+        return counts, text_ids
 
     monkeypatch.setattr(train_mod, "_encode_pairs", spy)
     model, vocab = preserve
-    want = [(normalize(a, "preserve"), normalize(b, "preserve")) for a, b in PAIRS[:4]]
+    # the two phrases of each pair differ only in case: one row each, which
+    # "lower" would have merged
+    phrases = [normalize(t, "preserve") for pair in PAIRS[:4] for t in pair]
+    want = (count_matrix([encode(p, vocab) for p in phrases], model).toarray().tolist(),
+            [[0, 1], [2, 3], [4, 5], [6, 7]])
     # the config's case mode is not read: the model's is
     worst = finite_diff_audit(model, vocab, PAIRS[:4], TrainConfig(dim=model.dim, seed=1))
     assert seen == [want] and worst < 1e-4

@@ -314,6 +314,26 @@ def test_nn_output_shape(ws, capsys):
     assert cosines == sorted(cosines, reverse=True)
 
 
+@pytest.mark.parametrize("query, problem", [
+    ("red\tfox", "holds a tab or a line break"),
+    ("red\nfox", "holds a tab or a line break"),
+    ("fox\r", "holds a tab or a line break"),
+    ("red\u2028fox", "holds a tab or a line break"),
+    ("   ", "empty"),
+    ("", "empty"),
+    ("\t\n", "empty"),
+])
+def test_nn_refuses_a_query_it_cannot_echo_as_one_tsv_field(ws, capsys, query, problem):
+    # each output line starts with its query; the check runs before the word
+    # list is read, so a missing one is not what is reported
+    for words in ("words.txt", "missing.txt"):
+        rc = main(["nn", "--model", str(ws / "model.bin"), "--wordlist", str(ws / words),
+                   "cat", query])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err == f"error: query {query!r}: {problem}\n"
+
+
 def test_nn_ngram_escaping(ws, capsys):
     rc = main(["nn-ngram", "--model", str(ws / "model.bin"), "--k", "2", r"\sc"])
     out, _ = capsys.readouterr()

@@ -147,7 +147,7 @@ def _assert_batch_equals_loop(seqs, vocab):
 
 @st.composite
 def vocabularies(draw):
-    """A built vocabulary, or one from drawn entries; declared orders may have no entries."""
+    """A built vocabulary, whose requested orders may keep no n-gram, or one from drawn entries."""
     if draw(st.booleans()):
         corpus = draw(st.lists(VOCAB_TEXTS, min_size=1, max_size=6))
         orders = draw(st.sets(st.integers(1, 5), min_size=1, max_size=3))
@@ -156,9 +156,7 @@ def vocabularies(draw):
     chars = st.one_of(st.sampled_from("ab "), st.sampled_from(ENCODABLE))
     ngrams = draw(st.sets(st.text(chars, min_size=1, max_size=4), max_size=20))
     entries = [(ngram, len(ngram), draw(st.integers(0, 9))) for ngram in draw(st.permutations(sorted(ngrams)))]
-    extra = draw(st.sets(st.integers(1, 6), max_size=2))
-    declared = {order for _, order, _ in entries} | extra
-    return NGramVocab(entries, orders=declared or None)
+    return NGramVocab(entries)
 
 
 @settings(max_examples=300, deadline=None)
@@ -229,7 +227,8 @@ def test_build_vocab_equals_the_counter_of_windows(corpus, orders, policy, case_
                 continue
             vocab = _build(corpus, orders, policy, case_mode)
         assert vocab.entries == want
-        assert vocab.orders == frozenset(orders)
+        # the orders of the n-grams kept: a requested order may keep none
+        assert vocab.orders == {order for _, order, _ in want}
 
 
 WIDE_CORPUS = ["0123456789 9876543210", "0246813579 1357924680", "0123456789 9876543210 02468"]
@@ -430,11 +429,14 @@ def test_eval_pairs_count_matrix_is_built_once(tmp_path, monkeypatch):
 
 
 def test_pair_dataset_encoding_is_the_per_text_count_matrix():
-    pairs = PairDataset([("the cat", "a cat"), ("\U0001f600 x", "\x00"), ("é É", "é")])
+    pairs = PairDataset([("the cat", "a cat"), ("\U0001f600 x", "\x00"),
+                         ("\u00e9 \u00c9", "e\u0301"), ("A  Cat", "\x00")])
     vocab = build_vocab([t for p in pairs.pairs for t in p], (1, 2, 3), MinCount(1))
     model = init_model(vocab, TrainConfig(dim=2))
-    texts, counts = _encode_pairs(pairs.pairs, vocab, model)
-    seqs = [a for a, _ in texts] + [b for _, b in texts]
+    counts, text_ids = _encode_pairs(pairs.pairs, vocab, model)
+    # one row per distinct normalized phrase: the last pair repeats rows 1 and 3
+    assert text_ids.tolist() == [[0, 1], [2, 3], [4, 5], [1, 3]]
+    seqs = [" the cat ", " a cat ", " \U0001f600 x ", " \x00 ", " \u00e9 \u00e9 ", " e\u0301 "]
     want = count_matrix([encode(seq, vocab) for seq in seqs], model)
     want.sort_indices()
     # the plan takes rows, so training gets CSR, each row's columns ascending

@@ -1,11 +1,13 @@
 """The epoch plan: batches laid out once per window, bit-identical to per-step rebuilds.
 
-`train` takes each window's batch rows with one fancy index, converts each
-batch to CSC before the window's first step, reads its backward layout off
-those columns with `column_layout`, and gives each phrase an integer id once
-per dataset. The references here rebuild all three per batch, as the trainer
-did before it planned: a fancy row index per batch (a CSR forward), a
-text-to-id dict per batch and a csc -> csr transpose per backward pass.
+`train` encodes each distinct phrase of the dataset once, into a table whose
+row numbers are also the ids that exclude string-equal negatives, takes each
+window's batch rows from that table with one fancy index, converts each
+batch to CSC before the window's first step, and reads its backward layout
+off those columns with `column_layout`. The references here rebuild it all
+per batch, as the trainer did before it planned: one count row per side of
+every pair, a fancy row index per batch (a CSR forward), a text-to-id dict
+per batch and a csc -> csr transpose per backward pass.
 """
 
 import copy
@@ -44,10 +46,10 @@ from charngram.train import (
     _plan_batches,
     _rng,
     _step,
-    _text_ids,
 )
+from charngram.vocab import normalize
 
-from conftest import random_model
+from conftest import phrase_ids, random_model, stacked_pairs
 
 
 def _tocsr_layout(counts):
@@ -150,14 +152,14 @@ def test_embed_matrix_grad_is_byte_equal_to_the_tocsr_backward(case, activation,
 
 
 def _planned(dataset, vocab, config):
-    """The plan of the first epoch, with the normalized texts and the count matrix."""
-    texts, counts = _encode_pairs(dataset.pairs, vocab, init_model(vocab, config))
+    """The plan of the first epoch, with the phrase table and its row numbers."""
+    counts, text_ids = _encode_pairs(dataset.pairs, vocab, init_model(vocab, config))
     order = epoch_permutation(config.seed, 0, len(dataset), False)
     bs = config.batch_size
     slices = [order[s : s + bs] for s in range(0, len(dataset), bs)]
-    planned = list(_plan_batches(counts, _text_ids(texts), slices))
+    planned = list(_plan_batches(counts, text_ids, slices))
     assert len(planned) == len(slices) == 5
-    return texts, counts, slices, planned
+    return counts, text_ids, slices, planned
 
 
 @pytest.mark.parametrize("window", [None, 1])
@@ -185,45 +187,78 @@ def test_planned_layouts_hold_float32_counts_equal_to_the_float64_ones(window, m
 @pytest.mark.parametrize("window", [None, 1])
 def test_planned_batches_are_column_major_with_the_rows_forward(window, monkeypatch):
     # each batch is the CSC of its rows, converted before the window's first
-    # step; its forward has the bits of the same rows' CSR product and of the
-    # batch's texts encoded afresh, and its layout reads the same row indices
+    # step: the arrays of the batch's own texts encoded afresh, side 1 over
+    # side 2. Its forward has the bits of the same rows' CSR product, and its
+    # layout reads the same row indices
     if window is not None:
         monkeypatch.setattr(sys.modules["charngram.train"], "_PLAN_WINDOW_ENTRIES", window)
     dataset, vocab = _pairs()
     config = TrainConfig(dim=6, batch_size=5, seed=11)
-    texts, counts, slices, planned = _planned(dataset, vocab, config)
+    counts, text_ids, slices, planned = _planned(dataset, vocab, config)
     model = random_model(np.random.default_rng(7), vocab, dim=6)
-    n = len(dataset)
     for idxs, batch in zip(slices, planned):
         assert isinstance(batch.counts, sparse.csc_matrix)
         assert batch.counts.indices.dtype == batch.counts.indptr.dtype == np.int32
         assert np.shares_memory(batch.layout[1].indices, batch.counts.indices)
-        forward = embed_matrix(batch.counts, model).tobytes()
-        assert forward == embed_matrix(counts[np.concatenate([idxs, idxs + n])], model).tobytes()
-        batch_texts = [texts[i][0] for i in idxs] + [texts[i][1] for i in idxs]
+        assert batch.text_ids.tobytes() == text_ids[idxs].tobytes()
+        batch_texts = [dataset.pairs[i][0] for i in idxs] + [dataset.pairs[i][1] for i in idxs]
         encoded = encode_matrix(batch_texts, vocab, model)
+        assert batch.counts.shape == encoded.shape
+        for name in ("data", "indices", "indptr"):
+            got, want = getattr(batch.counts, name), getattr(encoded, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        forward = embed_matrix(batch.counts, model).tobytes()
+        assert forward == embed_matrix(counts[text_ids[idxs].T.ravel()], model).tobytes()
         assert forward == embed_matrix(encoded, model).tobytes()
 
 
-def test_text_ids_are_equal_exactly_where_the_phrases_are():
-    texts = [("a", "b"), ("b", "c"), ("a", "a"), ("d", "b")]
-    ids = _text_ids(texts)
-    assert ids.shape == (4, 2)
-    flat = [t for pair in texts for t in pair]
-    for i, s in enumerate(flat):
-        for j, t in enumerate(flat):
-            assert (ids.ravel()[i] == ids.ravel()[j]) == (s == t)
-    assert _text_ids([]).shape == (0, 2)
+@pytest.mark.parametrize("case_mode", ["lower", "preserve"])
+def test_the_phrase_table_has_one_row_per_distinct_normalized_phrase(case_mode):
+    # "A  Cat" and "a cat" are one phrase under "lower" and two under
+    # "preserve"; "dog" is in two pairs, twice in one
+    pairs = [("A  Cat", "dog"), ("a cat", " A Cat"), ("dog", "dog"), ("fish", "a  cat ")]
+    vocab = build_vocab([t for p in pairs for t in p], (1, 2, 3), MinCount(1),
+                        case_mode=case_mode)
+    model = init_model(vocab, TrainConfig(dim=2, case_mode=case_mode))
+    counts, text_ids = _encode_pairs(pairs, vocab, model)
+    # the rows, in the order their phrases first occur: pair 0 side 1, pair 0
+    # side 2, pair 1 side 1, ...
+    if case_mode == "lower":
+        phrases = [" a cat ", " dog ", " fish "]
+        assert text_ids.tolist() == [[0, 1], [0, 0], [1, 1], [2, 0]]
+    else:
+        phrases = [" A Cat ", " dog ", " a cat ", " fish "]
+        assert text_ids.tolist() == [[0, 1], [2, 0], [1, 1], [3, 2]]
+    assert text_ids.dtype == np.intp
+    assert counts.format == "csr" and counts.shape == (len(phrases), len(vocab))
+    assert len(phrases) < 2 * len(pairs)
+    # each id names its normalized phrase, and the phrases are distinct, so
+    # ids are equal exactly where the normalized phrases are
+    flat = [normalize(t, case_mode) for pair in pairs for t in pair]
+    assert [phrases[i] for i in text_ids.ravel()] == flat
+    assert len(set(phrases)) == len(phrases)
+    # each row is its phrase encoded alone
+    for row, phrase in enumerate(phrases):
+        want = encode_matrix([phrase], vocab, model).tocsr()
+        for name in ("data", "indices", "indptr"):
+            got, expected = getattr(counts[row], name), getattr(want, name)
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), name
+    empty, no_ids = _encode_pairs([], vocab, model)
+    assert empty.shape == (0, len(vocab)) and no_ids.shape == (0, 2)
 
 
 # --- train() against the per-batch reference ---------------------------------
 
 
 def _train_reference(dataset, vocab, config):
-    """`train` without a hook, rebuilding each batch's rows, text ids and layout per step."""
+    """`train` without a hook, rebuilding each batch's rows, text ids and layout per
+    step from one count row per side of every pair."""
     model = init_model(vocab, config)
     adam, curve = AdamState(), TrainingCurve()
-    texts, counts = _encode_pairs(dataset.pairs, vocab, model)
+    case_mode = model.input_case_mode
+    texts = [(normalize(a, case_mode), normalize(b, case_mode)) for a, b in dataset.pairs]
+    sides = [a for a, _ in texts] + [b for _, b in texts]
+    counts = encode_matrix(sides, vocab, model).tocsr()
     n = len(dataset)
     examples_seen = 0
     for epoch in range(config.epochs):
@@ -238,7 +273,7 @@ def _train_reference(dataset, vocab, config):
             batch = counts[np.concatenate([idxs, idxs + n])]
             touched, xt = _tocsr_layout(batch)  # in float32, as the plan lays it out
             layout = (touched, xt.astype(np.float32))
-            planned = _Batch(batch, _text_ids([texts[i] for i in idxs]), layout)
+            planned = _Batch(batch, phrase_ids([texts[i] for i in idxs]), layout)
             loss = _step(planned, model, config, adam, sample_rng)
             examples_seen += len(idxs)
             epoch_loss += loss
@@ -281,7 +316,7 @@ def test_train_is_byte_identical_to_per_batch_rebuilds(
     # curriculum's first epoch holds only the pairs that encode to nothing
     config = TrainConfig(dim=6, batch_size=5, epochs=3, seed=11, sampling=sampling,
                          negative_pool=pool, curriculum=curriculum, reg_lambda=1e-3)
-    _, counts = _encode_pairs(dataset.pairs, vocab, init_model(vocab, config))
+    counts, _ = stacked_pairs(dataset.pairs, vocab, init_model(vocab, config))
     row_nnz = np.diff(counts.indptr)
     assert not row_nnz[20:23].any() and not row_nnz[43:].any() and row_nnz[:20].all()
     model, adam, curve = train(dataset, vocab, config)
@@ -324,8 +359,7 @@ def test_a_run_copied_between_steps_continues_bit_for_bit(sampling, window, stop
     _assert_same_run(want, _train_reference(dataset, vocab, config))
 
     run = _Run(config, init_model(vocab, config))
-    texts, counts = _encode_pairs(dataset.pairs, vocab, run.model)
-    text_ids = _text_ids(texts)
+    counts, text_ids = _encode_pairs(dataset.pairs, vocab, run.model)
     steps = run.steps(counts, text_ids)
     points = [next(steps) for _ in range(stop)]
     assert (run.epoch, run.batch) == ((stop - 1) // 5, (stop - 1) % 5 + 1)

@@ -260,7 +260,7 @@ def test_the_check_names_each_file_writer():
     ]
 
 
-# the batch door, the backward layout, the dataset's CSR copy, and the plan's
+# the batch door, the backward layout, the phrase table's CSR copy, and the plan's
 # batches, which the gradient audit runs too: a training step makes none
 SPARSE_BUILDERS = [
     "model.py: column_layout",

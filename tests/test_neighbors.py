@@ -25,9 +25,9 @@ from charngram import finite_diff_audit, neighbors
 from charngram import model as model_module
 from charngram.model import _NORM_BLOCK_ENTRIES, _UNIT_NORM_LIMIT, COSINE_NORM_FLOOR, Model
 from charngram.neighbors import _guarded_cosines, _rank, _row_dots, _row_norms, _screen
-from charngram.train import _Batch, _encode_pairs, _step, _text_ids
+from charngram.train import _Batch, _step
 
-from conftest import float64_layout, random_model
+from conftest import float64_layout, random_model, stacked_pairs
 
 WORDS = ["cat", "cats", "catalog", "dog", "dogs", "bark", "fish", "deep", "loud"]
 
@@ -377,8 +377,8 @@ def test_ngram_query_after_a_training_step_sees_the_new_weights(wide_vocab):
     model = init_model(wide_vocab, config)
     before = ngram_neighbors("at ", model, wide_vocab, k=6)
     pairs = [("cat", "cats"), ("dog", "dogs"), ("fish", "deep")]
-    texts, counts = _encode_pairs(pairs, wide_vocab, model)
-    batch = _Batch(counts, _text_ids(texts), float64_layout(counts))
+    counts, text_ids = stacked_pairs(pairs, wide_vocab, model)
+    batch = _Batch(counts, text_ids, float64_layout(counts))
     _step(batch, model, config, AdamState(), np.random.default_rng(0))
     after = ngram_neighbors("at ", model, wide_vocab, k=6)
     assert _bits(after) == _bits(_ngram_scan("at ", model, wide_vocab, 6))

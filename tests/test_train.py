@@ -50,16 +50,16 @@ from charngram.train import (
     _plan_batches,
     _rng,
     _step,
-    _text_ids,
 )
 
-from conftest import epoch_orders, float64_layout, random_model
+from conftest import epoch_orders, float64_layout, phrase_ids, random_model, stacked_pairs
 
 
-def _batch(texts, counts):
-    """One batch of the pairs `texts` with count matrix `counts`, whose backward
-    is the float64 formula."""
-    return _Batch(counts, _text_ids(texts), float64_layout(counts))
+def _batch(counts, text_ids):
+    """One batch of pairs with stacked count matrix `counts` and phrase ids
+    `text_ids`, as `stacked_pairs` gives them, whose backward is the float64
+    formula."""
+    return _Batch(counts, text_ids, float64_layout(counts))
 
 
 def _vec(angle):
@@ -203,7 +203,7 @@ def test_string_equal_candidates_excluded():
     side1 = [_vec(0), _vec(0.01), _vec(1.0)]
     side2 = [_vec(2), _vec(3), _vec(4)]
     out = select_negatives(
-        *_batch_from_vectors(side1, side2), "max", _rng(0, 7), text_ids=_text_ids(texts)
+        *_batch_from_vectors(side1, side2), "max", _rng(0, 7), text_ids=phrase_ids(texts)
     )
     assert tuple(out[0][0]) == (2, 0)
 
@@ -211,7 +211,7 @@ def test_string_equal_candidates_excluded():
 def test_exclusion_fallback_when_pool_empties():
     texts = [(" a ", " b "), (" a ", " b ")]
     batch = _batch_from_vectors([_vec(0), _vec(0.2)], [_vec(1), _vec(1.2)])
-    out = select_negatives(*batch, "max", _rng(0, 8), text_ids=_text_ids(texts))
+    out = select_negatives(*batch, "max", _rng(0, 8), text_ids=phrase_ids(texts))
     assert tuple(out[0][0]) == (1, 0)  # only candidate, readmitted by the fallback
 
 
@@ -289,7 +289,7 @@ def test_cached_candidate_layouts_match_the_oracle_and_stay_unwritten():
             # few distinct strings, so exclusion bites and some pairs fall back
             words = ["a", "b", "c"][: int(rng.integers(1, 4))]
             texts = [tuple(str(rng.choice(words)) for _ in (0, 1)) for _ in range(n)]
-            text_ids = _text_ids(texts)
+            text_ids = phrase_ids(texts)
         got = select_negatives(side1, side2, mode, _rng(trial, 12), pool, text_ids=text_ids)
         want = _negatives_oracle(side1, side2, mode, _rng(trial, 12), pool, texts)
         assert [tuple(map(tuple, refs)) for refs in got.tolist()] == want
@@ -323,8 +323,8 @@ def test_satisfied_margins_leave_parameters_unchanged():
     before_b = model.bias.copy()
     config = TrainConfig(dim=2, activation="linear", batch_size=2, reg_lambda=0.0)
     adam = AdamState()
-    texts, counts = _encode_pairs([("aa", "aa"), ("bb", "bb")], vocab, model)
-    loss = _step(_batch(texts, counts), model, config, adam, _rng(0, 11))
+    counts, text_ids = stacked_pairs([("aa", "aa"), ("bb", "bb")], vocab, model)
+    loss = _step(_batch(counts, text_ids), model, config, adam, _rng(0, 11))
     assert loss == 0.0
     assert np.array_equal(model.weights, before_w)
     assert np.array_equal(model.bias, before_b)
@@ -334,9 +334,9 @@ def test_inactive_hinges_give_pure_regularizer_gradient():
     vocab, model = _orthogonal_setup()
     lam = 1e-2
     config = TrainConfig(dim=2, activation="linear", batch_size=2, reg_lambda=lam)
-    texts, counts = _encode_pairs([("aa", "aa"), ("bb", "bb")], vocab, model)
+    counts, text_ids = stacked_pairs([("aa", "aa"), ("bb", "bb")], vocab, model)
     loss, grad_bias, touched, grad_rows, negatives = _batch_gradients(
-        _batch(texts, counts), model, config, _rng(0, 12)
+        _batch(counts, text_ids), model, config, _rng(0, 12)
     )
     assert negatives.tolist() == [[[1, 0], [1, 1]], [[0, 0], [0, 1]]]
     assert loss == 0.0
@@ -356,8 +356,8 @@ def test_decay_only_step_shrinks_touched_rows():
     vocab, model = _orthogonal_setup()
     config = TrainConfig(dim=2, activation="linear", batch_size=2, reg_lambda=1e-2)
     before = model.weights.copy()
-    texts, counts = _encode_pairs([("aa", "aa"), ("bb", "bb")], vocab, model)
-    _step(_batch(texts, counts), model, config, AdamState(), _rng(0, 12))
+    counts, text_ids = stacked_pairs([("aa", "aa"), ("bb", "bb")], vocab, model)
+    _step(_batch(counts, text_ids), model, config, AdamState(), _rng(0, 12))
     moved = np.abs(model.weights) - np.abs(before)
     assert np.all(moved[np.abs(before) > 0.1] < 0)  # big coordinates move toward zero
 
@@ -367,15 +367,15 @@ def test_first_adam_step_is_signed_learning_rate(small_vocab):
     model = random_model(np.random.default_rng(13), small_vocab, dim=3)
     config = TrainConfig(dim=3, batch_size=3, learning_rate=0.001)
     batch = [("the cat", "black cat"), ("dogs bark", "bark loud"), ("fish swim", "deep fish")]
-    texts, counts = _encode_pairs(batch, small_vocab, model)
+    counts, text_ids = stacked_pairs(batch, small_vocab, model)
     _, grad_bias, touched, grad_rows, _ = _batch_gradients(
-        _batch(texts, counts), model, config, _rng(0, 13)
+        _batch(counts, text_ids), model, config, _rng(0, 13)
     )
     assert np.any(np.abs(grad_rows) > 1e-4)
 
     before_w = model.weights.copy()
     before_b = model.bias.copy()
-    _step(_batch(texts, counts), model, config, AdamState(), _rng(0, 13))
+    _step(_batch(counts, text_ids), model, config, AdamState(), _rng(0, 13))
 
     for grad, delta in [
         (grad_bias, model.bias - before_b),
@@ -391,8 +391,8 @@ def test_untouched_rows_bit_unchanged(small_vocab):
     before = model.weights.copy()
     batch = [("the cat", "black cat"), ("dogs bark", "bark loud")]
     adam = AdamState()
-    texts, counts = _encode_pairs(batch, small_vocab, model)
-    _step(_batch(texts, counts), model, config, adam, _rng(3, 14))
+    counts, text_ids = stacked_pairs(batch, small_vocab, model)
+    _step(_batch(counts, text_ids), model, config, adam, _rng(3, 14))
 
     touched = set()
     for a, b in batch:
@@ -457,12 +457,12 @@ def test_blocked_adam_is_bit_equal_to_unblocked_reference():
     per_block = _adam_block_rows(config.dim)
     batches = [list(zip(PHRASES[i::3], PHRASES[i + 1 :: 3])) for i in range(3)] * 2
     for step, batch in enumerate(batches):
-        texts, counts = _encode_pairs(batch, vocab, blocked)
-        grads = _batch_gradients(_batch(texts, counts), blocked, config, _rng(5, step))[1:4]
+        counts, text_ids = stacked_pairs(batch, vocab, blocked)
+        grads = _batch_gradients(_batch(counts, text_ids), blocked, config, _rng(5, step))[1:4]
         assert len(grads[1]) > 2 * per_block  # at least three blocks
         _adam_apply(blocked, adam_blocked, config, *grads)
-        texts, counts = _encode_pairs(batch, vocab, reference)
-        grads = _batch_gradients(_batch(texts, counts), reference, config, _rng(5, step))[1:4]
+        counts, text_ids = stacked_pairs(batch, vocab, reference)
+        grads = _batch_gradients(_batch(counts, text_ids), reference, config, _rng(5, step))[1:4]
         _adam_reference(reference, adam_reference, config, *grads)
     assert adam_blocked.step == adam_reference.step == len(batches)
     assert np.array_equal(blocked.weights, reference.weights)
@@ -481,11 +481,11 @@ def test_l2_term_in_the_adam_step_is_byte_equal_to_a_separate_gradient_term():
     without_lambda = replace(config, reg_lambda=0.0)
     batches = [list(zip(PHRASES[i::3], PHRASES[i + 1 :: 3])) for i in range(3)]
     for step, batch in enumerate(batches):
-        texts, counts = _encode_pairs(batch, vocab, folded)
-        grads = _batch_gradients(_batch(texts, counts), folded, config, _rng(7, step))[1:4]
+        counts, text_ids = stacked_pairs(batch, vocab, folded)
+        grads = _batch_gradients(_batch(counts, text_ids), folded, config, _rng(7, step))[1:4]
         _adam_apply(folded, adam_folded, config, *grads)
         grad_bias, touched, grad_rows = _batch_gradients(
-            _batch(texts, counts), separate, config, _rng(7, step)
+            _batch(counts, text_ids), separate, config, _rng(7, step)
         )[1:4]
         grad_bias += 2.0 * config.reg_lambda * separate.bias
         grad_rows += 2.0 * config.reg_lambda * separate.weights[touched]
@@ -499,7 +499,7 @@ def test_l2_term_in_the_adam_step_is_byte_equal_to_a_separate_gradient_term():
     small = replace(config, dim=4)
     model, adam = init_model(vocab, small), AdamState()
     for step, batch in enumerate(batches):
-        _step(_batch(*_encode_pairs(batch, vocab, model)), model, small, adam, _rng(7, step))
+        _step(_batch(*stacked_pairs(batch, vocab, model)), model, small, adam, _rng(7, step))
     assert finite_diff_audit(model, vocab, batches[0], small) < 1e-4
 
 
@@ -597,9 +597,9 @@ def test_first_adam_step_leaves_exact_moments():
 def test_adam_moments_are_float32_at_four_bytes_a_weight(small_vocab):
     config = TrainConfig(dim=5, batch_size=2, seed=4)
     model, adam = init_model(small_vocab, config), AdamState()
-    texts, counts = _encode_pairs([("the cat", "black cat"), ("dogs bark", "bark loud")],
-                                  small_vocab, model)
-    _step(_batch(texts, counts), model, config, adam, _rng(4, 15))
+    counts, text_ids = stacked_pairs([("the cat", "black cat"), ("dogs bark", "bark loud")],
+                                     small_vocab, model)
+    _step(_batch(counts, text_ids), model, config, adam, _rng(4, 15))
     for name in ("m_bias", "v_bias", "m_weights", "v_weights"):
         assert getattr(adam, name).dtype == np.float32, name
     assert adam.m_weights.nbytes == adam.v_weights.nbytes == 4 * len(small_vocab) * config.dim
@@ -713,7 +713,7 @@ def test_shared_norms_leave_picks_loss_and_gradient_byte_equal(n):
             values[n:] = values[:n]  # every cosine tied with its pair's
         norms = np.linalg.norm(values, axis=1)
         for mode, pool in (("max", "same-side"), ("mix", "both-sides")):
-            ids = _text_ids([(str(i % 3), str(i % 4)) for i in range(n)])
+            ids = phrase_ids([(str(i % 3), str(i % 4)) for i in range(n)])
             picks = [
                 select_negatives(values[:n], values[n:], mode, _rng(n, trial), pool,
                                  text_ids=ids, **kwargs)
@@ -731,7 +731,7 @@ def test_shared_norms_leave_picks_loss_and_gradient_byte_equal(n):
 def test_batch_gradients_equal_the_route_without_shared_norms(small_vocab, sampling):
     model = random_model(np.random.default_rng(17), small_vocab, dim=4)
     config = TrainConfig(dim=4, batch_size=4, sampling=sampling)
-    batch = _batch(*_encode_pairs(
+    batch = _batch(*stacked_pairs(
         [("the cat", "black cat"), ("dogs bark", "bark loud"), ("fish swim", "deep fish"),
          ("a cat sat", "the cat")], small_vocab, model))
     got = _batch_gradients(batch, model, config, _rng(2, 17))
@@ -748,10 +748,10 @@ def test_batch_gradients_equal_the_route_without_shared_norms(small_vocab, sampl
 def test_planned_gradient_rows_are_the_float32_product(small_vocab, activation):
     model = random_model(np.random.default_rng(31), small_vocab, dim=6, activation=activation)
     config = TrainConfig(dim=6, batch_size=4, activation=activation)
-    texts, counts = _encode_pairs(
+    counts, text_ids = _encode_pairs(
         [("the cat", "black cat"), ("dogs bark", "bark loud"), ("fish swim", "deep fish"),
          ("a cat sat", "the cat")], small_vocab, model)
-    (planned,) = _plan_batches(counts, _text_ids(texts), [np.arange(4)])
+    (planned,) = _plan_batches(counts, text_ids, [np.arange(4)])
     loss, grad_bias, touched, grad_rows, negatives = _batch_gradients(
         planned, model, config, _rng(3, 1))
     float64 = replace(planned, layout=float64_layout(planned.counts))
@@ -813,8 +813,8 @@ def test_the_audit_runs_the_planned_batch_with_a_float64_layout(pair_vocab, monk
     monkeypatch.setattr(sys.modules["charngram.train"], "_batch_gradients", recording)
     finite_diff_audit(model, pair_vocab, PAIRS.pairs[:5], config)
     (batch,) = batches
-    texts, counts = _encode_pairs(PAIRS.pairs[:5], pair_vocab, model)
-    (planned,) = _plan_batches(counts, _text_ids(texts), [np.arange(5)])
+    counts, text_ids = _encode_pairs(PAIRS.pairs[:5], pair_vocab, model)
+    (planned,) = _plan_batches(counts, text_ids, [np.arange(5)])
     assert isinstance(batch.counts, sparse.csc_matrix)
     assert batch.counts.shape == planned.counts.shape
     assert batch.text_ids.tobytes() == planned.text_ids.tobytes()

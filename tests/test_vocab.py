@@ -6,7 +6,20 @@ from collections import Counter
 import pytest
 from hypothesis import example, given, strategies as st
 
-from charngram import DataError, MinCount, NGramVocab, TopKPerOrder, build_vocab, encode
+from charngram import (
+    DataError,
+    MinCount,
+    NGramVocab,
+    TopKPerOrder,
+    TrainConfig,
+    build_vocab,
+    encode,
+    init_model,
+    load_model,
+    load_vocab,
+    save_model,
+    save_vocab,
+)
 from charngram.vocab import ngram_table, normalize, table_fingerprint
 
 from conftest import windows
@@ -181,8 +194,23 @@ def test_vocab_validation():
         NGramVocab([("ab", 2, -1)])
     with pytest.raises(DataError, match="order"):
         NGramVocab([("", 0, 1)])
-    with pytest.raises(DataError, match="outside the declared orders"):
-        NGramVocab([("abc", 3, 1)], orders={2})
+
+
+def test_a_vocabulary_with_a_requested_order_that_kept_nothing_round_trips_equal(tmp_path):
+    # no text reaches 9 characters, so order 9 keeps no n-gram
+    vocab = build_vocab(["ab cd", "ef"], (2, 3, 9), MinCount(1))
+    assert vocab.orders == {2, 3}
+    assert vocab == build_vocab(["ab cd", "ef"], (2, 3), MinCount(1))
+    save_vocab(vocab, tmp_path / "vocab.tsv")
+    model = init_model(vocab, TrainConfig(dim=2))
+    save_model(model, vocab, tmp_path / "model.bin")
+    loaded = load_vocab(tmp_path / "vocab.tsv")
+    assert loaded.orders == {2, 3} and loaded == vocab
+    # a model file stores no corpus counts
+    _, from_model = load_model(tmp_path / "model.bin")
+    assert from_model.orders == {2, 3}
+    assert from_model == NGramVocab([(ngram, order, 0) for ngram, order, _ in vocab.entries])
+    assert encode(normalize("ab cd"), vocab) == encode(normalize("ab cd"), from_model)
 
 
 @pytest.mark.parametrize("entries, message", [
