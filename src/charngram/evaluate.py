@@ -117,11 +117,18 @@ def _pair_scores(model: Model, vocab: NGramVocab, items: Sequence[SimItem]) -> n
     return row_cosines(values[0::2], values[1::2])
 
 
+def _correlate(correlation, model: Model, vocab: NGramVocab, dataset: SimDataset) -> float:
+    """`correlation` of the pairs' cosines and gold scores; a DataError names the dataset."""
+    scores = _pair_scores(model, vocab, dataset.items)
+    try:
+        return correlation(scores, [gold for _, _, gold in dataset.items])
+    except DataError as err:
+        raise DataError(f"{dataset.name}: {err}") from None
+
+
 def eval_word_sim(model: Model, vocab: NGramVocab, dataset: SimDataset) -> float:
     """Spearman's rho between embedding cosines and gold scores."""
-    scores = _pair_scores(model, vocab, dataset.items)
-    golds = [gold for _, _, gold in dataset.items]
-    return spearman(scores, golds)
+    return _correlate(spearman, model, vocab, dataset)
 
 
 def eval_sts(
@@ -145,9 +152,7 @@ def eval_sts(
     report = EvalReport()
     groups: dict[str, list[float]] = {}
     for ds in datasets:
-        scores = _pair_scores(model, vocab, ds.items)
-        golds = [gold for _, _, gold in ds.items]
-        r = pearson(scores, golds)
+        r = _correlate(pearson, model, vocab, ds)
         report.per_dataset[ds.name] = r
         if grouping and ds.name in grouping:
             groups.setdefault(grouping[ds.name], []).append(r)

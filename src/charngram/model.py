@@ -4,7 +4,8 @@ A sequence embedding is the count-weighted sum of the n-gram vectors for the
 n-grams present in the sequence, plus a bias, passed through an elementwise
 activation. A batch of sequences is a sparse count matrix X with one row per
 sequence, and its embeddings are h(X @ W + b). Parameters are kept in float64
-in memory; file persistence quantizes to float32 (see charngram.io).
+in memory; file persistence quantizes to finite float32 (see charngram.io), so
+no loaded weight row reaches the norm `Model.row_index` refuses (2^511).
 """
 
 from __future__ import annotations
@@ -26,9 +27,8 @@ COSINE_NORM_FLOOR = 1e-12
 # Entries per block of the row-norm pass, so the squares it sums stay in cache.
 _NORM_BLOCK_ENTRIES = 65536
 
-# Rows with a norm at or above this (or not finite) are left out of the float32
-# unit rows: the product of two norms below it, and so every dot product of two
-# such rows, stays finite in float64.
+# Searchable rows and queries have a finite norm below this, so no dot product
+# of two of them overflows in float64.
 _UNIT_NORM_LIMIT = 2.0**511
 
 
@@ -62,7 +62,7 @@ def _row_norms(matrix: np.ndarray, units: np.ndarray | None = None) -> np.ndarra
     bit-identical, without a (|V|, d) temporary of squares. Given `units`, a
     float32 array of the matrix's shape, the same pass writes into it each
     row divided by its norm, rounded to float32; rows whose norm is below
-    COSINE_NORM_FLOOR, not below _UNIT_NORM_LIMIT or not finite are zero.
+    COSINE_NORM_FLOOR are zero.
     """
     per_block = max(1, _NORM_BLOCK_ENTRIES // matrix.shape[1])
     # a norm that overflows is inf, and zero rows divide 0 by 0; neither warns
@@ -73,34 +73,34 @@ def _row_norms(matrix: np.ndarray, units: np.ndarray | None = None) -> np.ndarra
             norms[block] = np.linalg.norm(matrix[block], axis=1)
             if units is not None:
                 np.divide(matrix[block], norms[block, None], out=units[block], casting="same_kind")
-                scale = norms[block]
-                units[block][~((scale >= COSINE_NORM_FLOOR) & (scale < _UNIT_NORM_LIMIT))] = 0.0
+                units[block][norms[block] < COSINE_NORM_FLOOR] = 0.0
     return norms
 
 
 class RowIndex(NamedTuple):
     """Rows prepared for neighbour search, from one `_row_norms` pass (`_index_rows`)."""
 
-    norms: np.ndarray  # the row norms, as `_row_norms` gives them
+    norms: np.ndarray  # the row norms, as `_row_norms` gives them; each below _UNIT_NORM_LIMIT
     units: np.ndarray | None  # read-only float32 rows scaled to unit norm, or None
-    outliers: np.ndarray  # sorted rows whose norm is not finite or not below _UNIT_NORM_LIMIT
-    finite: bool  # every norm is finite (none overflowed, none is NaN)
 
 
 def _index_rows(matrix: np.ndarray, units: bool = True) -> RowIndex:
     """The `RowIndex` of a (n, d) float64 matrix, with or without its unit rows.
 
-    Every norm that is not finite is an outlier, so `finite` reads only those.
-    DataError when d = 0: such rows have no direction to search by.
+    DataError when d = 0, as such rows have no direction to search by, and
+    naming the first row whose norm is not finite or not below _UNIT_NORM_LIMIT.
     """
     if matrix.shape[1] == 0:
         raise DataError("cannot search rows of dimension 0")
     copy = np.empty(matrix.shape, dtype=np.float32) if units else None
     norms = _row_norms(matrix, copy)
+    out_of_range = np.flatnonzero(~(norms < _UNIT_NORM_LIMIT))
+    if len(out_of_range):
+        row = out_of_range[0]
+        raise DataError(f"cannot search row {row}: its norm {norms[row]:g} is not below 2^511")
     if copy is not None:
         copy.flags.writeable = False
-    outliers = np.flatnonzero(~(norms < _UNIT_NORM_LIMIT))
-    return RowIndex(norms, copy, outliers, bool(np.isfinite(norms[outliers]).all()))
+    return RowIndex(norms, copy)
 
 
 @dataclass
@@ -157,7 +157,8 @@ class Model:
     def row_index(self) -> RowIndex:
         """The weight rows' `RowIndex`, with unit rows, kept until `weights` changes.
 
-        DataError at d = 0.
+        DataError at d = 0 and for a row of norm not finite or not below 2^511
+        (then nothing is cached, and `weights` stays writeable).
         """
         # The cache belongs to the array object bound to `weights`: rebinding it
         # gives a fresh one. A cached array that is writeable again (a pickled

@@ -82,8 +82,8 @@ def make_task(
     n_variants: int = 10,
     n_heldout: int = 2,
 ) -> SyntheticTask:
-    if n_heldout >= n_variants:
-        raise ValueError("n_heldout must leave at least one training variant")
+    if not 0 <= n_heldout < n_variants:
+        raise ValueError("n_heldout must be >= 0 and leave at least one training variant")
     rng = np.random.default_rng(seed)
     taken: set[str] = set()
     roots: list[str] = []
@@ -139,12 +139,15 @@ def similarity_set(task: SyntheticTask) -> SimDataset:
 
     Same-root held-out pairs score 5, an equal number of cross-root pairs
     score 0. Pairing root r with root r+1 keeps the set balanced and
-    deterministic. DataError for a task of one root, which has no cross-root pair.
+    deterministic. DataError for a task of one root, which has no cross-root
+    pair, and for a root with no held-out word.
     """
     items = []
     n = len(task.heldout_words)
     if n < 2:
         raise DataError("a similarity set needs held-out words of at least two roots")
+    if not all(task.heldout_words):
+        raise DataError("a similarity set needs a held-out word of every root")
     for r, words in enumerate(task.heldout_words):
         for i in range(len(words)):
             for j in range(i + 1, len(words)):
@@ -194,17 +197,14 @@ def cosine_gap(model: Model, vocab: NGramVocab, task: SyntheticTask) -> float:
 
 
 def top1_same_root_accuracy(model: Model, vocab: NGramVocab, task: SyntheticTask) -> float:
-    """Fraction of held-out words whose nearest training word shares their root."""
+    """Share of held-out words whose nearest training word shares their root; DataError if none."""
+    words = [word for ws in task.heldout_words for word in ws]
+    if not words:
+        raise DataError("no held-out word to retrieve")
     root = task.root_of()
     working = build_working_vocab(training_corpus(task), model, vocab)
-    hits = 0
-    total = 0
-    for words in task.heldout_words:
-        for word in words:
-            top = nearest_neighbors(word, working, model, vocab, k=1)
-            hits += int(bool(top) and root[top[0][0]] == root[word])
-            total += 1
-    return hits / total
+    tops = [nearest_neighbors(word, working, model, vocab, k=1) for word in words]
+    return sum(bool(top) and root[top[0][0]] == root[w] for w, top in zip(words, tops)) / len(words)
 
 
 def epoch_mean_losses(curve: TrainingCurve) -> list[float]:

@@ -52,7 +52,7 @@ from charngram.evaluate import (
     spearman,
 )
 from charngram.model import row_cosines, unit_rows
-from charngram.neighbors import _guarded_cosines, _rank
+from charngram.neighbors import _cosines, _rank
 
 from conftest import count_matrix, save_v1
 
@@ -125,8 +125,7 @@ def _as_tuples(results):
 def _neighbors_reference(query, wv, model, vocab, k, mode):
     padded = normalize(query, mode)
     q = embed(encode(padded, vocab), model).values
-    norms = wv.index.norms
-    cosines = _guarded_cosines(wv.embeddings, q, norms, np.matmul, bool(np.isfinite(norms).all()))
+    cosines = _cosines(wv.embeddings, q, np.sqrt(np.vdot(q, q)), wv.index.norms, np.matmul)
     return _rank(wv.words.__getitem__, cosines, {padded[1:-1]}, k)
 
 

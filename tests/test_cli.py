@@ -458,6 +458,19 @@ def test_empty_dataset_dir_exits_2(ws, tmp_path, capsys):
     assert "no .tsv datasets found" in err
 
 
+@pytest.mark.parametrize("flat", ["cat\tdog\t3.0\n", "cat\tdog\t3.0\nfish\tbark\t3.0\n"],
+                         ids=["one-line", "constant-gold"])
+def test_degenerate_dataset_is_named_exits_2(ws, tmp_path, capsys, flat):
+    sts = tmp_path / "sts"
+    sts.mkdir()
+    (sts / "alpha.tsv").write_text(STS_A)
+    (sts / "flat.tsv").write_text(flat)
+    rc = main(["eval", "sts", "--model", str(ws / "model.bin"), "--datasets", str(sts)])
+    _, err = capsys.readouterr()
+    assert rc == 2
+    assert err == "error: flat: degenerate input\n"
+
+
 def test_unknown_ngram_exits_2(ws, capsys):
     rc = main(["nn-ngram", "--model", str(ws / "model.bin"), "zzzz"])
     _, err = capsys.readouterr()

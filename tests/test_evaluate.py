@@ -64,7 +64,7 @@ def test_correlation_symmetry(func):
 
 
 @pytest.mark.parametrize("func", [pearson, spearman])
-def test_degenerate_inputs_rejected(func):
+def test_degenerate_inputs_rejected(func, small_model, small_vocab):
     with pytest.raises(DataError, match="degenerate"):
         func([1.0], [2.0])
     with pytest.raises(DataError, match="degenerate"):
@@ -73,6 +73,14 @@ def test_degenerate_inputs_rejected(func):
         func([1.0, 2.0, 3.0], [5.0, 5.0, 5.0])
     with pytest.raises(DataError, match="equal-length"):
         func([1.0, 2.0], [1.0, 2.0, 3.0])
+    # the evaluation that correlates with it names the dataset
+    evaluate = {
+        pearson: lambda ds: eval_sts(small_model, small_vocab, [ds]),
+        spearman: lambda ds: eval_word_sim(small_model, small_vocab, ds),
+    }[func]
+    for items in ([("the cat", "a cat", 3.0), ("dogs bark", "fish", 3.0)], [("cat", "dog", 1.0)]):
+        with pytest.raises(DataError, match="^flat: degenerate input$"):
+            evaluate(SimDataset("flat", items))
 
 
 def test_correlations_match_brute_force():

@@ -1,4 +1,5 @@
 import gc
+import math
 import tracemalloc
 import warnings
 import weakref
@@ -23,8 +24,8 @@ from charngram import (
 from charngram import AdamState, NGramVocab, TrainConfig, WorkingVocab
 from charngram import finite_diff_audit, neighbors
 from charngram import model as model_module
-from charngram.model import _NORM_BLOCK_ENTRIES, _UNIT_NORM_LIMIT, COSINE_NORM_FLOOR, Model
-from charngram.neighbors import _guarded_cosines, _rank, _row_dots, _row_norms, _screen
+from charngram.model import _NORM_BLOCK_ENTRIES, COSINE_NORM_FLOOR, Model, _row_norms
+from charngram.neighbors import _cosines, _rank, _row_dots, _screen
 from charngram.train import _Batch, _step
 
 from conftest import float64_layout, random_model, stacked_pairs
@@ -190,16 +191,20 @@ def test_blocked_cosines_equal_one_pass_formula():
         norms = np.linalg.norm(matrix, axis=1)
         live = (norms >= COSINE_NORM_FLOOR) & (qn >= COSINE_NORM_FLOOR)
         expected = np.divide(matrix @ query, norms * qn, out=np.zeros(len(norms)), where=live)
-        cosines = _guarded_cosines(matrix, query, _row_norms(matrix), np.matmul, True)
+        cosines = _cosines(matrix, query, _norm(query), _row_norms(matrix), np.matmul)
         assert np.array_equal(cosines, expected)
+
+
+def _norm(query):
+    # the query norm as the neighbour search takes it
+    return math.sqrt(np.vdot(query, query))
 
 
 def _exhaustive_scan(matrix, query, names, exclude, k, dot):
     # the neighbour query scanning every row, with the row norms recomputed on
     # every call; `dot` is np.matmul for the dgemv scan, or `_row_dots`, which
     # gives a row the same bits whatever subset it is scored in
-    norms = _row_norms(matrix)
-    cosines = _guarded_cosines(matrix, query, norms, dot, bool(np.isfinite(norms).all()))
+    cosines = _cosines(matrix, query, _norm(query), _row_norms(matrix), dot)
     return _rank(names.__getitem__, cosines, exclude, k)
 
 
@@ -233,7 +238,7 @@ def test_query_does_not_recompute_word_norms(working, wide_model, wide_vocab, mo
     def recomputed(matrix):
         raise AssertionError("word-row norms recomputed for a query")
 
-    monkeypatch.setattr(neighbors, "_row_norms", recomputed)
+    monkeypatch.setattr(model_module, "_row_norms", recomputed)
     assert nearest_neighbors("cat", working, wide_model, wide_vocab, k=4) == expected
 
 
@@ -325,8 +330,7 @@ def test_second_ngram_query_does_not_recompute_norms(wide_vocab, monkeypatch):
     def recomputed(matrix, units=None):
         raise AssertionError("weight-row norms or unit rows recomputed for a query")
 
-    for module in (model_module, neighbors):  # both hold the name
-        monkeypatch.setattr(module, "_row_norms", recomputed)
+    monkeypatch.setattr(model_module, "_row_norms", recomputed)
     assert ngram_neighbors("at ", model, wide_vocab, k=4) == first
     assert ngram_neighbors("ca", model, wide_vocab, k=4)
     assert model.row_index().norms is norms and model.row_index().units is units
@@ -336,14 +340,17 @@ def test_unit_rows_are_read_only_float32_and_dropped_with_the_norms():
     rng = np.random.default_rng(45)
     weights = rng.normal(size=(7, 5))
     weights[2] = 0.0
-    weights[4, 0] = 1e200  # its norm overflows
     model = Model(weights=weights, bias=np.zeros(5), activation="tanh", vocab_fingerprint=0)
-    _, units, outliers, _ = model.row_index()
+    weights[4, 0] = 1e200  # its norm overflows: no index, and nothing is cached
+    with pytest.raises(DataError, match=r"cannot search row 4: its norm inf is not below 2\^511"):
+        model.row_index()
+    assert model.weights.flags.writeable
+    weights[4, 0] = 1.0
+    _, units = model.row_index()
     assert units.dtype == np.float32 and units.shape == weights.shape
-    assert outliers.tolist() == [4]
-    live = [0, 1, 3, 5, 6]
+    live = [0, 1, 3, 4, 5, 6]
     assert np.array_equal(units[live], (weights[live] / _row_norms(weights)[live, None]).astype(np.float32))
-    assert not units[[2, 4]].any()  # zero and outlier rows stay zero
+    assert not units[2].any()  # zero rows stay zero
     with pytest.raises(ValueError):
         units[0, 0] = 1.0
     with pytest.raises(ValueError):
@@ -412,9 +419,8 @@ def test_per_row_cosines_do_not_depend_on_the_rows_scored_with_them():
         matrix[rng.random(matrix.shape) < 0.2] = -0.0
         matrix[[3, 70]] = 0.0
         query = matrix[5]
-        norms = _row_norms(matrix)
-        finite = bool(np.isfinite(norms).all())
-        full = _guarded_cosines(matrix, query, norms, _row_dots, finite)
+        norms, qn = _row_norms(matrix), _norm(query)
+        full = _cosines(matrix, query, qn, norms, _row_dots)
         for _ in range(30):
             rows = rng.choice(len(matrix), size=int(rng.integers(1, 2 * len(matrix))))
             picked = matrix[rows]
@@ -422,7 +428,7 @@ def test_per_row_cosines_do_not_depend_on_the_rows_scored_with_them():
             shifted[:] = picked
             fortran = np.asfortranarray(picked)
             for sub in (picked, shifted, fortran):
-                got = _guarded_cosines(sub, query, norms[rows], _row_dots, finite)
+                got = _cosines(sub, query, qn, norms[rows], _row_dots)
                 assert _per_row_bits(got) == _per_row_bits(full[rows])
 
 
@@ -431,9 +437,9 @@ def test_screen_keeps_few_rows_of_a_random_table():
     n, dim = 3000, 50
     model = Model(weights=rng.uniform(-0.1, 0.1, size=(n, dim)), bias=np.zeros(dim),
                   activation="tanh", vocab_fingerprint=0)
-    _, units, outliers, _ = model.row_index()
+    _, units = model.row_index()
     for pos in (0, 17, n - 1):
-        rows = _screen(units, outliers, units[pos], 11)
+        rows = _screen(units, units[pos], 11)
         assert pos in rows and 11 <= len(rows) < 40
 
 
@@ -442,7 +448,7 @@ def _screened_tables(draw):
     # a weight table built to crowd the k-th place: rows drawn around a few
     # directions (near-ties within the float32 error), exact and scaled
     # duplicates (exact ties), zero rows, magnitudes from 1e-30 to 1e30, and
-    # possibly one row whose norm overflows
+    # possibly one row whose norm overflows, which cannot be searched
     n = draw(st.integers(1, 300))
     dim = draw(st.integers(1, 64))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -454,21 +460,27 @@ def _screened_tables(draw):
         a, b = rng.integers(n, size=2)
         weights[a] = weights[b] * draw(st.sampled_from([1.0, 1.0, 2.0, 3.0, -1.0, 1e-20]))
     weights[rng.random(n) < draw(st.sampled_from([0.0, 0.1, 0.5]))] = 0.0
-    if draw(st.booleans()):
+    overflows = draw(st.booleans())
+    if overflows:
         weights[rng.integers(n), rng.integers(dim)] = 1e160  # the row's norm is inf
     names = [f"{i:04x}" for i in rng.permutation(max(n, 2**12))[:n]]  # not in row order
     query = draw(st.integers(0, n - 1))
     k = draw(st.integers(1, n + 2))
-    return weights, names, query, k
+    return weights, names, query, k, overflows
 
 
 @settings(max_examples=400, deadline=None)
 @given(_screened_tables())
 def test_screened_ngram_neighbors_equal_an_exhaustive_per_row_scan_bit_for_bit(table):
-    weights, names, query, k = table
+    weights, names, query, k, overflows = table
     vocab = NGramVocab([(g, 4, 1) for g in names])
     model = Model(weights=weights, bias=np.zeros(weights.shape[1]), activation="linear",
                   vocab_fingerprint=vocab.fingerprint)
+    if overflows:
+        with pytest.raises(DataError, match="cannot search row"):
+            ngram_neighbors(names[query], model, vocab, k)
+        assert model.weights.flags.writeable
+        return
     got = ngram_neighbors(names[query], model, vocab, k)
     assert _bits(got) == _bits(_ngram_scan(names[query], model, vocab, k))
 
@@ -484,54 +496,41 @@ def _embedding_as(query_vector, vocab=_ONE_GRAM):
 
 
 @pytest.mark.parametrize("min_entries", [0, 2**18], ids=["screened-list", "exact-list"])
-def test_rows_whose_norm_overflows_score_by_their_direction(min_entries, monkeypatch):
+def test_rows_and_queries_of_norm_out_of_range_cannot_be_searched(min_entries, monkeypatch):
     monkeypatch.setattr(neighbors, "_SCREEN_MIN_ENTRIES", min_entries)
-    rows = np.array([[1e200, 0.0], [1.0, 0.0], [0.0, 1.0]])
     names = ["ab", "bc", "cd"]
     vocab = NGramVocab([(g, 2, 1) for g in names])
-    expected = {"ab": [("bc", 1.0), ("cd", 0.0)], "bc": [("ab", 1.0), ("cd", 0.0)]}
     with warnings.catch_warnings():
-        warnings.simplefilter("error")  # and no overflow warning leaks
+        warnings.simplefilter("error")  # and no warning leaks
+        # a norm just below 2^511 still scores by its direction
+        rows = np.array([[2.0**510, 0.0], [1.0, 0.0], [0.0, 1.0]])
         model = Model(weights=rows, bias=np.zeros(2), activation="linear",
                       vocab_fingerprint=vocab.fingerprint)
         wv = WorkingVocab(names, rows)
-        for query, want in expected.items():
-            embedder = _embedding_as(rows[names.index(query)], vocab)
-            for k in (1, 2):
-                assert ngram_neighbors(query, model, vocab, k) == want[:k]
-                assert nearest_neighbors(query, wv, embedder, vocab, k) == want[:k]
-        # a row holding an inf or a NaN has no direction and scores 0
-        odd = np.array([[np.inf, 1.0], [np.nan, 0.0], [1.0, 0.0]])
-        cosines = _guarded_cosines(odd, np.array([1.0, 0.0]), _row_norms(odd), np.matmul, False)
-        assert cosines.tolist() == [0.0, 0.0, 1.0]
-        # finite norms whose squares sum past float64's range (a finite norm
-        # is below 2^512, as the norms pass squares every entry), which the
-        # guarded path, taken when a ddot over the norms overflows, scores with
-        # the unguarded path's bits, and rows holding a NaN, beside an inf too
-        # (a NaN norm, which an inf-only flag would send through the unguarded
-        # dgemv); both sides of each size rule score the scan's bits
-        big = 2.0**511.5
-        for table in ([[big, 0.0], [0.0, big], [1.0, 0.0], [1.0, 1.0]],
-                      [[np.nan, 0.0], [np.nan, np.inf], [1.0, 0.0], [1.0, 1.0]]):
-            table, names = np.array(table), ["ab", "bc", "cd", "de"]
-            vocab = NGramVocab([(g, 2, 1) for g in names])
-            model = Model(weights=table, bias=np.zeros(2), activation="linear",
+        for k in (1, 2):
+            want = [("bc", 1.0), ("cd", 0.0)][:k]
+            assert ngram_neighbors("ab", model, vocab, k) == want
+            assert nearest_neighbors("ab", wv, _embedding_as(rows[0], vocab), vocab, k) == want
+        # a norm that is inf, NaN, or finite but at least 2^511 (its square is finite)
+        for odd in (np.inf, np.nan, 2.0**511.5):
+            rows = np.array([[1.0, 0.0], [odd, 0.0], [0.0, 1.0]])
+            refused = r"cannot search row 1: its norm \S+ is not below 2\^511"
+            with pytest.raises(DataError, match=refused):
+                WorkingVocab(names, rows)
+            assert rows.flags.writeable
+            model = Model(weights=rows, bias=np.zeros(2), activation="linear",
                           vocab_fingerprint=vocab.fingerprint)
-            wv = WorkingVocab(names, table)
-            norms = _row_norms(table)
-            for query, q in zip(names, table):
-                guarded = _guarded_cosines(table, q, norms, np.matmul, False)
-                flagged = _guarded_cosines(table, q, norms, np.matmul, wv.index.finite)
-                assert _per_row_bits(guarded) == _per_row_bits(flagged)
-                qn = np.sqrt(np.vdot(q, q))
-                screened = wv.index.units is not None and COSINE_NORM_FLOOR <= qn < _UNIT_NORM_LIMIT
-                for k in (1, 3):  # a screen with k + 1 < 4 rows, else a scan
-                    expected = _exhaustive_scan(table, q, names, {query}, k, _row_dots)
-                    assert _bits(ngram_neighbors(query, model, vocab, k)) == _bits(expected)
-                    dot = _row_dots if screened and k == 1 else np.matmul
-                    expected = _exhaustive_scan(table, q, names, {query}, k, dot)
-                    got = nearest_neighbors(query, wv, _embedding_as(q, vocab), vocab, k)
-                    assert _bits(got) == _bits(expected)
+            for query in names:
+                with pytest.raises(DataError, match=refused):
+                    ngram_neighbors(query, model, vocab, k=1)
+            assert model.weights.flags.writeable  # nothing was cached
+            # the linear zero-weight model embeds every word as its bias
+            embedder = _embedding_as(rows[1], vocab)
+            with pytest.raises(DataError, match=r"cannot search row 0: "):
+                build_working_vocab(["ab", "cd"], embedder, vocab)
+            wv = WorkingVocab(names, rows[[0, 2, 0]])
+            with pytest.raises(DataError, match=r"a query of norm \S+: it is not below 2\^511"):
+                nearest_neighbors("ab", wv, embedder, vocab, k=1)
 
 
 @pytest.mark.parametrize("entry", ["working-vocab", "row-norms", "unit-rows", "ngram-query"])
@@ -551,37 +550,36 @@ def test_rows_of_dimension_zero_cannot_be_indexed(entry):
     assert model.weights.flags.writeable  # nothing was cached
 
 
-def test_rank_names_no_nan_and_never_takes_a_nan_floor():
-    words = ["a", "b", "c", "d"]
-    cosines = np.array([np.nan, 0.5, np.nan, -0.25])
-    assert _rank(words.__getitem__, cosines, set(), 3) == [("b", 0.5), ("d", -0.25)]
-    assert _rank(words.__getitem__, cosines, {"b"}, 1) == [("d", -0.25)]
-
-
 def test_working_vocab_keeps_float32_unit_rows_from_the_size_rule_up(monkeypatch):
     rng = np.random.default_rng(49)
     rows = rng.normal(size=(64, 8))
     rows[3] = 0.0
-    rows[5, 0] = 1e160  # its norm overflows
     words = [f"w{i}" for i in range(len(rows))]
+    odd = rows.copy()
+    odd[5, 0] = 1e160  # its norm overflows
+    for min_entries in (rows.size + 1, rows.size):  # refused on both sides of the size rule
+        monkeypatch.setattr(neighbors, "_SCREEN_MIN_ENTRIES", min_entries)
+        with pytest.raises(DataError, match="cannot search row 5: its norm inf "):
+            WorkingVocab(words, odd)
+        assert odd.flags.writeable
     monkeypatch.setattr(neighbors, "_SCREEN_MIN_ENTRIES", rows.size + 1)
     assert WorkingVocab(words, rows).index.units is None
     monkeypatch.setattr(neighbors, "_SCREEN_MIN_ENTRIES", rows.size)
     wv = WorkingVocab(words, rows)
-    units, outliers = wv.index.units, wv.index.outliers
+    units = wv.index.units
     model = Model(weights=rows, bias=np.zeros(8), activation="tanh", vocab_fingerprint=0)
     assert units.dtype == np.float32 and units.nbytes == 4 * rows.size
     assert not units.flags.writeable
     assert np.array_equal(units, model.row_index().units)
-    assert outliers.tolist() == model.row_index().outliers.tolist() == [5]
     assert _per_row_bits(wv.index.norms) == _per_row_bits(_row_norms(rows))
 
 
 @st.composite
 def _word_lists(draw):
-    # a word list built to crowd the k-th place, as _screened_tables does, with
-    # rows whose norm overflows or reaches the outlier limit, and a query that
-    # is zero (an unknown word), a word of the list or a vector near the rows
+    # a word list built to crowd the k-th place, as _screened_tables does,
+    # possibly with rows whose norm overflows or reaches 2^511 (which cannot be
+    # searched), and a query that is zero (an unknown word), a word of the list
+    # or a vector near the rows
     n = draw(st.integers(1, 200))
     dim = draw(st.integers(1, 48))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -593,9 +591,11 @@ def _word_lists(draw):
         a, b = rng.integers(n, size=2)
         rows[a] = rows[b] * draw(st.sampled_from([1.0, 1.0, 2.0, 3.0, -1.0, 1e-20]))
     rows[rng.random(n) < draw(st.sampled_from([0.0, 0.1, 0.5]))] = 0.0
-    for scale in (1e160, 1e154):  # a norm that overflows; one at the outlier limit
+    out_of_range = False
+    for scale in (1e160, 1e154):  # a norm that overflows; a finite one past 2^511
         if draw(st.booleans()):
             rows[rng.integers(n), rng.integers(dim)] = scale
+            out_of_range = True
     words = [f"w{i:04x}" for i in rng.permutation(max(n, 2**12))[:n]]  # not in row order
     kind = draw(st.sampled_from(["unknown", "word", "near"]))
     if kind == "unknown":
@@ -608,18 +608,16 @@ def _word_lists(draw):
         vector = centres[rng.integers(len(centres))] + spread * rng.normal(size=dim)
         vector *= 10.0 ** rng.uniform(-30, 30)
     k = draw(st.integers(1, n + 1))
-    return rows, words, query, vector, k
+    return rows, words, query, vector, k, out_of_range
 
 
 @pytest.mark.parametrize("screened", [True, False], ids=["screened-list", "exact-list"])
 @settings(max_examples=300, deadline=None)
 @given(_word_lists())
 def test_word_neighbors_equal_an_exhaustive_scan_bit_for_bit(screened, table):
-    rows, words, query, vector, k = table
+    rows, words, query, vector, k, out_of_range = table
     model = _embedding_as(vector)
     q, exclude = _embedded(query, model, _ONE_GRAM)
-    with np.errstate(over="ignore"):
-        qn = np.linalg.norm(q)
     screens = []
 
     def counted(*args):
@@ -629,10 +627,15 @@ def test_word_neighbors_equal_an_exhaustive_scan_bit_for_bit(screened, table):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(neighbors, "_SCREEN_MIN_ENTRIES", 0 if screened else rows.size + 1)
         patch.setattr(neighbors, "_screen", counted)
+        if out_of_range:
+            with pytest.raises(DataError, match="cannot search row"):
+                WorkingVocab(words, rows)
+            assert rows.flags.writeable
+            return
         wv = WorkingVocab(words, rows)
         got = nearest_neighbors(query, wv, model, _ONE_GRAM, k)
     assert (wv.index.units is not None) == screened
-    if screened and k + 1 < len(words) and COSINE_NORM_FLOOR <= qn < _UNIT_NORM_LIMIT:
+    if screened and k + 1 < len(words) and _norm(q) >= COSINE_NORM_FLOOR:
         assert len(screens) == 1
         # the names of an exhaustive scan, and each cosine as the per-row routine gives it
         assert _bits(got) == _bits(_exhaustive_scan(rows, q, words, exclude, k, _row_dots))
