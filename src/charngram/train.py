@@ -447,6 +447,17 @@ def _adam_apply(
     on each block, so a gradient past float32's range, or whose square is, is
     a NumericalError that names the bias before any row, and otherwise the
     lowest bad row.
+
+    The check reads only max(denom), denom = sqrt(v) + eps_t, on the common
+    path. An inf or NaN gradient entry, or one whose square overflows, makes
+    v and so denom non-finite. A finite denom thus means every gradient entry
+    is finite; m, a convex mix of gradients, is finite too, and denom >=
+    eps_t > 0. By Cauchy-Schwarz |m| / sqrt(v) <= (1 - b1) / sqrt((1 - b2)
+    (1 - b1^2 / b2)), about 7.3, so |step| <= about 7.3 alpha_t. Lazy updates
+    keep this: a row's moments follow the same recurrence on the steps that
+    touch it. Weights start at |w| <= 0.5 / d, so no row a run could make
+    reaches float64's range, and the written rows are finite. Only a block
+    whose denom is not finite gets the per-row test, which names its row.
     """
     shapes = {"m_bias": (model.dim,), "v_bias": (model.dim,)}
     shapes["m_weights"] = shapes["v_weights"] = model.weights.shape
@@ -509,8 +520,8 @@ def _adam_apply(
         rows -= step
         param[idx] = rows
         # denom is sqrt(v) + eps >= 0 or NaN, so its max is finite exactly when
-        # all of it is, and a max is cheaper than an isfinite pass
-        if np.isfinite(rows).all() and np.isfinite(denom.max()):
+        # all of it is; a finite denom bounds the step, so the rows need no pass
+        if np.isfinite(denom.max()):
             return None
         return ~(np.isfinite(rows).all(axis=1) & np.isfinite(denom).all(axis=1))
 

@@ -51,7 +51,7 @@ MAX_ORDER = 255  # order is persisted as a single byte
 # UTF-8 bytes and the order byte. Length prefixes and order bytes are encoded
 # once (an n-gram of order k is at most 4k bytes of UTF-8).
 _LENGTH_BYTES = [n.to_bytes(2, "little") for n in range(4 * MAX_ORDER + 1)]
-_ORDER_BYTES = [bytes((order,)) for order in range(MAX_ORDER + 1)]
+_ORDER_BYTES = {order: bytes((order,)) for order in range(1, MAX_ORDER + 1)}
 
 # Packed window keys are int64: a key of order n over A ranks fits when A**n
 # does not exceed this.
@@ -206,11 +206,18 @@ VocabPolicy = Union[MinCount, TopKPerOrder]
 
 
 def ngram_table(entries: Iterable[tuple[str, int, int]]) -> bytes:
-    """The n-gram table of `entries`; corpus counts are not part of it."""
+    """The n-gram table of `entries`; corpus counts are not part of it.
+
+    DataError for an entry the table cannot hold: an order outside [1,
+    MAX_ORDER], or more than 4 * MAX_ORDER UTF-8 bytes.
+    """
     parts = []
     for ngram, order, _ in entries:
         raw = ngram.encode("utf-8")
-        parts += (_LENGTH_BYTES[len(raw)], raw, _ORDER_BYTES[order])
+        try:
+            parts += (_LENGTH_BYTES[len(raw)], raw, _ORDER_BYTES[order])
+        except (IndexError, KeyError, TypeError) as err:
+            raise DataError(f"the n-gram table cannot hold {ngram!r} of order {order!r}") from err
     return b"".join(parts)
 
 
@@ -228,8 +235,14 @@ def table_fingerprint(table: bytes) -> int:
     return int.from_bytes(hashlib.blake2b(table, digest_size=8).digest(), "little")
 
 
-def _parse_table(table: bytes, count: int) -> list[tuple[str, int, int]]:
-    """The `count` entries of an n-gram table, with zero counts; DataError if malformed."""
+def _all_ints(column: list) -> bool:
+    """True if every value of `column` is a plain int (a bool or a float is not)."""
+    return set(map(type, column)) <= {int}
+
+
+def _walk_table(table: bytes, count: int) -> list[tuple[str, int, int]]:
+    """The `count` entries of an n-gram table, with zero counts, one entry at a time;
+    DataError if malformed."""
     entries = []
     pos = 0
     try:
@@ -247,6 +260,43 @@ def _parse_table(table: bytes, count: int) -> list[tuple[str, int, int]]:
     return entries
 
 
+def _split_table(table: bytes, count: int) -> tuple[list[str], list[int]] | None:
+    """The n-grams and orders of the `count` entries of an n-gram table, split in
+    array passes and decoded at once; None for a table they cannot split.
+
+    An entry starts one byte before each zero: the 2-byte length of an
+    n-gram below 256 UTF-8 bytes has a zero high byte, and no other byte of a
+    valid table is zero unless an n-gram holds U+0000. The starts found are
+    taken only if they are the chain `_walk_table` follows: `count` of them,
+    the first at 0, each next at start + 3 + length, the last entry ending
+    the table. A verified chain is the walk's own, so nothing is guessed, and
+    its n-grams hold no zero byte: each zero marked a start. The order bytes,
+    before each next start, then become zeros, the length bytes go, and the
+    rest decodes as one UTF-8 string split at the zeros into the n-grams.
+
+    None when an n-gram holds U+0000 or has 256 or more UTF-8 bytes, or the
+    table is malformed: `_walk_table` reads the first two and names the
+    fault in the last.
+    """
+    t = np.frombuffer(table, dtype=np.uint8)
+    starts = np.flatnonzero(t[1:] == 0)
+    if len(starts) != count:
+        return None
+    ends = starts + 3 + t[starts]
+    if not np.array_equal(np.append(0, ends), np.append(starts, len(t))):
+        return None
+    text = t.copy()
+    text[ends - 1] = 0
+    keep = np.ones(len(t), dtype=bool)
+    keep[starts] = keep[starts + 1] = False
+    try:
+        ngrams = text[keep].tobytes().decode("utf-8").split("\x00")
+    except UnicodeDecodeError:
+        return None
+    ngrams.pop()  # after the last separator
+    return ngrams, t[ends - 1].tolist()
+
+
 class NGramVocab:
     """Ordered n-gram -> index map with per-entry order and corpus count.
 
@@ -260,19 +310,36 @@ class NGramVocab:
     __slots__ = ("entries", "index", "orders", "_table", "_fingerprint", "_keys")
 
     def __init__(self, entries: list[tuple[str, int, int]]):
-        self.entries = list(entries)
-        ngrams = list(map(itemgetter(0), self.entries))
-        entry_orders = list(map(itemgetter(1), self.entries))
+        entries = list(entries)
+        ngrams = list(map(itemgetter(0), entries))
+        entry_orders = list(map(itemgetter(1), entries))
+        counts = list(map(itemgetter(2), entries))
+        self._fill(
+            entries, ngrams, entry_orders,
+            not entries or (
+                _all_ints(entry_orders)
+                and _all_ints(counts)
+                and min(counts) >= 0
+                and _encodable("".join(ngrams))
+            ),
+        )
+
+    def _fill(self, entries: list, ngrams: list[str], entry_orders: list[int], valid: bool) -> None:
+        """Set the vocabulary from its entries and their n-gram and order columns.
+
+        `valid` holds the checks only some callers need: that orders and
+        counts are ints, counts not negative, and n-grams encodable.
+        """
+        self.entries = entries
         self.orders = frozenset(entry_orders)
         self.index: dict[str, int] = dict(zip(ngrams, range(len(ngrams))))
         # whole-column checks; the entry loop runs only to name the first bad entry
-        if self.entries and not (
-            len(self.index) == len(ngrams)
+        if entries and not (
+            valid
+            and len(self.index) == len(ngrams)
             and list(map(len, ngrams)) == entry_orders
             and 1 <= min(self.orders)
             and max(self.orders) <= MAX_ORDER
-            and min(map(itemgetter(2), self.entries)) >= 0
-            and _encodable("".join(ngrams))
         ):
             self._check_entries()
         self._table: bytes | None = None
@@ -285,10 +352,12 @@ class NGramVocab:
         for ngram, order, count in self.entries:
             if ngram in seen:
                 raise DataError(f"duplicate n-gram in vocabulary: {ngram!r}")
-            if not 1 <= order <= MAX_ORDER:
-                raise DataError(f"bad n-gram order {order} for {ngram!r}")
+            if not (type(order) is int and 1 <= order <= MAX_ORDER):
+                raise DataError(f"bad n-gram order {order!r} for {ngram!r}")
             if len(ngram) != order:
                 raise DataError(f"n-gram {ngram!r} length does not match order {order}")
+            if type(count) is not int:
+                raise DataError(f"bad corpus count {count!r} for {ngram!r}")
             if count < 0:
                 raise DataError(f"negative corpus count for {ngram!r}")
             if not _encodable(ngram):
@@ -302,10 +371,23 @@ class NGramVocab:
         The table's digest must be `fingerprint`; it is checked before any
         entry is parsed, and kept. Raises DataError otherwise or when the
         table is malformed.
+
+        The table is split and decoded in array passes (`_split_table`), and
+        the vocabulary is built from the n-gram and order columns they give,
+        with its checks on whole columns: counts are zero, and n-grams
+        decoded from UTF-8 encode. A table holding a U+0000 n-gram or one of
+        256 or more UTF-8 bytes, or a malformed one, is read one entry at a
+        time (`_walk_table`), which names the first bad entry.
         """
         if table_fingerprint(table) != fingerprint:
             raise DataError("vocabulary fingerprint mismatch")
-        vocab = cls(_parse_table(table, count))
+        columns = _split_table(table, count)
+        if columns is None:
+            vocab = cls(_walk_table(table, count))
+        else:
+            ngrams, entry_orders = columns
+            vocab = cls.__new__(cls)
+            vocab._fill(list(zip(ngrams, entry_orders, repeat(0))), ngrams, entry_orders, True)
         vocab._table = table
         vocab._fingerprint = fingerprint
         return vocab

@@ -15,8 +15,9 @@ The digests are of outputs of the synthetic reference model,
   float32 (`neighbors._SCREEN_MIN_ENTRIES` = 0);
 - `nn_ngram`: the `nn-ngram` lines of the first 50 vocabulary n-grams, k = 10.
 
-The file also records the NumPy and SciPy versions it was made with; the
-test refuses to compare digests made under other versions. A regeneration
+The file also records the NumPy, SciPy and BLAS versions it was made with
+(the BLAS NumPy was built against); the test refuses to compare digests made
+under other versions. A regeneration
 is a declared change: CHANGES.md names each digest that moved, and why.
 """
 
@@ -43,7 +44,9 @@ NGRAM_QUERIES = 50
 
 
 def versions() -> dict[str, str]:
-    return {"numpy": np.__version__, "scipy": scipy.__version__}
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "scipy": scipy.__version__,
+            "blas": f"{blas['name']} {blas['version']}"}
 
 
 def _sha256(lines) -> str:

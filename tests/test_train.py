@@ -627,9 +627,10 @@ def test_adam_errors_are_typed_at_the_float32_boundary():
         _adam_apply(model(), AdamState(), config, grad_bias, touched, grad_rows)
 
     # finite float64 gradients: 1e39 is past float32's range, and 1e30 is not,
-    # but its square is; neither warns, and both name the lowest bad row
+    # but its square is; infinite ones too. None warns, and each names the
+    # lowest bad row
     late, later = per_block + 3, 2 * per_block + 1
-    for value in (1e39, -1e39, 1e30):
+    for value in (1e39, -1e39, 1e30, np.inf, -np.inf):
         with pytest.raises(NumericalError, match=rf"non-finite weight row {touched[late]} "):
             apply(value, [later, late])
         with pytest.raises(NumericalError, match="non-finite bias"):

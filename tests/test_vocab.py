@@ -2,6 +2,7 @@ import hashlib
 import sys
 import warnings
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -20,7 +21,8 @@ from charngram import (
     save_model,
     save_vocab,
 )
-from charngram.vocab import ngram_table, normalize, table_fingerprint
+from charngram import vocab as vocab_module
+from charngram.vocab import MAX_ORDER, ngram_table, normalize, table_fingerprint
 
 from conftest import windows
 
@@ -219,10 +221,28 @@ def test_a_vocabulary_with_a_requested_order_that_kept_nothing_round_trips_equal
     ([("ab", 2, 1), ("cd", 2, -1), ("", 0, 1)], "negative corpus count for 'cd'"),
     ([("ab", 2, 1), ("", 0, 1), ("cd", 2, -1)], "bad n-gram order 0 for ''"),
     ([("a" * 256, 256, 0)], f"bad n-gram order 256 for {'a' * 256!r}"),
+    # an order or a count is an int, and a bool or a float is not
+    ([("ab", 2, 1), ("a", 1.0, 1)], "bad n-gram order 1.0 for 'a'"),
+    ([("a", True, 1)], "bad n-gram order True for 'a'"),
+    ([("ab", 2, 1), ("a", 1, 0.5)], "bad corpus count 0.5 for 'a'"),
+    ([("a", 1, False)], "bad corpus count False for 'a'"),
 ])
 def test_vocab_errors_name_the_first_bad_entry(entries, message):
     with pytest.raises(DataError) as caught:
         NGramVocab(entries)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("entries, message", [
+    ([("a" * 300, 300, 1)], f"the n-gram table cannot hold {'a' * 300!r} of order 300"),
+    ([("ab", 2, 1), ("a", 0, 1)], "the n-gram table cannot hold 'a' of order 0"),
+    ([("a", -1, 1)], "the n-gram table cannot hold 'a' of order -1"),
+    ([("a", None, 1)], "the n-gram table cannot hold 'a' of order None"),
+    ([("é" * 511, 255, 1)], f"the n-gram table cannot hold {'é' * 511!r} of order 255"),
+])
+def test_ngram_table_refuses_entries_it_cannot_hold(entries, message):
+    with pytest.raises(DataError) as caught:
+        ngram_table(entries)
     assert str(caught.value) == message
 
 
@@ -270,7 +290,9 @@ def test_fingerprint_is_the_blake2b_digest_of_the_table():
 
 def test_from_table_round_trip_keeps_the_digest(small_vocab):
     table = small_vocab.table
-    vocab = NGramVocab.from_table(table, len(small_vocab), small_vocab.fingerprint)
+    with mock.patch.object(vocab_module, "_walk_table") as walk:
+        vocab = NGramVocab.from_table(table, len(small_vocab), small_vocab.fingerprint)
+    walk.assert_not_called()  # split in array passes
     assert [e[:2] for e in vocab.entries] == [e[:2] for e in small_vocab.entries]
     assert all(count == 0 for _, _, count in vocab.entries)
     assert vocab.table is table
@@ -288,11 +310,53 @@ def test_from_table_round_trip_keeps_the_digest(small_vocab):
         (b"\x02\x00\xff\xfe\x02", 1, "bad n-gram bytes"),
         (b"\x02\x00ab\x03", 1, "does not match order"),
         (b"\x02\x00ab\x02\x02\x00ab\x02", 2, "duplicate"),
+        # two entry starts for two entries, but not the chain the walk follows
+        (b"\x03\x00ab\x02\x01\x00x\x01", 2, "ends inside an entry"),
+        (b"\x02\x00a\xff\x02", 1, "bad n-gram bytes"),
+        (b"\x02\x00ab\x02\x00\x00\x01", 2, "n-gram '' length does not match order 1"),
     ],
 )
 def test_from_table_rejects_malformed_tables(table, count, match):
     with pytest.raises(DataError, match=match):
         NGramVocab.from_table(table, count, table_fingerprint(table))
+
+
+# ASCII, 2-, 3- and 4-byte UTF-8 and U+0000; each vocabulary draws a few of them
+_table_chars = st.one_of(
+    st.just("\x00"),
+    st.sampled_from("ab "),
+    st.characters(min_codepoint=0x80, max_codepoint=0x7FF),
+    st.characters(min_codepoint=0x800, max_codepoint=0xFFFF, exclude_categories=("Cs",)),
+    st.characters(min_codepoint=0x10000),
+)
+
+
+@st.composite
+def _table_entries(draw):
+    chars = st.sampled_from(draw(st.lists(_table_chars, min_size=1, max_size=4, unique=True)))
+    ngrams = draw(st.lists(
+        st.integers(1, MAX_ORDER).flatmap(lambda n: st.text(chars, min_size=n, max_size=n)),
+        max_size=6, unique=True,
+    ))
+    return [(ngram, len(ngram), draw(st.integers(0, 3))) for ngram in ngrams]
+
+
+@given(_table_entries())
+# U+0000 right after a length's zero high byte
+@example(entries=[("\x00a", 2, 1), ("b", 1, 0)])
+@example(entries=[])
+def test_from_table_walks_only_tables_the_array_pass_cannot_split(entries):
+    vocab = NGramVocab(entries)
+    table = vocab.table
+    with mock.patch.object(vocab_module, "_walk_table", wraps=vocab_module._walk_table) as walk:
+        loaded = NGramVocab.from_table(table, len(vocab), vocab.fingerprint)
+    assert loaded.entries == [(ngram, order, 0) for ngram, order, _ in entries]
+    assert loaded.index == vocab.index and loaded.orders == vocab.orders
+    assert loaded.fingerprint == vocab.fingerprint and loaded.table is table
+    # the length's high byte is zero below 256 UTF-8 bytes, and only U+0000 encodes to 0
+    unsplittable = any("\x00" in ngram or len(ngram.encode("utf-8")) >= 256
+                       for ngram, _, _ in entries)
+    assert walk.called == unsplittable
 
 
 def test_from_table_checks_the_digest_first():
