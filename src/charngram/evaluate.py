@@ -2,9 +2,12 @@
 
 Word similarity datasets are scored with Spearman's rho, sentence similarity
 with Pearson's r (both against cosine similarities of the embedded pair).
-Binned analyses slice sentence pairs by out-of-vocabulary token count or by
-maximum token length and report a per-bin Pearson correlation. Every text
-is normalized with the case mode of the model it is embedded by.
+Both correlations are computed in NumPy: Pearson's r from the centred
+vectors, Spearman's rho as Pearson's r over average ranks. Binned analyses
+slice sentence pairs by out-of-vocabulary token count or by maximum token
+length and report a per-bin Pearson correlation, each bin picked from the
+pooled pairs by a boolean mask. Every text is normalized with the case mode
+of the model it is embedded by.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .errors import DataError
 from .model import Model, embed_matrix, encode_matrix, row_cosines
@@ -101,14 +103,36 @@ def _correlation_input(
     return x, y
 
 
+def _pearson(x: np.ndarray, y: np.ndarray) -> float:
+    """Pearson's r of two checked vectors, clipped to [-1, 1]; NaN stays NaN."""
+    xm = x - x.mean()
+    ym = y - y.mean()
+    r = np.dot(xm, ym) / (np.linalg.norm(xm) * np.linalg.norm(ym))
+    return float(np.clip(r, -1.0, 1.0))
+
+
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks; tied values share the mean of the positions they span, and NaN stays NaN."""
+    by_value = np.argsort(values)
+    ordered = values[by_value]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1], True])
+    # the tie run of positions [a, b) shares the rank (a + 1 + b) / 2
+    shared = (starts[:-1] + 1 + starts[1:]) / 2.0
+    ranks = np.empty(len(values))
+    ranks[by_value] = np.repeat(shared, np.diff(starts))
+    ranks[np.isnan(values)] = np.nan
+    return ranks
+
+
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Product-moment correlation; errors on mismatched or constant input."""
-    return float(stats.pearsonr(*_correlation_input(xs, ys))[0])
+    return _pearson(*_correlation_input(xs, ys))
 
 
 def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Rank correlation: Pearson over average ranks (ties share mean rank)."""
-    return float(stats.spearmanr(*_correlation_input(xs, ys))[0])
+    x, y = _correlation_input(xs, ys)
+    return _pearson(_average_ranks(x), _average_ranks(y))
 
 
 def _pair_scores(model: Model, vocab: NGramVocab, items: Sequence[SimItem]) -> np.ndarray:
@@ -206,19 +230,17 @@ def binned_eval(
         raise DataError("empty dataset")
 
     scores = _pair_scores(model, vocab, pool)
-    keys = [key(t1, t2) for t1, t2, _ in pool]
-    golds = [gold for _, _, gold in pool]
+    keys = np.array([key(t1, t2) for t1, t2, _ in pool])
+    golds = np.array([gold for _, _, gold in pool], dtype=np.float64)
 
     results = []
     for label, lo, hi in table:
-        picked = [i for i, k in enumerate(keys) if lo <= k <= hi]
+        picked = (lo <= keys) & (keys <= hi)
+        n_pairs = int(np.count_nonzero(picked))
         corr: float | None
-        if len(picked) < 2:
+        try:
+            corr = pearson(scores[picked], golds[picked])
+        except DataError:  # fewer than two pairs, or constant scores
             corr = None
-        else:
-            try:
-                corr = pearson([scores[i] for i in picked], [golds[i] for i in picked])
-            except DataError:
-                corr = None
-        results.append(BinResult(label=label, n_pairs=len(picked), correlation=corr))
+        results.append(BinResult(label=label, n_pairs=n_pairs, correlation=corr))
     return results

@@ -267,7 +267,7 @@ def select_negatives(
     # one (n, d) @ (d, 2n) product per side: a single (2n, d) product can
     # round differently in the last bit, and so pick another tied candidate
     sims = units.reshape(2, n, -1) @ candidates.T
-    picks = np.where(allowed, sims, -np.inf).argmax(axis=2)
+    picks = _most_similar(sims, allowed)
 
     if mode == "mix":
         for i in range(n):
@@ -276,6 +276,11 @@ def select_negatives(
                     positions = np.flatnonzero(allowed[side, i])
                     picks[side, i] = positions[int(rng.integers(len(positions)))]
     return layout.refs[picks.T]
+
+
+def _most_similar(sims: np.ndarray, allowed: np.ndarray) -> np.ndarray:
+    """Per row of `sims`, the position of its largest allowed value, the first of ties."""
+    return np.where(allowed, sims, -np.inf).argmax(axis=-1)
 
 
 @dataclass(frozen=True)

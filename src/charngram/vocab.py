@@ -9,9 +9,10 @@ count matrix (`encode_batch`).
 
 A batch, the corpus `build_vocab` counts and a vocabulary's key table go
 through one array pass over their joined code points (`_window_keys`): each
-character becomes its rank in a sorted alphabet, and the window of order n
-starting at each position is packed into one int64 key, its first character
-most significant. Packed keys of one order sort as their n-grams do, by code
+character becomes its rank in a sorted alphabet (a batch gathers it from the
+key table's rank-per-code-point array), and the window of order n starting
+at each position is packed into one int64 key, its first character most
+significant. Packed keys of one order sort as their n-grams do, by code
 point. A key must fit in 63 bits: with A ranks, orders up to n need
 A**n <= 2**63. Past that, whenever the next character would overflow them,
 the keys are replaced by their ranks among distinct keys: counting and the
@@ -19,7 +20,10 @@ key table re-rank against their own, a batch against the key table's.
 
 A batch finds the entry of each window through the key table: one slot per
 possible key for an order whose key range is at most `_SLOT_LIMIT`, so one
-array gather; a binary search over the order's sorted keys otherwise.
+array gather; a binary search over the order's sorted keys otherwise. Each
+hit becomes one int64 cell, the entry index above the row number's bits, so
+one sort puts the cells in column-major order and a shift and a mask read
+them back.
 """
 
 from __future__ import annotations
@@ -235,9 +239,9 @@ def table_fingerprint(table: bytes) -> int:
     return int.from_bytes(hashlib.blake2b(table, digest_size=8).digest(), "little")
 
 
-def _all_ints(column: list) -> bool:
-    """True if every value of `column` is a plain int (a bool or a float is not)."""
-    return set(map(type, column)) <= {int}
+def _all_of(kind: type, column: list) -> bool:
+    """True if every value of `column` is of type `kind` exactly (for int, a bool is not)."""
+    return set(map(type, column)) <= {kind}
 
 
 def _walk_table(table: bytes, count: int) -> list[tuple[str, int, int]]:
@@ -317,8 +321,9 @@ class NGramVocab:
         self._fill(
             entries, ngrams, entry_orders,
             not entries or (
-                _all_ints(entry_orders)
-                and _all_ints(counts)
+                _all_of(str, ngrams)
+                and _all_of(int, entry_orders)
+                and _all_of(int, counts)
                 and min(counts) >= 0
                 and _encodable("".join(ngrams))
             ),
@@ -327,16 +332,19 @@ class NGramVocab:
     def _fill(self, entries: list, ngrams: list[str], entry_orders: list[int], valid: bool) -> None:
         """Set the vocabulary from its entries and their n-gram and order columns.
 
-        `valid` holds the checks only some callers need: that orders and
-        counts are ints, counts not negative, and n-grams encodable.
+        `valid` holds the checks only some callers need: that n-grams are
+        strs, orders and counts ints, counts not negative, and n-grams
+        encodable. When it is False the entries are checked one by one
+        first, since an n-gram or an order of a wrong type may not hash.
         """
         self.entries = entries
+        # whole-column checks; the entry loop runs only to name the first bad entry
+        if entries and not valid:
+            self._check_entries()
         self.orders = frozenset(entry_orders)
         self.index: dict[str, int] = dict(zip(ngrams, range(len(ngrams))))
-        # whole-column checks; the entry loop runs only to name the first bad entry
         if entries and not (
-            valid
-            and len(self.index) == len(ngrams)
+            len(self.index) == len(ngrams)
             and list(map(len, ngrams)) == entry_orders
             and 1 <= min(self.orders)
             and max(self.orders) <= MAX_ORDER
@@ -344,12 +352,14 @@ class NGramVocab:
             self._check_entries()
         self._table: bytes | None = None
         self._fingerprint: int | None = None
-        self._keys: tuple[np.ndarray, dict, dict] | None = None  # `key_table()`, built once
+        self._keys: tuple[np.ndarray, dict, dict, int] | None = None  # `key_table()`, built once
 
     def _check_entries(self) -> None:
         """Raise DataError naming the first malformed entry, in entry order."""
         seen: set[str] = set()
         for ngram, order, count in self.entries:
+            if not isinstance(ngram, str):
+                raise DataError(f"n-gram {ngram!r} is not a string")
             if ngram in seen:
                 raise DataError(f"duplicate n-gram in vocabulary: {ngram!r}")
             if not (type(order) is int and 1 <= order <= MAX_ORDER):
@@ -410,14 +420,19 @@ class NGramVocab:
             self._table = ngram_table(self.entries)
         return self._table
 
-    def key_table(self) -> tuple[np.ndarray, dict, dict]:
+    def key_table(self) -> tuple[np.ndarray, dict, dict, int]:
         """The keys of the entries, per order, built once for `encode_batch`.
 
-        Returns (alphabet, reranks, tables): the sorted code points of the
-        entries; the re-ranks `_window_keys` made keying the entries, one text
-        per entry, with base len(alphabet) + 1; and per order with entries its
-        lookup table. A character's rank is 1 + its position in the alphabet,
-        so rank 0 is free for characters outside it.
+        Returns (rank_of, reranks, tables, base). `rank_of` is an int32 array
+        indexed by code point, one past the largest code point of the
+        entries: a character's rank is 1 + its position among those code
+        points, sorted, and rank 0, which the last slot and every unused one
+        hold, is left for characters outside them. A batch clips its code
+        points to the last slot and gathers, so the table is all its rank
+        lookup needs; it takes at most 4.4 MB, at U+10FFFF. `reranks` are the
+        re-ranks `_window_keys` made keying the entries, one text per entry,
+        with `base`, the number of distinct code points plus one; `tables`
+        holds per order with entries its lookup table.
 
         An order n whose key range base**n is at most `_SLOT_LIMIT` gets a
         direct-address array of base**n slots, each holding the index of the
@@ -430,6 +445,8 @@ class NGramVocab:
         if self._keys is None:
             _, points, ends = _code_points(list(map(itemgetter(0), self.entries)))
             alphabet, ranks = np.unique(points, return_inverse=True)
+            rank_of = np.zeros(int(alphabet.max(initial=0)) + 2, dtype=np.int32)
+            rank_of[alphabet] = np.arange(1, len(alphabet) + 1)
             orders = np.diff(ends, prepend=0)  # an n-gram's length is its order
             base = len(alphabet) + 1
             slot_type = np.int16 if len(self) < 2**15 else np.int32
@@ -444,7 +461,7 @@ class NGramVocab:
                 else:
                     by_key = np.argsort(keys)
                     tables[n] = (keys[by_key], of_order[by_key])
-            self._keys = (alphabet, reranks, tables)
+            self._keys = (rank_of, reranks, tables, base)
         return self._keys
 
     @property
@@ -527,24 +544,30 @@ def encode_batch(
     `indptr` has len(vocab) + 1 offsets, and each column lists the rows that
     hold its n-gram in ascending order, with their counts as float64. The
     batch is encoded in one array pass against `vocab.key_table()`, built at
-    the first call and kept, for any alphabet: its windows are keyed with the
-    table's base and re-ranks, so a window's key is that of the vocabulary
-    n-gram equal to it, if any. An order with slots finds its windows' entries
-    in one gather; any other order sorts its distinct keys and binary-searches
-    them in the table's. For a single text `encode` is faster: the array pass
-    has a fixed cost of several array operations per order, and the offsets
-    one of O(len(vocab)).
+    the first call and kept, for any alphabet: each character's rank is one
+    gather from the table's rank-per-code-point array, code points clipped to
+    its last slot, and its windows are keyed with the table's base and
+    re-ranks, so a window's key is that of the vocabulary n-gram equal to it,
+    if any. An order with slots finds its windows' entries in one gather; any
+    other order sorts its distinct keys and binary-searches them in the
+    table's. Each hit is packed as the cell entry << shift | row, with shift
+    the bit length of rows - 1 (a ValueError if len(vocab) << shift passes
+    2**63); the sorted cells are read back with a shift and a mask. For a
+    single text `encode` is faster: the array pass has a fixed cost of
+    several array operations per order, and the offsets one of O(len(vocab)).
     """
-    alphabet, reranks, tables = vocab.key_table()
+    rank_of, reranks, tables, base = vocab.key_table()
     _, points, ends = _code_points(seqs)
-    # each character's rank in the vocabulary's alphabet, 0 outside it
-    chars, char_at = np.unique(points, return_inverse=True)
-    ranks = (_lookup(alphabet, chars, -1) + 1)[char_at]
+    # each character's rank among the vocabulary's code points, 0 outside them
+    ranks = rank_of[np.minimum(points, len(rank_of) - 1)]
     rows = len(seqs)
     row_of = np.repeat(np.arange(rows), np.diff(ends, prepend=0))
-    # each in-vocabulary window as one cell, index * rows + row: sorted, column-major
+    shift = _row_bits(rows)
+    if len(vocab) << shift > 2**63:  # int64 cells
+        raise ValueError(f"{rows} rows over {len(vocab)} entries overflow an int64 cell")
+    # each in-vocabulary window as one cell, index << shift | row: sorted, column-major
     hits = [np.empty(0, dtype=np.intp)]
-    for n, starts, keys in _window_keys(ranks, ends, tuple(tables), len(alphabet) + 1, reranks):
+    for n, starts, keys in _window_keys(ranks, ends, tuple(tables), base, reranks):
         if isinstance(tables[n], np.ndarray):  # one slot per key
             slot = tables[n][keys]
             hit = slot >= 0
@@ -555,11 +578,16 @@ def encode_batch(
             at = _lookup(table_keys, distinct, -1)[key_at]
             hit = at >= 0
             entry = table_index[at[hit]]
-        hits.append(entry * rows + row_of[starts[hit]])
+        hits.append(entry << shift | row_of[starts[hit]])
     cells = np.sort(np.concatenate(hits))
     # a run of equal cells is one entry, counted by its length
     runs = np.flatnonzero(np.diff(cells, prepend=-1))
-    columns, row_at = np.divmod(cells[runs], rows)
+    firsts = cells[runs]
     indptr = np.zeros(len(vocab) + 1, dtype=np.intp)
-    np.cumsum(np.bincount(columns, minlength=len(vocab)), out=indptr[1:])
-    return indptr, row_at, np.diff(runs, append=len(cells)).astype(np.float64)
+    np.cumsum(np.bincount(firsts >> shift, minlength=len(vocab)), out=indptr[1:])
+    return indptr, firsts & ((1 << shift) - 1), np.diff(runs, append=len(cells)).astype(np.float64)
+
+
+def _row_bits(rows: int) -> int:
+    """The bits a row number below `rows` takes in a packed cell."""
+    return max(rows - 1, 0).bit_length()

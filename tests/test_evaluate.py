@@ -100,6 +100,35 @@ def test_correlations_match_brute_force():
         assert abs(spearman(x, y)) <= 1 + 1e-12
 
 
+def test_correlations_match_scipy_stats_and_the_references_with_ties():
+    from scipy import stats  # the package itself does not import it
+
+    rng = np.random.default_rng(702)
+    for trial in range(40):
+        n = int(rng.integers(3, 80))
+        # few distinct values on one side or both, so ties are many
+        x = rng.integers(0, 4 + trial % 5, size=n).astype(float)
+        y = rng.normal(size=n) if trial % 2 else rng.integers(0, 6, size=n) * 0.5
+        if np.ptp(x) == 0 or np.ptp(y) == 0:
+            continue
+        for got, want in (
+            (pearson(x, y), stats.pearsonr(x, y)[0]),
+            (spearman(x, y), stats.spearmanr(x, y)[0]),
+            (pearson(x, y), pearson_ref(list(x), list(y))),
+            (spearman(x, y), spearman_ref(list(x), list(y))),
+        ):
+            assert abs(got - want) <= 1e-12
+
+
+@pytest.mark.parametrize("func", [pearson, spearman])
+def test_nan_input_gives_nan_as_scipy_stats_does(func):
+    from scipy import stats
+
+    x, y = [1.0, 2.0, np.nan, 4.0], [1.0, 3.0, 2.0, 4.0]
+    assert np.isnan(func(x, y)) and np.isnan(func(y, x))
+    assert np.isnan({pearson: stats.pearsonr, spearman: stats.spearmanr}[func](x, y)[0])
+
+
 # --- datasets and scoring ----------------------------------------------------
 
 

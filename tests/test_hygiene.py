@@ -2,12 +2,16 @@
 defines a private name nothing reads, only the single-query path calls the
 per-text `encode`, the case rule is applied in a few named places, only
 `io._atomic_write` writes a file, SciPy matrices are made in a few named
-places, and every training setting is one the command line can set.
+places, every training setting is one the command line can set, and
+importing the package leaves `scipy.stats` unloaded.
 
 `__init__.py` is exempt: its imports are the package's re-exports.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -329,3 +333,15 @@ def test_every_train_config_field_is_fed_by_a_run_config_knob():
     # a field no knob feeds is a setting only Python callers can change
     fed = {knob.metadata["feeds"] for knob in fields(RunConfig)}
     assert [f.name for f in fields(TrainConfig) if f.name not in fed] == []
+
+
+def test_importing_the_package_does_not_load_scipy_stats():
+    # the correlations are NumPy's; scipy.stats would add most of the import
+    # time and memory of every command
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, charngram; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    assert proc.stdout.strip() == "False"

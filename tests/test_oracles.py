@@ -24,10 +24,14 @@ from charngram import (
     TopKPerOrder,
     TrainConfig,
     build_vocab,
+    cosine,
     embed_matrix,
     encode,
+    encode_batch,
     finite_diff_audit,
     normalize,
+    select_negatives,
+    spearman,
 )
 from charngram import model as model_module
 from charngram import vocab as vocab_module
@@ -35,6 +39,7 @@ from charngram import vocab as vocab_module
 from conftest import dense_embed_ref, random_model
 
 train_module = importlib.import_module("charngram.train")  # `charngram.train` is also a function
+evaluate_module = importlib.import_module("charngram.evaluate")
 
 # criterion 1's bound on the audit's worst relative error, and criterion 4's on
 # the deviation from the dense reference
@@ -153,6 +158,66 @@ def _split_probe():
     return vocab_module._split_table(_TABLE_VOCAB.table, len(_TABLE_VOCAB))
 
 
+# --- the batch encoder against per-text encodes --------------------------------
+
+_BATCH_VOCAB = build_vocab(["the cat", "a black cat", "cats sat"], (2, 3), MinCount(1))
+_BATCH_SEQS = [normalize(t) for t in ["the cat", "a cat", "black", "cats sat", "at the", "sat"]]
+
+
+def _batch_encode_holds() -> bool:
+    indptr, indices, data = encode_batch(_BATCH_SEQS, _BATCH_VOCAB)
+    batch = np.zeros((len(_BATCH_SEQS), len(_BATCH_VOCAB)))
+    for column in range(len(_BATCH_VOCAB)):
+        at = slice(indptr[column], indptr[column + 1])
+        batch[indices[at], column] = data[at]
+    per_text = np.zeros_like(batch)
+    for row, seq in enumerate(_BATCH_SEQS):
+        for column, count in encode(seq, _BATCH_VOCAB).items():
+            per_text[row, column] = count
+    return np.array_equal(batch, per_text)
+
+
+def _encode_batch_probe():
+    return vocab_module.encode_batch(_BATCH_SEQS, _BATCH_VOCAB)
+
+
+# --- Spearman's ties ----------------------------------------------------------
+
+
+def _tie_example_holds() -> bool:
+    return abs(spearman([1, 2, 2, 3], [1, 2, 3, 4]) - 0.9487) <= 1e-4
+
+
+def _ranks_probe():
+    return evaluate_module._average_ranks(np.array([1.0, 2.0, 2.0, 3.0]))
+
+
+# --- criterion 3: MAX negatives against an exhaustive argmax scan -------------
+
+
+def _max_selection_holds() -> bool:
+    rng = np.random.default_rng(3333)
+    for trial in range(20):
+        n = int(rng.integers(2, 12))
+        side1, side2 = rng.normal(size=(2, n, 4))
+        got = select_negatives(side1, side2, "max", train_module._rng(0, trial))
+        for i in range(n):
+            for side, rows in ((0, side1), (1, side2)):
+                best, best_c = None, -2.0
+                for j in range(n):  # exhaustive scan, first strict max wins
+                    c = cosine(rows[i], rows[j])
+                    if j != i and c > best_c:
+                        best, best_c = j, c
+                if tuple(got[i][side]) != (best, side):
+                    return False
+    return True
+
+
+def _most_similar_probe():
+    sims = np.random.default_rng(3).normal(size=(2, 3, 6))
+    return train_module._most_similar(sims, train_module._candidate_layout(3, "same-side").allowed)
+
+
 MUTANTS = [
     Mutant("audit/activation_grad returns ones", model_module, "activation_grad",
            lambda original: lambda activation, values: np.ones_like(values),
@@ -163,6 +228,15 @@ MUTANTS = [
            _other_case, _encode_matrix_probe, _dense_reference_holds),
     Mutant("table round trip/order byte read one position early", vocab_module, "_split_table",
            _early_order_byte, _split_probe, _round_trip_holds),
+    Mutant("per-text encode/cells packed one bit short", vocab_module, "_row_bits",
+           lambda original: lambda rows: max(original(rows) - 1, 0),
+           _encode_batch_probe, _batch_encode_holds),
+    Mutant("tie worked example/spearman over ordinal ranks", evaluate_module, "_average_ranks",
+           lambda original: lambda values: np.argsort(np.argsort(values)) + 1.0,
+           _ranks_probe, _tie_example_holds),
+    Mutant("exhaustive argmax/argmin pick", train_module, "_most_similar",
+           lambda original: lambda sims, allowed: np.where(allowed, sims, np.inf).argmin(axis=-1),
+           _most_similar_probe, _max_selection_holds),
 ]
 
 

@@ -226,6 +226,11 @@ def test_a_vocabulary_with_a_requested_order_that_kept_nothing_round_trips_equal
     ([("a", True, 1)], "bad n-gram order True for 'a'"),
     ([("ab", 2, 1), ("a", 1, 0.5)], "bad corpus count 0.5 for 'a'"),
     ([("a", 1, False)], "bad corpus count False for 'a'"),
+    # an n-gram is a str, checked before anything hashes it
+    ([(1, 1, 1)], "n-gram 1 is not a string"),
+    ([("ab", 2, 1), (None, 1, 0)], "n-gram None is not a string"),
+    ([(["a", "b"], 2, 1)], "n-gram ['a', 'b'] is not a string"),
+    ([("ab", [2], 1)], "bad n-gram order [2] for 'ab'"),
 ])
 def test_vocab_errors_name_the_first_bad_entry(entries, message):
     with pytest.raises(DataError) as caught:
