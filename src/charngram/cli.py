@@ -283,7 +283,6 @@ def _cmd_audit_grad(args) -> int:
         dim=model.dim,
         activation=model.activation,
         margin=args.margin,
-        reg_lambda=args.reg_lambda,
         sampling=args.sampling,
         seed=args.seed,
         batch_size=len(batch),
@@ -391,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--pairs", required=True)
     p.add_argument("--batch", type=int, default=5, help="pairs taken from the top of the file")
-    for name in ("margin", "reg_lambda", "sampling", "seed"):
+    for name in ("margin", "sampling", "seed"):
         _add_knob(p, _KNOBS[name], default=getattr(defaults, name), help=None)
     p.add_argument("--step", type=float, default=1e-5)
     _add_case(p)

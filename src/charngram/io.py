@@ -79,13 +79,20 @@ def unescape_ngram(text: str) -> str:
     return _ESCAPE.sub(unescape, text)
 
 
-def _read_text(path) -> str:
+def _read_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file. Universal newlines turn "\\r\\n" and "\\r"
+    into "\\n", and lines split at "\\n" alone: U+0085, U+2028, "\\x0c" and the
+    other characters `str.splitlines` also breaks at stay inside their line."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as err:
         raise DataError(f"{path}: {err.strerror or err}") from err
     except UnicodeDecodeError as err:
         raise DataError(f"{path}: not valid UTF-8 ({err})") from err
+    lines = text.split("\n")
+    if lines[-1] == "":  # the end of the last line, or an empty file
+        lines.pop()
+    return lines
 
 
 def _output_mode(path) -> int:
@@ -158,7 +165,7 @@ def save_vocab(vocab: NGramVocab, path) -> None:
 def load_vocab(path) -> NGramVocab:
     """Read a vocabulary TSV, preserving the stored entry order."""
     entries = []
-    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
+    for lineno, line in enumerate(_read_lines(path), start=1):
         parts = line.split("\t")
         if len(parts) != 3:
             raise DataError(f"{path}:{lineno}: expected 3 tab-separated fields")
@@ -358,7 +365,7 @@ def _blocks(bias: np.ndarray, weights: np.ndarray):
 def load_pairs(path) -> PairDataset:
     """Read training pairs: one `phrase1<TAB>phrase2` per line, order preserved."""
     pairs = []
-    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
+    for lineno, line in enumerate(_read_lines(path), start=1):
         parts = line.split("\t")
         if len(parts) != 2:
             raise DataError(f"{path}:{lineno}: expected 2 tab-separated fields")
@@ -374,7 +381,7 @@ def load_simset(path, scale: tuple[float, float] = (0.0, 5.0)) -> SimDataset:
     """Read a similarity set, `text1<TAB>text2<TAB>gold` per line, named by the file's stem."""
     lo, hi = scale
     items = []
-    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
+    for lineno, line in enumerate(_read_lines(path), start=1):
         parts = line.split("\t")
         if len(parts) != 3:
             raise DataError(f"{path}:{lineno}: expected 3 tab-separated fields")
@@ -394,7 +401,7 @@ def load_simset(path, scale: tuple[float, float] = (0.0, 5.0)) -> SimDataset:
 
 def load_wordlist(path) -> list[str]:
     """Read one token per line, skipping blank lines."""
-    words = [line.strip() for line in _read_text(path).splitlines() if line.strip()]
+    words = [line.strip() for line in _read_lines(path) if line.strip()]
     if not words:
         raise DataError(f"{path}: empty dataset")
     return words
@@ -408,7 +415,7 @@ def load_groups(path) -> dict[str, str]:
     """Read `dataset<TAB>group` lines into a dataset -> group map, each dataset
     once; a dataset or group name that is empty once stripped is a DataError."""
     out: dict[str, str] = {}
-    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
+    for lineno, line in enumerate(_read_lines(path), start=1):
         if not line.strip():
             continue
         parts = line.split("\t")
@@ -541,7 +548,7 @@ def load_run_config(path) -> RunConfig:
     cfg = RunConfig()
     knobs = {config_key(f): f for f in fields(RunConfig)}
     seen: dict[str, int] = {}  # key -> the line that set it
-    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
+    for lineno, line in enumerate(_read_lines(path), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

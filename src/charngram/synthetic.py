@@ -38,10 +38,6 @@ class SyntheticTask:
     train_words: tuple[tuple[str, ...], ...]
     heldout_words: tuple[tuple[str, ...], ...]
 
-    @property
-    def roots(self) -> tuple[str, ...]:
-        return tuple(fam[0] for fam in self.families)
-
     def root_of(self) -> dict[str, int]:
         """Map every word, training or held out, to its root index."""
         table: dict[str, int] = {}

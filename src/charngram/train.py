@@ -743,17 +743,20 @@ def finite_diff_audit(
 
     The pairs are one batch, planned as a training step's is (`_plan_batches`),
     with its layout's counts in float64, so the analytic gradient is the
-    float64 formula of the step's own forward and backward. Negative
-    selections are made once and frozen; both routes then see the
-    same piecewise-smooth objective: mean hinge loss plus lambda times the
-    squared norm of the touched parameters (bias and every weight row present
-    in the batch's count vectors). The relative error for a coordinate is
+    float64 formula of the step's own forward and backward: `_batch_gradients`,
+    the gradient of the mean hinge loss alone. Of `config` it reads `sampling`,
+    `negative_pool`, `margin` and `seed`; the model gives the activation.
+    Negative selections are made once and frozen; both routes then see the
+    same piecewise-smooth objective, and every coordinate of the bias and of
+    the weight rows present in the batch's count vectors is checked. The L2
+    step is `_adam_apply`'s, which the audit never runs; unit tests pin it.
+    The relative error for a coordinate is
     |analytic - numeric| / max(|analytic|, |numeric|, 1e-3); the floor keeps
     near-zero coordinates from amplifying finite-difference noise, which is
     orders of magnitude below the floor at this step size.
 
-    A batch whose analytic gradient is exactly zero, every hinge term inactive
-    and lambda 0, would check nothing: it is a DataError.
+    A batch whose analytic gradient is exactly zero, every hinge term
+    inactive, would check nothing: it is a DataError.
     """
     if len(sample_batch) < 2:
         raise DataError("cannot sample negatives")
@@ -766,19 +769,12 @@ def finite_diff_audit(
     _, grad_bias, touched, grad_rows, negatives = _batch_gradients(
         batch, model, config, _rng(config.seed, _DOMAIN_AUDIT)
     )
-    if config.reg_lambda > 0:  # the L2 term, as `_adam_apply` adds it
-        grad_bias += 2.0 * config.reg_lambda * model.bias
-        grad_rows += 2.0 * config.reg_lambda * model.weights[touched]
     if not (grad_bias.any() or grad_rows.any()):
         raise DataError("no hinge term is active and the gradient is zero: "
                         "the audit would check nothing")
 
     def objective() -> float:
-        loss, _ = _hinge(embed_matrix(batch.counts, model), negatives, config.margin)
-        rows = model.weights[touched]
-        return loss + config.reg_lambda * (
-            float(np.dot(model.bias, model.bias)) + float(np.sum(rows * rows))
-        )
+        return _hinge(embed_matrix(batch.counts, model), negatives, config.margin)[0]
 
     def central_diff(array: np.ndarray, idx) -> float:
         saved = array[idx]

@@ -535,7 +535,6 @@ def test_non_finite_setting_in_config_file_exits_1(ws, tmp_path, capsys):
     "flag, value, message",
     [
         ("--margin", "nan", "margin must be finite"),
-        ("--lambda", "inf", "reg_lambda must be finite"),
         ("--step", "0", "step must be finite and > 0"),
         ("--step", "nan", "step must be finite and > 0"),
     ],
@@ -549,6 +548,18 @@ def test_audit_grad_validates_its_settings(ws, capsys, flag, value, message):
     assert rc == 1
     assert f"error: {message}" in err
     assert "Traceback" not in err and stdout == ""
+
+
+def test_audit_grad_takes_no_lambda(ws, capsys):
+    # the audit checks the hinge's gradient; training's L2 step is not part of it
+    rc = main([
+        "audit-grad", "--model", str(ws / "model.bin"), "--pairs", str(ws / "pairs.tsv"),
+        "--lambda", "1e-4",
+    ])
+    stdout, err = capsys.readouterr()
+    assert rc == 1
+    assert "unrecognized arguments: --lambda 1e-4" in err
+    assert stdout == ""
 
 
 @pytest.mark.parametrize("batch", ["-1", "0", "1"])
@@ -565,13 +576,13 @@ def test_audit_grad_batch_below_2_exits_1_before_reading_pairs(ws, tmp_path, cap
 
 
 def test_audit_grad_with_no_active_hinge_exits_2(ws, tmp_path, capsys):
-    # phrases paired with themselves, a tiny margin and no L2 term: the
-    # gradient is exactly zero, so there would be nothing to check
+    # phrases paired with themselves and a tiny margin: the gradient is
+    # exactly zero, so there would be nothing to check
     pairs = tmp_path / "pairs.tsv"
     pairs.write_text("the cat sat\tthe cat sat\ndogs run fast\tdogs run fast\n"
                      "birds sing\tbirds sing\nfish swim\tfish swim\n")
     rc = main(["audit-grad", "--model", str(ws / "model.bin"), "--pairs", str(pairs),
-               "--margin", "0.001", "--lambda", "0"])
+               "--margin", "0.001"])
     stdout, err = capsys.readouterr()
     assert rc == 2
     assert err.splitlines()[-1].startswith("error: no hinge term is active")
@@ -702,7 +713,9 @@ def test_a_signal_ends_train_with_one_line_and_no_file(tmp_path, signum, code, m
     assert sorted(p.name for p in tmp_path.iterdir()) == ["pairs.tsv"]  # no model, curve or temp file
 
 
-@pytest.mark.parametrize("key, value", [("orders", "x"), ("orders", "0"), ("policy", "bogus")])
+@pytest.mark.parametrize("key, value", [
+    ("orders", "x"), ("orders", "0"), ("orders", ","), ("policy", "bogus"), ("policy", "mincount:0"),
+])
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_bad_orders_or_policy_exits_1_before_reading_pairs(
     ws, tmp_path, capsys, key, value, source
@@ -912,8 +925,8 @@ def _fuzz_argv(draw, ws) -> list[str]:
         argv += ["--model", model, "--k", draw(_ints(1, 8)), draw(_FIELD)]
     else:
         argv += ["--model", model, "--pairs", str(pairs), "--batch", draw(_ints(2, 8)),
-                 "--margin", draw(_floats(0.01, 2)), "--lambda", draw(_floats(0, 0.1)),
-                 "--seed", draw(_ints(0, 3)), "--step", draw(_floats(1e-6, 1e-3))]
+                 "--margin", draw(_floats(0.01, 2)), "--seed", draw(_ints(0, 3)),
+                 "--step", draw(_floats(1e-6, 1e-3))]
     numeric = [i for i, arg in enumerate(argv) if arg in _NUMERIC]
     if numeric and draw(st.booleans()):
         i = draw(st.sampled_from(numeric))

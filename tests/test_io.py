@@ -550,6 +550,10 @@ def test_load_groups(tmp_path):
     bad.write_text("no-tab-here\n")
     with pytest.raises(DataError, match="expected 2 tab-separated fields"):
         load_groups(bad)
+    blank = tmp_path / "blank.tsv"
+    blank.write_text("\n \n\t\n")
+    with pytest.raises(DataError, match=r"blank\.tsv: empty dataset"):
+        load_groups(blank)
 
 
 def test_load_groups_rejects_a_dataset_listed_twice(tmp_path):
@@ -595,6 +599,34 @@ def test_non_utf8_input(tmp_path):
     path.write_bytes(b"\xff\xfe broken")
     with pytest.raises(DataError, match="not valid UTF-8"):
         load_pairs(path)
+
+
+# every character `str.splitlines` breaks a line at, besides "\n" and "\r"
+_SPLITLINES_ONLY = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("char", _SPLITLINES_ONLY, ids=lambda char: f"U+{ord(char):04X}")
+def test_text_files_split_lines_at_newlines_alone(tmp_path, char):
+    # each file has CRLF line ends, and `char` inside a field of its first line
+    def write(name, *lines):
+        path = tmp_path / name
+        path.write_bytes("".join(f"{line}\r\n" for line in lines).encode("utf-8"))
+        return path
+
+    pairs = write("pairs.tsv", f"foo{char}bar\tbaz", "second\tpair")
+    assert load_pairs(pairs).pairs == [(f"foo{char}bar", "baz"), ("second", "pair")]
+    broken = write("broken.tsv", f"foo{char}bar\tbaz", "no tab")
+    with pytest.raises(DataError, match=r"broken\.tsv:2: expected 2 tab-separated fields"):
+        load_pairs(broken)
+    sims = write("sims.tsv", f"a{char}b\tc\t1.5", "d\te\t2")
+    assert load_simset(sims).items == [(f"a{char}b", "c", 1.5), ("d", "e", 2.0)]
+    assert load_wordlist(write("words.txt", f"caf{char}e", "plum")) == [f"caf{char}e", "plum"]
+    groups = write("groups.tsv", f"news{char}2014\tnews", "forum\tforums")
+    assert load_groups(groups) == {f"news{char}2014": "news", "forum": "forums"}
+    config = load_run_config(write("run.cfg", f"pairs=a{char}b.tsv", "dim=8"))
+    assert (config.pairs, config.dim) == (f"a{char}b.tsv", 8)
+    vocab = load_vocab(write("vocab.tsv", f"a{char}\t2\t1", "ab\t2\t3"))
+    assert vocab.entries == [(f"a{char}", 2, 1), ("ab", 2, 3)]
 
 
 # --- run configuration -------------------------------------------------------

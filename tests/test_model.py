@@ -243,6 +243,8 @@ def test_model_shape_validation():
         Model(weights=np.zeros((2, 3)), bias=np.zeros(4), activation="tanh", vocab_fingerprint=0)
     with pytest.raises(ValueError):
         Model(weights=np.zeros((2, 3)), bias=np.zeros(3), activation="banana", vocab_fingerprint=0)
+    with pytest.raises(ValueError, match="weights must be 2-D and bias 1-D"):
+        Model(weights=np.zeros(3), bias=np.zeros(3), activation="tanh", vocab_fingerprint=0)
 
 
 # --- cached row norms ----------------------------------------------------------

@@ -80,6 +80,8 @@ def test_k_truncates(working, wide_model, wide_vocab):
 def test_k_must_be_positive(working, wide_model, wide_vocab):
     with pytest.raises(ValueError, match="k"):
         nearest_neighbors("cat", working, wide_model, wide_vocab, k=0)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        ngram_neighbors(wide_vocab.entries[0][0], wide_model, wide_vocab, k=0)
 
 
 def test_two_entry_vocab_returns_single_other(wide_vocab, wide_model):

@@ -9,7 +9,9 @@ changes nothing cannot pass as caught, and the oracle must reject it.
 from __future__ import annotations
 
 import importlib
+import inspect
 import json
+import textwrap
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -47,6 +49,17 @@ AUDIT_BOUND = 1e-4
 DENSE_BOUND = 1e-12
 
 
+def _edited(old: str, new: str) -> Callable[[Callable], Callable]:
+    """A mutation that replaces the one occurrence of `old` in the function's source by `new`."""
+    def mutate(original):
+        source = textwrap.dedent(inspect.getsource(original))
+        assert source.count(old) == 1, f"{old!r} is not one line of {original.__name__}"
+        namespace = dict(original.__globals__)  # the module's names, left unchanged
+        exec(compile(source.replace(old, new), inspect.getsourcefile(original), "exec"), namespace)
+        return namespace[original.__name__]
+    return mutate
+
+
 @dataclass(frozen=True)
 class Mutant:
     name: str
@@ -78,10 +91,20 @@ def _activation_grad_probe():
 # --- the golden digests -------------------------------------------------------
 
 
+def _pinned(path) -> dict[str, str]:
+    golden = json.loads(path.read_text(encoding="utf-8"))
+    assert golden["versions"] == make_golden.versions(), f"tests/{path.name} is stale"
+    return golden["digests"]
+
+
 def _golden_holds() -> bool:
-    golden = json.loads(make_golden.GOLDEN.read_text(encoding="utf-8"))
-    assert golden["versions"] == make_golden.versions(), "tests/golden.json is stale"
-    return make_golden.digests() == golden["digests"]
+    return make_golden.digests() == _pinned(make_golden.GOLDEN)
+
+
+def _cli_max_train_holds() -> bool:
+    digests = make_golden.train_digests("max")
+    pinned = _pinned(make_golden.GOLDEN_CLI)
+    return digests == {name: pinned[name] for name in digests}
 
 
 def _scaled_hinge(hinge):
@@ -127,6 +150,23 @@ def _other_case(normalize_in):
 def _encode_matrix_probe():
     vocab, model = _case_model()
     return model_module.encode_matrix(_MIXED_CASE, vocab, model).toarray()
+
+
+def _dropped_order(key_table):
+    def mutant(vocab):  # the batch encoder's tables without the highest order
+        rank_of, reranks, tables, base = key_table(vocab)
+        return rank_of, reranks, {n: tables[n] for n in sorted(tables)[:-1]}, base
+    return mutant
+
+
+def _paper_encode_probe():
+    # the dev texts of the pinned `train` runs, against their training vocabulary
+    pairs = make_golden.paper_pairs(make_golden.TRAIN_PAIRS + make_golden.DEV_PAIRS)
+    train_texts = [text for pair in pairs[: make_golden.TRAIN_PAIRS] for text in pair]
+    dev_texts = [text for pair in pairs[make_golden.TRAIN_PAIRS :] for text in pair]
+    vocab = build_vocab(train_texts, (2, 3, 4), MinCount(1))
+    model = random_model(np.random.default_rng(0), vocab, 2)
+    return model_module.encode_matrix(dev_texts, vocab, model).toarray()
 
 
 # --- the n-gram table round trip ----------------------------------------------
@@ -218,14 +258,29 @@ def _most_similar_probe():
     return train_module._most_similar(sims, train_module._candidate_layout(3, "same-side").allowed)
 
 
+def _own_pair_allowed(most_similar):
+    def mutant(sims, allowed):
+        n = sims.shape[1]
+        own = np.arange(2 * n) // 2 == np.arange(n)[:, None]  # (n, 2n): pair i's phrases
+        return most_similar(sims, allowed | own)
+    return mutant
+
+
 MUTANTS = [
     Mutant("audit/activation_grad returns ones", model_module, "activation_grad",
            lambda original: lambda activation, values: np.ones_like(values),
            _activation_grad_probe, _audit_holds),
+    Mutant("audit/sign flip in x1's negative-anchor term", train_module, "_hinge",
+           _edited("upstream[:n] += anchor_terms[:, 0]", "upstream[:n] -= anchor_terms[:, 0]"),
+           _hinge_probe, _audit_holds),
     Mutant("golden/hinge gradient scaled by 1 + 1e-12", train_module, "_hinge",
            _scaled_hinge, _hinge_probe, _golden_holds),
     Mutant("dense reference/encode_matrix in the other case mode", model_module, "normalize",
            _other_case, _encode_matrix_probe, _dense_reference_holds),
+    Mutant("dense reference/batch encoder drops the highest order", NGramVocab, "key_table",
+           _dropped_order, _encode_matrix_probe, _dense_reference_holds),
+    Mutant("golden/encode_matrix in the other case mode", model_module, "normalize",
+           _other_case, _paper_encode_probe, _cli_max_train_holds),
     Mutant("table round trip/order byte read one position early", vocab_module, "_split_table",
            _early_order_byte, _split_probe, _round_trip_holds),
     Mutant("per-text encode/cells packed one bit short", vocab_module, "_row_bits",
@@ -237,6 +292,8 @@ MUTANTS = [
     Mutant("exhaustive argmax/argmin pick", train_module, "_most_similar",
            lambda original: lambda sims, allowed: np.where(allowed, sims, np.inf).argmin(axis=-1),
            _most_similar_probe, _max_selection_holds),
+    Mutant("exhaustive argmax/pick may take the pair's own phrase", train_module, "_most_similar",
+           _own_pair_allowed, _most_similar_probe, _max_selection_holds),
 ]
 
 

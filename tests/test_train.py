@@ -249,6 +249,12 @@ def test_bad_sampling_mode_is_a_value_error(mode):
         select_negatives(*batch, mode, _rng(0, 11))
 
 
+def test_bad_negative_pool_is_a_value_error():
+    batch = _batch_from_vectors([_vec(0), _vec(1)], [_vec(2), _vec(3)])
+    with pytest.raises(ValueError, match="negative_pool must be one of"):
+        select_negatives(*batch, "max", _rng(0, 11), pool="other-side")
+
+
 def _negatives_oracle(side1, side2, mode, rng, pool, texts):
     """select_negatives by exhaustive scan over the candidates, pair by pair, side by side."""
     n = len(side1)
@@ -926,6 +932,11 @@ PAIRS = PairDataset(
 )
 
 
+def test_pair_dataset_rejects_an_empty_phrase():
+    with pytest.raises(DataError, match="pair 2: empty phrase"):
+        PairDataset([("the cat", "a cat"), ("dogs", " \t")])
+
+
 @pytest.fixture(scope="module")
 def pair_vocab():
     corpus = [t for pair in PAIRS.pairs for t in pair]
@@ -1058,19 +1069,28 @@ def test_audit_tanh_with_reg(pair_vocab):
     model, _, _ = train(PAIRS, pair_vocab, TrainConfig(dim=4, batch_size=3, epochs=1, seed=4))
     worst = finite_diff_audit(model, pair_vocab, PAIRS.pairs[:5], config)
     assert worst < 1e-4
+    # the audit checks the hinge's gradient alone: the L2 step is `_adam_apply`'s
+    unregularized = replace(config, reg_lambda=0.0)
+    assert finite_diff_audit(model, pair_vocab, PAIRS.pairs[:5], unregularized) == worst
 
 
 def test_audit_of_a_batch_with_no_active_hinge_is_a_data_error(pair_vocab):
     # each phrase paired with itself: cos(x1, x2) = 1, and no negative comes
     # within the margin of it, so every hinge term is inactive
     pairs = [(a, a) for a, _ in PAIRS.pairs[:4]]
-    config = TrainConfig(dim=4, batch_size=4, seed=3, margin=1e-3, reg_lambda=0.0)
+    config = TrainConfig(dim=4, batch_size=4, seed=3, margin=1e-3)
     model = init_model(pair_vocab, config)
-    with pytest.raises(DataError, match="no hinge term is active"):
-        finite_diff_audit(model, pair_vocab, pairs, config)
-    # with lambda > 0 the L2 term is still checked
-    config = replace(config, reg_lambda=1e-4)
-    assert finite_diff_audit(model, pair_vocab, pairs, config) < 1e-6
+    # the L2 term is no part of the audited gradient, so lambda changes nothing
+    for reg_lambda in (0.0, 1e-4):
+        with pytest.raises(DataError, match="no hinge term is active"):
+            finite_diff_audit(model, pair_vocab, pairs, replace(config, reg_lambda=reg_lambda))
+
+
+def test_audit_of_fewer_than_2_pairs_is_a_data_error(pair_vocab):
+    config = TrainConfig(dim=4, batch_size=2, seed=3)
+    model = init_model(pair_vocab, config)
+    with pytest.raises(DataError, match="cannot sample negatives"):
+        finite_diff_audit(model, pair_vocab, PAIRS.pairs[:1], config)
 
 
 def test_audit_restores_parameters(pair_vocab):

@@ -107,6 +107,15 @@ def test_extract_rejects_bad_orders():
             build_vocab([" ab "], orders, MinCount(1))
 
 
+def test_policies_need_a_positive_size_and_build_vocab_a_policy():
+    with pytest.raises(ValueError, match="min_count must be a positive integer"):
+        MinCount(0)
+    with pytest.raises(ValueError, match="k must be a positive integer"):
+        TopKPerOrder(0)
+    with pytest.raises(TypeError, match="unknown vocabulary policy: 3"):
+        build_vocab([" ab "], (2,), 3)
+
+
 @given(texts, st.integers(min_value=1, max_value=6))
 def test_extract_count_sum(text, n):
     seq = normalize(text)
